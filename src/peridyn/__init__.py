@@ -4,45 +4,23 @@ The library is organized around a meshfree point cloud (`geometry`), the
 pairwise force operator and damage model (`forces`), explicit Runge-Kutta
 tableaus and the single-rate driver (`integrator`), the multi-time-step
 scheme (`mts`), convergence/error tooling (`analysis`), and scenario
-configuration plus output writers (`app`, `io`).
+configuration plus output writers (`app`, `io`).  The package namespace
+holds the scenario-level entry points; everything else is imported from
+its submodule.
 """
 
-from .analysis import ConvergenceRow, l2_error, observed_order, \
-    reference_solution, scoped_errors
-from .app import ConfigError, Scenario, SimulationConfig, apply_overrides, \
-    compare, converge, parse_config, preset_config, run, serialize_config, \
-    validate_config
-from .forces import FieldState, InstabilityError, Loading, Material, \
-    PDOperator, SimulationError, apply_operator, bond_stretch, \
-    break_precrack_bonds, calibrate_alpha, damage_index, \
-    pairwise_force_linear, pairwise_force_nonlinear, update_damage
-from .geometry import GeometryError, NeighborList, PointCloud, \
-    SubdomainLabels, build_grid, build_neighbor_list, classify_subdomains, \
-    select_layer
-from .integrator import ButcherTableau, Trajectory, rk_step, tableau, \
-    tableau_rk3, tableau_rk4, upd_run
-from .mts import CorrectionMatrices, Interpolant, MtsConfig, MtsPlan, \
-    OperatorHistory, TimingReport, assemble_f, build_interpolant, \
-    coarse_advance, estimate_derivatives, fine_advance, matrix_A, \
-    mts_run, mts_startup, mts_step
+from . import io
+from .analysis import l2_error
+from .app import ConfigError, Scenario, apply_overrides, compare, converge, \
+    preset_config
+from .forces import InstabilityError, SimulationError, damage_index
+from .geometry import build_grid
+from .mts import mts_run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ButcherTableau", "ConfigError", "ConvergenceRow", "CorrectionMatrices",
-    "FieldState", "GeometryError", "InstabilityError", "Interpolant",
-    "Loading", "Material", "MtsConfig", "MtsPlan", "NeighborList",
-    "OperatorHistory", "PDOperator", "PointCloud", "Scenario",
-    "SimulationConfig", "SimulationError", "SubdomainLabels", "TimingReport",
-    "Trajectory", "apply_operator", "apply_overrides", "assemble_f",
-    "bond_stretch", "break_precrack_bonds", "build_grid",
-    "build_interpolant", "build_neighbor_list", "calibrate_alpha",
-    "classify_subdomains", "coarse_advance", "compare", "converge",
-    "damage_index", "estimate_derivatives", "fine_advance", "l2_error",
-    "matrix_A", "mts_run", "mts_startup", "mts_step", "observed_order",
-    "pairwise_force_linear", "pairwise_force_nonlinear", "parse_config",
-    "preset_config", "reference_solution", "rk_step", "run",
-    "scoped_errors", "select_layer", "serialize_config", "tableau",
-    "tableau_rk3", "tableau_rk4", "upd_run", "update_damage",
-    "validate_config",
+    "ConfigError", "InstabilityError", "Scenario", "SimulationError",
+    "apply_overrides", "build_grid", "compare", "converge", "damage_index",
+    "io", "l2_error", "mts_run", "preset_config",
 ]

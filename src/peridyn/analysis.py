@@ -36,7 +36,11 @@ class ConvergenceRow:
 
 def l2_error(field: np.ndarray, reference: np.ndarray,
              indices: np.ndarray | None = None) -> float:
-    """Absolute L2 error sqrt(sum (field - ref)^2) over the given points."""
+    """Absolute L2 error sqrt(sum (field - ref)^2) over the given points.
+
+    Computed as m * sqrt(sum ((field - ref)/m)^2) with m = max |field - ref|,
+    so tiny differences do not underflow to zero nor huge ones overflow.
+    """
     field = np.asarray(field, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if field.shape != reference.shape:
@@ -45,7 +49,10 @@ def l2_error(field: np.ndarray, reference: np.ndarray,
     diff = field - reference
     if indices is not None:
         diff = diff[indices]
-    return float(np.sqrt(np.sum(diff * diff)))
+    m = float(np.max(np.abs(diff))) if diff.size else 0.0
+    if m == 0.0 or not math.isfinite(m):
+        return m
+    return float(m * np.sqrt(np.sum((diff / m) ** 2)))
 
 
 def observed_order(errors, dts) -> list:

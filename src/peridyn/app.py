@@ -20,7 +20,7 @@ from . import io as pio
 from .analysis import ConvergenceRow, l2_error, observed_order, \
     reference_solution, scoped_errors
 from .forces import FieldState, Loading, Material, PDOperator, \
-    break_precrack_bonds, damage_index
+    break_precrack_bonds, damage_index, poisson_violation
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
@@ -355,11 +355,9 @@ def validate_config(cfg: SimulationConfig):
         p.append("material.E: must be positive")
     if cfg.material.rho is None or cfg.material.rho <= 0:
         p.append("material.rho: must be positive")
-    required_nu = 1.0 / 3.0 if dim == 2 else 0.25
-    if cfg.material.nu is None or abs(cfg.material.nu - required_nu) > 1e-9:
-        p.append(
-            f"material.nu: bond-based peridynamics requires nu = "
-            f"{'1/3' if dim == 2 else '1/4'} in {dim}D, got {cfg.material.nu}")
+    nu_problem = poisson_violation(cfg.material.nu, dim)
+    if nu_problem:
+        p.append(f"material.nu: {nu_problem}")
     if cfg.delta is None or cfg.delta <= 0:
         p.append("horizon.delta: must be positive")
     if cfg.law not in ("linear", "nonlinear"):

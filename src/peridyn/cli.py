@@ -27,9 +27,6 @@ def _add_common(sub):
                           f"({', '.join(sorted(PRESETS))})")
     sub.add_argument("--paper-scale", action="store_true",
                      help="use the full-scale preset variants")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="thread cap for numerical backends "
-                          "(default: PD_THREADS or all cores)")
     sub.add_argument("--order", type=int, choices=(3, 4), default=None)
     sub.add_argument("--out", default=None, help="output directory")
 
@@ -64,15 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_threads(n: int | None):
-    """Cap backend threading; the solver kernels themselves are sequential
-    and deterministic regardless of this setting."""
-    if n is None:
-        n = int(os.environ.get("PD_THREADS", 0)) or (os.cpu_count() or 1)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def _load_config(args):
     if args.config in PRESETS and not os.path.exists(args.config):
         cfg = preset_config(args.config, paper_scale=args.paper_scale)
@@ -96,7 +84,6 @@ def _load_config(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _configure_threads(args.threads)
     try:
         cfg = _load_config(args)
     except (ConfigError, GeometryError) as err:

@@ -12,7 +12,7 @@ and must not pay for force sums outside the active subdomain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,11 +76,19 @@ class Material:
             raise ValueError(f"elastic modulus must be positive, got {self.E}")
         if self.rho <= 0:
             raise ValueError(f"density must be positive, got {self.rho}")
-        required = NU_2D if dim == 2 else NU_3D
-        if abs(self.nu - required) > _NU_TOL:
-            raise ValueError(
-                f"bond-based peridynamics requires nu = {'1/3' if dim == 2 else '1/4'} "
-                f"in {dim}D, got {self.nu}")
+        problem = poisson_violation(self.nu, dim)
+        if problem:
+            raise ValueError(problem)
+
+
+def poisson_violation(nu, dim: int) -> str | None:
+    """The bond-based Poisson rule: None when nu is 1/3 in 2D or 1/4 in 3D,
+    else the complaint."""
+    required, text = (NU_2D, "1/3") if dim == 2 else (NU_3D, "1/4")
+    if nu is None or abs(nu - required) > _NU_TOL:
+        return (f"bond-based peridynamics requires nu = {text} in {dim}D, "
+                f"got {nu}")
+    return None
 
 
 @dataclass
@@ -137,42 +145,44 @@ def calibrate_alpha(material: Material, delta: float, dim: int,
     raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
-def bond_stretch(xi, eta):
-    """Relative bond elongation s = (|xi + eta| - |xi|) / |xi|.
-
-    Accepts single bonds or (M, dim) arrays.
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nxi = np.linalg.norm(xi, axis=-1)
-    return (np.linalg.norm(xi + eta, axis=-1) - nxi) / nxi
+def bond_stretch(deformed_norm, xi_norm):
+    """Relative bond elongation s = (|xi + eta| - |xi|) / |xi| from the
+    deformed length |xi + eta| and the cached |xi|."""
+    return (deformed_norm - xi_norm) / xi_norm
 
 
-def pairwise_force_linear(xi, eta, alpha: float):
-    """Linearized pairwise force alpha * (xi (x) xi / |xi|^3) eta."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nxi = np.linalg.norm(xi, axis=-1)
-    dot = np.sum(xi * eta, axis=-1)
-    return alpha * (dot / nxi ** 3)[..., None] * xi
+class BondCollapseError(SimulationError):
+    """A deformed bond shrank to (numerically) zero length; ``bond`` is its
+    position in the bond arrays passed to the force kernel."""
+
+    def __init__(self, bond: int):
+        self.bond = bond
+        super().__init__(f"deformed bond {bond} collapsed to zero length")
 
 
-def pairwise_force_nonlinear(xi, eta, alpha: float):
-    """Nonlinear pairwise force alpha * s * (xi + eta)/|xi + eta|.
+# The kernels below act on bond arrays: xi and eta are (M, dim) reference
+# and relative-displacement vectors, xi_norm the cached |xi| and coef the
+# per-bond factor alpha * mu.  They return the (M, dim) pairwise forces.
 
-    Raises SimulationError if a deformed bond collapses to (numerically)
+
+def pairwise_force_linear(xi, eta, xi_norm, coef):
+    """Linearized pairwise force coef * (xi (x) xi / |xi|^3) eta."""
+    dot = np.einsum("bd,bd->b", xi, eta)
+    return (coef * dot / xi_norm ** 3)[:, None] * xi
+
+
+def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
+    """Nonlinear pairwise force coef * s * (xi + eta)/|xi + eta|.
+
+    Raises BondCollapseError if a deformed bond collapses to (numerically)
     zero length, which indicates a non-physical state.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nxi = np.linalg.norm(xi, axis=-1)
     deformed = xi + eta
-    ndef = np.linalg.norm(deformed, axis=-1)
-    collapsed = ndef < COLLAPSE_TOL * nxi
+    ndef = np.linalg.norm(deformed, axis=1)
+    collapsed = ndef < COLLAPSE_TOL * xi_norm
     if np.any(collapsed):
-        raise SimulationError("deformed bond collapsed to zero length")
-    s = (ndef - nxi) / nxi
-    return (alpha * s / ndef)[..., None] * deformed
+        raise BondCollapseError(int(np.flatnonzero(collapsed)[0]))
+    return (coef * bond_stretch(ndef, xi_norm) / ndef)[:, None] * deformed
 
 
 @dataclass
@@ -206,6 +216,8 @@ class PDOperator:
         self.nbrs = nbrs
         self.material = material
         self.law = law
+        self._force = pairwise_force_linear if law == "linear" \
+            else pairwise_force_nonlinear
         self.alpha = calibrate_alpha(material, nbrs.delta, cloud.dim,
                                      cloud.thickness)
         n, dim = cloud.n_points, cloud.dim
@@ -266,22 +278,14 @@ class PDOperator:
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             eta = u[view.j_global] - u[view.rows[view.i_local]]
-            mu = self.nbrs.mu[view.bond_sel]
-            if self.law == "linear":
-                dot = np.einsum("bd,bd->b", view.xi, eta)
-                coef = (self.alpha * mu) * dot / view.xi_norm ** 3
-                p = coef[:, None] * view.xi
-            else:
-                deformed = view.xi + eta
-                ndef = np.linalg.norm(deformed, axis=1)
-                collapsed = ndef < COLLAPSE_TOL * view.xi_norm
-                if np.any(collapsed):
-                    b = np.flatnonzero(collapsed)[0]
-                    raise SimulationError(
-                        f"bond {view.rows[view.i_local[b]]} -> {view.j_global[b]} "
-                        f"collapsed to zero length at t={t:.6e}")
-                s = (ndef - view.xi_norm) / view.xi_norm
-                p = ((self.alpha * mu) * s / ndef)[:, None] * deformed
+            coef = self.alpha * self.nbrs.mu[view.bond_sel]
+            try:
+                p = self._force(view.xi, eta, view.xi_norm, coef)
+            except BondCollapseError as err:
+                b = err.bond
+                raise SimulationError(
+                    f"bond {view.rows[view.i_local[b]]} -> {view.j_global[b]} "
+                    f"collapsed to zero length at t={t:.6e}") from None
 
             force = np.empty((nrows, dim))
             for k in range(dim):
@@ -302,22 +306,6 @@ class PDOperator:
         return out
 
 
-def apply_operator(state: FieldState, cloud: PointCloud, nbrs: NeighborList,
-                   material: Material, loadings=(), t: float | None = None,
-                   law: str = "linear"):
-    """One-shot operator application; returns (du_dt, dv_dt) arrays."""
-    op = PDOperator(cloud, nbrs, material, loadings, law)
-    rate = op.rates(state.packed(), state.t if t is None else t)
-    dim = cloud.dim
-    return rate[:, :dim], rate[:, dim:]
-
-
-def bond_stretches(nbrs: NeighborList, u: np.ndarray) -> np.ndarray:
-    """Current stretch of every bond (broken ones included)."""
-    eta = u[nbrs.neighbors] - u[nbrs.bond_i]
-    return (np.linalg.norm(nbrs.xi + eta, axis=1) - nbrs.xi_norm) / nbrs.xi_norm
-
-
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
                   bond_mask: np.ndarray | None = None) -> int:
     """Break every alive bond whose stretch reaches s0 (s >= s0, inclusive).
@@ -330,16 +318,18 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     if bond_mask is not None:
         alive = alive & bond_mask
     ids = np.flatnonzero(alive)
+    eta = u[nbrs.neighbors[ids]] - u[nbrs.bond_i[ids]]
+    s = bond_stretch(np.linalg.norm(nbrs.xi[ids] + eta, axis=1),
+                     nbrs.xi_norm[ids])
+    return _break_bonds(nbrs, ids[s >= s0])
+
+
+def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:
+    """Break the bonds ``ids`` in both directions; returns the number of
+    undirected bonds that were alive before."""
     if len(ids) == 0:
         return 0
-    i, j = nbrs.bond_i[ids], nbrs.neighbors[ids]
-    eta = u[j] - u[i]
-    s = (np.linalg.norm(nbrs.xi[ids] + eta, axis=1) - nbrs.xi_norm[ids]) \
-        / nbrs.xi_norm[ids]
-    breaking = ids[s >= s0]
-    if len(breaking) == 0:
-        return 0
-    both = np.union1d(breaking, nbrs.partner[breaking])
+    both = np.union1d(ids, nbrs.partner[ids])
     newly = both[nbrs.mu[both] > 0.0]
     nbrs.mu[newly] = 0.0
     return len(newly) // 2
@@ -369,13 +359,7 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
     # Bond endpoints strictly on opposite sides of the crack line (open bond
     # segment), crossing point within the closed crack segment.
     hits = (d1 * d2 < 0.0) & (d3 * d4 <= 0.0)
-    ids = np.flatnonzero(hits & (nbrs.mu > 0.0))
-    if len(ids) == 0:
-        return 0
-    both = np.union1d(ids, nbrs.partner[ids])
-    newly = both[nbrs.mu[both] > 0.0]
-    nbrs.mu[newly] = 0.0
-    return len(newly) // 2
+    return _break_bonds(nbrs, np.flatnonzero(hits & (nbrs.mu > 0.0)))
 
 
 def damage_index(nbrs: NeighborList, i: int | None = None):

@@ -125,21 +125,33 @@ def save_reference(path, state: FieldState):
         np.ascontiguousarray(state.v, dtype="<f8").tofile(fp)
 
 
+class ReferenceCacheError(OSError):
+    """A reference cache file that is truncated or not a cache file."""
+
+
 def load_reference(path) -> FieldState | None:
-    """Read a cached reference; None when the file does not exist."""
+    """Read a cached reference; None when the file does not exist.
+
+    Raises ReferenceCacheError, naming the file, when its magic line, its
+    header or the length of its payload is wrong.
+    """
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fp:
-        magic = fp.readline().decode().strip()
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"{path}: not a reference cache file")
-        meta = {}
-        for _ in range(4):
-            key, value = fp.readline().decode().split()
-            meta[key] = value
-        dim = int(meta["dim"])
-        n = int(meta["points"])
+        if fp.readline() != f"{_CACHE_MAGIC}\n".encode():
+            raise ReferenceCacheError(f"{path}: not a reference cache file")
+        try:
+            meta = dict(fp.readline().decode().split() for _ in range(4))
+            dim, n = int(meta["dim"]), int(meta["points"])
+            t = float(meta["final_time"])
+        except (ValueError, KeyError) as err:
+            raise ReferenceCacheError(
+                f"{path}: corrupt reference cache header ({err})") from None
         data = np.fromfile(fp, dtype="<f8", count=2 * n * dim)
+        if data.size != 2 * n * dim or fp.read(1):
+            raise ReferenceCacheError(
+                f"{path}: reference cache payload does not hold exactly "
+                f"{2 * n * dim} values ({n} points x {2 * dim} components)")
     u = data[:n * dim].reshape(n, dim)
     v = data[n * dim:].reshape(n, dim)
-    return FieldState(u=u, v=v, t=float(meta["final_time"]))
+    return FieldState(u=u, v=v, t=t)

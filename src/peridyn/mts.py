@@ -407,41 +407,30 @@ def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
     return y_next
 
 
-def mts_startup(op, state0: FieldState, config: MtsConfig,
-                s0: float | None = None, n_intervals: int = 2):
-    """Integrate the first coarse intervals with whole-domain RK at the fine
-    step dt/K (no correction terms before history exists).
-
-    Returns (history, coarse_states) where coarse_states is the list of
-    packed states at t_1..t_{n_intervals}; the history holds the rates at
-    t_0 through t_{n_intervals}.
-    """
-    config.validate()
-    tab = tableau(config.order)
-    dt, K = config.dt, config.K
-    dt_k = dt / K
-    dim = op.cloud.dim
-    y = state0.packed()
-    t0 = state0.t
-    history = OperatorHistory(dt)
-    history.push(t0, op.rates(y, t0))
-    coarse_states = []
-    for m in range(n_intervals):
-        t_m = t0 + m * dt
-        for k in range(K):
-            y, _ = rk_step(tab, y, op.rates, t_m + k * dt_k, dt_k)
-            if s0 is not None:
-                update_damage(op.nbrs, y[:, :dim], s0)
-        t_next = t0 + (m + 1) * dt
-        history.push(t_next, op.rates(y, t_next))
-        coarse_states.append(y.copy())
-    return history, coarse_states
+def startup_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
+                 history: OperatorHistory,
+                 timing: TimingReport | None = None) -> np.ndarray:
+    """Startup coarse step, taken before the history holds r-1 levels: K
+    whole-domain RK substeps at dt/K (no correction terms), an unmasked
+    damage check after each, then push the rates at t_{n+1}."""
+    timing = timing if timing is not None else TimingReport()
+    op = plan.op
+    dt_k = plan.config.dt / plan.config.K
+    y = y_n
+    with timing.phase("startup"):
+        for k in range(plan.config.K):
+            y, _ = rk_step(plan.tab, y, op.rates, t_n + k * dt_k, dt_k)
+            if plan.s0 is not None:
+                update_damage(op.nbrs, y[:, :op.cloud.dim], plan.s0)
+    with timing.phase("history"):
+        history.push(t_np1, op.rates(y, t_np1))
+    return y
 
 
 def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
             s0: float | None = None, record_every: int | None = None,
             on_step=None):
-    """Startup then repeated mts_step until t_0 + n_steps * dt.
+    """Two startup_steps, then repeated mts_step until t_0 + n_steps * dt.
 
     Returns (Trajectory, TimingReport).  The trajectory records the initial
     state, every record_every-th step, and the final state, matching the
@@ -450,9 +439,7 @@ def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
     config.validate()
     plan = MtsPlan(op, config, s0)
     timing = TimingReport()
-    dt, K = config.dt, config.K
-    dt_k = dt / K
-    dim = op.cloud.dim
+    dt = config.dt
     y = state0.packed()
     t0 = state0.t
     states = [FieldState.from_packed(y, t0)]
@@ -462,19 +449,9 @@ def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
     step = 0
     try:
         for step in range(1, n_steps + 1):
-            t_prev = t0 + (step - 1) * dt
             t_now = t0 + step * dt
-            if step <= 2:
-                with timing.phase("startup"):
-                    for k in range(K):
-                        y, _ = rk_step(plan.tab, y, op.rates,
-                                       t_prev + k * dt_k, dt_k)
-                        if s0 is not None:
-                            update_damage(op.nbrs, y[:, :dim], s0)
-                with timing.phase("history"):
-                    history.push(t_now, op.rates(y, t_now))
-            else:
-                y = mts_step(plan, y, t_prev, t_now, history, timing)
+            advance = startup_step if step <= 2 else mts_step
+            y = advance(plan, y, t0 + (step - 1) * dt, t_now, history, timing)
             if on_step is not None:
                 on_step(step, t_now, y)
             if record_every and step % record_every == 0 and step != n_steps:

@@ -261,6 +261,36 @@ class TestCsvWriter:
             assert got == pytest.approx(want, abs=2e-5)
 
 
+class TestReferenceCache:
+    def state(self, rng):
+        return FieldState(u=rng.normal(size=(5, 2)), v=rng.normal(size=(5, 2)),
+                          t=0.125)
+
+    def test_header_only_file_rejected(self, tmp_path, rng):
+        path = str(tmp_path / "ref.bin")
+        pio.save_reference(path, self.state(rng))
+        with open(path, "rb") as fp:
+            header = b"".join(fp.readline() for _ in range(5))
+        with open(path, "wb") as fp:
+            fp.write(header)
+        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
+            pio.load_reference(path)
+
+    def test_trailing_data_rejected(self, tmp_path, rng):
+        path = str(tmp_path / "ref.bin")
+        pio.save_reference(path, self.state(rng))
+        with open(path, "ab") as fp:
+            fp.write(b"\0" * 8)
+        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
+            pio.load_reference(path)
+
+    def test_wrong_magic_rejected(self, tmp_path):
+        path = tmp_path / "ref.bin"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(64))
+        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
+            pio.load_reference(str(path))
+
+
 class TestRunAndCli:
     def test_zero_steps_writes_initial_snapshot(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=0)
@@ -324,6 +354,22 @@ class TestRunAndCli:
         code = cli.main(["run", "--config", str(path),
                          "--out", str(blocker / "sub")])
         assert code == 4
+
+    def test_cli_corrupt_reference_cache_exit_4(self, tmp_path, mini_config,
+                                                capsys):
+        path = tmp_path / "mini.cfg"
+        path.write_text(serialize_config(mini_config(n_steps=8)))
+        argv = ["converge", "--config", str(path), "--dt-list",
+                "1e-5,0.5e-5", "--k-list", "1,2", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        (cached,) = (tmp_path / "refcache").iterdir()
+        cached.write_bytes(cached.read_bytes()[:-8])  # truncate the payload
+        assert cli.main(argv) == 4
+        assert cached.name in capsys.readouterr().err
+
+    def test_cli_ignores_pd_threads(self, monkeypatch):
+        monkeypatch.setenv("PD_THREADS", "two")
+        assert cli.main(["validate", "--config", "plate2d"]) == 0
 
     def test_cli_converge_deterministic_bytes(self, tmp_path, mini_config):
         path = tmp_path / "mini.cfg"

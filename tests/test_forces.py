@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from peridyn.forces import (
-    FieldState, InstabilityError, Loading, Material, PDOperator,
-    apply_operator, bond_stretch, bond_stretches, break_precrack_bonds,
-    calibrate_alpha, damage_index, pairwise_force_linear,
-    pairwise_force_nonlinear, update_damage,
+    InstabilityError, Loading, Material, PDOperator, SimulationError,
+    bond_stretch, break_precrack_bonds, calibrate_alpha, damage_index,
+    pairwise_force_linear, pairwise_force_nonlinear, update_damage,
 )
 from peridyn.geometry import PointCloud, build_grid, build_neighbor_list
 
@@ -56,62 +55,90 @@ class TestMaterialValidation:
         Material(E=1.0, nu=0.25, rho=1.0).validate(3)
 
 
+def stretch(xi, eta):
+    """Stretch of one bond through the bond-array stretch function."""
+    xi = np.asarray(xi, dtype=float)
+    return bond_stretch(np.linalg.norm(xi + eta), np.linalg.norm(xi))
+
+
+def all_stretches(nbrs, u):
+    """Stretch of every bond of the list, broken ones included."""
+    eta = u[nbrs.neighbors] - u[nbrs.bond_i]
+    return bond_stretch(np.linalg.norm(nbrs.xi + eta, axis=1), nbrs.xi_norm)
+
+
+def force(kernel, xi, eta, alpha):
+    """Force on one intact bond through a bond-array force kernel."""
+    xi = np.array([xi], dtype=float)
+    eta = np.array([eta], dtype=float)
+    return kernel(xi, eta, np.linalg.norm(xi, axis=1), alpha)[0]
+
+
 class TestBondStretch:
     def test_collinear_extension(self):
-        assert bond_stretch((1, 0), (0.01, 0)) == pytest.approx(0.01)
+        assert stretch((1, 0), (0.01, 0)) == pytest.approx(0.01)
 
     def test_undeformed(self):
-        assert bond_stretch((1, 0), (0, 0)) == 0.0
+        assert stretch((1, 0), (0, 0)) == 0.0
 
     def test_collinear_compression(self):
-        assert bond_stretch((1, 0), (-0.5, 0)) == pytest.approx(-0.5)
+        assert stretch((1, 0), (-0.5, 0)) == pytest.approx(-0.5)
 
 
 class TestPairwiseForces:
     def test_linear_annihilates_perpendicular(self):
         np.testing.assert_allclose(
-            pairwise_force_linear((1, 0), (0, 1), 1.0), [0, 0])
+            force(pairwise_force_linear, (1, 0), (0, 1), 1.0), [0, 0])
 
     def test_linear_unit_bond(self):
         np.testing.assert_allclose(
-            pairwise_force_linear((1, 0), (0.25, 0), 1.0), [0.25, 0])
+            force(pairwise_force_linear, (1, 0), (0.25, 0), 1.0), [0.25, 0])
 
     def test_linear_hand_value(self):
         # xi.eta = 7, |xi|^3 = 125: p = 2 * 7 * (3, 4)/125
         np.testing.assert_allclose(
-            pairwise_force_linear((3, 4), (1, 1), 2.0), [0.336, 0.448])
+            force(pairwise_force_linear, (3, 4), (1, 1), 2.0), [0.336, 0.448])
+
+    def test_per_bond_coefficient(self):
+        # coef = alpha * mu per bond: a broken bond (mu = 0) carries no force
+        xi = np.array([[1.0, 0], [0, 2.0]])
+        eta = np.array([[0.25, 0], [0, 0.5]])
+        for kernel in (pairwise_force_linear, pairwise_force_nonlinear):
+            p = kernel(xi, eta, np.linalg.norm(xi, axis=1),
+                       np.array([2.0, 0.0]))
+            np.testing.assert_allclose(p, [[0.5, 0], [0, 0]])
 
     def test_nonlinear_zero_stretch(self):
         np.testing.assert_allclose(
-            pairwise_force_nonlinear((1, 0), (0, 0), 1.0), [0, 0])
+            force(pairwise_force_nonlinear, (1, 0), (0, 0), 1.0), [0, 0])
 
     def test_nonlinear_collinear(self):
         np.testing.assert_allclose(
-            pairwise_force_nonlinear((1, 0), (0.01, 0), 1.0), [0.01, 0])
+            force(pairwise_force_nonlinear, (1, 0), (0.01, 0), 1.0), [0.01, 0])
 
     def test_nonlinear_matches_linear_to_first_order(self):
         rng = np.random.default_rng(7)
+
+        def gap(xi, eta):
+            return np.linalg.norm(force(pairwise_force_nonlinear, xi, eta, 1.0)
+                                  - force(pairwise_force_linear, xi, eta, 1.0))
+
         for _ in range(20):
             xi = rng.normal(size=2)
             xi /= np.linalg.norm(xi)
             direction = rng.normal(size=2)
             for eps in (1e-3, 1e-6):
                 eta = eps * direction
-                err = np.linalg.norm(
-                    pairwise_force_nonlinear(xi, eta, 1.0)
-                    - pairwise_force_linear(xi, eta, 1.0))
-                half = np.linalg.norm(
-                    pairwise_force_nonlinear(xi, eta / 2, 1.0)
-                    - pairwise_force_linear(xi, eta / 2, 1.0))
+                err = gap(xi, eta)
+                half = gap(xi, eta / 2)
                 assert err <= 5.0 * np.linalg.norm(eta) ** 2
                 # quadratic remainder: halving eta shrinks the gap ~4x
                 if err > 1e-13:
                     assert half <= 0.3 * err
 
     def test_nonlinear_collapse_rejected(self):
-        from peridyn.forces import SimulationError
         with pytest.raises(SimulationError, match="collapsed"):
-            pairwise_force_nonlinear((1.0, 0.0), (-1.0, 0.0), 1.0)
+            force(pairwise_force_nonlinear, (1.0, 0.0), (-1.0, 0.0), 1.0)
 
 
 def three_point_row_op(law="linear"):
@@ -124,10 +151,17 @@ def three_point_row_op(law="linear"):
 class TestApplyOperator:
     def test_zero_displacement_zero_acceleration(self):
         cloud, nbrs, op = three_point_row_op()
-        state = FieldState(u=np.zeros((3, 2)), v=np.zeros((3, 2)), t=0.0)
-        du, dv = apply_operator(state, cloud, nbrs, op.material)
-        np.testing.assert_array_equal(dv, 0.0)
-        np.testing.assert_array_equal(du, 0.0)
+        rate = op.rates(np.zeros((3, 4)), 0.0)
+        np.testing.assert_array_equal(rate[:, 2:], 0.0)
+        np.testing.assert_array_equal(rate[:, :2], 0.0)
+
+    def test_collapse_names_bond_and_time(self):
+        cloud, nbrs, op = three_point_row_op(law="nonlinear")
+        y = np.zeros((3, 4))
+        y[1, 0] = -1.0  # point 1 moves onto point 0
+        with pytest.raises(SimulationError,
+                           match=r"bond 0 -> 1 collapsed .* t=2\.500000e-01"):
+            op.rates(y, 0.25)
 
     def test_rigid_translation_is_force_free(self):
         cloud, nbrs, op = three_point_row_op()
@@ -225,7 +259,7 @@ class TestDamage:
         cloud = make_cloud([[0, 0], [1, 0]])
         nbrs = build_neighbor_list(cloud, 1.0)
         u = np.array([[0.0, 0], [0.5, 0]])
-        assert bond_stretches(nbrs, u)[0] == 0.5
+        assert all_stretches(nbrs, u)[0] == 0.5
         assert update_damage(nbrs, u, s0=0.5) == 1
         assert np.all(nbrs.mu == 0.0)
 
@@ -242,7 +276,7 @@ class TestDamage:
             * np.array([1.0, 0.0])
         s0 = 0.09
         # independent oracle: evaluate every bond stretch directly
-        stretches = bond_stretches(nbrs, u)
+        stretches = all_stretches(nbrs, u)
         expected = set(map(tuple, np.sort(np.column_stack(
             [nbrs.bond_i[stretches >= s0], nbrs.neighbors[stretches >= s0]]),
             axis=1).tolist()))

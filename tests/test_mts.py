@@ -8,7 +8,7 @@ from peridyn.integrator import rk_step, tableau, upd_run
 from peridyn.mts import (
     Interpolant, MtsConfig, MtsPlan, OperatorHistory, assemble_f,
     build_interpolant, coarse_advance, estimate_derivatives, fine_advance,
-    matrix_A, mts_run, mts_startup, mts_step,
+    matrix_A, mts_run, mts_step, startup_step,
 )
 from tests.test_forces import make_cloud, unit_alpha_material
 
@@ -318,12 +318,23 @@ class TestFineAdvance:
 
 
 class TestStartupAndRun:
+    @staticmethod
+    def two_startup_steps(op, y0, cfg):
+        """The history and the states at t_1, t_2 from two startup steps."""
+        plan = MtsPlan(op, cfg)
+        hist = OperatorHistory(cfg.dt)
+        hist.push(0.0, op.rates(y0, 0.0))
+        states = [y0]
+        for m in range(2):
+            states.append(startup_step(plan, states[-1], m * cfg.dt,
+                                       (m + 1) * cfg.dt, hist))
+        return hist, states[1:]
+
     def test_startup_k1_equals_two_upd_steps(self):
         op, labels, y0 = smooth_plate()
         dt = 1e-3
         cfg = MtsConfig(order=4, dt=dt, K=1, labels=labels)
-        hist, coarse_states = mts_startup(op, FieldState.from_packed(y0, 0.0),
-                                          cfg)
+        hist, coarse_states = self.two_startup_steps(op, y0, cfg)
         tab = tableau(4)
         y = y0.copy()
         for m in range(2):
@@ -335,16 +346,31 @@ class TestStartupAndRun:
         op, labels, y0 = smooth_plate()
         op.body[:] = 0.0
         cfg = MtsConfig(order=3, dt=1e-3, K=4, labels=labels)
-        hist, states = mts_startup(op, FieldState.from_packed(y0, 0.0), cfg)
+        hist, states = self.two_startup_steps(op, y0, cfg)
         for back in range(3):
             np.testing.assert_array_equal(hist.values(back), 0.0)
         np.testing.assert_array_equal(states[-1], 0.0)
 
+    def test_startup_checks_damage_on_whole_domain(self):
+        op, labels, y0 = smooth_plate()
+        cfg = MtsConfig(order=4, dt=1e-9, K=2, labels=labels)
+        plan = MtsPlan(op, cfg, s0=0.01)
+        y = y0.copy()
+        y[:, :2] = 0.05 * op.cloud.positions  # every bond stretched 5%
+        hist = OperatorHistory(cfg.dt)
+        hist.push(0.0, op.rates(y, 0.0))
+        startup_step(plan, y, 0.0, cfg.dt, hist)
+        assert np.all(op.nbrs.mu == 0.0)  # coarse and fine bonds alike
+
     def test_total_simulated_time(self):
         op, labels, y0 = smooth_plate()
         cfg = MtsConfig(order=3, dt=1e-3, K=2, labels=labels)
-        traj, _ = mts_run(op, FieldState.from_packed(y0, 0.0), cfg, 7)
+        traj, timing = mts_run(op, FieldState.from_packed(y0, 0.0), cfg, 7)
         assert traj.final.t == pytest.approx(7e-3, rel=1e-12)
+        # two startup steps; one history push at t_0 and after every step
+        assert timing.entries["startup"][0] == 2
+        assert timing.entries["history"][0] == 8
+        assert timing.entries["coarse"][0] == 5
 
     def test_reduction_identity_small(self):
         op, labels_empty, y0 = smooth_plate(fine_frac=0.0)
