@@ -55,6 +55,21 @@ def l2_error(field: np.ndarray, reference: np.ndarray,
     return float(m * np.sqrt(np.sum((diff / m) ** 2)))
 
 
+def halving_violation(dts) -> str | None:
+    """None when ``dts`` has at least two positive finite entries, each
+    half the one before; else the complaint."""
+    dts = list(dts)
+    if len(dts) < 2:
+        return f"need at least two dt entries, got {len(dts)}"
+    bad = [dt for dt in dts if not (math.isfinite(dt) and dt > 0)]
+    if bad:
+        return f"dt entries must be positive and finite, got {bad[0]}"
+    for prev, cur in zip(dts, dts[1:]):
+        if abs(prev / cur - 2.0) > _DT_RATIO_TOL:
+            return f"dt sequence must halve: {prev} -> {cur}"
+    return None
+
+
 def observed_order(errors, dts) -> list:
     """CR_m = log2(e_{m-1} / e_m) for a dt sequence halving at each entry.
 
@@ -63,11 +78,12 @@ def observed_order(errors, dts) -> list:
     """
     errors = list(errors)
     dts = list(dts)
-    if len(errors) != len(dts) or len(errors) < 2:
-        raise ValueError("need matching errors/dts with at least two entries")
-    for prev, cur in zip(dts, dts[1:]):
-        if abs(prev / cur - 2.0) > _DT_RATIO_TOL:
-            raise ValueError(f"dt sequence must halve: {prev} -> {cur}")
+    if len(errors) != len(dts):
+        raise ValueError(f"need one error per dt, got {len(errors)} errors "
+                         f"for {len(dts)} dts")
+    problem = halving_violation(dts)
+    if problem:
+        raise ValueError(problem)
     crs = []
     for e_prev, e_cur in zip(errors, errors[1:]):
         if e_cur == 0.0:

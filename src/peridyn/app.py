@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as pio
-from .analysis import ConvergenceRow, l2_error, observed_order, \
-    reference_solution, scoped_errors
+from .analysis import ConvergenceRow, halving_violation, l2_error, \
+    observed_order, reference_solution, scoped_errors
 from .forces import FieldState, Loading, Material, PDOperator, \
     break_precrack_bonds, damage_index, poisson_violation
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
@@ -695,8 +695,17 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     run MTS.  When the scenario has a fine region, each run also reports
     coarse- and fine-scope errors.  Returns the ConvergenceRow list.
     """
-    scenario = Scenario(cfg)
     dt_list = sorted(dt_list, reverse=True)
+    problems = []
+    dt_problem = halving_violation(dt_list)
+    if dt_problem:
+        problems.append(f"dt list: {dt_problem}")
+    bad_k = [K for K in k_list if int(K) != K or K < 1]
+    if bad_k:
+        problems.append(f"K list: K must be an integer >= 1, got {bad_k[0]}")
+    if problems:
+        raise ConfigError(problems)
+    scenario = Scenario(cfg)
     final_time = scenario.final_time
     if final_time <= 0:
         raise ConfigError(["time.n_steps: convergence sweeps need n_steps > 0"])
@@ -739,18 +748,13 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
             for scope in scopes:
                 errors.setdefault((K, scope), []).append(vals[scope])
 
-    crs = {}
-    if len(dt_list) >= 2:
-        for key, errs in errors.items():
-            crs[key] = observed_order(errs, dt_list)
+    crs = {key: observed_order(errs, dt_list) for key, errs in errors.items()}
 
     rows = []
     for i, dt in enumerate(dt_list):
         for K in k_list:
             for scope in scopes:
-                cr = None
-                if i > 0 and crs.get((K, scope)):
-                    cr = crs[(K, scope)][i - 1]
+                cr = crs[(K, scope)][i - 1] if i > 0 else None
                 rows.append(ConvergenceRow(dt=dt, K=K, scope=scope,
                                            error=errors[(K, scope)][i],
                                            cr=cr))

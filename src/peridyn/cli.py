@@ -61,6 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number_list(text: str, convert, option: str) -> list:
+    """Parse a comma-separated option value; ConfigError on a bad entry."""
+    try:
+        return [convert(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            [f"{option}: expected comma-separated numbers, got {text!r}"]) \
+            from None
+
+
 def _load_config(args):
     if args.config in PRESETS and not os.path.exists(args.config):
         cfg = preset_config(args.config, paper_scale=args.paper_scale)
@@ -100,8 +110,8 @@ def main(argv=None) -> int:
                   f"(t = {traj.final.t:.6e} s); wrote {len(paths)} artifacts")
             return EXIT_OK
         if args.command == "converge":
-            dt_list = [float(x) for x in args.dt_list.split(",")]
-            k_list = [int(x) for x in args.k_list.split(",")]
+            dt_list = _number_list(args.dt_list, float, "--dt-list")
+            k_list = _number_list(args.k_list, int, "--k-list")
             out_dir = args.out or cfg.output.directory
             out_csv = os.path.join(out_dir, "convergence.csv")
             rows = converge(cfg, dt_list, k_list,

@@ -191,8 +191,8 @@ class _View:
 
     rows: np.ndarray            # global point indices, ascending
     bond_sel: np.ndarray        # bond ids, grouped by row in CSR order
-    i_local: np.ndarray         # per bond: position of its source in rows
-    j_global: np.ndarray
+    i_global: np.ndarray        # per bond: its source point
+    j_global: np.ndarray        # per bond: its neighbor point
     xi: np.ndarray
     xi_norm: np.ndarray
     constrained_local: np.ndarray
@@ -249,10 +249,9 @@ class PDOperator:
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
         bond_sel = _concat_ranges(off[rows], off[rows + 1])
-        counts = (off[rows + 1] - off[rows])
-        i_local = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
         cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, bond_sel=bond_sel, i_local=i_local,
+        return _View(rows=rows, bond_sel=bond_sel,
+                     i_global=np.repeat(rows, off[rows + 1] - off[rows]),
                      j_global=self.nbrs.neighbors[bond_sel],
                      xi=self.nbrs.xi[bond_sel],
                      xi_norm=self.nbrs.xi_norm[bond_sel],
@@ -273,24 +272,27 @@ class PDOperator:
         if view is None:
             view = self._full_view
         dim = self.cloud.dim
-        u = y[:, :dim]
-        nrows = len(view.rows)
+        # np.take on a contiguous copy gathers far faster than fancy
+        # indexing into the strided y[:, :dim]; the values are the same
+        u = np.ascontiguousarray(y[:, :dim])
+        n, nrows = self.cloud.n_points, len(view.rows)
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = u[view.j_global] - u[view.rows[view.i_local]]
-            coef = self.alpha * self.nbrs.mu[view.bond_sel]
+            eta = np.take(u, view.j_global, axis=0)
+            eta -= np.take(u, view.i_global, axis=0)
+            coef = self.alpha * np.take(self.nbrs.mu, view.bond_sel)
             try:
                 p = self._force(view.xi, eta, view.xi_norm, coef)
             except BondCollapseError as err:
                 b = err.bond
                 raise SimulationError(
-                    f"bond {view.rows[view.i_local[b]]} -> {view.j_global[b]} "
+                    f"bond {view.i_global[b]} -> {view.j_global[b]} "
                     f"collapsed to zero length at t={t:.6e}") from None
 
             force = np.empty((nrows, dim))
             for k in range(dim):
-                force[:, k] = np.bincount(view.i_local, weights=p[:, k],
-                                          minlength=nrows)
+                force[:, k] = np.bincount(view.i_global, weights=p[:, k],
+                                          minlength=n)[view.rows]
             accel = (force * self.cloud.volume_per_point
                      + self.body[view.rows]) / self.material.rho
 
@@ -313,14 +315,21 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     Both directions of a bond break together; flags never reset.  Returns
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
     check to a subset of bonds (it must be symmetric under bond reversal).
+
+    Each undirected bond is evaluated once, in its direction towards the
+    higher point index.  The reversed bond's xi and eta are exact negations,
+    so its stretch is bitwise the same and checking it would change nothing.
     """
-    alive = nbrs.mu > 0.0
+    check = (nbrs.mu > 0.0) & (nbrs.neighbors > nbrs.bond_i)
     if bond_mask is not None:
-        alive = alive & bond_mask
-    ids = np.flatnonzero(alive)
-    eta = u[nbrs.neighbors[ids]] - u[nbrs.bond_i[ids]]
-    s = bond_stretch(np.linalg.norm(nbrs.xi[ids] + eta, axis=1),
-                     nbrs.xi_norm[ids])
+        check &= bond_mask
+    ids = np.flatnonzero(check)
+    u = np.ascontiguousarray(u)
+    deformed = np.take(u, np.take(nbrs.neighbors, ids), axis=0)
+    deformed -= np.take(u, np.take(nbrs.bond_i, ids), axis=0)
+    deformed += np.take(nbrs.xi, ids, axis=0)
+    s = bond_stretch(np.linalg.norm(deformed, axis=1),
+                     np.take(nbrs.xi_norm, ids))
     return _break_bonds(nbrs, ids[s >= s0])
 
 

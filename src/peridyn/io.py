@@ -18,6 +18,11 @@ from .geometry import PointCloud
 
 _CACHE_MAGIC = "peridyn reference cache 1"
 
+# Part of every reference cache key.  Bump it whenever a change alters
+# trajectory bits (a new summation order, say), so that references cached
+# by the old solver are recomputed instead of served stale.
+REFERENCE_VERSION = 1
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -101,7 +106,10 @@ def write_timing(timing, path):
 
 
 def reference_cache_key(canonical_text: str, order: int, dt_ref: float) -> str:
-    payload = f"{canonical_text}\norder={order}\ndt_ref={dt_ref.hex()}"
+    """Hash of the scenario, the order, the reference step and
+    REFERENCE_VERSION."""
+    payload = (f"{canonical_text}\norder={order}\ndt_ref={dt_ref.hex()}"
+               f"\nversion={REFERENCE_VERSION}")
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

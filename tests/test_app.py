@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import peridyn.app as app
 import peridyn.cli as cli
 import peridyn.io as pio
 from peridyn.analysis import ConvergenceRow, observed_order
@@ -290,6 +291,13 @@ class TestReferenceCache:
         with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
             pio.load_reference(str(path))
 
+    def test_key_changes_with_reference_version(self, monkeypatch):
+        args = ("[scenario]\nname = custom\n", 4, 1e-6)
+        key = pio.reference_cache_key(*args)
+        assert pio.reference_cache_key(*args) == key
+        monkeypatch.setattr(pio, "REFERENCE_VERSION", pio.REFERENCE_VERSION + 1)
+        assert pio.reference_cache_key(*args) != key
+
 
 class TestRunAndCli:
     def test_zero_steps_writes_initial_snapshot(self, mini_config, tmp_path):
@@ -366,6 +374,45 @@ class TestRunAndCli:
         cached.write_bytes(cached.read_bytes()[:-8])  # truncate the payload
         assert cli.main(argv) == 4
         assert cached.name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [("--dt-list", "1e-5,abc"),
+                                               ("--k-list", "1,x")])
+    def test_cli_converge_unparsable_list_exit_2(self, tmp_path, mini_config,
+                                                 capsys, option, value):
+        path = tmp_path / "mini.cfg"
+        path.write_text(serialize_config(mini_config(n_steps=8)))
+        argv = {"--dt-list": "1e-5,0.5e-5", "--k-list": "1,2", option: value}
+        code = cli.main(["converge", "--config", str(path),
+                         "--out", str(tmp_path / "out"),
+                         *(item for pair in argv.items() for item in pair)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and option in err
+
+    @pytest.mark.parametrize("dt_list, k_list, problem", [
+        ("1e-5", "1,2", "at least two"),
+        ("1e-5,0.25e-5", "1,2", "must halve"),
+        ("1e-5,0", "1,2", "positive and finite"),
+        ("1e-5,nan", "1,2", "positive and finite"),
+        ("1e-5,0.5e-5", "0,2", "K must be an integer >= 1"),
+    ])
+    def test_cli_converge_bad_sweep_exit_2(self, tmp_path, mini_config,
+                                           capsys, monkeypatch,
+                                           dt_list, k_list, problem):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the lists were checked")
+
+        for name in ("reference_solution", "upd_run", "mts_run"):
+            monkeypatch.setattr(app, name, no_run)
+        path = tmp_path / "mini.cfg"
+        path.write_text(serialize_config(mini_config(n_steps=8)))
+        code = cli.main(["converge", "--config", str(path), "--dt-list",
+                         dt_list, "--k-list", k_list,
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and problem in err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_ignores_pd_threads(self, monkeypatch):
         monkeypatch.setenv("PD_THREADS", "two")

@@ -6,7 +6,9 @@ from peridyn.forces import (
     bond_stretch, break_precrack_bonds, calibrate_alpha, damage_index,
     pairwise_force_linear, pairwise_force_nonlinear, update_damage,
 )
-from peridyn.geometry import PointCloud, build_grid, build_neighbor_list
+from peridyn.geometry import PointCloud, build_grid, build_neighbor_list, \
+    classify_subdomains
+from peridyn.mts import MtsConfig, MtsPlan
 
 
 def make_cloud(positions, spacing=1.0, volume=1.0, thickness=None):
@@ -242,6 +244,70 @@ class TestApplyOperator:
         assert err.value.t == 0.125
 
 
+def reference_rates(op, y, rows):
+    """PDOperator.rates at ``rows`` by the original formula: fancy-index
+    gathers on the strided y[:, :dim], one bincount per component over the
+    local row positions, constraint overrides last."""
+    nbrs, dim = op.nbrs, op.cloud.dim
+    u = y[:, :dim]
+    bonds = [np.arange(nbrs.offsets[r], nbrs.offsets[r + 1]) for r in rows]
+    bond_sel = np.concatenate(bonds)
+    i_local = np.repeat(np.arange(len(rows)), [len(b) for b in bonds])
+    kernel = pairwise_force_linear if op.law == "linear" \
+        else pairwise_force_nonlinear
+    eta = u[nbrs.neighbors[bond_sel]] - u[rows[i_local]]
+    p = kernel(nbrs.xi[bond_sel], eta, nbrs.xi_norm[bond_sel],
+               op.alpha * nbrs.mu[bond_sel])
+    force = np.empty((len(rows), dim))
+    for k in range(dim):
+        force[:, k] = np.bincount(i_local, weights=p[:, k],
+                                  minlength=len(rows))
+    out = np.empty((len(rows), 2 * dim))
+    out[:, :dim] = y[rows, dim:]
+    out[:, dim:] = (force * op.cloud.volume_per_point + op.body[rows]) \
+        / op.material.rho
+    cons = op.constrained_mask[rows]
+    out[cons, :dim] = op.v_prescribed_full[rows[cons]]
+    out[cons, dim:] = 0.0
+    return out
+
+
+def loaded_plate_plan(law="linear", s0=None):
+    """A 16x8 plate with a body-force layer, a velocity-constraint layer,
+    a fine region on its right half and an MtsPlan over it."""
+    cloud = build_grid(((0, 0), (1.0, 0.5)), 1.0 / 16, thickness=0.01)
+    nbrs = build_neighbor_list(cloud, 3.0 / 16)
+    x = cloud.positions[:, 0]
+    loads = [Loading(kind="body_force_layer", indices=np.flatnonzero(x > 0.9),
+                     value=np.array([0.3, -2.0])),
+             Loading(kind="velocity_constraint",
+                     indices=np.flatnonzero(x < 0.1),
+                     value=np.array([0.0, 0.25]))]
+    op = PDOperator(cloud, nbrs, unit_alpha_material(3.0 / 16, thickness=0.01),
+                    loadings=loads, law=law)
+    labels = classify_subdomains(cloud, nbrs, [((0.5, 0.0), (1.0, 0.5))])
+    plan = MtsPlan(op, MtsConfig(order=4, dt=1e-3, K=2, labels=labels), s0=s0)
+    return op, plan
+
+
+class TestRatesBitIdentity:
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_views_match_reference_formula(self, law):
+        op, plan = loaded_plate_plan(law)
+        nbrs = op.nbrs
+        for b in (0, 17, 400, 901):  # a few broken bonds, both directions
+            nbrs.mu[[b, nbrs.partner[b]]] = 0.0
+        rng = np.random.default_rng(19)
+        y = rng.normal(size=(op.cloud.n_points, 4))
+        y[:, :2] *= 0.003  # small against the 1/16 spacing: no collapse
+        views = {"full": op.full_view, "coarse": plan.coarse_view,
+                 "fine": plan.fine_view}
+        for name, view in views.items():
+            got = op.rates(y, 0.5, view)
+            want = reference_rates(op, y, view.rows)
+            assert np.array_equal(got, want), name
+
+
 class TestDamage:
     def grid_setup(self, s0=None):
         cloud = build_grid(((0, 0), (10, 10)), 1.0, thickness=1.0)
@@ -290,6 +356,44 @@ class TestDamage:
         x = cloud.positions[:, 0]
         for i, j in got:
             assert (x[i] - 5.0) * (x[j] - 5.0) < 0
+
+    @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
+    def test_half_bond_check_matches_all_bond_oracle(self, mask):
+        s0 = 0.5
+        op, plan = loaded_plate_plan(s0=s0)
+        nbrs = op.nbrs
+        bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
+        for b in (3, 250, 777):  # already broken: must stay uncounted
+            nbrs.mu[[b, nbrs.partner[b]]] = 0.0
+        rng = np.random.default_rng(23)
+        u = 0.02 * rng.normal(size=(op.cloud.n_points, 2))
+        # Two x-bonds at exactly s == s0 (binary-exact: xi = 1/16 and
+        # eta = 1/32), one in the coarse half and one in the fine half.  In
+        # the first the higher-index end moves, in the second the lower.
+        exact = []
+        for a, c, moving in ((2 * 8 + 3, 3 * 8 + 3, "high"),
+                             (12 * 8 + 4, 13 * 8 + 4, "low")):
+            u[[a, c]] = 0.0
+            if moving == "high":
+                u[c, 0] = 1.0 / 32
+            else:
+                u[a, 0] = -1.0 / 32
+            bond = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
+            exact += [bond, nbrs.partner[bond]]
+        s = all_stretches(nbrs, u)
+        assert np.all(s[exact] == s0)
+
+        hit = (nbrs.mu > 0.0) & (s >= s0)
+        if bond_mask is not None:
+            hit &= bond_mask
+        expected_mu = nbrs.mu.copy()
+        expected_mu[hit] = 0.0
+        expected_mu[nbrs.partner[hit]] = 0.0
+        expected = int(np.sum(expected_mu != nbrs.mu)) // 2
+        assert expected > 2  # the noise breaks bonds beyond the exact two
+
+        assert update_damage(nbrs, u, s0, bond_mask) == expected
+        assert np.array_equal(nbrs.mu, expected_mu)
 
     def test_bonds_never_heal(self):
         cloud = make_cloud([[0, 0], [1, 0]])
