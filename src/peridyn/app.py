@@ -629,10 +629,13 @@ class Scenario:
         return FieldState(u=u, v=v, t=0.0)
 
     def mts_config(self, order=None, dt=None, K=None) -> MtsConfig:
-        return MtsConfig(order=order or self.cfg.mts.order,
-                         dt=dt or self.cfg.time.dt,
-                         K=K or self.cfg.mts.K,
-                         labels=self.labels)
+        """The MTS configuration; an argument left None takes the config's
+        value, and an explicit one is validated (K=0 raises)."""
+        cfg = self.cfg
+        return MtsConfig(order=cfg.mts.order if order is None else order,
+                         dt=cfg.time.dt if dt is None else dt,
+                         K=cfg.mts.K if K is None else K,
+                         labels=self.labels).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +776,7 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
     import time as _time
 
     scenario = Scenario(cfg)
-    K = K or cfg.mts.K
+    K = cfg.mts.K if K is None else K
     dt = cfg.time.dt
     n_steps = cfg.time.n_steps
     tab = tableau(cfg.mts.order)

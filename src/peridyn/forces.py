@@ -152,23 +152,50 @@ def bond_stretch(deformed_norm, xi_norm):
 
 
 class BondCollapseError(SimulationError):
-    """A deformed bond shrank to (numerically) zero length; ``bond`` is its
-    position in the bond arrays passed to the force kernel."""
+    """Deformed bonds shrank to (numerically) zero length; ``collapsed``
+    flags them, in the shape of the component arrays passed to the force
+    kernel."""
 
-    def __init__(self, bond: int):
-        self.bond = bond
-        super().__init__(f"deformed bond {bond} collapsed to zero length")
-
-
-# The kernels below act on bond arrays: xi and eta are (M, dim) reference
-# and relative-displacement vectors, xi_norm the cached |xi| and coef the
-# per-bond factor alpha * mu.  They return the (M, dim) pairwise forces.
+    def __init__(self, collapsed: np.ndarray):
+        self.collapsed = collapsed
+        super().__init__(f"{int(np.count_nonzero(collapsed))} deformed "
+                         "bond(s) collapsed to zero length")
 
 
-def pairwise_force_linear(xi, eta, xi_norm, coef):
-    """Linearized pairwise force coef * (xi (x) xi / |xi|^3) eta."""
-    dot = np.einsum("bd,bd->b", xi, eta)
-    return (coef * dot / xi_norm ** 3)[:, None] * xi
+# The kernels below act on bonds held as component arrays: xi[k] and eta[k]
+# are the k-th components of the reference and relative-displacement
+# vectors, all of one shape, and coef is the per-bond factor alpha * mu.
+# Each returns (scale, direction): component k of a bond's pairwise force
+# is scale * direction[k].  The arithmetic, and its order, is that of the
+# (bonds, dim) formulas with einsum and np.linalg.norm, bit for bit.
+
+
+def _dot(a, b):
+    """Component dot product, summed in the order einsum("bd,bd->b")
+    uses: x0*e0 + x1*e1 in 2D and (x0*e0 + x2*e2) + x1*e1 in 3D."""
+    dot = a[0] * b[0]
+    if len(a) == 3:
+        dot += a[2] * b[2]
+    dot += a[1] * b[1]
+    return dot
+
+
+def _norm(d):
+    """Euclidean length from components: the square root of the
+    sequential sum of squares, as np.linalg.norm(..., axis=1) adds them."""
+    sq = d[0] * d[0]
+    for c in d[1:]:
+        sq += c * c
+    return np.sqrt(sq)
+
+
+def pairwise_force_linear(xi, eta, xi_norm_cubed, coef):
+    """Linearized pairwise force coef * (xi (x) xi / |xi|^3) eta, from the
+    cached |xi|**3."""
+    scale = _dot(xi, eta)
+    scale *= coef
+    scale /= xi_norm_cubed
+    return scale, xi
 
 
 def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
@@ -177,12 +204,45 @@ def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
     Raises BondCollapseError if a deformed bond collapses to (numerically)
     zero length, which indicates a non-physical state.
     """
-    deformed = xi + eta
-    ndef = np.linalg.norm(deformed, axis=1)
+    deformed = [x + e for x, e in zip(xi, eta)]
+    ndef = _norm(deformed)
     collapsed = ndef < COLLAPSE_TOL * xi_norm
     if np.any(collapsed):
-        raise BondCollapseError(int(np.flatnonzero(collapsed)[0]))
-    return (coef * bond_stretch(ndef, xi_norm) / ndef)[:, None] * deformed
+        raise BondCollapseError(collapsed)
+    return coef * bond_stretch(ndef, xi_norm) / ndef, deformed
+
+
+def _slot_sum(a: np.ndarray) -> np.ndarray:
+    """Sum a (slot, row) array over its slots, one slot after another.
+
+    numpy reduces axis 0 of a 2-D array slot by slot, except when there is
+    a single row: then it sums pairwise.  cumsum is sequential always.
+    """
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
+# Padded bond slots per row block of a view.  A block's temporaries in
+# rates (a few arrays of this many doubles) then stay in the L2 cache.
+_BLOCK_SLOTS = 1 << 15
+
+
+@dataclass
+class _Block:
+    """Rows lo:hi of a view, as padded (slot, row) bond arrays.
+
+    Slot s of row q holds that row's s-th bond in ascending neighbor order.
+    A row with fewer bonds than the block's widest row is padded with
+    force-free bonds: the neighbor is the row itself (so eta = 0), xi is
+    the unit vector e0 and the cached length is 1.
+    """
+
+    lo: int
+    hi: int
+    rows: np.ndarray    # (R,) global point ids
+    bond: np.ndarray    # (S, R) bond ids; pads hold bond 0
+    nbr: np.ndarray     # (S, R) neighbor points
+    xi: np.ndarray      # (dim, S, R) reference bond components
+    length: np.ndarray  # (S, R) |xi| (nonlinear law) or |xi|**3 (linear)
 
 
 @dataclass
@@ -191,10 +251,7 @@ class _View:
 
     rows: np.ndarray            # global point indices, ascending
     bond_sel: np.ndarray        # bond ids, grouped by row in CSR order
-    i_global: np.ndarray        # per bond: its source point
-    j_global: np.ndarray        # per bond: its neighbor point
-    xi: np.ndarray
-    xi_norm: np.ndarray
+    blocks: list                # _Block row blocks; none if no bonds
     constrained_local: np.ndarray
     v_prescribed: np.ndarray
 
@@ -245,18 +302,43 @@ class PDOperator:
         self._full_view = self.make_view(np.arange(n, dtype=np.int64))
 
     def make_view(self, rows: np.ndarray) -> _View:
-        """Precompute the bond slice for evaluating rates at ``rows`` only."""
+        """Precompute the bond slice for evaluating rates at ``rows`` only,
+        as row blocks of about _BLOCK_SLOTS padded bond slots."""
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
-        bond_sel = _concat_ranges(off[rows], off[rows + 1])
+        start, stop = off[rows], off[rows + 1]
+        bond_sel = _concat_ranges(start, stop)
+        blocks = []
+        if len(bond_sel):
+            counts = stop - start
+            step = max(1, _BLOCK_SLOTS // int(counts.max()))
+            for lo in range(0, len(rows), step):
+                hi = min(lo + step, len(rows))
+                blocks.append(self._block(lo, hi, rows[lo:hi], start[lo:hi],
+                                          counts[lo:hi]))
         cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, bond_sel=bond_sel,
-                     i_global=np.repeat(rows, off[rows + 1] - off[rows]),
-                     j_global=self.nbrs.neighbors[bond_sel],
-                     xi=self.nbrs.xi[bond_sel],
-                     xi_norm=self.nbrs.xi_norm[bond_sel],
+        return _View(rows=rows, bond_sel=bond_sel, blocks=blocks,
                      constrained_local=cons,
                      v_prescribed=self.v_prescribed_full[rows[cons]])
+
+    def _block(self, lo, hi, rows, start, counts) -> _Block:
+        # filled in place: the (S, R, dim) gather of xi is the one temporary
+        nbrs = self.nbrs
+        slot = np.arange(max(int(counts.max()), 1))[:, None]
+        pad = slot >= counts
+        bond = start + slot
+        bond[pad] = 0
+        nbr = np.take(nbrs.neighbors, bond)
+        np.copyto(nbr, rows, where=pad)
+        xi = np.take(nbrs.xi, bond, axis=0).transpose(2, 0, 1).copy()
+        xi[:, pad] = 0.0
+        xi[0][pad] = 1.0
+        length = np.take(nbrs.xi_norm, bond)
+        length[pad] = 1.0
+        if self.law == "linear":
+            length **= 3
+        return _Block(lo=lo, hi=hi, rows=rows, bond=bond, nbr=nbr, xi=xi,
+                      length=length)
 
     @property
     def full_view(self) -> _View:
@@ -267,32 +349,38 @@ class PDOperator:
 
         Neighbor values are read from the full array ``y``; only the target
         rows are written.  Per-point sums run in ascending neighbor order,
-        so results are reproducible bit-for-bit.
+        so results are reproducible bit-for-bit.  The bonds are evaluated
+        one row block at a time, so the temporaries stay in cache.
         """
         if view is None:
             view = self._full_view
         dim = self.cloud.dim
-        # np.take on a contiguous copy gathers far faster than fancy
+        # np.take on contiguous components gathers far faster than fancy
         # indexing into the strided y[:, :dim]; the values are the same
-        u = np.ascontiguousarray(y[:, :dim])
-        n, nrows = self.cloud.n_points, len(view.rows)
+        u = [np.ascontiguousarray(y[:, k]) for k in range(dim)]
+        nrows = len(view.rows)
+        force = np.zeros((nrows, dim))
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.take(u, view.j_global, axis=0)
-            eta -= np.take(u, view.i_global, axis=0)
-            coef = self.alpha * np.take(self.nbrs.mu, view.bond_sel)
-            try:
-                p = self._force(view.xi, eta, view.xi_norm, coef)
-            except BondCollapseError as err:
-                b = err.bond
-                raise SimulationError(
-                    f"bond {view.i_global[b]} -> {view.j_global[b]} "
-                    f"collapsed to zero length at t={t:.6e}") from None
-
-            force = np.empty((nrows, dim))
-            for k in range(dim):
-                force[:, k] = np.bincount(view.i_global, weights=p[:, k],
-                                          minlength=n)[view.rows]
+            for blk in view.blocks:
+                eta = [np.take(uk, blk.nbr) for uk in u]
+                for ek, uk in zip(eta, u):
+                    ek -= uk[blk.rows]
+                coef = np.take(self.nbrs.mu, blk.bond)
+                coef *= self.alpha
+                try:
+                    scale, direction = self._force(blk.xi, eta, blk.length,
+                                                   coef)
+                except BondCollapseError as err:
+                    b = int(blk.bond[err.collapsed].min())
+                    raise SimulationError(
+                        f"bond {self.nbrs.bond_i[b]} -> "
+                        f"{self.nbrs.neighbors[b]} "
+                        f"collapsed to zero length at t={t:.6e}") from None
+                term = np.empty_like(scale)
+                for k in range(dim):
+                    np.multiply(scale, direction[k], out=term)
+                    force[blk.lo:blk.hi, k] = _slot_sum(term)
             accel = (force * self.cloud.volume_per_point
                      + self.body[view.rows]) / self.material.rho
 
@@ -328,8 +416,9 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     deformed = np.take(u, np.take(nbrs.neighbors, ids), axis=0)
     deformed -= np.take(u, np.take(nbrs.bond_i, ids), axis=0)
     deformed += np.take(nbrs.xi, ids, axis=0)
-    s = bond_stretch(np.linalg.norm(deformed, axis=1),
-                     np.take(nbrs.xi_norm, ids))
+    # _norm over the column views adds the squares as np.linalg.norm does,
+    # bit for bit, without its (bonds, dim) temporary of squares
+    s = bond_stretch(_norm(deformed.T), np.take(nbrs.xi_norm, ids))
     return _break_bonds(nbrs, ids[s >= s0])
 
 

@@ -441,6 +441,25 @@ class TestRunAndCli:
         text = (out / "compare.txt").read_text()
         assert "ratio," in text
 
+    def test_mts_config_explicit_zero_is_rejected(self, mini_config):
+        scenario = Scenario(mini_config(n_steps=8))
+        default = scenario.mts_config()
+        assert (default.order, default.dt, default.K) == (4, 1e-5, 2)
+        assert scenario.mts_config(K=1).K == 1
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            scenario.mts_config(K=0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            scenario.mts_config(dt=0.0)
+
+    def test_compare_explicit_k0_is_rejected(self, mini_config, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started with K=0")
+
+        for name in ("upd_run", "mts_run"):
+            monkeypatch.setattr(app, name, no_run)
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            app.compare(mini_config(n_steps=8), K=0)
+
     def test_converge_emits_scoped_rows(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)
         out_csv = tmp_path / "table.csv"

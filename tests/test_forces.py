@@ -69,11 +69,21 @@ def all_stretches(nbrs, u):
     return bond_stretch(np.linalg.norm(nbrs.xi + eta, axis=1), nbrs.xi_norm)
 
 
+def bond_forces(kernel, xi, eta, coef):
+    """(bonds, dim) pairwise forces of a force kernel, fed with the
+    component arrays of (bonds, dim) xi and eta and the power of |xi| its
+    law caches."""
+    xi_norm = np.linalg.norm(xi, axis=1)
+    length = xi_norm ** 3 if kernel is pairwise_force_linear else xi_norm
+    scale, direction = kernel(xi.T, eta.T, length, coef)
+    return np.stack([scale * d for d in direction], axis=1)
+
+
 def force(kernel, xi, eta, alpha):
-    """Force on one intact bond through a bond-array force kernel."""
+    """Force on one intact bond through a force kernel."""
     xi = np.array([xi], dtype=float)
     eta = np.array([eta], dtype=float)
-    return kernel(xi, eta, np.linalg.norm(xi, axis=1), alpha)[0]
+    return bond_forces(kernel, xi, eta, alpha)[0]
 
 
 class TestBondStretch:
@@ -106,8 +116,7 @@ class TestPairwiseForces:
         xi = np.array([[1.0, 0], [0, 2.0]])
         eta = np.array([[0.25, 0], [0, 0.5]])
         for kernel in (pairwise_force_linear, pairwise_force_nonlinear):
-            p = kernel(xi, eta, np.linalg.norm(xi, axis=1),
-                       np.array([2.0, 0.0]))
+            p = bond_forces(kernel, xi, eta, np.array([2.0, 0.0]))
             np.testing.assert_allclose(p, [[0.5, 0], [0, 0]])
 
     def test_nonlinear_zero_stretch(self):
@@ -245,19 +254,26 @@ class TestApplyOperator:
 
 
 def reference_rates(op, y, rows):
-    """PDOperator.rates at ``rows`` by the original formula: fancy-index
-    gathers on the strided y[:, :dim], one bincount per component over the
-    local row positions, constraint overrides last."""
+    """PDOperator.rates at ``rows`` by the original formula, independent of
+    the library's kernels: fancy-index gathers on the strided y[:, :dim],
+    (bonds, dim) arrays with einsum and np.linalg.norm, one bincount per
+    component over the local row positions, constraint overrides last."""
     nbrs, dim = op.nbrs, op.cloud.dim
     u = y[:, :dim]
     bonds = [np.arange(nbrs.offsets[r], nbrs.offsets[r + 1]) for r in rows]
     bond_sel = np.concatenate(bonds)
     i_local = np.repeat(np.arange(len(rows)), [len(b) for b in bonds])
-    kernel = pairwise_force_linear if op.law == "linear" \
-        else pairwise_force_nonlinear
+    xi, xi_norm = nbrs.xi[bond_sel], nbrs.xi_norm[bond_sel]
     eta = u[nbrs.neighbors[bond_sel]] - u[rows[i_local]]
-    p = kernel(nbrs.xi[bond_sel], eta, nbrs.xi_norm[bond_sel],
-               op.alpha * nbrs.mu[bond_sel])
+    coef = op.alpha * nbrs.mu[bond_sel]
+    if op.law == "linear":
+        dot = np.einsum("bd,bd->b", xi, eta)
+        p = (coef * dot / xi_norm ** 3)[:, None] * xi
+    else:
+        deformed = xi + eta
+        ndef = np.linalg.norm(deformed, axis=1)
+        stretch = (ndef - xi_norm) / xi_norm
+        p = (coef * stretch / ndef)[:, None] * deformed
     force = np.empty((len(rows), dim))
     for k in range(dim):
         force[:, k] = np.bincount(i_local, weights=p[:, k],
@@ -272,40 +288,108 @@ def reference_rates(op, y, rows):
     return out
 
 
-def loaded_plate_plan(law="linear", s0=None):
-    """A 16x8 plate with a body-force layer, a velocity-constraint layer,
-    a fine region on its right half and an MtsPlan over it."""
-    cloud = build_grid(((0, 0), (1.0, 0.5)), 1.0 / 16, thickness=0.01)
-    nbrs = build_neighbor_list(cloud, 3.0 / 16)
+def loaded_plan(law="linear", s0=None, n=16, dim=2):
+    """A 1 x 0.5 plate (or 1 x 0.5 x 0.5 block) of spacing 1/n and horizon
+    3/n, with a body-force layer, a velocity-constraint layer, a fine
+    region on its right half and an MtsPlan over it."""
+    h = 1.0 / n
+    extent = (1.0,) + (0.5,) * (dim - 1)
+    if dim == 2:
+        cloud = build_grid(((0, 0), extent), h, thickness=0.01)
+        mat = unit_alpha_material(3 * h, thickness=0.01)
+    else:
+        cloud = build_grid(((0, 0, 0), extent), h)
+        mat = Material(E=1.0, nu=0.25, rho=1.0)
+    nbrs = build_neighbor_list(cloud, 3 * h)
     x = cloud.positions[:, 0]
     loads = [Loading(kind="body_force_layer", indices=np.flatnonzero(x > 0.9),
-                     value=np.array([0.3, -2.0])),
+                     value=np.array([0.3, -2.0, 0.7][:dim])),
              Loading(kind="velocity_constraint",
                      indices=np.flatnonzero(x < 0.1),
-                     value=np.array([0.0, 0.25]))]
-    op = PDOperator(cloud, nbrs, unit_alpha_material(3.0 / 16, thickness=0.01),
-                    loadings=loads, law=law)
-    labels = classify_subdomains(cloud, nbrs, [((0.5, 0.0), (1.0, 0.5))])
+                     value=np.array([0.0, 0.25, -0.5][:dim]))]
+    op = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
+    fine_box = ((0.5,) + (0.0,) * (dim - 1), extent)
+    labels = classify_subdomains(cloud, nbrs, [fine_box])
     plan = MtsPlan(op, MtsConfig(order=4, dt=1e-3, K=2, labels=labels), s0=s0)
     return op, plan
 
 
+def random_state(op, seed):
+    """A random packed state whose displacements are about 5% of the
+    spacing, so no bond collapses."""
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(op.cloud.n_points, 2 * op.cloud.dim))
+    y[:, :op.cloud.dim] *= 0.05 * op.cloud.spacing
+    return y
+
+
+def break_bonds(nbrs, bonds):
+    for b in bonds:  # both directions, as the damage model breaks them
+        nbrs.mu[[b, nbrs.partner[b]]] = 0.0
+
+
 class TestRatesBitIdentity:
-    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
-    def test_views_match_reference_formula(self, law):
-        op, plan = loaded_plate_plan(law)
-        nbrs = op.nbrs
-        for b in (0, 17, 400, 901):  # a few broken bonds, both directions
-            nbrs.mu[[b, nbrs.partner[b]]] = 0.0
-        rng = np.random.default_rng(19)
-        y = rng.normal(size=(op.cloud.n_points, 4))
-        y[:, :2] *= 0.003  # small against the 1/16 spacing: no collapse
+    def assert_views_match(self, op, plan, y):
         views = {"full": op.full_view, "coarse": plan.coarse_view,
                  "fine": plan.fine_view}
         for name, view in views.items():
             got = op.rates(y, 0.5, view)
             want = reference_rates(op, y, view.rows)
             assert np.array_equal(got, want), name
+        return views
+
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_views_match_reference_formula(self, law):
+        op, plan = loaded_plan(law)
+        break_bonds(op.nbrs, (0, 17, 400, 901))
+        self.assert_views_match(op, plan, random_state(op, 19))
+
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_views_spanning_row_blocks(self, law):
+        op, plan = loaded_plan(law, n=80)
+        break_bonds(op.nbrs, (5, 40_000, 77_777))
+        views = self.assert_views_match(op, plan, random_state(op, 29))
+        for name, view in views.items():
+            assert len(view.blocks) >= 2, name
+
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_3d_views_match_reference_formula(self, law):
+        op, plan = loaded_plan(law, n=16, dim=3)
+        break_bonds(op.nbrs, (3, 5000, 44_444))
+        views = self.assert_views_match(op, plan, random_state(op, 31))
+        assert len(views["full"].blocks) >= 2
+
+    def test_single_row_view(self):
+        # one row: the slot sum must still add the bonds one by one
+        op, _ = loaded_plan()
+        y = random_state(op, 37)
+        for row in (0, 60, 127):
+            rows = np.array([row])
+            got = op.rates(y, 0.0, op.make_view(rows))
+            assert np.array_equal(got, reference_rates(op, y, rows))
+
+    def test_collapse_names_lowest_bond_past_first_block(self):
+        op, _ = loaded_plan("nonlinear", n=80)
+        nbrs = op.nbrs
+        first_block_end = op.full_view.blocks[0].hi
+        y = np.zeros((op.cloud.n_points, 4))
+        # Move c onto a, so a -> c and c -> a collapse; a -> c is the last
+        # slot of row a and c -> a an early slot of the later row c, in the
+        # same block.  Another pair collapses further on.
+        collapsed = []
+        for a in (first_block_end + 30, first_block_end + 900):
+            c = nbrs.neighbors_of(a)[-1]
+            y[c, :2] = op.cloud.positions[a] - op.cloud.positions[c]
+            collapsed.append((a, c))
+        deformed = nbrs.xi + y[nbrs.neighbors, :2] - y[nbrs.bond_i, :2]
+        hit = np.linalg.norm(deformed, axis=1) < 1e-12 * nbrs.xi_norm
+        first = np.flatnonzero(hit)[0]
+        assert hit.sum() == 4
+        assert (nbrs.bond_i[first], nbrs.neighbors[first]) == collapsed[0]
+        with pytest.raises(SimulationError,
+                           match=rf"bond {collapsed[0][0]} -> "
+                                 rf"{collapsed[0][1]} collapsed"):
+            op.rates(y, 0.0)
 
 
 class TestDamage:
@@ -357,27 +441,25 @@ class TestDamage:
         for i, j in got:
             assert (x[i] - 5.0) * (x[j] - 5.0) < 0
 
-    @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
-    def test_half_bond_check_matches_all_bond_oracle(self, mask):
+    def check_half_bond_against_oracle(self, mask, n, dim, pairs, noise):
+        """update_damage against the all-bond oracle on loaded_plan(n, dim)
+        with random displacements, plus one x-bond (a, c) per pair at
+        exactly s == s0 (binary-exact: xi = 1/n and eta = 1/(2n)); in it
+        the end named by ``moving`` moves."""
         s0 = 0.5
-        op, plan = loaded_plate_plan(s0=s0)
+        op, plan = loaded_plan(s0=s0, n=n, dim=dim)
         nbrs = op.nbrs
         bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
-        for b in (3, 250, 777):  # already broken: must stay uncounted
-            nbrs.mu[[b, nbrs.partner[b]]] = 0.0
+        break_bonds(nbrs, (3, 250, 777))  # must stay uncounted
         rng = np.random.default_rng(23)
-        u = 0.02 * rng.normal(size=(op.cloud.n_points, 2))
-        # Two x-bonds at exactly s == s0 (binary-exact: xi = 1/16 and
-        # eta = 1/32), one in the coarse half and one in the fine half.  In
-        # the first the higher-index end moves, in the second the lower.
+        u = noise * rng.normal(size=(op.cloud.n_points, dim))
         exact = []
-        for a, c, moving in ((2 * 8 + 3, 3 * 8 + 3, "high"),
-                             (12 * 8 + 4, 13 * 8 + 4, "low")):
+        for a, c, moving in pairs:
             u[[a, c]] = 0.0
             if moving == "high":
-                u[c, 0] = 1.0 / 32
+                u[c, 0] = 0.5 / n
             else:
-                u[a, 0] = -1.0 / 32
+                u[a, 0] = -0.5 / n
             bond = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
             exact += [bond, nbrs.partner[bond]]
         s = all_stretches(nbrs, u)
@@ -394,6 +476,24 @@ class TestDamage:
 
         assert update_damage(nbrs, u, s0, bond_mask) == expected
         assert np.array_equal(nbrs.mu, expected_mu)
+
+    @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
+    def test_half_bond_check_matches_all_bond_oracle(self, mask):
+        # Point (ix, iy) of the 16x8 plate is ix*8 + iy.  One exact bond in
+        # the coarse half and one in the fine half; in the first the
+        # higher-index end moves, in the second the lower.
+        self.check_half_bond_against_oracle(
+            mask, n=16, dim=2, noise=0.02,
+            pairs=((2 * 8 + 3, 3 * 8 + 3, "high"),
+                   (12 * 8 + 4, 13 * 8 + 4, "low")))
+
+    @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
+    def test_half_bond_check_matches_all_bond_oracle_3d(self, mask):
+        # Point (ix, iy, iz) of the 8x4x4 block is (ix*4 + iy)*4 + iz.
+        self.check_half_bond_against_oracle(
+            mask, n=8, dim=3, noise=0.04,
+            pairs=(((1 * 4 + 1) * 4 + 2, (2 * 4 + 1) * 4 + 2, "high"),
+                   ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")))
 
     def test_bonds_never_heal(self):
         cloud = make_cloud([[0, 0], [1, 0]])
