@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
+import operator
 import os
-from dataclasses import dataclass, field
+import typing
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +48,7 @@ class GeometrySpec:
     box_min: tuple
     box_max: tuple
     dx: float
-    thickness: float | None = None
+    thickness: float | None
 
 
 @dataclass
@@ -63,8 +67,8 @@ class LoadSpec:
 
 @dataclass
 class FractureSpec:
-    enabled: bool = False
-    s0: float | None = None
+    enabled: bool
+    s0: float | None = None  # None: not given, as in the schema
     precrack: tuple | None = None  # (endpoint_a, endpoint_b)
 
 
@@ -76,17 +80,17 @@ class TimeSpec:
 
 @dataclass
 class MtsSpec:
-    scheme: str = "mts"  # "upd" | "mts"
-    order: int = 4
-    K: int = 1
-    fine_boxes: list = field(default_factory=list)
+    scheme: str  # "upd" | "mts"
+    order: int
+    K: int
+    fine_boxes: list
 
 
 @dataclass
 class OutputSpec:
-    directory: str = "out"
-    cadence: int = 0  # 0: record initial and final only
-    formats: tuple = ("vtk",)
+    directory: str
+    cadence: int  # 0: record initial and final only
+    formats: tuple
 
 
 @dataclass
@@ -101,7 +105,7 @@ class SimulationConfig:
     time: TimeSpec
     mts: MtsSpec
     output: OutputSpec
-    error_component: str = "y"
+    error_component: str
 
     @property
     def dim(self) -> int:
@@ -109,75 +113,132 @@ class SimulationConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
-
-def _parse_floats(text: str, path: str, problems: list, n=None):
-    try:
-        values = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        problems.append(f"{path}: cannot parse {text!r} as numbers")
-        return None
-    if n is not None and len(values) != n:
-        problems.append(f"{path}: expected {n} components, got {len(values)}")
-        return None
-    return values
-
-
-def _parse_segment(text: str, path: str, problems: list, dim=None):
-    """A 'point ; point' pair; endpoints need not be ordered."""
-    halves = text.split(";")
-    if len(halves) != 2:
-        problems.append(f"{path}: expected 'min ; max', got {text!r}")
-        return None
-    lo = _parse_floats(halves[0], path, problems, dim)
-    hi = _parse_floats(halves[1], path, problems, dim)
-    if lo is None or hi is None:
-        return None
-    if len(lo) != len(hi):
-        problems.append(f"{path}: the two corners have different dimensions")
-        return None
-    return (lo, hi)
-
-
-def _parse_box(text: str, path: str, problems: list, dim=None):
-    pair = _parse_segment(text, path, problems, dim)
-    if pair is not None and any(a > b for a, b in zip(*pair)):
-        problems.append(f"{path}: min corner exceeds max corner")
-        return None
-    return pair
-
+# the schema
 
 _REQUIRED = object()
 
 
-def _get(section, key, path, problems, cast=str, default=_REQUIRED):
-    if key not in section:
-        if default is not _REQUIRED:
-            return default
-        problems.append(f"{path}.{key}: missing required key")
-        return None
-    raw = section.pop(key)
-    try:
-        if cast is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
-    except ValueError:
-        problems.append(f"{path}.{key}: cannot parse {raw!r}")
-        return None
+# One row per config key, in canonical order.  `attr` is a dotted path
+# into SimulationConfig (into LoadSpec for [load.k]); two paths split a box
+# over two attributes.  A section or key ending in ".k" repeats,
+# numbered from 1.  kind: float, int, str, bool, box, segment (an unordered
+# box), vector or names.  check: ("positive",), ("at_least", n) or
+# ("one_of", *values); every number, each component of a box, segment or
+# vector too, must also be finite.  The [scenario] rows pick a preset and
+# are not serialized: canonical text spells a preset out as a custom config.
+_Field = namedtuple("_Field", "section key attr kind default check",
+                    defaults=(_REQUIRED, ()))
+_SCHEMA = (
+    _Field("scenario", "name", "name", "str", "custom"),
+    _Field("scenario", "paper_scale", "paper_scale", "bool", False),
+    _Field("geometry", "box", "geometry.box_min geometry.box_max", "box"),
+    _Field("geometry", "dx", "geometry.dx", "float", check=("positive",)),
+    _Field("geometry", "thickness", "geometry.thickness", "float", None),
+    _Field("material", "E", "material.E", "float", check=("positive",)),
+    _Field("material", "nu", "material.nu", "float"),
+    _Field("material", "rho", "material.rho", "float", check=("positive",)),
+    _Field("horizon", "delta", "delta", "float", check=("positive",)),
+    _Field("forces", "law", "law", "str",
+           check=("one_of", "linear", "nonlinear")),
+    _Field("load.k", "kind", "kind", "str",
+           check=("one_of", "body_force", "velocity")),
+    _Field("load.k", "box", "box", "box"),
+    _Field("load.k", "value", "value", "vector"),
+    _Field("fracture", "enabled", "fracture.enabled", "bool", False),
+    _Field("fracture", "s0", "fracture.s0", "float", None),
+    _Field("fracture", "precrack", "fracture.precrack", "segment", None),
+    _Field("time", "dt", "time.dt", "float", check=("positive",)),
+    _Field("time", "n_steps", "time.n_steps", "int", check=("at_least", 0)),
+    _Field("mts", "scheme", "mts.scheme", "str", "upd",
+           ("one_of", "upd", "mts")),
+    _Field("mts", "order", "mts.order", "int", 4, ("one_of", 3, 4)),
+    _Field("mts", "K", "mts.K", "int", 1, ("at_least", 1)),
+    _Field("mts", "fine_box.k", "mts.fine_boxes", "box", ()),
+    _Field("output", "directory", "output.directory", "str", "out"),
+    _Field("output", "cadence", "output.cadence", "int", 0, ("at_least", 0)),
+    _Field("output", "formats", "output.formats", "names", ("vtk",),
+           ("one_of", "vtk", "csv")),
+    _Field("analysis", "error_component", "error_component", "str", "y"),
+)
+
+_SECTIONS: dict = {}
+for _row in _SCHEMA:
+    _SECTIONS.setdefault(_row.section, []).append(_row)
 
 
-def parse_config(source: str) -> SimulationConfig:
-    """Parse a config from a file path or from literal config text.
+def _floats(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+def _pair(text: str) -> tuple:
+    lo, hi = text.split(";")  # a ValueError unless there are two halves
+    return _floats(lo), _floats(hi)
+
+
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
+_READERS = {"str": str, "int": int, "float": float,
+            "bool": lambda text: _BOOLS[text.lower()],
+            "box": _pair, "segment": _pair, "vector": _floats,
+            "names": lambda text: tuple(
+                f.strip() for f in text.split(",") if f.strip())}
+_READ_AS = {"box": " as 'min ; max'", "segment": " as 'min ; max'",
+            "vector": " as numbers"}
+
+
+def _read_section(raw: dict, section: str, problems: list, name=None) -> dict:
+    """One section's keys, read by its table rows, as {attr: value}."""
+    name = name or section
+
+    def read(row, key):
+        text = raw.pop(key)
+        try:
+            return _READERS[row.kind](text)
+        except (ValueError, KeyError):
+            problems.append(f"{name}.{key}: cannot parse {text!r}"
+                            f"{_READ_AS.get(row.kind, '')}")
+            return None
+
+    values = {}
+    for row in _SECTIONS[section]:
+        if row.key.endswith(".k"):
+            values[row.attr] = [read(row, key) for key in sorted(
+                k for k in raw if k.startswith(row.key[:-1]))]
+        elif row.key in raw:
+            values[row.attr] = read(row, row.key)
+        elif row.default is _REQUIRED:
+            problems.append(f"{name}.{row.key}: missing required key")
+        else:
+            values[row.attr] = row.default
+    problems += [f"{name}.{key}: unknown key" for key in raw]
+    return values
+
+
+def _build(values: dict) -> SimulationConfig:
+    """A SimulationConfig from {attr: value}."""
+    specs: dict = {"": {}}
+    for attr, value in values.items():
+        paths = attr.split()
+        for path, v in zip(paths, value if len(paths) > 1 else (value,)):
+            spec, _, name = path.rpartition(".")
+            specs.setdefault(spec, {})[name] = v
+    spec_types = typing.get_type_hints(SimulationConfig)
+    return SimulationConfig(**specs.pop(""), **{
+        spec: spec_types[spec](**kw) for spec, kw in specs.items()})
+
+
+def parse_config(source: str, paper_scale: bool = False) -> SimulationConfig:
+    """Load a config from a preset name, a file path or literal config text.
 
     Preset configs contain only a [scenario] section naming the preset;
-    custom configs spell out every section.  All violations are collected
-    and reported together; unknown sections or keys are rejected.
+    paper_scale, as the key or the argument, picks its full-scale variant.
+    Custom configs spell out every section and take no paper_scale.  All
+    violations are collected and reported together; unknown sections or
+    keys are rejected.
     """
-    if "\n" not in source and "[" not in source and os.path.exists(source):
+    if source in PRESETS and not os.path.exists(source):
+        text = f"[scenario]\nname = {source}\n"
+    elif "\n" not in source and "[" not in source and os.path.exists(source):
         with open(source) as fp:
             text = fp.read()
     else:
@@ -194,13 +255,10 @@ def parse_config(source: str) -> SimulationConfig:
 
     sections = {name: dict(parser[name]) for name in parser.sections()}
     problems: list[str] = []
-
-    scenario = sections.pop("scenario", {})
-    name = scenario.pop("name", "custom")
-    paper_scale = scenario.pop("paper_scale", "false").lower() in ("true", "yes", "1")
-    for key in scenario:
-        problems.append(f"scenario.{key}: unknown key")
-
+    scenario = _read_section(sections.pop("scenario", {}), "scenario",
+                             problems)
+    name = scenario["name"]
+    paper_scale = paper_scale or scenario["paper_scale"]
     if name != "custom":
         if name not in PRESETS:
             raise ConfigError(
@@ -216,187 +274,123 @@ def parse_config(source: str) -> SimulationConfig:
         return preset_config(name, paper_scale=paper_scale)
 
     # --- custom config ---
-    geo = sections.pop("geometry", None)
-    mat = sections.pop("material", None)
-    hor = sections.pop("horizon", None)
-    frc = sections.pop("forces", None)
-    fra = sections.pop("fracture", {})
-    tim = sections.pop("time", None)
-    mts = sections.pop("mts", {})
-    out = sections.pop("output", {})
-    ana = sections.pop("analysis", {})
-    loads_raw = {k: sections.pop(k) for k in sorted(sections)
-                 if k.startswith("load.")}
-
-    for missing, label in ((geo, "geometry"), (mat, "material"),
-                           (hor, "horizon"), (frc, "forces"), (tim, "time")):
-        if missing is None:
-            problems.append(f"{label}: missing required section")
-    for extra in sections:
-        if not extra.startswith("load."):
-            problems.append(f"{extra}: unknown section")
+    if paper_scale:
+        problems.append("scenario.paper_scale: paper_scale applies only to "
+                        "presets, not to custom configs")
+    for section, rows in _SECTIONS.items():
+        if section not in sections and section != "load.k" and \
+                any(row.default is _REQUIRED for row in rows):
+            problems.append(f"{section}: missing required section")
+    problems += [f"{extra}: unknown section" for extra in sections
+                 if extra not in _SECTIONS and not extra.startswith("load.")]
     if problems:
         raise ConfigError(problems)
 
-    dim = None
-    box = _parse_box(geo.pop("box", ""), "geometry.box", problems) \
-        if "box" in geo else problems.append("geometry.box: missing required key")
-    if box:
-        dim = len(box[0])
-        if dim not in (2, 3):
-            problems.append(f"geometry.box: dimension must be 2 or 3, got {dim}")
-            dim = None
-    dx = _get(geo, "dx", "geometry", problems, float)
-    thickness = _get(geo, "thickness", "geometry", problems, float, None)
-    for key in geo:
-        problems.append(f"geometry.{key}: unknown key")
-
-    E = _get(mat, "E", "material", problems, float)
-    nu = _get(mat, "nu", "material", problems, float)
-    rho = _get(mat, "rho", "material", problems, float)
-    for key in mat:
-        problems.append(f"material.{key}: unknown key")
-
-    delta = _get(hor, "delta", "horizon", problems, float)
-    for key in hor:
-        problems.append(f"horizon.{key}: unknown key")
-
-    law = _get(frc, "law", "forces", problems, str)
-    for key in frc:
-        problems.append(f"forces.{key}: unknown key")
-
-    loads = []
-    for sec_name, sec in loads_raw.items():
-        kind = _get(sec, "kind", sec_name, problems, str)
-        lbox = _parse_box(sec.pop("box", ""), f"{sec_name}.box", problems, dim) \
-            if "box" in sec else problems.append(f"{sec_name}.box: missing required key")
-        value = _parse_floats(sec.pop("value", ""), f"{sec_name}.value",
-                              problems, dim) \
-            if "value" in sec else problems.append(f"{sec_name}.value: missing required key")
-        for key in sec:
-            problems.append(f"{sec_name}.{key}: unknown key")
-        if kind not in ("body_force", "velocity"):
-            problems.append(f"{sec_name}.kind: expected body_force or velocity, "
-                            f"got {kind!r}")
-        elif lbox and value:
-            loads.append(LoadSpec(kind=kind, box=lbox, value=value))
-
-    enabled = _get(fra, "enabled", "fracture", problems, bool, False)
-    s0 = _get(fra, "s0", "fracture", problems, float, None)
-    precrack = None
-    if "precrack" in fra:
-        precrack = _parse_segment(fra.pop("precrack"), "fracture.precrack",
-                                  problems, dim)
-    for key in fra:
-        problems.append(f"fracture.{key}: unknown key")
-
-    dt = _get(tim, "dt", "time", problems, float)
-    n_steps = _get(tim, "n_steps", "time", problems, int)
-    for key in tim:
-        problems.append(f"time.{key}: unknown key")
-
-    scheme = _get(mts, "scheme", "mts", problems, str, "upd")
-    order = _get(mts, "order", "mts", problems, int, 4)
-    K = _get(mts, "K", "mts", problems, int, 1)
-    fine_boxes = []
-    for key in sorted(k for k in mts if k.startswith("fine_box")):
-        fb = _parse_box(mts.pop(key), f"mts.{key}", problems, dim)
-        if fb:
-            fine_boxes.append(fb)
-    for key in mts:
-        problems.append(f"mts.{key}: unknown key")
-
-    directory = _get(out, "directory", "output", problems, str, "out")
-    cadence = _get(out, "cadence", "output", problems, int, 0)
-    formats_raw = _get(out, "formats", "output", problems, str, "vtk")
-    formats = tuple(f.strip() for f in formats_raw.split(",") if f.strip()) \
-        if formats_raw else ("vtk",)
-    for key in out:
-        problems.append(f"output.{key}: unknown key")
-
-    error_component = _get(ana, "error_component", "analysis", problems, str, "y")
-    for key in ana:
-        problems.append(f"analysis.{key}: unknown key")
-
+    values, loads = {"name": "custom"}, []
+    for section in _SECTIONS:
+        if section == "load.k":
+            loads = [_read_section(sections.pop(s), section, problems, s)
+                     for s in sorted(s for s in sections
+                                     if s.startswith("load."))]
+        elif section != "scenario":
+            values.update(_read_section(sections.pop(section, {}), section,
+                                        problems))
     if problems:
         raise ConfigError(problems)
+    values["loads"] = [LoadSpec(**load) for load in loads]
+    return validate_config(_build(values))
 
-    cfg = SimulationConfig(
-        name="custom",
-        geometry=GeometrySpec(box_min=box[0], box_max=box[1], dx=dx,
-                              thickness=thickness),
-        material=MaterialSpec(E=E, nu=nu, rho=rho),
-        delta=delta, law=law, loads=loads,
-        fracture=FractureSpec(enabled=enabled, s0=s0, precrack=precrack),
-        time=TimeSpec(dt=dt, n_steps=n_steps),
-        mts=MtsSpec(scheme=scheme, order=order, K=K, fine_boxes=fine_boxes),
-        output=OutputSpec(directory=directory, cadence=cadence,
-                          formats=formats),
-        error_component=error_component)
-    validate_config(cfg)
-    return cfg
+
+def _get(row: _Field, obj):
+    return operator.attrgetter(*row.attr.split())(obj)
+
+
+def _entries(cfg: SimulationConfig):
+    """(section, key, row, value) for each value of cfg, in canonical order;
+    [load.k] sections and fine_box.k keys are numbered from 1."""
+    for section, rows in _SECTIONS.items():
+        if section == "load.k":
+            for k, load in enumerate(cfg.loads, 1):
+                for row in rows:
+                    yield f"load.{k}", row.key, row, _get(row, load)
+        elif section != "scenario":
+            for row in rows:
+                value = _get(row, cfg)
+                if row.key.endswith(".k"):
+                    for k, item in enumerate(value, 1):
+                        yield section, f"{row.key[:-1]}{k}", row, item
+                else:
+                    yield section, row.key, row, value
+
+
+def _field_problem(row: _Field, value, dim: int):
+    """The row's own check on one value: `dim` components in each point,
+    finite numbers and ordered box corners, then row.check."""
+    if value is None:
+        if row.default is None:
+            return None  # an optional key left out
+    elif row.kind in ("vector", "box", "segment"):
+        points = (value,) if row.kind == "vector" else value
+        sizes = [len(point) for point in points if len(point) != dim]
+        if sizes:
+            return f"expected {dim} components, got {sizes[0]}"
+        bad = [x for point in points for x in point if not math.isfinite(x)]
+        if bad:
+            return f"must be finite, got {bad[0]}"
+        if row.kind == "box" and any(a > b for a, b in zip(*value)):
+            return "min corner exceeds max corner"
+    elif row.kind == "float" and not math.isfinite(value):
+        return f"must be finite, got {value}"
+    rule, *args = row.check or (None,)
+    if rule == "positive" and not (value is not None and value > 0):
+        return "must be positive"
+    if rule == "at_least" and (value is None or value < args[0]):
+        return f"must be >= {args[0]}, got {value}"
+    if rule == "one_of":
+        for item in value if row.kind == "names" else (value,):
+            if item not in args:
+                return f"expected {' or '.join(map(str, args))}, got {item!r}"
+    return None
 
 
 def validate_config(cfg: SimulationConfig):
-    """Cross-field checks; raises ConfigError listing every violation."""
-    p: list[str] = []
+    """The table's field checks, then the cross-field rules; raises
+    ConfigError listing every violation."""
     dim = cfg.dim
-    if dim not in (2, 3):
-        p.append(f"geometry.box: dimension must be 2 or 3, got {dim}")
-    if len(cfg.geometry.box_max) != dim:
-        p.append("geometry.box: min and max dimensions differ")
-    if any(b <= a for a, b in zip(cfg.geometry.box_min, cfg.geometry.box_max)):
+    if dim not in (2, 3):  # every other rule reads the dimension
+        raise ConfigError([f"geometry.box: dimension must be 2 or 3, got {dim}"])
+    field_problems = [f"{section}.{key}: {problem}"
+                      for section, key, row, value in _entries(cfg)
+                      if (problem := _field_problem(row, value, dim))]
+    failed = {problem.partition(":")[0] for problem in field_problems}
+    if "geometry.box" in failed:  # the cross-field rules read the box
+        raise ConfigError(field_problems)
+    p = []  # the cross-field rules; a key that failed its own check is skipped
+    g = cfg.geometry
+    if any(b <= a for a, b in zip(g.box_min, g.box_max)):
         p.append("geometry.box: extents must be positive")
-    if cfg.geometry.dx is None or cfg.geometry.dx <= 0:
-        p.append("geometry.dx: must be positive")
-    if dim == 2 and (cfg.geometry.thickness is None or cfg.geometry.thickness <= 0):
+    if dim == 2 and (g.thickness is None or g.thickness <= 0):
         p.append("geometry.thickness: required and positive in 2D")
-    if cfg.material.E is None or cfg.material.E <= 0:
-        p.append("material.E: must be positive")
-    if cfg.material.rho is None or cfg.material.rho <= 0:
-        p.append("material.rho: must be positive")
     nu_problem = poisson_violation(cfg.material.nu, dim)
     if nu_problem:
         p.append(f"material.nu: {nu_problem}")
-    if cfg.delta is None or cfg.delta <= 0:
-        p.append("horizon.delta: must be positive")
-    if cfg.law not in ("linear", "nonlinear"):
-        p.append(f"forces.law: expected linear or nonlinear, got {cfg.law!r}")
-    for k, load in enumerate(cfg.loads, 1):
-        if len(load.value) != dim:
-            p.append(f"load.{k}.value: expected {dim} components")
     if cfg.fracture.enabled and (cfg.fracture.s0 is None or cfg.fracture.s0 <= 0):
         p.append("fracture.s0: must be positive when fracture is enabled")
     if cfg.fracture.precrack is not None and dim != 2:
         p.append("fracture.precrack: pre-cracks are only supported in 2D")
-    if cfg.time.dt is None or cfg.time.dt <= 0:
-        p.append("time.dt: must be positive")
-    if cfg.time.n_steps is None or cfg.time.n_steps < 0:
-        p.append("time.n_steps: must be >= 0")
-    if cfg.mts.scheme not in ("upd", "mts"):
-        p.append(f"mts.scheme: expected upd or mts, got {cfg.mts.scheme!r}")
-    if cfg.mts.order not in (3, 4):
-        p.append(f"mts.order: expected 3 or 4, got {cfg.mts.order}")
-    if cfg.mts.K < 1:
-        p.append(f"mts.K: must be >= 1, got {cfg.mts.K}")
-    lo = np.array(cfg.geometry.box_min)
-    hi = np.array(cfg.geometry.box_max)
-    for k, fb in enumerate(cfg.mts.fine_boxes, 1):
-        if np.any(np.array(fb[0]) < lo - 1e-12) or np.any(np.array(fb[1]) > hi + 1e-12):
+    for k, (lo, hi) in enumerate(cfg.mts.fine_boxes, 1):
+        if any(a < b - 1e-12 for a, b in zip(lo, g.box_min)) or \
+                any(a > b + 1e-12 for a, b in zip(hi, g.box_max)):
             p.append(f"mts.fine_box.{k}: lies outside the geometry box")
-    if cfg.output.cadence < 0:
-        p.append("output.cadence: must be >= 0")
     if cfg.output.cadence > 0 and cfg.time.n_steps and \
             cfg.time.n_steps % cfg.output.cadence != 0:
         p.append(
             f"output.cadence: {cfg.output.cadence} does not divide "
             f"n_steps = {cfg.time.n_steps}")
-    for fmt in cfg.output.formats:
-        if fmt not in ("vtk", "csv"):
-            p.append(f"output.formats: unknown format {fmt!r}")
     if cfg.error_component not in _AXES or _AXES[cfg.error_component] >= dim:
         p.append(f"analysis.error_component: invalid axis "
                  f"{cfg.error_component!r} for {dim}D")
+    p = field_problems + [q for q in p if q.partition(":")[0] not in failed]
     if p:
         raise ConfigError(p)
     return cfg
@@ -406,41 +400,25 @@ def _fmt_vec(vec) -> str:
     return ", ".join(repr(float(v)) for v in vec)
 
 
-def _fmt_box(box) -> str:
-    return f"{_fmt_vec(box[0])} ; {_fmt_vec(box[1])}"
+def _fmt_pair(pair) -> str:
+    return f"{_fmt_vec(pair[0])} ; {_fmt_vec(pair[1])}"
+
+
+_WRITERS = {"str": str, "int": str, "float": repr,
+            "bool": lambda v: str(v).lower(), "box": _fmt_pair,
+            "segment": _fmt_pair, "vector": _fmt_vec, "names": ",".join}
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
     """Canonical text form; parse(serialize(parse(x))) is stable."""
-    lines = ["[scenario]", "name = custom", ""]
-    g = cfg.geometry
-    lines += ["[geometry]", f"box = {_fmt_box((g.box_min, g.box_max))}",
-              f"dx = {g.dx!r}"]
-    if g.thickness is not None:
-        lines.append(f"thickness = {g.thickness!r}")
-    lines += ["", "[material]", f"E = {cfg.material.E!r}",
-              f"nu = {cfg.material.nu!r}", f"rho = {cfg.material.rho!r}",
-              "", "[horizon]", f"delta = {cfg.delta!r}",
-              "", "[forces]", f"law = {cfg.law}"]
-    for k, load in enumerate(cfg.loads, 1):
-        lines += ["", f"[load.{k}]", f"kind = {load.kind}",
-                  f"box = {_fmt_box(load.box)}",
-                  f"value = {_fmt_vec(load.value)}"]
-    lines += ["", "[fracture]", f"enabled = {str(cfg.fracture.enabled).lower()}"]
-    if cfg.fracture.s0 is not None:
-        lines.append(f"s0 = {cfg.fracture.s0!r}")
-    if cfg.fracture.precrack is not None:
-        lines.append(f"precrack = {_fmt_box(cfg.fracture.precrack)}")
-    lines += ["", "[time]", f"dt = {cfg.time.dt!r}",
-              f"n_steps = {cfg.time.n_steps}",
-              "", "[mts]", f"scheme = {cfg.mts.scheme}",
-              f"order = {cfg.mts.order}", f"K = {cfg.mts.K}"]
-    for k, fb in enumerate(cfg.mts.fine_boxes, 1):
-        lines.append(f"fine_box.{k} = {_fmt_box(fb)}")
-    lines += ["", "[output]", f"directory = {cfg.output.directory}",
-              f"cadence = {cfg.output.cadence}",
-              f"formats = {','.join(cfg.output.formats)}",
-              "", "[analysis]", f"error_component = {cfg.error_component}"]
+    lines, current = ["[scenario]", "name = custom"], "scenario"
+    for section, key, row, value in _entries(cfg):
+        if value is None:
+            continue  # an optional key left out
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        lines.append(f"{key} = {_WRITERS[row.kind](value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -554,17 +532,14 @@ def preset_config(name: str, paper_scale: bool = False) -> SimulationConfig:
 
 def apply_overrides(cfg: SimulationConfig, scheme=None, order=None,
                     dt=None, K=None, out=None) -> SimulationConfig:
-    mts = dataclasses.replace(
-        cfg.mts,
-        scheme=scheme if scheme is not None else cfg.mts.scheme,
-        order=order if order is not None else cfg.mts.order,
-        K=K if K is not None else cfg.mts.K)
-    time = dataclasses.replace(
-        cfg.time, dt=dt if dt is not None else cfg.time.dt)
-    output = dataclasses.replace(
-        cfg.output, directory=out if out is not None else cfg.output.directory)
-    return validate_config(dataclasses.replace(cfg, mts=mts, time=time,
-                                               output=output))
+    """cfg with the given values; an argument left None keeps cfg's."""
+    def given(spec, **values):
+        return dataclasses.replace(spec, **{key: value for key, value
+                                            in values.items() if value is not None})
+
+    return validate_config(dataclasses.replace(
+        cfg, mts=given(cfg.mts, scheme=scheme, order=order, K=K),
+        time=given(cfg.time, dt=dt), output=given(cfg.output, directory=out)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .app import ConfigError, PRESETS, apply_overrides, compare, converge, \
-    parse_config, preset_config, run, serialize_config, validate_config
+    parse_config, run, serialize_config
 from .forces import InstabilityError, SimulationError
 from .geometry import GeometryError
 
@@ -71,37 +71,18 @@ def _number_list(text: str, convert, option: str) -> list:
             from None
 
 
-def _load_config(args):
-    if args.config in PRESETS and not os.path.exists(args.config):
-        cfg = preset_config(args.config, paper_scale=args.paper_scale)
-    else:
-        cfg = parse_config(args.config)
-        if args.paper_scale and cfg.name in PRESETS:
-            cfg = preset_config(cfg.name, paper_scale=True)
-    overrides = {}
-    if args.order is not None:
-        overrides["order"] = args.order
-    if args.out is not None:
-        overrides["out"] = args.out
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = args.scheme
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "K", None) is not None:
-        overrides["K"] = args.K
-    return apply_overrides(cfg, **overrides) if overrides else cfg
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
+        cfg = apply_overrides(
+            parse_config(args.config, paper_scale=args.paper_scale),
+            **{name: getattr(args, name, None)
+               for name in ("scheme", "order", "dt", "K", "out")})
     except (ConfigError, GeometryError) as err:
         print(f"configuration error:\n{err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "validate":
-            validate_config(cfg)
             sys.stdout.write(serialize_config(cfg))
             return EXIT_OK
         if args.command == "run":

@@ -1,16 +1,22 @@
+import dataclasses
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peridyn.app as app
 import peridyn.cli as cli
 import peridyn.io as pio
 from peridyn.analysis import ConvergenceRow, observed_order
 from peridyn.app import (
-    ConfigError, Scenario, converge, parse_config, preset_config, run,
-    serialize_config,
+    ConfigError, FractureSpec, GeometrySpec, LoadSpec, MaterialSpec, MtsSpec,
+    OutputSpec, Scenario, SimulationConfig, TimeSpec, apply_overrides,
+    converge, parse_config, preset_config, run, serialize_config,
+    validate_config,
 )
 from peridyn.forces import FieldState
 from peridyn.geometry import build_grid
@@ -150,9 +156,213 @@ class TestParseConfig:
 
     def test_preset_round_trip(self):
         for name in ("plate2d", "block3d", "crack2d"):
-            cfg = preset_config(name)
-            text = serialize_config(cfg)
-            assert serialize_config(parse_config(text)) == text
+            for paper_scale in (False, True):
+                cfg = preset_config(name, paper_scale=paper_scale)
+                text = serialize_config(cfg)
+                assert serialize_config(parse_config(text)) == text
+
+
+# SHA-256 of serialize_config's text.  This text keys the reference-solution
+# cache (io.reference_cache_key), so a change here silently invalidates
+# every cached reference: change it only together with io.REFERENCE_VERSION.
+CANONICAL_SHA256 = {
+    ("plate2d", False):
+        "01b2677d7b59b44bf0dcf5cd5a38189ac3688609f6530ad40cf5ee50518ca2c9",
+    ("plate2d", True):
+        "213a33283bc5a6a8bd270dc3b5519173da388cc8207ca0af34dca091e53c92c6",
+    ("block3d", False):
+        "0f4173e936f81d7d5096fe7a70c0c471bc6207836b8005f40b34edf843a652f0",
+    ("block3d", True):
+        "fc47957b2c6d291536b3e92631ca9258b18ac42c9ae25d8a263c1da561524ad4",
+    ("crack2d", False):
+        "c18b47753122c7ef7501a262ca885510bfdb174c7bdde4a709f773aeb2cb9804",
+    ("crack2d", True):
+        "6c77b38c9cd4437bf8407904ea8ad190e278f23342b34b452826f1546236dfd2",
+    ("custom", False):
+        "a6179f6231d3582009277453f841d420e85428b40788f3e3fcdf5b3dc08ad931",
+}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(1e-9, 1e12)
+
+
+@st.composite
+def valid_configs(draw):
+    """Random configs that validate_config accepts."""
+    dim = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.floats(-10, 10)) for _ in range(dim))
+    hi = tuple(a + draw(st.floats(1e-6, 10)) for a in lo)
+
+    def point():
+        return tuple(draw(st.floats(a, b)) for a, b in zip(lo, hi))
+
+    def box():
+        p, q = point(), point()
+        return (tuple(map(min, p, q)), tuple(map(max, p, q)))
+
+    cadence = draw(st.integers(0, 20))
+    n_steps = cadence * draw(st.integers(0, 50)) if cadence \
+        else draw(st.integers(0, 1000))
+    enabled = draw(st.booleans())
+    return SimulationConfig(
+        name="custom",
+        geometry=GeometrySpec(box_min=lo, box_max=hi, dx=draw(POSITIVE),
+                              thickness=draw(POSITIVE if dim == 2
+                                             else st.none() | POSITIVE)),
+        material=MaterialSpec(E=draw(POSITIVE),
+                              nu=1.0 / 3.0 if dim == 2 else 0.25,
+                              rho=draw(POSITIVE)),
+        delta=draw(POSITIVE), law=draw(st.sampled_from(["linear", "nonlinear"])),
+        loads=[LoadSpec(kind=draw(st.sampled_from(["body_force", "velocity"])),
+                        box=box(),
+                        value=tuple(draw(FINITE) for _ in range(dim)))
+               for _ in range(draw(st.integers(0, 3)))],
+        fracture=FractureSpec(
+            enabled=enabled,
+            s0=draw(POSITIVE if enabled else st.none() | POSITIVE),
+            precrack=(point(), point()) if dim == 2 and draw(st.booleans())
+            else None),
+        time=TimeSpec(dt=draw(POSITIVE), n_steps=n_steps),
+        mts=MtsSpec(scheme=draw(st.sampled_from(["upd", "mts"])),
+                    order=draw(st.sampled_from([3, 4])),
+                    K=draw(st.integers(1, 16)),
+                    fine_boxes=[box() for _ in range(draw(st.integers(0, 3)))]),
+        output=OutputSpec(
+            directory=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
+            cadence=cadence,
+            formats=tuple(draw(st.lists(st.sampled_from(["vtk", "csv"]),
+                                        max_size=3)))),
+        error_component=draw(st.sampled_from("xyz"[:dim])))
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name, paper_scale", sorted(CANONICAL_SHA256))
+    def test_canonical_text_is_pinned(self, name, paper_scale):
+        cfg = parse_config(CUSTOM_TEXT) if name == "custom" \
+            else preset_config(name, paper_scale=paper_scale)
+        digest = hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+        assert digest == CANONICAL_SHA256[(name, paper_scale)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        validate_config(cfg)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_defaults_come_from_the_table(self):
+        text = CUSTOM_TEXT[:CUSTOM_TEXT.index("[mts]")] + \
+            CUSTOM_TEXT[CUSTOM_TEXT.index("[output]"):]
+        cfg = parse_config(text)
+        assert cfg.mts == MtsSpec(scheme="upd", order=4, K=1, fine_boxes=[])
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("dt = 1e-5", "dt = nan", "time.dt: must be finite, got nan"),
+        ("dx = 0.1", "dx = nan", "geometry.dx: must be finite, got nan"),
+        ("thickness = 0.01", "thickness = inf",
+         "geometry.thickness: must be finite, got inf"),
+        ("E = 1.92e9", "E = nan", "material.E: must be finite, got nan"),
+        ("rho = 8000", "rho = inf", "material.rho: must be finite, got inf"),
+        ("nu = 0.3333333333333333", "nu = inf",
+         "material.nu: must be finite, got inf"),
+        ("delta = 0.3", "delta = nan", "horizon.delta: must be finite, got nan"),
+        ("enabled = false", "enabled = true\ns0 = nan",
+         "fracture.s0: must be finite, got nan"),
+        ("box = 0, 0 ; 1, 0.5", "box = 0, 0 ; nan, 0.5",
+         "geometry.box: must be finite, got nan"),
+        ("value = 0, 2e10", "value = 0, -inf",
+         "load.1.value: must be finite, got -inf"),
+    ])
+    def test_non_finite_number_refused(self, old, new, problem):
+        assert old in CUSTOM_TEXT
+        with pytest.raises(ConfigError) as err:
+            parse_config(CUSTOM_TEXT.replace(old, new))
+        assert err.value.problems == [problem]
+
+    def test_non_finite_library_values_refused(self, mini_config):
+        cfg = mini_config()
+        with pytest.raises(ConfigError, match="horizon.delta: must be finite"):
+            validate_config(dataclasses.replace(cfg, delta=math.nan))
+        with pytest.raises(ConfigError, match="time.dt: must be finite, got inf"):
+            apply_overrides(cfg, dt=math.inf)
+        fine = [((0.6, 0.0), (math.nan, 0.5))]
+        with pytest.raises(ConfigError, match="mts.fine_box.1: must be finite"):
+            validate_config(dataclasses.replace(
+                cfg, mts=dataclasses.replace(cfg.mts, fine_boxes=fine)))
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("delta = 0.3", "delta = nan", "horizon.delta: must be finite"),
+        ("enabled = false", "enabled = true\ns0 = nan",
+         "fracture.s0: must be finite"),
+    ])
+    def test_cli_run_non_finite_exit_2(self, tmp_path, capsys, old, new,
+                                       problem):
+        path = write_config(tmp_path, CUSTOM_TEXT.replace(old, new))
+        assert cli.main(["run", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_cli_run_non_finite_dt_exit_2(self, tmp_path, capsys, dt):
+        assert cli.main(["run", "--config", "plate2d", "--dt", dt,
+                         "--out", str(tmp_path / "out")]) == 2
+        assert f"time.dt: must be finite, got {dt}" in capsys.readouterr().err
+
+    def test_unparsable_paper_scale_refused(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[scenario]\nname = plate2d\npaper_scale = maybe\n")
+        assert err.value.problems == ["scenario.paper_scale: cannot parse 'maybe'"]
+
+    def test_paper_scale_key_on_custom_config_refused(self, tmp_path, capsys):
+        text = CUSTOM_TEXT.replace("name = custom",
+                                   "name = custom\npaper_scale = true")
+        with pytest.raises(ConfigError,
+                           match="paper_scale applies only to presets"):
+            parse_config(text)
+        assert cli.main(["validate", "--config",
+                         write_config(tmp_path, text)]) == 2
+        assert "paper_scale applies only to presets" in capsys.readouterr().err
+
+    def test_paper_scale_flag_on_custom_config_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, CUSTOM_TEXT)
+        assert cli.main(["validate", "--config", path, "--paper-scale"]) == 2
+        captured = capsys.readouterr()
+        assert "paper_scale applies only to presets" in captured.err
+        assert captured.out == ""
+
+    def test_paper_scale_flag_on_preset_file(self, tmp_path, capsys):
+        path = write_config(tmp_path, "[scenario]\nname = plate2d\n")
+        assert cli.main(["validate", "--config", path, "--paper-scale"]) == 0
+        assert capsys.readouterr().out == serialize_config(
+            preset_config("plate2d", paper_scale=True))
+
+    def test_points_take_the_geometry_dimension(self):
+        text = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                   "box = 0, 0, 0 ; 1, 0.5, 0.5") \
+            .replace("nu = 0.3333333333333333", "nu = 0.25")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [
+            "load.1.box: expected 3 components, got 2",
+            "load.1.value: expected 3 components, got 2",
+            "mts.fine_box.1: expected 3 components, got 2"]
+
+    def test_inverted_box_is_one_problem(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                             "box = 1, 0.5 ; 0, 0"))
+        assert err.value.problems == ["geometry.box: min corner exceeds max corner"]
+
+    def test_load_without_kind_is_one_problem(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(CUSTOM_TEXT.replace("kind = body_force\n", ""))
+        assert err.value.problems == ["load.1.kind: missing required key"]
 
 
 class TestVtkWriter:
