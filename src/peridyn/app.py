@@ -28,7 +28,7 @@ from .forces import FieldState, Loading, Material, PDOperator, \
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
-from .mts import MtsConfig, mts_run
+from .mts import MtsConfig, TimingReport, mts_run
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -120,10 +120,11 @@ _REQUIRED = object()
 
 # One row per config key, in canonical order.  `attr` is a dotted path
 # into SimulationConfig (into LoadSpec for [load.k]); two paths split a box
-# over two attributes.  A section or key ending in ".k" repeats,
-# numbered from 1.  kind: float, int, str, bool, box, segment (an unordered
-# box), vector or names.  check: ("positive",), ("at_least", n) or
-# ("one_of", *values); every number, each component of a box, segment or
+# over two attributes.  A section or key ending in ".k" repeats, taken in
+# the order of its integer index and written numbered from 1.  kind: float,
+# int, str, bool, box, segment (an unordered box), vector or names.  check:
+# ("positive",), ("at_least", n), ("one_of", *values) or ("nonempty",);
+# every number, each component of a box, segment or
 # vector too, must also be finite.  The [scenario] rows pick a preset and
 # are not serialized: canonical text spells a preset out as a custom config.
 _Field = namedtuple("_Field", "section key attr kind default check",
@@ -154,7 +155,8 @@ _SCHEMA = (
     _Field("mts", "order", "mts.order", "int", 4, ("one_of", 3, 4)),
     _Field("mts", "K", "mts.K", "int", 1, ("at_least", 1)),
     _Field("mts", "fine_box.k", "mts.fine_boxes", "box", ()),
-    _Field("output", "directory", "output.directory", "str", "out"),
+    _Field("output", "directory", "output.directory", "str", "out",
+           ("nonempty",)),
     _Field("output", "cadence", "output.cadence", "int", 0, ("at_least", 0)),
     _Field("output", "formats", "output.formats", "names", ("vtk",),
            ("one_of", "vtk", "csv")),
@@ -186,6 +188,25 @@ _READ_AS = {"box": " as 'min ; max'", "segment": " as 'min ; max'",
             "vector": " as numbers"}
 
 
+def _numbered(entries: dict, prefix: str, problems: list, where="") -> list:
+    """The names in entries that start with prefix, in the order of their
+    integer index; a name whose index is not an integer, or repeats an
+    earlier name's, is a problem and leaves entries."""
+    index = {}
+    for name in list(entries):
+        if name.startswith(prefix):
+            suffix = name[len(prefix):]
+            k = int(suffix) if suffix.isdecimal() else None
+            if k is not None and k not in index:
+                index[k] = name
+                continue
+            entries.pop(name)
+            problems.append(f"{where}{name}: " + (
+                f"index {suffix!r} is not an integer" if k is None
+                else f"index {k} repeats {index[k]}"))
+    return [index[k] for k in sorted(index)]
+
+
 def _read_section(raw: dict, section: str, problems: list, name=None) -> dict:
     """One section's keys, read by its table rows, as {attr: value}."""
     name = name or section
@@ -202,8 +223,8 @@ def _read_section(raw: dict, section: str, problems: list, name=None) -> dict:
     values = {}
     for row in _SECTIONS[section]:
         if row.key.endswith(".k"):
-            values[row.attr] = [read(row, key) for key in sorted(
-                k for k in raw if k.startswith(row.key[:-1]))]
+            values[row.attr] = [read(row, key) for key in _numbered(
+                raw, row.key[:-1], problems, f"{name}.")]
         elif row.key in raw:
             values[row.attr] = read(row, row.key)
         elif row.default is _REQUIRED:
@@ -290,8 +311,7 @@ def parse_config(source: str, paper_scale: bool = False) -> SimulationConfig:
     for section in _SECTIONS:
         if section == "load.k":
             loads = [_read_section(sections.pop(s), section, problems, s)
-                     for s in sorted(s for s in sections
-                                     if s.startswith("load."))]
+                     for s in _numbered(sections, "load.", problems)]
         elif section != "scenario":
             values.update(_read_section(sections.pop(section, {}), section,
                                         problems))
@@ -346,6 +366,8 @@ def _field_problem(row: _Field, value, dim: int):
         return "must be positive"
     if rule == "at_least" and (value is None or value < args[0]):
         return f"must be >= {args[0]}, got {value}"
+    if rule == "nonempty" and not value:
+        return "must not be empty"
     if rule == "one_of":
         for item in value if row.kind == "names" else (value,):
             if item not in args:
@@ -371,6 +393,8 @@ def validate_config(cfg: SimulationConfig):
         p.append("geometry.box: extents must be positive")
     if dim == 2 and (g.thickness is None or g.thickness <= 0):
         p.append("geometry.thickness: required and positive in 2D")
+    if dim == 3 and g.thickness is not None:
+        p.append("geometry.thickness: applies only to 2D")
     nu_problem = poisson_violation(cfg.material.nu, dim)
     if nu_problem:
         p.append(f"material.nu: {nu_problem}")
@@ -567,7 +591,7 @@ class Scenario:
         self.labels = classify_subdomains(self.cloud, self.nbrs,
                                           cfg.mts.fine_boxes)
         self.material = Material(E=cfg.material.E, nu=cfg.material.nu,
-                                 rho=cfg.material.rho, s0=cfg.fracture.s0)
+                                 rho=cfg.material.rho)
         self.loadings = []
         for spec in cfg.loads:
             idx = select_layer(self.cloud, spec.box)
@@ -616,6 +640,24 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # orchestration
 
+def run_scheme(scenario: Scenario, op, scheme: str, dt: float, n_steps: int,
+               K=None, record_every=None, on_step=None):
+    """One run of the scenario on ``op`` from its initial state, by UPD at
+    dt or by MTS at (dt, K); returns (trajectory, timing).  UPD times the
+    whole run as one "upd" phase."""
+    state0 = scenario.initial_state()
+    if scheme == "upd":
+        timing = TimingReport()
+        with timing.phase("upd"):
+            traj = upd_run(op, state0, dt, n_steps,
+                           tableau(scenario.cfg.mts.order), s0=scenario.s0,
+                           record_every=record_every, on_step=on_step)
+        return traj, timing
+    return mts_run(op, state0, scenario.mts_config(dt=dt, K=K), n_steps,
+                   s0=scenario.s0, record_every=record_every,
+                   on_step=on_step)
+
+
 def run(cfg: SimulationConfig, out_dir=None):
     """Execute the configured scheme; write snapshots and the timing report.
 
@@ -625,7 +667,6 @@ def run(cfg: SimulationConfig, out_dir=None):
     out_dir = out_dir or cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     op = scenario.fresh_operator()
-    state0 = scenario.initial_state()
     cadence = cfg.output.cadence
     paths = []
     want_vtk = "vtk" in cfg.output.formats
@@ -634,8 +675,8 @@ def run(cfg: SimulationConfig, out_dir=None):
         return os.path.join(out_dir, f"snapshot_{step:06d}.vtk")
 
     if want_vtk:
-        pio.write_vtk(scenario.cloud, state0, damage_index(op.nbrs),
-                      snap_path(0))
+        pio.write_vtk(scenario.cloud, scenario.initial_state(),
+                      damage_index(op.nbrs), snap_path(0))
         paths.append(snap_path(0))
 
     def on_step(step, t, y):
@@ -645,18 +686,9 @@ def run(cfg: SimulationConfig, out_dir=None):
                           damage_index(op.nbrs), snap_path(step))
             paths.append(snap_path(step))
 
-    if cfg.mts.scheme == "upd" or cfg.time.n_steps == 0:
-        from .mts import TimingReport
-
-        timing = TimingReport()
-        with timing.phase("upd"):
-            traj = upd_run(op, state0, cfg.time.dt, cfg.time.n_steps,
-                           tableau(cfg.mts.order), s0=scenario.s0,
-                           record_every=cadence or None, on_step=on_step)
-    else:
-        traj, timing = mts_run(op, state0, scenario.mts_config(),
-                               cfg.time.n_steps, s0=scenario.s0,
-                               record_every=cadence or None, on_step=on_step)
+    traj, timing = run_scheme(scenario, op, cfg.mts.scheme, cfg.time.dt,
+                              cfg.time.n_steps, record_every=cadence or None,
+                              on_step=on_step)
     if cfg.time.n_steps > 0:
         tpath = os.path.join(out_dir, "timing.txt")
         pio.write_timing(timing, tpath)
@@ -707,14 +739,8 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     errors = {}  # (K, scope) -> list aligned with dt_list
     for dt in dt_list:
         for K in k_list:
-            op = scenario.fresh_operator()
-            if K == 1:
-                traj = upd_run(op, scenario.initial_state(), dt, steps[dt],
-                               tab, s0=scenario.s0)
-            else:
-                traj, _ = mts_run(op, scenario.initial_state(),
-                                  scenario.mts_config(dt=dt, K=K),
-                                  steps[dt], s0=scenario.s0)
+            traj, _ = run_scheme(scenario, scenario.fresh_operator(),
+                                 "upd" if K == 1 else "mts", dt, steps[dt], K=K)
             final = traj.final
             if has_fine:
                 e_all, e_c, e_f = scoped_errors(final, reference,
@@ -754,19 +780,15 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
     K = cfg.mts.K if K is None else K
     dt = cfg.time.dt
     n_steps = cfg.time.n_steps
-    tab = tableau(cfg.mts.order)
 
     op = scenario.fresh_operator()
     t0 = _time.perf_counter()
-    mts_traj, mts_timing = mts_run(op, scenario.initial_state(),
-                                   scenario.mts_config(K=K), n_steps,
-                                   s0=scenario.s0)
+    mts_traj, mts_timing = run_scheme(scenario, op, "mts", dt, n_steps, K=K)
     mts_seconds = _time.perf_counter() - t0
 
     op = scenario.fresh_operator()
     t0 = _time.perf_counter()
-    upd_traj = upd_run(op, scenario.initial_state(), dt / K, n_steps * K,
-                       tab, s0=scenario.s0)
+    upd_traj, _ = run_scheme(scenario, op, "upd", dt / K, n_steps * K)
     upd_seconds = _time.perf_counter() - t0
 
     axis = scenario.error_axis

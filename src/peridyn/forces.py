@@ -59,17 +59,12 @@ class InstabilityError(SimulationError):
 
 @dataclass
 class Material:
-    """Elastic constants plus the calibrated micro-modulus.
-
-    ``s0`` is the critical bond stretch; None disables fracture.  ``alpha``
-    is derived from E and the horizon by calibrate_alpha.
-    """
+    """Elastic constants; the micro-modulus is derived from E and the
+    horizon by calibrate_alpha."""
 
     E: float
     nu: float
     rho: float
-    s0: float | None = None
-    alpha: float | None = None
 
     def validate(self, dim: int):
         if self.E <= 0:
@@ -113,20 +108,17 @@ class Loading:
     """A body-force layer or a velocity-constraint layer.
 
     ``indices`` are the affected points; ``value`` is the force density
-    (N/m^3) or the prescribed velocity (m/s) per component.  Only the
-    constant time profile is implemented.
+    (N/m^3) or the prescribed velocity (m/s) per component, constant in
+    time.
     """
 
     kind: str  # "body_force_layer" | "velocity_constraint"
     indices: np.ndarray
     value: np.ndarray
-    profile: str = "constant"
 
     def __post_init__(self):
         if self.kind not in ("body_force_layer", "velocity_constraint"):
             raise ValueError(f"unknown loading kind {self.kind!r}")
-        if self.profile != "constant":
-            raise ValueError(f"unsupported time profile {self.profile!r}")
         if len(self.indices) == 0:
             raise ValueError("loading layer is empty")
 

@@ -27,8 +27,6 @@ LABEL_FI = 1
 LABEL_CI = 2
 LABEL_C = 3
 
-LABEL_NAMES = {LABEL_F: "F", LABEL_FI: "FI", LABEL_CI: "CI", LABEL_C: "C"}
-
 
 class GeometryError(ValueError):
     """Raised for invalid grids, horizons, or selections."""

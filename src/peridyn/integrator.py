@@ -1,9 +1,9 @@
-"""Explicit Runge-Kutta stepping and the single-rate (UPD) driver.
+"""Explicit Runge-Kutta stepping: the stage loop and the step loop that
+both schemes share, and the single-rate (UPD) driver.
 
 The stepper is generic over the state shape: any float ndarray plus a rate
 function ``rate(y, t) -> dy/dt`` works, which keeps the scalar-ODE oracles
-in the test suite on the exact same code path as the PD runs.  Stage rates
-are returned to the caller because the multi-time-step scheme reuses them.
+in the test suite on the exact same code path as the PD runs.
 """
 
 from __future__ import annotations
@@ -86,23 +86,28 @@ def combine(y, dt: float, coeffs, rates):
     return y + dt * acc
 
 
-def rk_step(tab: ButcherTableau, y, rate_fn, t: float, dt: float):
-    """One explicit RK step; returns (y_next, stage_rates).
-
-    stage_rates[k] is the rate evaluated at the k-th stage value, which the
-    multi-time-step corrections consume.  Operator failures propagate with
-    the stage index attached.
+def stages(tab: ButcherTableau, y, dt: float, stage_rate, rate0=None):
+    """The stage loop of one RK step of size dt from y; returns (y_next,
+    stage_rates).  ``stage_rate(j, y_j)`` is the rate at the j-th stage
+    value (the caller owns the stage time); a known stage-0 rate comes in
+    as ``rate0``.  Operator failures propagate with the stage attached.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    rates = []
-    for j in range(tab.r):
+    rates = [] if rate0 is None else [rate0]
+    for j in range(len(rates), tab.r):
         yj = y if j == 0 else combine(y, dt, tab.a[j, :j], rates)
         try:
-            rates.append(rate_fn(yj, t + tab.c[j] * dt))
+            rates.append(stage_rate(j, yj))
         except InstabilityError as err:
             raise err.with_context(stage=j) from None
     return combine(y, dt, tab.b, rates), rates
+
+
+def rk_step(tab: ButcherTableau, y, rate_fn, t: float, dt: float):
+    """One explicit RK step of ``rate_fn(y, t)``; returns (y_next,
+    stage_rates)."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    return stages(tab, y, dt, lambda j, yj: rate_fn(yj, t + tab.c[j] * dt))
 
 
 @dataclass
@@ -119,27 +124,21 @@ class Trajectory:
         return np.array([s.t for s in self.states])
 
 
-def upd_run(op, state0: FieldState, dt: float, n_steps: int,
-            tab: ButcherTableau, s0: float | None = None,
-            record_every: int | None = None, on_step=None) -> Trajectory:
-    """Advance the whole domain with a single time step (the UPD baseline).
-
-    Damage is updated once per completed step from end-of-step displacements
-    when ``s0`` is given.  ``record_every`` controls snapshot cadence (None
-    records only the initial and final states).  ``on_step(step, t, y)``
-    runs after each completed step.
+def run_steps(advance, state0: FieldState, dt: float, n_steps: int,
+              record_every: int | None = None, on_step=None) -> Trajectory:
+    """The step loop both schemes share: ``advance(step, y, t_n, t_np1)``
+    takes the packed state from t_n to t_np1.  ``record_every`` sets the
+    snapshot cadence (None: initial and final only); ``on_step(step, t, y)``
+    runs after each step.  Failures carry the last completed step.
     """
-    dim = op.cloud.dim
     y = state0.packed()
     t0 = state0.t
     states = [FieldState.from_packed(y, t0)]
     step = 0
     try:
         for step in range(1, n_steps + 1):
-            y, _ = rk_step(tab, y, op.rates, t0 + (step - 1) * dt, dt)
             t = t0 + step * dt
-            if s0 is not None:
-                update_damage(op.nbrs, y[:, :dim], s0)
+            y = advance(step, y, t0 + (step - 1) * dt, t)
             if on_step is not None:
                 on_step(step, t, y)
             if record_every and step % record_every == 0 and step != n_steps:
@@ -149,3 +148,22 @@ def upd_run(op, state0: FieldState, dt: float, n_steps: int,
     if n_steps > 0:
         states.append(FieldState.from_packed(y, t0 + n_steps * dt))
     return Trajectory(states=states)
+
+
+def upd_step(op, tab: ButcherTableau, y, t: float, dt: float,
+             s0: float | None):
+    """One whole-domain RK step, then, when ``s0`` is given, a damage check
+    of every bond from the end-of-step displacements."""
+    y, _ = rk_step(tab, y, op.rates, t, dt)
+    if s0 is not None:
+        update_damage(op.nbrs, y[:, :op.cloud.dim], s0)
+    return y
+
+
+def upd_run(op, state0: FieldState, dt: float, n_steps: int,
+            tab: ButcherTableau, s0: float | None = None,
+            record_every: int | None = None, on_step=None) -> Trajectory:
+    """Advance the whole domain with a single time step (the UPD baseline):
+    upd_step under run_steps."""
+    return run_steps(lambda _, y, t, __: upd_step(op, tab, y, t, dt, s0),
+                     state0, dt, n_steps, record_every, on_step)

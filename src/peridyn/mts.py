@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import FieldState, InstabilityError, SimulationError, update_damage
+from .forces import FieldState, SimulationError, update_damage
 from .geometry import LABEL_CI, LABEL_FI, SubdomainLabels
-from .integrator import ButcherTableau, Trajectory, combine, rk_step, tableau
+from .integrator import run_steps, stages, tableau, upd_step
 
 _SPACING_RTOL = 1e-12
 _INV_FACT = (0.5, 1.0 / 6.0, 1.0 / 24.0)  # 1/2!, 1/3!, 1/4!
@@ -159,9 +159,8 @@ class Interpolant:
 class OperatorHistory:
     """Ring buffer of the last three coarse-level rate evaluations."""
 
-    def __init__(self, dt: float, depth: int = 3):
+    def __init__(self, dt: float):
         self.dt = dt
-        self.depth = depth
         self._entries: list[tuple[float, np.ndarray]] = []
 
     def __len__(self) -> int:
@@ -177,7 +176,7 @@ class OperatorHistory:
                 raise SimulationError(
                     f"history spacing {t - t_prev!r} deviates from dt={self.dt!r}")
         self._entries.append((t, values))
-        if len(self._entries) > self.depth:
+        if len(self._entries) > 3:  # order 4 reads L at n, n-1 and n-2
             self._entries.pop(0)
 
     def t_at(self, back: int = 0) -> float:
@@ -228,10 +227,6 @@ class TimingReport:
     def seconds(self, name: str) -> float:
         return self.entries.get(name, [0, 0.0])[1]
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(v[1] for v in self.entries.values())
-
     def rows(self):
         return [(name, calls, secs)
                 for name, (calls, secs) in sorted(self.entries.items())]
@@ -253,16 +248,12 @@ class MtsPlan:
         self.idx_ci = labels.indices(LABEL_CI)
         self.coarse_view = op.make_view(self.rows_c) if len(self.rows_c) else None
         self.fine_view = op.make_view(self.rows_f) if len(self.rows_f) else None
+        self.fine_bond_mask = self.coarse_bond_mask = None
         if s0 is not None:
-            lab = labels.labels
-            nbrs = op.nbrs
-            fine_end = (lab[nbrs.bond_i] <= LABEL_FI) | \
-                       (lab[nbrs.neighbors] <= LABEL_FI)
-            self.fine_bond_mask = fine_end
-            self.coarse_bond_mask = ~fine_end
-        else:
-            self.fine_bond_mask = None
-            self.coarse_bond_mask = None
+            fine_end = labels.labels <= LABEL_FI
+            self.fine_bond_mask = fine_end[op.nbrs.bond_i] | \
+                fine_end[op.nbrs.neighbors]
+            self.coarse_bond_mask = ~self.fine_bond_mask
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
@@ -316,21 +307,16 @@ def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
     dt = plan.config.dt
     ghost = _fi_ghost(plan, y_n, history)
     scratch = y_n.copy()
-    y_rows = y_n[rows]
-    rates = []
-    for j in range(tab.r):
-        if j == 0:
-            rates.append(history.values(0)[rows])
-            continue
-        scratch[rows] = combine(y_rows, dt, tab.a[j, :j], rates)
+
+    def stage_rate(j, y_rows):
+        scratch[rows] = y_rows
         if ghost is not None:
             scratch[plan.idx_fi] = ghost(tab.c[j] * dt)
-        try:
-            rates.append(plan.op.rates(scratch, t_n + tab.c[j] * dt,
-                                       view=plan.coarse_view))
-        except InstabilityError as err:
-            raise err.with_context(stage=j) from None
-    out[rows] = combine(y_rows, dt, tab.b, rates)
+        return plan.op.rates(scratch, t_n + tab.c[j] * dt,
+                             view=plan.coarse_view)
+
+    out[rows], _ = stages(tab, y_n[rows], dt, stage_rate,
+                          rate0=history.values(0)[rows])
     return out
 
 
@@ -348,35 +334,30 @@ def fine_advance(plan: MtsPlan, y_half: np.ndarray,
     if len(rows) == 0:
         return y_half
     tab = plan.tab
-    K = plan.config.K
-    dt_k = plan.config.dt / K
-    ci = plan.idx_ci
-    dim = plan.op.cloud.dim
+    dt_k = plan.config.dt / plan.config.K
     scratch = y_half.copy()
-    y_cur = y_half[rows].copy()
-    for k in range(K):
+    y_cur = y_half[rows]
+
+    def fill(y_rows, t):
+        """scratch with the fine rows at y_rows and the CI rows at t."""
+        scratch[rows] = y_rows
+        if interp is not None:
+            scratch[plan.idx_ci] = interp.evaluate(t)
+        return scratch
+
+    for k in range(plan.config.K):
         t_k = t_n + k * dt_k
-        rates = []
-        for j in range(tab.r):
+
+        def stage_rate(j, y_rows):
             stage_t = t_k + tab.c[j] * dt_k
-            if k == 0 and j == 0:
-                rates.append(history.values(0)[rows])
-                continue
-            scratch[rows] = y_cur if j == 0 \
-                else combine(y_cur, dt_k, tab.a[j, :j], rates)
-            if interp is not None and len(ci):
-                scratch[ci] = interp.evaluate(stage_t)
-            try:
-                rates.append(plan.op.rates(scratch, stage_t,
-                                           view=plan.fine_view))
-            except InstabilityError as err:
-                raise err.with_context(stage=j) from None
-        y_cur = combine(y_cur, dt_k, tab.b, rates)
+            return plan.op.rates(fill(y_rows, stage_t), stage_t,
+                                 view=plan.fine_view)
+
+        y_cur, _ = stages(tab, y_cur, dt_k, stage_rate,
+                          rate0=history.values(0)[rows] if k == 0 else None)
         if plan.s0 is not None:
-            scratch[rows] = y_cur
-            if interp is not None and len(ci):
-                scratch[ci] = interp.evaluate(t_k + dt_k)
-            update_damage(plan.op.nbrs, scratch[:, :dim], plan.s0,
+            u = fill(y_cur, t_k + dt_k)[:, :plan.op.cloud.dim]
+            update_damage(plan.op.nbrs, u, plan.s0,
                           bond_mask=plan.fine_bond_mask)
     y_half[rows] = y_cur
     return y_half
@@ -411,17 +392,15 @@ def startup_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
                  history: OperatorHistory,
                  timing: TimingReport | None = None) -> np.ndarray:
     """Startup coarse step, taken before the history holds r-1 levels: K
-    whole-domain RK substeps at dt/K (no correction terms), an unmasked
-    damage check after each, then push the rates at t_{n+1}."""
+    whole-domain UPD steps at dt/K (no correction terms, every bond
+    damage-checked), then push the rates at t_{n+1}."""
     timing = timing if timing is not None else TimingReport()
     op = plan.op
     dt_k = plan.config.dt / plan.config.K
     y = y_n
     with timing.phase("startup"):
         for k in range(plan.config.K):
-            y, _ = rk_step(plan.tab, y, op.rates, t_n + k * dt_k, dt_k)
-            if plan.s0 is not None:
-                update_damage(op.nbrs, y[:, :op.cloud.dim], plan.s0)
+            y = upd_step(op, plan.tab, y, t_n + k * dt_k, dt_k, plan.s0)
     with timing.phase("history"):
         history.push(t_np1, op.rates(y, t_np1))
     return y
@@ -430,34 +409,23 @@ def startup_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
 def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
             s0: float | None = None, record_every: int | None = None,
             on_step=None):
-    """Two startup_steps, then repeated mts_step until t_0 + n_steps * dt.
+    """Two startup_steps, then repeated mts_step until t_0 + n_steps * dt,
+    under the step loop the UPD driver uses (integrator.run_steps).
 
     Returns (Trajectory, TimingReport).  The trajectory records the initial
-    state, every record_every-th step, and the final state, matching the
-    UPD driver's cadence so the two are directly comparable.
+    state, every record_every-th step, and the final state, with the UPD
+    driver's cadence, so the two are directly comparable.
     """
-    config.validate()
-    plan = MtsPlan(op, config, s0)
+    plan = MtsPlan(op, config, s0)  # validates config
     timing = TimingReport()
-    dt = config.dt
-    y = state0.packed()
-    t0 = state0.t
-    states = [FieldState.from_packed(y, t0)]
-    history = OperatorHistory(dt)
+    history = OperatorHistory(config.dt)
     with timing.phase("history"):
-        history.push(t0, op.rates(y, t0))
-    step = 0
-    try:
-        for step in range(1, n_steps + 1):
-            t_now = t0 + step * dt
-            advance = startup_step if step <= 2 else mts_step
-            y = advance(plan, y, t0 + (step - 1) * dt, t_now, history, timing)
-            if on_step is not None:
-                on_step(step, t_now, y)
-            if record_every and step % record_every == 0 and step != n_steps:
-                states.append(FieldState.from_packed(y, t_now))
-    except InstabilityError as err:
-        raise err.with_context(last_good_step=step - 1) from None
-    if n_steps > 0:
-        states.append(FieldState.from_packed(y, t0 + n_steps * dt))
-    return Trajectory(states=states), timing
+        history.push(state0.t, op.rates(state0.packed(), state0.t))
+
+    def advance(step, y, t_n, t_np1):
+        step_fn = startup_step if step <= 2 else mts_step
+        return step_fn(plan, y, t_n, t_np1, history, timing)
+
+    traj = run_steps(advance, state0, config.dt, n_steps, record_every,
+                     on_step)
+    return traj, timing

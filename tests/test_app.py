@@ -208,7 +208,7 @@ def valid_configs(draw):
         name="custom",
         geometry=GeometrySpec(box_min=lo, box_max=hi, dx=draw(POSITIVE),
                               thickness=draw(POSITIVE if dim == 2
-                                             else st.none() | POSITIVE)),
+                                             else st.none())),
         material=MaterialSpec(E=draw(POSITIVE),
                               nu=1.0 / 3.0 if dim == 2 else 0.25,
                               rho=draw(POSITIVE)),
@@ -345,7 +345,8 @@ class TestSchema:
     def test_points_take_the_geometry_dimension(self):
         text = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
                                    "box = 0, 0, 0 ; 1, 0.5, 0.5") \
-            .replace("nu = 0.3333333333333333", "nu = 0.25")
+            .replace("nu = 0.3333333333333333", "nu = 0.25") \
+            .replace("thickness = 0.01\n", "")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.problems == [
@@ -363,6 +364,55 @@ class TestSchema:
         with pytest.raises(ConfigError) as err:
             parse_config(CUSTOM_TEXT.replace("kind = body_force\n", ""))
         assert err.value.problems == ["load.1.kind: missing required key"]
+
+    def test_thickness_in_3d_refused(self):
+        text = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                   "box = 0, 0, 0 ; 1, 0.5, 0.5") \
+            .replace("nu = 0.3333333333333333", "nu = 0.25") \
+            .replace("box = 0.9, 0 ; 1, 0.5", "box = 0.9, 0, 0 ; 1, 0.5, 0.5") \
+            .replace("value = 0, 2e10", "value = 0, 2e10, 0") \
+            .replace("fine_box.1 = 0.6, 0 ; 1, 0.5",
+                     "fine_box.1 = 0.6, 0, 0 ; 1, 0.5, 0.5")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == ["geometry.thickness: applies only to 2D"]
+        cfg = parse_config(text.replace("thickness = 0.01\n", ""))
+        assert cfg.geometry.thickness is None
+
+    def test_numbered_entries_follow_their_integer_index(self):
+        load = CUSTOM_TEXT[CUSTOM_TEXT.index("[load.1]"):
+                           CUSTOM_TEXT.index("[fracture]")]
+        text = CUSTOM_TEXT.replace(
+            load, load.replace("load.1", "load.10").replace("2e10", "1e10")
+            + load.replace("load.1", "load.2")) \
+            .replace("fine_box.1 = 0.6, 0 ; 1, 0.5",
+                     "fine_box.10 = 0.7, 0 ; 1, 0.5\n"
+                     "fine_box.2 = 0.6, 0 ; 1, 0.5")
+        cfg = parse_config(text)
+        assert [load.value for load in cfg.loads] == [(0.0, 2e10), (0.0, 1e10)]
+        assert cfg.mts.fine_boxes == [((0.6, 0.0), (1.0, 0.5)),
+                                      ((0.7, 0.0), (1.0, 0.5))]
+        assert "[load.1]\nkind = body_force\nbox = 0.9, 0.0 ; 1.0, 0.5\n" \
+            "value = 0.0, 20000000000.0" in serialize_config(cfg)
+
+    @pytest.mark.parametrize("old, new, problem", [
+        ("[load.1]", "[load.x]", "load.x: index 'x' is not an integer"),
+        ("fine_box.1 =", "fine_box.first =",
+         "mts.fine_box.first: index 'first' is not an integer"),
+        ("[load.1]", "[load.01]\nkind = body_force\nbox = 0, 0 ; 1, 1\n"
+         "value = 0, 1\n\n[load.1]", "load.1: index 1 repeats load.01"),
+        ("fine_box.1 =", "fine_box.01 = 0.6, 0 ; 1, 0.5\nfine_box.1 =",
+         "mts.fine_box.1: index 1 repeats fine_box.01"),
+    ])
+    def test_numbered_entry_without_integer_index_refused(
+            self, tmp_path, capsys, old, new, problem):
+        text = CUSTOM_TEXT.replace(old, new)
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [problem]
+        assert cli.main(["validate", "--config",
+                         write_config(tmp_path, text)]) == 2
+        assert problem in capsys.readouterr().err
 
 
 class TestVtkWriter:
@@ -556,6 +606,18 @@ class TestRunAndCli:
         assert code == 0
         assert (tmp_path / "out" / "snapshot_000004.vtk").exists()
 
+    def test_cli_run_empty_output_directory_exit_2(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, CUSTOM_TEXT.replace(
+            "directory = out", "directory ="))
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", path]) == 2
+            assert "output.directory: must not be empty" in \
+                capsys.readouterr().err
+        assert cli.main(["run", "--config", "plate2d", "--out", ""]) == 2
+        assert sorted(os.listdir(tmp_path)) == ["case.cfg"]
+
     def test_cli_instability_exit_3(self, tmp_path, mini_config):
         cfg = mini_config(n_steps=40, dt=1.0, scheme="upd")
         path = tmp_path / "boom.cfg"
@@ -669,6 +731,8 @@ class TestRunAndCli:
             monkeypatch.setattr(app, name, no_run)
         with pytest.raises(ValueError, match="K must be an integer >= 1"):
             app.compare(mini_config(n_steps=8), K=0)
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            app.compare(mini_config(n_steps=0), K=0)
 
     def test_converge_emits_scoped_rows(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)

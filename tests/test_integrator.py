@@ -7,7 +7,8 @@ import scipy.linalg
 from peridyn.forces import FieldState, InstabilityError, PDOperator
 from peridyn.geometry import build_neighbor_list
 from peridyn.integrator import (
-    ButcherTableau, rk_step, tableau, tableau_rk3, tableau_rk4, upd_run,
+    ButcherTableau, rk_step, stages, tableau, tableau_rk3, tableau_rk4,
+    upd_run,
 )
 from tests.test_forces import make_cloud, unit_alpha_material
 
@@ -103,6 +104,24 @@ class TestRkStep:
 
         with pytest.raises(InstabilityError, match="stage 2"):
             rk_step(tableau_rk4(), np.array([1.0]), rate, 0.0, 0.1)
+
+    def test_known_stage0_rate_is_not_reevaluated(self):
+        def rate(s, t):
+            return np.sin(3.0 * t) - 0.7 * s
+
+        y, t, h = np.array([0.3, -1.2]), 0.4, 0.05
+        for tab in (tableau_rk3(), tableau_rk4()):
+            plain, plain_rates = rk_step(tab, y, rate, t, h)
+            calls = []
+
+            def stage_rate(j, yj):
+                calls.append(j)
+                return rate(yj, t + tab.c[j] * h)
+
+            out, rates = stages(tab, y, h, stage_rate, rate0=rate(y, t))
+            assert calls == list(range(1, tab.r))
+            assert np.array_equal(out, plain)
+            assert all(np.array_equal(a, b) for a, b in zip(rates, plain_rates))
 
 
 def two_point_system():

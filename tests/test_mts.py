@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from peridyn.forces import FieldState, Loading, PDOperator, SimulationError
+from peridyn.forces import FieldState, InstabilityError, Loading, \
+    PDOperator, SimulationError, update_damage
 from peridyn.geometry import build_grid, build_neighbor_list, \
     classify_subdomains
-from peridyn.integrator import rk_step, tableau, upd_run
+from peridyn.integrator import combine, rk_step, tableau, upd_run
 from peridyn.mts import (
-    Interpolant, MtsConfig, MtsPlan, OperatorHistory, assemble_f,
+    Interpolant, MtsConfig, MtsPlan, OperatorHistory, _fi_ghost, assemble_f,
     build_interpolant, coarse_advance, estimate_derivatives, fine_advance,
     matrix_A, mts_run, mts_step, startup_step,
 )
-from tests.test_forces import make_cloud, unit_alpha_material
+from tests.test_forces import make_cloud, random_state, unit_alpha_material
 
 
 class TestCorrectionMatrices:
@@ -409,3 +410,119 @@ class TestStartupAndRun:
                                                     labels=labels), n)
             errors.append(np.linalg.norm(traj.final.u - ref.final.u))
         assert all(a >= b for a, b in zip(errors, errors[1:]))
+
+
+# The coarse and fine advances as hand-written stage loops, kept here as the
+# oracle for the shared stage loop (integrator.stages) that replaced them.
+
+def hand_coarse_advance(plan, y_n, t_n, history):
+    out = y_n.copy()
+    rows = plan.rows_c
+    tab = plan.tab
+    dt = plan.config.dt
+    ghost = _fi_ghost(plan, y_n, history)
+    scratch = y_n.copy()
+    y_rows = y_n[rows]
+    rates = []
+    for j in range(tab.r):
+        if j == 0:
+            rates.append(history.values(0)[rows])
+            continue
+        scratch[rows] = combine(y_rows, dt, tab.a[j, :j], rates)
+        if ghost is not None:
+            scratch[plan.idx_fi] = ghost(tab.c[j] * dt)
+        rates.append(plan.op.rates(scratch, t_n + tab.c[j] * dt,
+                                   view=plan.coarse_view))
+    out[rows] = combine(y_rows, dt, tab.b, rates)
+    return out
+
+
+def hand_fine_advance(plan, y_half, interp, t_n, history):
+    rows = plan.rows_f
+    tab = plan.tab
+    K = plan.config.K
+    dt_k = plan.config.dt / K
+    ci = plan.idx_ci
+    dim = plan.op.cloud.dim
+    scratch = y_half.copy()
+    y_cur = y_half[rows].copy()
+    for k in range(K):
+        t_k = t_n + k * dt_k
+        rates = []
+        for j in range(tab.r):
+            stage_t = t_k + tab.c[j] * dt_k
+            if k == 0 and j == 0:
+                rates.append(history.values(0)[rows])
+                continue
+            scratch[rows] = y_cur if j == 0 \
+                else combine(y_cur, dt_k, tab.a[j, :j], rates)
+            scratch[ci] = interp.evaluate(stage_t)
+            rates.append(plan.op.rates(scratch, stage_t, view=plan.fine_view))
+        y_cur = combine(y_cur, dt_k, tab.b, rates)
+        scratch[rows] = y_cur
+        scratch[ci] = interp.evaluate(t_k + dt_k)
+        update_damage(plan.op.nbrs, scratch[:, :dim], plan.s0,
+                      bond_mask=plan.fine_bond_mask)
+    y_half[rows] = y_cur
+    return y_half
+
+
+class TestSharedStageLoop:
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_advances_match_hand_written_loops(self, order):
+        op, labels, _ = smooth_plate()
+        dt, K = 1e-3, 3
+        plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=K, labels=labels),
+                       s0=0.05)
+        assert len(plan.idx_fi) and len(plan.idx_ci)
+        hist = OperatorHistory(dt)
+        t_n = 9 * dt  # far enough from 0 that t - t_n != tau in rounding
+        for back in (2, 1, 0):
+            t = t_n - back * dt
+            hist.push(t, op.rates(random_state(op, 10 + back), t))
+        y_n = random_state(op, 3)
+        y_n[:, 2:] = 0.0  # at rest, so a one-ulp change in a force shows
+        mu0 = op.nbrs.mu.copy()
+        results = []
+        for coarse, fine in ((hand_coarse_advance, hand_fine_advance),
+                             (coarse_advance, fine_advance)):
+            op.nbrs.mu[:] = mu0
+            y_half = coarse(plan, y_n, t_n, hist)
+            interp = build_interpolant(plan.idx_ci, y_n, y_half, hist,
+                                       order, dt)
+            y_next = fine(plan, y_half.copy(), interp, t_n, hist)
+            results.append((y_half, y_next, op.nbrs.mu.copy()))
+        assert np.any(results[0][2] != mu0)  # bonds broke mid-advance
+        for hand, shared in zip(*results):
+            assert np.array_equal(hand, shared)
+
+    def test_mts_instability_reports_stage_and_last_good_step(self):
+        op, labels, y0 = smooth_plate()
+        y = y0.copy()
+        y[:, :2] = 1e-3 * np.random.default_rng(0).normal(size=(len(y), 2))
+        cfg = MtsConfig(order=4, dt=1e3, K=2, labels=labels)  # far unstable
+        with pytest.raises(InstabilityError, match="last good step") as err:
+            mts_run(op, FieldState.from_packed(y, 0.0), cfg, 200)
+        assert err.value.stage is not None
+        assert err.value.last_good_step >= 2  # past the startup steps
+
+    @pytest.mark.parametrize("n_steps, record_every, recorded", [
+        (0, None, [0]), (0, 3, [0]), (7, 3, [0, 3, 6, 7]), (7, None, [0, 7])])
+    def test_drivers_share_cadence_and_on_step(self, n_steps, record_every,
+                                               recorded):
+        op, labels, y0 = smooth_plate()
+        dt = 1e-3
+        state0 = FieldState.from_packed(y0, 0.0)
+        seen = {"upd": [], "mts": []}
+        upd = upd_run(op, state0, dt, n_steps, tableau(4),
+                      record_every=record_every,
+                      on_step=lambda step, t, y: seen["upd"].append((step, t)))
+        mts, _ = mts_run(op, state0, MtsConfig(order=4, dt=dt, K=2,
+                                               labels=labels), n_steps,
+                         record_every=record_every,
+                         on_step=lambda step, t, y: seen["mts"].append((step, t)))
+        assert np.array_equal(upd.times(), mts.times())
+        assert seen["upd"] == seen["mts"]
+        assert seen["mts"] == [(step, step * dt)
+                               for step in range(1, n_steps + 1)]
+        assert np.array_equal(mts.times(), np.array(recorded) * dt)
