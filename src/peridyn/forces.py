@@ -12,6 +12,7 @@ and must not pay for force sums outside the active subdomain.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +227,10 @@ class _Block:
     A row with fewer bonds than the block's widest row is padded with
     force-free bonds: the neighbor is the row itself (so eta = 0), xi is
     the unit vector e0 and the cached length is 1.
+
+    ``coef`` caches the per-slot factor alpha * mu as of the neighbor
+    list's ``version``: the scalar alpha while every slot is alive (alpha
+    times 1.0 is alpha, bit for bit), else the gathered array.
     """
 
     lo: int
@@ -235,6 +240,20 @@ class _Block:
     nbr: np.ndarray     # (S, R) neighbor points
     xi: np.ndarray      # (dim, S, R) reference bond components
     length: np.ndarray  # (S, R) |xi| (nonlinear law) or |xi|**3 (linear)
+    coef: float | np.ndarray = 0.0
+    version: int = -1   # nbrs.version that coef was computed at
+
+    def coefficient(self, nbrs: NeighborList, alpha: float):
+        """alpha * mu over the block's slots, refreshed when mu changed."""
+        if self.version != nbrs.version:
+            mu = np.take(nbrs.mu, self.bond)
+            if np.all(mu == 1.0):
+                self.coef = alpha
+            else:
+                mu *= alpha
+                self.coef = mu
+            self.version = nbrs.version
+        return self.coef
 
 
 @dataclass
@@ -253,7 +272,7 @@ class PDOperator:
 
     Instances are shared, read-only state for the steppers; the only mutable
     piece is the neighbor list's ``mu`` array, written between steps by the
-    damage update.
+    damage update, and the blocks' coefficient caches that follow it.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
@@ -358,11 +377,10 @@ class PDOperator:
                 eta = [np.take(uk, blk.nbr) for uk in u]
                 for ek, uk in zip(eta, u):
                     ek -= uk[blk.rows]
-                coef = np.take(self.nbrs.mu, blk.bond)
-                coef *= self.alpha
                 try:
-                    scale, direction = self._force(blk.xi, eta, blk.length,
-                                                   coef)
+                    scale, direction = self._force(
+                        blk.xi, eta, blk.length,
+                        blk.coefficient(self.nbrs, self.alpha))
                 except BondCollapseError as err:
                     b = int(blk.bond[err.collapsed].min())
                     raise SimulationError(
@@ -388,40 +406,84 @@ class PDOperator:
         return out
 
 
+@dataclass
+class _HalfBonds:
+    """The bonds a damage check covers, each once: ascending ids with
+    ``j > i``, and their endpoints and reference geometry gathered once."""
+
+    ids: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    xi: list            # per component, (bonds,) each
+    xi_norm: np.ndarray
+
+
+def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
+    """The half-bond table of ``bond_mask``, memoized on ``nbrs`` when the
+    mask is None or read-only, so its contents cannot change.  A mask's
+    entry is dropped when the mask is freed, before its id can be reused."""
+    key = None if bond_mask is None else id(bond_mask)
+    table = nbrs.damage_tables.get(key)
+    if table is not None:
+        return table
+    check = nbrs.neighbors > nbrs.bond_i
+    if bond_mask is not None:
+        check &= bond_mask
+    ids = np.flatnonzero(check)
+    xi = np.take(nbrs.xi, ids, axis=0)
+    table = _HalfBonds(ids=ids, i=np.take(nbrs.bond_i, ids),
+                       j=np.take(nbrs.neighbors, ids),
+                       xi=[xi[:, k].copy() for k in range(xi.shape[1])],
+                       xi_norm=np.take(nbrs.xi_norm, ids))
+    if bond_mask is None or not bond_mask.flags.writeable:
+        nbrs.damage_tables[key] = table
+        if bond_mask is not None:
+            weakref.finalize(bond_mask, nbrs.damage_tables.pop, key, None)
+    return table
+
+
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
                   bond_mask: np.ndarray | None = None) -> int:
     """Break every alive bond whose stretch reaches s0 (s >= s0, inclusive).
 
     Both directions of a bond break together; flags never reset.  Returns
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
-    check to a subset of bonds (it must be symmetric under bond reversal).
+    check to a subset of bonds (it must be symmetric under bond reversal);
+    a read-only mask is taken to be static, and its bond table is built once.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's xi and eta are exact negations,
     so its stretch is bitwise the same and checking it would change nothing.
     """
-    check = (nbrs.mu > 0.0) & (nbrs.neighbors > nbrs.bond_i)
-    if bond_mask is not None:
-        check &= bond_mask
-    ids = np.flatnonzero(check)
-    u = np.ascontiguousarray(u)
-    deformed = np.take(u, np.take(nbrs.neighbors, ids), axis=0)
-    deformed -= np.take(u, np.take(nbrs.bond_i, ids), axis=0)
-    deformed += np.take(nbrs.xi, ids, axis=0)
-    # _norm over the column views adds the squares as np.linalg.norm does,
-    # bit for bit, without its (bonds, dim) temporary of squares
-    s = bond_stretch(_norm(deformed.T), np.take(nbrs.xi_norm, ids))
-    return _break_bonds(nbrs, ids[s >= s0])
+    table = _half_bonds(nbrs, bond_mask)
+    deformed = []
+    for k, xi_k in enumerate(table.xi):
+        u_k = np.ascontiguousarray(u[:, k])
+        d_k = np.take(u_k, table.j)
+        d_k -= np.take(u_k, table.i)
+        d_k += xi_k
+        deformed.append(d_k)
+    # _norm adds the squares in component order, as np.linalg.norm does.
+    # Broken bonds are evaluated too; _break_bonds skips them.
+    hit = bond_stretch(_norm(deformed), table.xi_norm) >= s0
+    return _break_bonds(nbrs, table.ids[hit])
 
 
 def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:
     """Break the bonds ``ids`` in both directions; returns the number of
-    undirected bonds that were alive before."""
+    undirected bonds that were alive before.  The one writer of the
+    read-only ``nbrs.mu``: it bumps ``nbrs.version`` when a flag changes."""
     if len(ids) == 0:
         return 0
     both = np.union1d(ids, nbrs.partner[ids])
     newly = both[nbrs.mu[both] > 0.0]
-    nbrs.mu[newly] = 0.0
+    if len(newly):
+        nbrs.mu.flags.writeable = True
+        try:
+            nbrs.mu[newly] = 0.0
+        finally:
+            nbrs.mu.flags.writeable = False
+        nbrs.version += 1
     return len(newly) // 2
 
 

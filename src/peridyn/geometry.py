@@ -62,6 +62,11 @@ class NeighborList:
     index (this fixes the force summation order).  ``partner[b]`` is the
     index of the reversed bond, so symmetric damage updates are O(1).
     ``mu`` is 1.0 for alive bonds and 0.0 once broken; bonds never heal.
+
+    ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
+    one writer, and it bumps ``version`` on every change, so caches derived
+    from ``mu`` know when to refresh.  ``damage_tables`` memoizes the
+    static half-bond tables of ``forces.update_damage``, one per bond mask.
     """
 
     delta: float
@@ -72,10 +77,13 @@ class NeighborList:
     xi_norm: np.ndarray
     partner: np.ndarray
     mu: np.ndarray = field(default=None)  # type: ignore[assignment]
+    version: int = field(default=0, init=False)
+    damage_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.mu is None:
             self.mu = np.ones(len(self.neighbors))
+        self.mu.flags.writeable = False
 
     @property
     def n_points(self) -> int:

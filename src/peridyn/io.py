@@ -28,41 +28,46 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _rows(a: np.ndarray) -> str:
+    """The rows of a 1-D or 2-D float array as lines of space-separated
+    "%.17g" values, _fmt's text, formatted by one template string."""
+    a = np.asarray(a, dtype=float)
+    line = " ".join(["%.17g"] * (a.shape[1] if a.ndim == 2 else 1))
+    return "\n".join([line] * len(a)) % tuple(a.ravel().tolist())
+
+
 def write_vtk(cloud: PointCloud, state: FieldState, damage: np.ndarray,
               path):
     """Legacy ASCII VTK unstructured grid of vertices with point data
     arrays 'displacement', 'velocity' (padded to 3 components) and the
     scalar 'damage'."""
     n = cloud.n_points
-    pos3 = np.zeros((n, 3))
-    pos3[:, :cloud.dim] = cloud.positions
 
     def pad(a):
         out = np.zeros((n, 3))
         out[:, :cloud.dim] = a
         return out
 
-    lines = [
+    parts = [
         "# vtk DataFile Version 3.0",
         "peridyn snapshot",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n} double",
+        _rows(pad(cloud.positions)),
+        f"CELLS {n} {2 * n}",
+        "\n".join([f"1 {i}" for i in range(n)]),
+        f"CELL_TYPES {n}",
+        "\n".join(["1"] * n),
+        f"POINT_DATA {n}",
     ]
-    lines += [" ".join(_fmt(v) for v in row) for row in pos3]
-    lines.append(f"CELLS {n} {2 * n}")
-    lines += [f"1 {i}" for i in range(n)]
-    lines.append(f"CELL_TYPES {n}")
-    lines += ["1"] * n
-    lines.append(f"POINT_DATA {n}")
-    for name, arr in (("displacement", pad(state.u)), ("velocity", pad(state.v))):
-        lines.append(f"VECTORS {name} double")
-        lines += [" ".join(_fmt(v) for v in row) for row in arr]
-    lines.append("SCALARS damage double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines += [_fmt(v) for v in damage]
+    for name, arr in (("displacement", state.u), ("velocity", state.v)):
+        parts += [f"VECTORS {name} double", _rows(pad(arr))]
+    parts += ["SCALARS damage double 1", "LOOKUP_TABLE default",
+              _rows(damage)]
     with open(path, "w") as fp:
-        fp.write("\n".join(lines) + "\n")
+        # an empty cloud has no row lines at all
+        fp.write("\n".join(p for p in parts if p) + "\n")
 
 
 def write_csv(rows, path):

@@ -233,7 +233,11 @@ class TimingReport:
 
 
 class MtsPlan:
-    """Static per-run data: subdomain row sets, operator views, bond masks."""
+    """Static per-run data: subdomain row sets, operator views, bond masks.
+
+    The bond masks are read-only, so update_damage builds the bond table
+    of each once for the run.
+    """
 
     def __init__(self, op, config: MtsConfig, s0: float | None = None):
         config.validate()
@@ -254,6 +258,8 @@ class MtsPlan:
             self.fine_bond_mask = fine_end[op.nbrs.bond_i] | \
                 fine_end[op.nbrs.neighbors]
             self.coarse_bond_mask = ~self.fine_bond_mask
+            self.fine_bond_mask.flags.writeable = False
+            self.coarse_bond_mask.flags.writeable = False
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
@@ -409,8 +415,10 @@ def startup_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
 def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
             s0: float | None = None, record_every: int | None = None,
             on_step=None):
-    """Two startup_steps, then repeated mts_step until t_0 + n_steps * dt,
-    under the step loop the UPD driver uses (integrator.run_steps).
+    """r-2 startup_steps, then repeated mts_step until t_0 + n_steps * dt,
+    under the step loop the UPD driver uses (integrator.run_steps).  With
+    the rates at t_0, the startup leaves the r-1 history levels that the
+    ghost extrapolator and the interpolant read.
 
     Returns (Trajectory, TimingReport).  The trajectory records the initial
     state, every record_every-th step, and the final state, with the UPD
@@ -423,7 +431,7 @@ def mts_run(op, state0: FieldState, config: MtsConfig, n_steps: int,
         history.push(state0.t, op.rates(state0.packed(), state0.t))
 
     def advance(step, y, t_n, t_np1):
-        step_fn = startup_step if step <= 2 else mts_step
+        step_fn = startup_step if step <= plan.tab.r - 2 else mts_step
         return step_fn(plan, y, t_n, t_np1, history, timing)
 
     traj = run_steps(advance, state0, config.dt, n_steps, record_every,

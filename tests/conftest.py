@@ -5,6 +5,23 @@ from peridyn.app import (
     FractureSpec, GeometrySpec, LoadSpec, MaterialSpec, MtsSpec, OutputSpec,
     SimulationConfig, TimeSpec,
 )
+from peridyn.forces import _break_bonds
+
+
+def write_mu(nbrs, broken=(), mu=None):
+    """The tests' one way to change the read-only bond flags ``nbrs.mu``.
+
+    ``broken`` bond ids break in both directions through the damage
+    model's writer.  ``mu``, a whole flag array that may heal bonds, is
+    copied in and bumps ``nbrs.version``, as the damage model would, so
+    the operator's coefficient caches refresh.
+    """
+    _break_bonds(nbrs, np.asarray(broken, dtype=np.int64))
+    if mu is not None:
+        nbrs.mu.flags.writeable = True
+        nbrs.mu[:] = mu
+        nbrs.mu.flags.writeable = False
+        nbrs.version += 1
 
 
 @pytest.fixture

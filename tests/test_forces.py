@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peridyn.app import Scenario
 from peridyn.forces import (
     InstabilityError, Loading, Material, PDOperator, SimulationError,
     bond_stretch, break_precrack_bonds, calibrate_alpha, damage_index,
@@ -9,6 +10,7 @@ from peridyn.forces import (
 from peridyn.geometry import PointCloud, build_grid, build_neighbor_list, \
     classify_subdomains
 from peridyn.mts import MtsConfig, MtsPlan
+from tests.conftest import write_mu
 
 
 def make_cloud(positions, spacing=1.0, volume=1.0, thickness=None):
@@ -323,11 +325,6 @@ def random_state(op, seed):
     return y
 
 
-def break_bonds(nbrs, bonds):
-    for b in bonds:  # both directions, as the damage model breaks them
-        nbrs.mu[[b, nbrs.partner[b]]] = 0.0
-
-
 class TestRatesBitIdentity:
     def assert_views_match(self, op, plan, y):
         views = {"full": op.full_view, "coarse": plan.coarse_view,
@@ -341,13 +338,13 @@ class TestRatesBitIdentity:
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_views_match_reference_formula(self, law):
         op, plan = loaded_plan(law)
-        break_bonds(op.nbrs, (0, 17, 400, 901))
+        write_mu(op.nbrs, (0, 17, 400, 901))
         self.assert_views_match(op, plan, random_state(op, 19))
 
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_views_spanning_row_blocks(self, law):
         op, plan = loaded_plan(law, n=80)
-        break_bonds(op.nbrs, (5, 40_000, 77_777))
+        write_mu(op.nbrs, (5, 40_000, 77_777))
         views = self.assert_views_match(op, plan, random_state(op, 29))
         for name, view in views.items():
             assert len(view.blocks) >= 2, name
@@ -355,7 +352,7 @@ class TestRatesBitIdentity:
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_3d_views_match_reference_formula(self, law):
         op, plan = loaded_plan(law, n=16, dim=3)
-        break_bonds(op.nbrs, (3, 5000, 44_444))
+        write_mu(op.nbrs, (3, 5000, 44_444))
         views = self.assert_views_match(op, plan, random_state(op, 31))
         assert len(views["full"].blocks) >= 2
 
@@ -390,6 +387,84 @@ class TestRatesBitIdentity:
                            match=rf"bond {collapsed[0][0]} -> "
                                  rf"{collapsed[0][1]} collapsed"):
             op.rates(y, 0.0)
+
+
+class TestCaches:
+    """rates caches alpha * mu per row block and update_damage a bond table
+    per static mask; both must follow every change to the bond flags."""
+
+    @staticmethod
+    def row_near(op, x):
+        target = np.array([x] + [0.25] * (op.cloud.dim - 1))
+        return int(np.argmin(np.linalg.norm(op.cloud.positions - target,
+                                            axis=1)))
+
+    @staticmethod
+    def assert_views(op, plan, y):
+        """rates equals the reference on every view, and exactly the blocks
+        holding a broken bond carry a cached coefficient array."""
+        broken = np.flatnonzero(op.nbrs.mu == 0.0)
+        for name, view in (("full", op.full_view),
+                           ("coarse", plan.coarse_view),
+                           ("fine", plan.fine_view)):
+            got = op.rates(y, 0.5, view)
+            assert np.array_equal(got, reference_rates(op, y, view.rows)), name
+            for blk in view.blocks:
+                cached = isinstance(blk.coef, np.ndarray)
+                assert cached == np.isin(blk.bond, broken).any(), name
+                assert cached or blk.coef == op.alpha, name
+
+    @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_rates_follow_breaks(self, law, dim, n):
+        op, plan = loaded_plan(law, n=n, dim=dim)
+        nbrs = op.nbrs
+        y = random_state(op, 41)
+        self.assert_views(op, plan, y)  # all blocks intact
+        # one row on the coarse side and one on the fine side
+        rows = [self.row_near(op, 0.25), self.row_near(op, 0.75)]
+        write_mu(nbrs, [nbrs.offsets[r] + 2 for r in rows])
+        self.assert_views(op, plan, y)  # their blocks flip to cached
+        before = op.rates(y, 0.5)
+        write_mu(nbrs, [nbrs.offsets[r] + 5 for r in rows])
+        self.assert_views(op, plan, y)  # a second break in cached blocks
+        assert not np.array_equal(op.rates(y, 0.5), before)
+
+    def test_mu_is_read_only(self, mini_config):
+        op, _ = loaded_plan()
+        nbrs = op.nbrs
+        with pytest.raises(ValueError, match="read-only"):
+            nbrs.mu[3] = 0.0
+        version = nbrs.version
+        write_mu(nbrs, [3])
+        assert nbrs.version == version + 1
+        write_mu(nbrs, [3])  # already broken: no change, no new version
+        assert nbrs.version == version + 1
+        with pytest.raises(ValueError, match="read-only"):
+            nbrs.mu[:] = 1.0
+        fresh = Scenario(mini_config()).fresh_operator().nbrs
+        with pytest.raises(ValueError, match="read-only"):
+            fresh.mu[0] = 0.0
+
+    def test_writable_mask_is_not_memoized(self):
+        cloud = build_grid(((0, 0), (4, 4)), 1.0, thickness=1.0)
+        nbrs = build_neighbor_list(cloud, 1.5)
+        u = 0.5 * cloud.positions  # every bond stretches by about 0.5
+        left = cloud.positions[:, 0] < 2.0
+        mask = np.zeros(nbrs.n_bonds, dtype=bool)
+        assert update_damage(nbrs, u, 0.25, mask) == 0
+        mask[:] = left[nbrs.bond_i] & left[nbrs.neighbors]  # same object
+        assert update_damage(nbrs, u, 0.25, mask) == mask.sum() // 2 > 0
+        assert np.array_equal(nbrs.mu == 0.0, mask)
+        assert id(mask) not in nbrs.damage_tables
+        # a read-only mask is static: its table is built once
+        static = ~mask
+        static.flags.writeable = False
+        assert update_damage(nbrs, u, 0.25, static) == static.sum() // 2
+        assert id(static) in nbrs.damage_tables
+        assert np.all(nbrs.mu == 0.0)
+        del static  # the table goes with its mask
+        assert not nbrs.damage_tables
 
 
 class TestDamage:
@@ -450,7 +525,7 @@ class TestDamage:
         op, plan = loaded_plan(s0=s0, n=n, dim=dim)
         nbrs = op.nbrs
         bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
-        break_bonds(nbrs, (3, 250, 777))  # must stay uncounted
+        write_mu(nbrs, (3, 250, 777))  # must stay uncounted
         rng = np.random.default_rng(23)
         u = noise * rng.normal(size=(op.cloud.n_points, dim))
         exact = []
@@ -545,7 +620,7 @@ class TestDamageIndex:
     def test_all_broken(self):
         cloud = build_grid(((0, 0), (3, 3)), 1.0, thickness=1.0)
         nbrs = build_neighbor_list(cloud, 1.5)
-        nbrs.mu[:] = 0.0
+        write_mu(nbrs, broken=np.arange(nbrs.n_bonds))
         assert np.all(damage_index(nbrs) == 1.0)
 
     def test_half_broken(self):
@@ -558,7 +633,5 @@ class TestDamageIndex:
         center = 4
         bonds = np.arange(nbrs.offsets[center], nbrs.offsets[center + 1])
         assert len(bonds) == 4
-        for b in bonds[:2]:
-            nbrs.mu[b] = 0.0
-            nbrs.mu[nbrs.partner[b]] = 0.0
+        write_mu(nbrs, broken=bonds[:2])
         assert damage_index(nbrs, center) == pytest.approx(0.5)

@@ -11,6 +11,7 @@ from peridyn.mts import (
     build_interpolant, coarse_advance, estimate_derivatives, fine_advance,
     matrix_A, mts_run, mts_step, startup_step,
 )
+from tests.conftest import write_mu
 from tests.test_forces import make_cloud, random_state, unit_alpha_material
 
 
@@ -368,10 +369,10 @@ class TestStartupAndRun:
         cfg = MtsConfig(order=3, dt=1e-3, K=2, labels=labels)
         traj, timing = mts_run(op, FieldState.from_packed(y0, 0.0), cfg, 7)
         assert traj.final.t == pytest.approx(7e-3, rel=1e-12)
-        # two startup steps; one history push at t_0 and after every step
-        assert timing.entries["startup"][0] == 2
+        # one startup step (r-2); one history push at t_0 and after every step
+        assert timing.entries["startup"][0] == 1
         assert timing.entries["history"][0] == 8
-        assert timing.entries["coarse"][0] == 5
+        assert timing.entries["coarse"][0] == 6
 
     def test_reduction_identity_small(self):
         op, labels_empty, y0 = smooth_plate(fine_frac=0.0)
@@ -486,7 +487,7 @@ class TestSharedStageLoop:
         results = []
         for coarse, fine in ((hand_coarse_advance, hand_fine_advance),
                              (coarse_advance, fine_advance)):
-            op.nbrs.mu[:] = mu0
+            write_mu(op.nbrs, mu=mu0)
             y_half = coarse(plan, y_n, t_n, hist)
             interp = build_interpolant(plan.idx_ci, y_n, y_half, hist,
                                        order, dt)
