@@ -713,21 +713,29 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     bad_k = [K for K in k_list if int(K) != K or K < 1]
     if bad_k:
         problems.append(f"K list: K must be an integer >= 1, got {bad_k[0]}")
+    if reference_dt is not None and not (math.isfinite(reference_dt)
+                                         and reference_dt > 0):
+        problems.append("reference dt: must be positive and finite, "
+                        f"got {reference_dt}")
     if problems:
         raise ConfigError(problems)
     scenario = Scenario(cfg)
     final_time = scenario.final_time
     if final_time <= 0:
         raise ConfigError(["time.n_steps: convergence sweeps need n_steps > 0"])
-    steps = {}
-    for dt in dt_list:
+    if reference_dt is None:
+        reference_dt = min(dt_list) / 16.0
+
+    def step_count(dt, label):
         n = round(final_time / dt)
         if abs(n * dt - final_time) > 1e-9 * final_time:
             raise ConfigError(
-                [f"dt {dt!r} does not divide the final time {final_time!r}"])
-        steps[dt] = n
-    if reference_dt is None:
-        reference_dt = min(dt_list) / 16.0
+                [f"{label} {dt!r} does not divide the final time "
+                 f"{final_time!r}"])
+        return n
+
+    steps = {dt: step_count(dt, "dt") for dt in dt_list}
+    step_count(reference_dt, "reference dt")
 
     tab = tableau(cfg.mts.order)
     reference = reference_solution(scenario, tab, reference_dt,

@@ -1,7 +1,7 @@
 """The `pd` command line: run, converge, compare, validate.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical instability or
-other solver failure, 4 I/O failure.
+other solver failure (running out of memory included), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -112,6 +112,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (InstabilityError, SimulationError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as err:
+        print(f"out of memory: {err or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:
         print(f"I/O failure: {err}", file=sys.stderr)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NeighborList, PointCloud, _concat_ranges
+from .geometry import (HORIZON_TOL, NeighborList, PointCloud, _concat_ranges,
+                       _in_boxes)
 
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
@@ -215,8 +216,10 @@ def _slot_sum(a: np.ndarray) -> np.ndarray:
 
 
 # Padded bond slots per row block of a view.  A block's temporaries in
-# rates (a few arrays of this many doubles) then stay in the L2 cache.
-_BLOCK_SLOTS = 1 << 15
+# rates (a few arrays of this many doubles) then stay in the L2 cache, and
+# each stays under 128 KiB, glibc's default mmap threshold, so the
+# allocator reuses their memory instead of mapping fresh pages per call.
+_BLOCK_SLOTS = 15_000
 
 
 @dataclass
@@ -491,14 +494,21 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
                          segment) -> int:
     """Cut every bond whose open segment crosses the (closed) crack segment.
 
-    2D only.  Returns the number of undirected bonds broken.
+    2D only.  Returns the number of undirected bonds broken.  Only the bonds
+    of points near the segment are tested: a crossing bond is no longer than
+    the horizon, so both its ends lie within it of the crossing point.
     """
     if cloud.dim != 2:
         raise ValueError("pre-cracks are only supported in 2D")
     c = np.asarray(segment[0], dtype=float)
     d = np.asarray(segment[1], dtype=float)
-    a = cloud.positions[nbrs.bond_i]
-    b = cloud.positions[nbrs.neighbors]
+    # twice the neighbor build's reach: the factor absorbs rounding
+    margin = 2.0 * nbrs.delta * (1.0 + HORIZON_TOL)
+    near = np.flatnonzero(_in_boxes(cloud.positions, [
+        (np.minimum(c, d) - margin, np.maximum(c, d) + margin)]))
+    ids = _concat_ranges(nbrs.offsets[near], nbrs.offsets[near + 1])
+    a = cloud.positions[nbrs.bond_i[ids]]
+    b = cloud.positions[nbrs.neighbors[ids]]
 
     def cross(o, p, q):
         return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) \
@@ -511,7 +521,7 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
     # Bond endpoints strictly on opposite sides of the crack line (open bond
     # segment), crossing point within the closed crack segment.
     hits = (d1 * d2 < 0.0) & (d3 * d4 <= 0.0)
-    return _break_bonds(nbrs, np.flatnonzero(hits & (nbrs.mu > 0.0)))
+    return _break_bonds(nbrs, ids[hits & (nbrs.mu[ids] > 0.0)])
 
 
 def damage_index(nbrs: NeighborList, i: int | None = None):

@@ -38,7 +38,9 @@ class PointCloud:
 
     positions has shape (N, dim) in meters; ``volume_per_point`` is the
     common cell volume (m^3).  ``thickness`` is the out-of-plane depth in 2D
-    and None in 3D.  ``bounds`` is the (2, dim) bounding box.
+    and None in 3D.  ``bounds`` is the (2, dim) bounding box.  The points do
+    not move: ``vtk_head`` keeps the static text of the cloud's VTK
+    snapshots once ``io.write_vtk`` has formatted it.
     """
 
     dim: int
@@ -47,6 +49,8 @@ class PointCloud:
     volume_per_point: float
     bounds: np.ndarray
     thickness: float | None = None
+    vtk_head: str | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     @property
     def n_points(self) -> int:
@@ -204,6 +208,10 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     Cost is O(N * neighbors): points are binned into cells of edge >= delta
     and pairs are generated only between adjacent cells.  Points exactly on
     the horizon sphere are kept (relative slack HORIZON_TOL).
+
+    Memory scales with the bonds kept: each cell offset's candidate pairs
+    are checked against the horizon as they are generated, and only the
+    accepted ones are collected.
     """
     if delta < cloud.spacing:
         raise GeometryError(
@@ -239,34 +247,47 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
         src = src[found]
         loc = loc[found]
         starts, stops = uniq_starts[loc], uniq_stops[loc]
-        pair_i.append(np.repeat(src, stops - starts))
-        pair_j.append(order[_concat_ranges(starts, stops)])
+        bi = np.repeat(src, stops - starts)
+        bj = order[_concat_ranges(starts, stops)]
+        # offsets run in a fixed order, so the first coincident pair found
+        # is the first among all candidates
+        dist = np.linalg.norm(pos[bj] - pos[bi], axis=1)
+        other = bi != bj
+        coincident = (dist == 0.0) & other
+        if np.any(coincident):
+            k = np.flatnonzero(coincident)[0]
+            raise GeometryError(
+                f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
+        keep = (dist <= reach) & other
+        pair_i.append(bi[keep])
+        pair_j.append(bj[keep])
 
     bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int64)
+    del pair_i
     bj = np.concatenate(pair_j) if pair_j else np.empty(0, np.int64)
-
-    diff = pos[bj] - pos[bi]
-    dist = np.linalg.norm(diff, axis=1)
-    coincident = (dist == 0.0) & (bi != bj)
-    if np.any(coincident):
-        k = np.flatnonzero(coincident)[0]
-        raise GeometryError(
-            f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
-    keep = (dist <= reach) & (bi != bj)
-    bi, bj, diff, dist = bi[keep], bj[keep], diff[keep], dist[keep]
-
+    del pair_j
+    # each pair is generated once, so the sorted order is unique; the
+    # unsorted arrays are dropped as their sorted copies appear
     sort = np.lexsort((bj, bi))
-    bi, bj, diff, dist = bi[sort], bj[sort], diff[sort], dist[sort]
+    bi = bi[sort]
+    bj = bj[sort]
+    del sort
 
     counts = np.bincount(bi, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
     keys = bi * np.int64(n) + bj
-    partner = np.searchsorted(keys, bj * np.int64(n) + bi)
-    if not np.array_equal(keys[partner], bj * np.int64(n) + bi):
+    reverse = bj * np.int64(n) + bi
+    partner = np.searchsorted(keys, reverse)
+    symmetric = np.array_equal(keys[partner], reverse)
+    del keys, reverse
+    if not symmetric:
         raise GeometryError("neighbor relation is not symmetric (internal error)")
 
+    diff = pos[bj]
+    diff -= pos[bi]
+    dist = np.linalg.norm(diff, axis=1)
     return NeighborList(delta=delta, offsets=offsets, neighbors=bj,
                         bond_i=bi, xi=diff, xi_norm=dist, partner=partner)
 

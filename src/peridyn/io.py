@@ -36,37 +36,48 @@ def _rows(a: np.ndarray) -> str:
     return "\n".join([line] * len(a)) % tuple(a.ravel().tolist())
 
 
+def _pad3(cloud: PointCloud, a: np.ndarray) -> np.ndarray:
+    """A (N, dim) array padded with zero columns to (N, 3)."""
+    out = np.zeros((cloud.n_points, 3))
+    out[:, :cloud.dim] = a
+    return out
+
+
+def _vtk_head(cloud: PointCloud) -> str:
+    """The header, POINTS, CELLS and CELL_TYPES text of a cloud's snapshots,
+    up to and including the POINT_DATA line; formatted once per cloud and
+    kept on it."""
+    if cloud.vtk_head is None:
+        n = cloud.n_points
+        parts = [
+            "# vtk DataFile Version 3.0",
+            "peridyn snapshot",
+            "ASCII",
+            "DATASET UNSTRUCTURED_GRID",
+            f"POINTS {n} double",
+            _rows(_pad3(cloud, cloud.positions)),
+            f"CELLS {n} {2 * n}",
+            "\n".join([f"1 {i}" for i in range(n)]),
+            f"CELL_TYPES {n}",
+            "\n".join(["1"] * n),
+            f"POINT_DATA {n}",
+        ]
+        # an empty cloud has no row lines at all
+        cloud.vtk_head = "\n".join(p for p in parts if p)
+    return cloud.vtk_head
+
+
 def write_vtk(cloud: PointCloud, state: FieldState, damage: np.ndarray,
               path):
     """Legacy ASCII VTK unstructured grid of vertices with point data
     arrays 'displacement', 'velocity' (padded to 3 components) and the
     scalar 'damage'."""
-    n = cloud.n_points
-
-    def pad(a):
-        out = np.zeros((n, 3))
-        out[:, :cloud.dim] = a
-        return out
-
-    parts = [
-        "# vtk DataFile Version 3.0",
-        "peridyn snapshot",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {n} double",
-        _rows(pad(cloud.positions)),
-        f"CELLS {n} {2 * n}",
-        "\n".join([f"1 {i}" for i in range(n)]),
-        f"CELL_TYPES {n}",
-        "\n".join(["1"] * n),
-        f"POINT_DATA {n}",
-    ]
+    parts = [_vtk_head(cloud)]
     for name, arr in (("displacement", state.u), ("velocity", state.v)):
-        parts += [f"VECTORS {name} double", _rows(pad(arr))]
+        parts += [f"VECTORS {name} double", _rows(_pad3(cloud, arr))]
     parts += ["SCALARS damage double 1", "LOOKUP_TABLE default",
               _rows(damage)]
     with open(path, "w") as fp:
-        # an empty cloud has no row lines at all
         fp.write("\n".join(p for p in parts if p) + "\n")
 
 

@@ -686,6 +686,45 @@ class TestRunAndCli:
         assert "configuration error" in err and problem in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reference_dt, problem", [
+        ("0.3e-5", "reference dt 3e-06 does not divide the final time"),
+        ("0", "reference dt: must be positive and finite, got 0.0"),
+        ("nan", "reference dt: must be positive and finite, got nan"),
+        ("-1e-6", "reference dt: must be positive and finite, got -1e-06"),
+    ])
+    def test_cli_converge_bad_reference_dt_exit_2(self, tmp_path, mini_config,
+                                                  capsys, monkeypatch,
+                                                  reference_dt, problem):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the reference dt "
+                                 "was checked")
+
+        for name in ("reference_solution", "run_scheme", "upd_run",
+                     "mts_run"):
+            monkeypatch.setattr(app, name, no_run)
+        path = tmp_path / "mini.cfg"
+        path.write_text(serialize_config(mini_config(n_steps=8)))
+        code = cli.main(["converge", "--config", str(path), "--dt-list",
+                         "1e-5,0.5e-5", "--k-list", "1",
+                         f"--reference-dt={reference_dt}",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and problem in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 5.24 GiB")
+
+        monkeypatch.setattr(app, "Scenario", no_memory)
+        code = cli.main(["run", "--config", "plate2d",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 5.24 GiB")
+        assert "Traceback" not in err
+
     def test_cli_ignores_pd_threads(self, monkeypatch):
         monkeypatch.setenv("PD_THREADS", "two")
         assert cli.main(["validate", "--config", "plate2d"]) == 0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from peridyn.app import Scenario
+from peridyn import forces
+from peridyn.app import Scenario, preset_config
 from peridyn.forces import (
     InstabilityError, Loading, Material, PDOperator, SimulationError,
     bond_stretch, break_precrack_bonds, calibrate_alpha, damage_index,
@@ -609,6 +610,115 @@ class TestPrecrack:
         phi = damage_index(nbrs).reshape(100, 100)
         np.testing.assert_array_equal(phi, phi[:, ::-1])
         assert phi.max() > 0
+
+
+def all_bond_precrack_mu(cloud, nbrs, segment):
+    """The bond flags after the pre-crack, by the crossing predicate over
+    every bond of the list (the cut as it was); ``nbrs`` is left as is."""
+    c = np.asarray(segment[0], dtype=float)
+    d = np.asarray(segment[1], dtype=float)
+    a = cloud.positions[nbrs.bond_i]
+    b = cloud.positions[nbrs.neighbors]
+
+    def cross(o, p, q):
+        return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) \
+            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0])
+
+    hits = (cross(c, d, a) * cross(c, d, b) < 0.0) \
+        & (cross(a, b, c) * cross(a, b, d) <= 0.0)
+    ids = np.flatnonzero(hits & (nbrs.mu > 0.0))
+    mu = nbrs.mu.copy()
+    mu[np.union1d(ids, nbrs.partner[ids])] = 0.0
+    return mu
+
+
+class TestNearCrackCut:
+    """break_precrack_bonds tests only the bonds near the segment; the flags
+    must equal the all-bond predicate's."""
+
+    @staticmethod
+    def assert_same_cut(cloud, nbrs, segment):
+        want = all_bond_precrack_mu(cloud, nbrs, segment)
+        before = np.count_nonzero(nbrs.mu == 0.0)
+        count = break_precrack_bonds(cloud, nbrs, segment)
+        assert nbrs.mu.tobytes() == want.tobytes()
+        assert 2 * count == np.count_nonzero(want == 0.0) - before
+        return count
+
+    def test_crack2d_preset(self):
+        cfg = preset_config("crack2d")
+        g = cfg.geometry
+        cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
+        nbrs = build_neighbor_list(cloud, cfg.delta)
+        assert self.assert_same_cut(cloud, nbrs, cfg.fracture.precrack) == 360
+
+    @pytest.fixture
+    def plate(self):
+        cloud = build_grid(((0, 0), (1.5, 1.0)), 0.05, thickness=0.01)
+        return cloud, 3.015 * 0.05
+
+    def test_random_segments(self, plate):
+        cloud, delta = plate
+        rng = np.random.default_rng(11)
+        total = 0
+        for _ in range(25):
+            nbrs = build_neighbor_list(cloud, delta)
+            ends = rng.uniform(-0.3, 1.8, size=(2, 2))
+            total += self.assert_same_cut(cloud, nbrs, (ends[0], ends[1]))
+        assert total > 0
+
+    def test_segment_tip_at_a_point(self, plate):
+        cloud, delta = plate
+        p = cloud.positions
+        for tip, other in ((p[212], p[212] + (0.4, 0.13)),
+                           (p[305], p[40]), (p[0], p[-1])):
+            nbrs = build_neighbor_list(cloud, delta)
+            assert self.assert_same_cut(cloud, nbrs, (tip, other)) > 0
+
+    def test_segment_along_lattice_lines(self, plate):
+        cloud, delta = plate
+        row = cloud.positions[cloud.positions[:, 1] == cloud.positions[45, 1]]
+        col = cloud.positions[cloud.positions[:, 0] == cloud.positions[45, 0]]
+        for segment in ((row[3], row[17]), (col[2], col[-1]),
+                        ((0.2, 0.5), (1.1, 0.5)),  # between two rows
+                        (cloud.positions[0], cloud.positions[-1])):
+            nbrs = build_neighbor_list(cloud, delta)
+            assert self.assert_same_cut(cloud, nbrs, segment) > 0
+
+
+class TestBlockSize:
+    def test_block_temporaries_under_mmap_threshold(self):
+        # glibc maps allocations of 128 KiB and more by default
+        assert forces._BLOCK_SLOTS * 8 < 128 * 1024
+
+    @staticmethod
+    def assert_blocks_bounded(view, limit):
+        rows = 0
+        for blk in view.blocks:
+            assert blk.bond.size <= limit or blk.hi - blk.lo == 1
+            assert blk.lo == rows
+            rows = blk.hi
+        assert rows == len(view.rows)
+
+    @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
+    def test_views_hold_at_most_block_slots(self, dim, n):
+        op, plan = loaded_plan(n=n, dim=dim)
+        for view in (op.full_view, plan.coarse_view, plan.fine_view):
+            assert len(view.blocks) >= 2
+            self.assert_blocks_bounded(view, forces._BLOCK_SLOTS)
+
+    def test_row_wider_than_a_block(self, monkeypatch):
+        # 28-bond rows against 10-slot blocks: one row per block, same bits
+        op, plan = loaded_plan()
+        y = random_state(op, 43)
+        write_mu(op.nbrs, (0, 17, 400, 901))
+        monkeypatch.setattr(forces, "_BLOCK_SLOTS", 10)
+        for rows in (op.full_view.rows, plan.fine_view.rows):
+            view = op.make_view(rows)
+            assert all(blk.hi - blk.lo == 1 for blk in view.blocks)
+            self.assert_blocks_bounded(view, 10)
+            got = op.rates(y, 0.5, view)
+            assert np.array_equal(got, reference_rates(op, y, rows))
 
 
 class TestDamageIndex:

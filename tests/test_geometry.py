@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peridyn.app import preset_config
 from peridyn.geometry import (
-    GeometryError, LABEL_C, LABEL_CI, LABEL_F, LABEL_FI, PointCloud,
-    build_grid, build_neighbor_list, classify_subdomains, select_layer,
+    GeometryError, HORIZON_TOL, LABEL_C, LABEL_CI, LABEL_F, LABEL_FI,
+    NeighborList, PointCloud, _concat_ranges, build_grid, build_neighbor_list,
+    classify_subdomains, select_layer,
 )
+from tests.test_forces import make_cloud
 
 
 def row_cloud(n=10, dx=1.0):
@@ -26,6 +31,89 @@ def brute_force_neighbors(positions, delta):
         out.append(set(np.flatnonzero((d <= delta * (1 + 1e-12)) &
                                       (np.arange(n) != i))))
     return out
+
+
+def all_candidates_builder(cloud, delta):
+    """The neighbor-list builder as it was: every cell-pair candidate is
+    generated with its bond vector and length first, then the horizon, self
+    and coincident-point checks run over all of them."""
+    if delta < cloud.spacing:
+        raise GeometryError(
+            f"horizon {delta} is degenerate: smaller than spacing {cloud.spacing}")
+    pos = cloud.positions
+    n = cloud.n_points
+    dim = cloud.dim
+    reach = delta * (1.0 + HORIZON_TOL)
+
+    cell_size = reach * (1.0 + 1e-9)
+    cells = np.floor((pos - pos.min(axis=0)) / cell_size).astype(np.int64)
+    dims = cells.max(axis=0) + 1
+    cell_id = np.ravel_multi_index(cells.T, dims)
+    order = np.argsort(cell_id, kind="stable")
+    sorted_ids = cell_id[order]
+    uniq_ids, uniq_starts = np.unique(sorted_ids, return_index=True)
+    uniq_stops = np.append(uniq_starts[1:], n)
+
+    pair_i = []
+    pair_j = []
+    offsets_nd = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim),
+                                      indexing="ij"), axis=-1).reshape(-1, dim)
+    for off in offsets_nd:
+        target = cells + off
+        valid = np.all((target >= 0) & (target < dims), axis=1)
+        src = np.flatnonzero(valid)
+        if not len(src):
+            continue
+        tgt_id = np.ravel_multi_index(target[src].T, dims)
+        loc = np.searchsorted(uniq_ids, tgt_id)
+        found = (loc < len(uniq_ids))
+        found[found] &= uniq_ids[loc[found]] == tgt_id[found]
+        src = src[found]
+        loc = loc[found]
+        starts, stops = uniq_starts[loc], uniq_stops[loc]
+        pair_i.append(np.repeat(src, stops - starts))
+        pair_j.append(order[_concat_ranges(starts, stops)])
+
+    bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int64)
+    bj = np.concatenate(pair_j) if pair_j else np.empty(0, np.int64)
+
+    diff = pos[bj] - pos[bi]
+    dist = np.linalg.norm(diff, axis=1)
+    coincident = (dist == 0.0) & (bi != bj)
+    if np.any(coincident):
+        k = np.flatnonzero(coincident)[0]
+        raise GeometryError(
+            f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
+    keep = (dist <= reach) & (bi != bj)
+    bi, bj, diff, dist = bi[keep], bj[keep], diff[keep], dist[keep]
+
+    sort = np.lexsort((bj, bi))
+    bi, bj, diff, dist = bi[sort], bj[sort], diff[sort], dist[sort]
+
+    counts = np.bincount(bi, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+
+    keys = bi * np.int64(n) + bj
+    partner = np.searchsorted(keys, bj * np.int64(n) + bi)
+    if not np.array_equal(keys[partner], bj * np.int64(n) + bi):
+        raise GeometryError("neighbor relation is not symmetric (internal error)")
+
+    return NeighborList(delta=delta, offsets=offsets, neighbors=bj,
+                        bond_i=bi, xi=diff, xi_norm=dist, partner=partner)
+
+
+def assert_same_bytes(cloud, delta):
+    """build_neighbor_list equals the all-candidates builder byte for byte;
+    returns the list."""
+    got = build_neighbor_list(cloud, delta)
+    want = all_candidates_builder(cloud, delta)
+    for name in ("offsets", "neighbors", "bond_i", "xi", "xi_norm",
+                 "partner", "mu"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    return got
 
 
 class TestBuildGrid:
@@ -140,6 +228,70 @@ class TestNeighborList:
                            bounds=np.array([[0., 0.], [1., 0.]]))
         with pytest.raises(GeometryError, match="coincide"):
             build_neighbor_list(cloud, 1.5)
+
+
+class TestStreamedBuild:
+    """The neighbor list is built offset by offset, keeping only accepted
+    pairs; every array must equal the all-candidates builder's."""
+
+    @pytest.mark.parametrize("box, dx, ratio", [
+        (((0, 0), (1.3, 0.7)), 0.05, 3.0),
+        (((0, 0), (1.3, 0.7)), 0.05, 3.3),
+        (((-0.2, 0.1), (0.5, 1.6)), 0.1, 2.05),
+        (((0, 0), (0.05, 0.05)), 5e-4, 3.0),
+        (((0, 0, 0), (0.6, 0.4, 0.3)), 0.05, 3.0),
+        (((0, 0, 0), (0.6, 0.4, 0.3)), 0.05, 2.7),
+        (((0, 0, 0), (0.3, 0.9, 0.2)), 0.1, 1.6),
+    ])
+    def test_grids_match_all_candidates_builder(self, box, dx, ratio):
+        thickness = 0.01 if len(box[0]) == 2 else None
+        cloud = build_grid(box, dx, thickness=thickness)
+        nbrs = assert_same_bytes(cloud, ratio * dx)
+        assert nbrs.n_bonds > 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_clouds_match_all_candidates_builder(self, dim):
+        rng = np.random.default_rng(7 + dim)
+        for _ in range(4):
+            n = int(rng.integers(50, 400))
+            extent = rng.uniform(0.5, 3.0, size=dim)
+            cloud = make_cloud(rng.uniform(0.0, 1.0, size=(n, dim)) * extent,
+                               spacing=0.01)
+            assert_same_bytes(cloud, rng.uniform(0.2, 0.8))
+
+    def test_horizon_shell_within_tolerance(self):
+        # points 3 apart: kept while 3 <= delta * (1 + HORIZON_TOL)
+        cloud = row_cloud()
+        inside = assert_same_bytes(cloud, 3.0 / (1.0 + 0.5 * HORIZON_TOL))
+        assert 8 in set(inside.neighbors_of(5))
+        outside = assert_same_bytes(cloud, 3.0 / (1.0 + 2.0 * HORIZON_TOL))
+        assert set(outside.neighbors_of(5)) == {3, 4, 6, 7}
+
+    def test_coincident_error_names_first_candidate(self):
+        # three coincident pairs in different cells
+        pos = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [3.0, 0.0],
+                        [0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
+        cloud = make_cloud(pos, spacing=0.01)
+        with pytest.raises(GeometryError) as want:
+            all_candidates_builder(cloud, 1.2)
+        with pytest.raises(GeometryError) as got:
+            build_neighbor_list(cloud, 1.2)
+        assert "coincide" in str(got.value)
+        assert str(got.value) == str(want.value)
+
+    def test_desk_crack2d_peak_memory(self):
+        # the kept list is 14.7 MiB; the all-candidates build peaked at 61
+        cfg = preset_config("crack2d")
+        g = cfg.geometry
+        cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
+        tracemalloc.start()
+        try:
+            nbrs = build_neighbor_list(cloud, cfg.delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nbrs.n_bonds == 272_836
+        assert peak <= 25 * 2 ** 20
 
 
 class TestClassifySubdomains:

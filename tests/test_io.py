@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from peridyn import io as pio
 from peridyn.forces import FieldState
-from peridyn.io import write_vtk
+from peridyn.io import _rows, write_vtk
 from tests.test_forces import make_cloud
 
 # Values whose text is easy to get wrong: signed zero, the smallest
@@ -74,3 +75,28 @@ def test_write_vtk_matches_per_float_writer(tmp_path, dim, n, seed):
     if n >= len(SPECIAL):
         words = set(new.split())
         assert {b"-0", b"4.9406564584124654e-324", b"-1e+308"} <= words
+
+
+def test_static_text_cached_per_cloud(tmp_path, monkeypatch):
+    # two snapshots of one cloud, then one of another cloud of the same size
+    rng = np.random.default_rng(5)
+    first = make_cloud(rng.uniform(-1.0, 1.0, size=(40, 2)))
+    second = make_cloud(rng.uniform(-1.0, 1.0, size=(40, 2)))
+    formatted = []
+
+    def rows(a):
+        formatted.append(len(a))
+        return _rows(a)
+
+    monkeypatch.setattr(pio, "_rows", rows)
+    for k, cloud in enumerate((first, first, second)):
+        state = FieldState(u=random_field(rng, 40, 2),
+                           v=random_field(rng, 40, 2), t=0.5 * k)
+        damage = rng.uniform(size=40)
+        formatted.clear()
+        write_vtk(cloud, state, damage, tmp_path / f"new{k}.vtk")
+        # positions, u, v and damage; the second snapshot reuses positions
+        assert len(formatted) == (3 if k == 1 else 4)
+        per_float_vtk(cloud, state, damage, tmp_path / f"old{k}.vtk")
+        assert (tmp_path / f"new{k}.vtk").read_bytes() == \
+            (tmp_path / f"old{k}.vtk").read_bytes()
