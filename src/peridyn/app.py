@@ -449,32 +449,43 @@ def serialize_config(cfg: SimulationConfig) -> str:
 # ---------------------------------------------------------------------------
 # presets
 
-def _plate2d(paper_scale: bool) -> SimulationConfig:
-    # Full scale: E = 1.92e11, 100x50 mesh, delta = 0.03, load 2e8 * W / d.
-    # Desk scale softens E by 100x so the mandated dt sweep (1e-5 s down)
-    # stays inside the RK3 stability region on the 40x20 mesh.
-    dx = 0.01 if paper_scale else 0.025
-    E = 1.92e11 if paper_scale else 1.92e9
+def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
+                 nu: float, thickness: float | None) -> SimulationConfig:
+    """The plate2d/block3d scenario: a linear body from the origin to
+    ``box_max`` (x length 1.0) under a y body force b = 2e8 * 1.0 / 0.01 in
+    a layer max(dx, 0.01) deep at x = 1, with the fine region the last two
+    horizons (delta = 3 dx) in x; 40 steps of 1e-5 s, MTS order 4, K = 2."""
     delta = 3 * dx
-    thickness = 0.01
-    layer_w = max(dx, thickness)
-    b_p = 2.0e8 * 1.0 / thickness
+    layer_w = max(dx, 0.01)
+    b_p = 2.0e8 * 1.0 / 0.01
+    origin = (0.0,) * len(box_max)
+    far = (1.0,) + tuple(box_max[1:])
     fine_lo = 1.0 - 2 * delta
     return SimulationConfig(
-        name="plate2d",
-        geometry=GeometrySpec(box_min=(0.0, 0.0), box_max=(1.0, 0.5),
+        name=name,
+        geometry=GeometrySpec(box_min=origin, box_max=box_max,
                               dx=dx, thickness=thickness),
-        material=MaterialSpec(E=E, nu=1.0 / 3.0, rho=8000.0),
+        material=MaterialSpec(E=E, nu=nu, rho=8000.0),
         delta=delta, law="linear",
         loads=[LoadSpec(kind="body_force",
-                        box=((1.0 - layer_w, 0.0), (1.0, 0.5)),
-                        value=(0.0, b_p))],
+                        box=((1.0 - layer_w,) + origin[1:], far),
+                        value=(0.0, b_p) + origin[2:])],
         fracture=FractureSpec(enabled=False),
         time=TimeSpec(dt=1.0e-5, n_steps=40),
         mts=MtsSpec(scheme="mts", order=4, K=2,
-                    fine_boxes=[((fine_lo, 0.0), (1.0, 0.5))]),
+                    fine_boxes=[((fine_lo,) + origin[1:], far)]),
         output=OutputSpec(directory="out", cadence=0, formats=("csv",)),
         error_component="y")
+
+
+def _plate2d(paper_scale: bool) -> SimulationConfig:
+    # Full scale: E = 1.92e11, 100x50 mesh, delta = 0.03, load 2e8 * W / d
+    # (d = 0.01, the plate's thickness).  Desk scale softens E by 100x so
+    # the mandated dt sweep (1e-5 s down) stays inside the RK3 stability
+    # region on the 40x20 mesh.
+    dx, E = (0.01, 1.92e11) if paper_scale else (0.025, 1.92e9)
+    return _loaded_body("plate2d", (1.0, 0.5), dx, E, 1.0 / 3.0,
+                        thickness=0.01)
 
 
 def _block3d(paper_scale: bool) -> SimulationConfig:
@@ -482,32 +493,10 @@ def _block3d(paper_scale: bool) -> SimulationConfig:
     # 2.0e5 MPa.  Desk scale reshapes to 1.0 x 0.5 x 0.5 so dx = 0.05
     # tiles a 20x10x10 mesh, and softens E by 100x (stability, as above).
     if paper_scale:
-        box_max = (1.0, 0.3, 0.3)
-        dx = 0.01
-        E = 2.0e11
+        box_max, dx, E = (1.0, 0.3, 0.3), 0.01, 2.0e11
     else:
-        box_max = (1.0, 0.5, 0.5)
-        dx = 0.05
-        E = 2.0e9
-    delta = 3 * dx
-    layer_w = max(dx, 0.01)
-    b_p = 2.0e8 * 1.0 / 0.01
-    fine_lo = 1.0 - 2 * delta
-    return SimulationConfig(
-        name="block3d",
-        geometry=GeometrySpec(box_min=(0.0, 0.0, 0.0), box_max=box_max,
-                              dx=dx, thickness=None),
-        material=MaterialSpec(E=E, nu=0.25, rho=8000.0),
-        delta=delta, law="linear",
-        loads=[LoadSpec(kind="body_force",
-                        box=((1.0 - layer_w, 0.0, 0.0), (1.0,) + box_max[1:]),
-                        value=(0.0, b_p, 0.0))],
-        fracture=FractureSpec(enabled=False),
-        time=TimeSpec(dt=1.0e-5, n_steps=40),
-        mts=MtsSpec(scheme="mts", order=4, K=2,
-                    fine_boxes=[((fine_lo, 0.0, 0.0), (1.0,) + box_max[1:])]),
-        output=OutputSpec(directory="out", cadence=0, formats=("csv",)),
-        error_component="y")
+        box_max, dx, E = (1.0, 0.5, 0.5), 0.05, 2.0e9
+    return _loaded_body("block3d", box_max, dx, E, 0.25, thickness=None)
 
 
 def _crack2d(paper_scale: bool) -> SimulationConfig:

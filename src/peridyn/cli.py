@@ -12,7 +12,7 @@ import sys
 
 from .app import ConfigError, PRESETS, apply_overrides, compare, converge, \
     parse_config, run, serialize_config
-from .forces import InstabilityError, SimulationError
+from .forces import SimulationError
 from .geometry import GeometryError
 
 EXIT_OK = 0
@@ -78,10 +78,6 @@ def main(argv=None) -> int:
             parse_config(args.config, paper_scale=args.paper_scale),
             **{name: getattr(args, name, None)
                for name in ("scheme", "order", "dt", "K", "out")})
-    except (ConfigError, GeometryError) as err:
-        print(f"configuration error:\n{err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if args.command == "validate":
             sys.stdout.write(serialize_config(cfg))
             return EXIT_OK
@@ -110,7 +106,7 @@ def main(argv=None) -> int:
     except (ConfigError, GeometryError) as err:
         print(f"configuration error:\n{err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InstabilityError, SimulationError) as err:
+    except SimulationError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as err:

@@ -114,7 +114,6 @@ class SubdomainLabels:
     """
 
     labels: np.ndarray
-    fine_boxes: list
 
     @property
     def fine_mask(self) -> np.ndarray:
@@ -320,7 +319,7 @@ def classify_subdomains(cloud: PointCloud, nbrs: NeighborList,
     labels[~fine & has_fine_nbr] = LABEL_CI
     labels[fine] = LABEL_F
     labels[fine & has_coarse_nbr] = LABEL_FI
-    return SubdomainLabels(labels=labels, fine_boxes=list(fine_boxes))
+    return SubdomainLabels(labels=labels)
 
 
 def select_layer(cloud: PointCloud, region) -> np.ndarray:

@@ -75,15 +75,21 @@ def combine(y, dt: float, coeffs, rates):
 
     Zero coefficients are skipped; both the plain stepper and the MTS
     subdomain advances call this, so their arithmetic is bit-identical.
+    The sum accumulates in place in the first term's fresh array.
     """
     acc = None
     for coef, rate in zip(coeffs, rates):
         if coef == 0.0:
             continue
-        acc = coef * rate if acc is None else acc + coef * rate
+        if acc is None:
+            acc = coef * rate
+        else:
+            acc += coef * rate
     if acc is None:
         return y.copy()
-    return y + dt * acc
+    acc *= dt
+    acc += y  # a scalar acc (0-d rates) rebinds to a fresh array of y's shape
+    return acc
 
 
 def stages(tab: ButcherTableau, y, dt: float, stage_rate, rate0=None):

@@ -16,6 +16,9 @@ One coarse step from t_n to t_{n+1} runs three phases:
    stage evaluations at FI points read their CI neighbors through the
    interpolant at the exact stage times.
 
+Phases 1 and 3 run one substep loop in place on one full-domain array,
+so a coarse step copies the state once.
+
 With K = 1 and a single (all-coarse) subdomain, every phase reduces to a
 plain whole-domain step and the trajectory is bit-identical to the UPD
 driver.
@@ -187,6 +190,16 @@ class OperatorHistory:
         return self._entries[-1 - back][1]
 
 
+def _history_levels(history: OperatorHistory, r: int, idx) -> list:
+    """The rates at t_n, t_{n-1}, ... (the r-1 levels order r reads) at the
+    points ``idx``."""
+    if len(history) < r - 1:
+        raise SimulationError(
+            f"insufficient operator history: have {len(history)}, "
+            f"need {r - 1} (was startup skipped?)")
+    return [history.values(back)[idx] for back in range(r - 1)]
+
+
 def build_interpolant(indices, y_n, y_np1, history: OperatorHistory,
                       r: int, dt: float) -> Interpolant:
     """Interpolant for the CI points from the completed coarse step.
@@ -194,18 +207,13 @@ def build_interpolant(indices, y_n, y_np1, history: OperatorHistory,
     ``y_n``/``y_np1`` are full-domain packed states; ``history`` must hold
     the rate at t_n (newest) plus r-2 older levels.
     """
-    if len(history) < r - 1:
-        raise SimulationError(
-            f"insufficient operator history: have {len(history)}, "
-            f"need {r - 1} (was startup skipped?)")
     idx = np.asarray(indices, dtype=np.int64)
-    L_n = history.values(0)[idx]
-    L_nm1 = history.values(1)[idx]
-    L_nm2 = history.values(2)[idx] if r == 4 else None
-    f = assemble_f(r, dt, y_n[idx], y_np1[idx], L_n, L_nm1, L_nm2)
+    levels = _history_levels(history, r, idx)
+    y0 = y_n[idx]
+    f = assemble_f(r, dt, y0, y_np1[idx], *levels)
     d = estimate_derivatives(matrix_A(r, dt), f)
-    return Interpolant(t0=history.t_at(0), dt=dt, indices=idx,
-                       y0=y_n[idx].copy(), L0=L_n.copy(), d=d)
+    return Interpolant(t0=history.t_at(0), dt=dt, indices=idx, y0=y0,
+                       L0=levels[0], d=d)
 
 
 class TimingReport:
@@ -250,11 +258,11 @@ class MtsPlan:
         self.rows_f = labels.omega_hat_f
         self.idx_fi = labels.indices(LABEL_FI)
         self.idx_ci = labels.indices(LABEL_CI)
-        self.coarse_view = op.make_view(self.rows_c) if len(self.rows_c) else None
-        self.fine_view = op.make_view(self.rows_f) if len(self.rows_f) else None
+        self.coarse_view = op.make_view(self.rows_c)
+        self.fine_view = op.make_view(self.rows_f)
         self.fine_bond_mask = self.coarse_bond_mask = None
         if s0 is not None:
-            fine_end = labels.labels <= LABEL_FI
+            fine_end = labels.fine_mask
             self.fine_bond_mask = fine_end[op.nbrs.bond_i] | \
                 fine_end[op.nbrs.neighbors]
             self.coarse_bond_mask = ~self.fine_bond_mask
@@ -263,37 +271,72 @@ class MtsPlan:
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
-    """Taylor extrapolator for FI-point values at coarse stage times.
+    """Taylor extrapolator ``ghost(tau)`` for the FI-point values at
+    t_n + tau.
 
     Derivatives of the rates come from backward differences over the
     history; order 4 uses the three-level second-order difference for L'
     so the ghost values stay O(dt^4) accurate.
     """
     fi = plan.idx_fi
-    if len(fi) == 0:
-        return None
-    r = plan.tab.r
     dt = plan.config.dt
-    if len(history) < r - 1:
-        raise SimulationError(
-            f"insufficient operator history: have {len(history)}, need {r - 1}")
-    y0 = y_n[fi]
-    L0 = history.values(0)[fi]
-    L1 = history.values(1)[fi]
-    if r == 3:
-        d1 = (L0 - L1) / dt
-
-        def ghost(tau: float) -> np.ndarray:
-            return y0 + tau * L0 + (0.5 * tau * tau) * d1
+    levels = _history_levels(history, plan.tab.r, fi)
+    L0, L1 = levels[:2]
+    if plan.tab.r == 3:
+        d = ((L0 - L1) / dt,)
     else:
-        L2 = history.values(2)[fi]
-        d1 = (3.0 * L0 - 4.0 * L1 + L2) / (2.0 * dt)
-        d2 = (L0 - 2.0 * L1 + L2) / (dt * dt)
+        L2 = levels[2]
+        d = ((3.0 * L0 - 4.0 * L1 + L2) / (2.0 * dt),
+             (L0 - 2.0 * L1 + L2) / (dt * dt))
+    y0 = y_n[fi]
 
-        def ghost(tau: float) -> np.ndarray:
-            return y0 + tau * L0 + (0.5 * tau * tau) * d1 \
-                + (tau ** 3 / 6.0) * d2
+    def ghost(tau: float) -> np.ndarray:
+        out = y0 + tau * L0
+        for coef, d_j in zip((0.5 * tau * tau, tau ** 3 / 6.0), d):
+            out = out + coef * d_j
+        return out
     return ghost
+
+
+def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
+              t_n: float, dt: float, n_sub: int, history: OperatorHistory,
+              bond_mask=None):
+    """Advance ``y[rows]`` in place by n_sub RK substeps of size dt from t_n.
+
+    Each stage first sets the other side's boundary rows ``layer`` to
+    ``boundary(t_k, tau)``, their value at t_k + tau (t_k starts the
+    substep).  Each substep ends with a damage check of ``bond_mask``, when
+    given.  ``layer`` is restored on return, so only ``rows`` change.
+    """
+    if len(rows) == 0:
+        return
+    tab = plan.tab
+    saved = y[layer]
+
+    def set_layer(t_k, tau):
+        if len(layer):
+            y[layer] = boundary(t_k, tau)
+
+    y_rows = y[rows]
+    rate0 = history.values(0)[rows]
+    for k in range(n_sub):
+        t_k = t_n + k * dt
+
+        def stage_rate(j, y_j):
+            tau = tab.c[j] * dt
+            y[rows] = y_j
+            set_layer(t_k, tau)
+            return plan.op.rates(y, t_k + tau, view=view)
+
+        y_rows, _ = stages(tab, y_rows, dt, stage_rate,
+                           rate0=rate0 if k == 0 else None)
+        if bond_mask is not None:
+            y[rows] = y_rows
+            set_layer(t_k, dt)
+            update_damage(plan.op.nbrs, y[:, :plan.op.cloud.dim], plan.s0,
+                          bond_mask=bond_mask)
+    y[rows] = y_rows
+    y[layer] = saved
 
 
 def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
@@ -301,71 +344,31 @@ def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
     """One RK step of size dt on the coarse side (C plus CI rows).
 
     Returns a fresh full-domain array whose coarse rows hold t_{n+1} values
-    and whose fine rows are untouched; the CI rows double as the predicted
+    and whose fine rows equal ``y_n``'s; the CI rows double as the predicted
     U^{n+1} the interpolant construction needs.  Stage evaluations at CI
     points see FI neighbors through the Taylor ghost extrapolator.
     """
-    out = y_n.copy()
-    rows = plan.rows_c
-    if len(rows) == 0:
-        return out
-    tab = plan.tab
-    dt = plan.config.dt
+    y = y_n.copy()
     ghost = _fi_ghost(plan, y_n, history)
-    scratch = y_n.copy()
-
-    def stage_rate(j, y_rows):
-        scratch[rows] = y_rows
-        if ghost is not None:
-            scratch[plan.idx_fi] = ghost(tab.c[j] * dt)
-        return plan.op.rates(scratch, t_n + tab.c[j] * dt,
-                             view=plan.coarse_view)
-
-    out[rows], _ = stages(tab, y_n[rows], dt, stage_rate,
-                          rate0=history.values(0)[rows])
-    return out
+    _substeps(plan, y, plan.rows_c, plan.coarse_view, plan.idx_fi,
+              lambda _t_k, tau: ghost(tau), t_n, plan.config.dt, 1, history)
+    return y
 
 
-def fine_advance(plan: MtsPlan, y_half: np.ndarray,
-                 interp: Interpolant | None, t_n: float,
-                 history: OperatorHistory) -> np.ndarray:
+def fine_advance(plan: MtsPlan, y_half: np.ndarray, interp: Interpolant,
+                 t_n: float, history: OperatorHistory) -> np.ndarray:
     """K RK substeps of size dt/K on the fine side (F plus FI rows).
 
     ``y_half`` is the coarse_advance result; its fine rows still hold t_n
-    values and are advanced in place.  CI neighbor values at every substep
-    stage time come from the interpolant.  Bonds touching the fine side are
-    damage-checked after each substep when fracture is on.
+    values and are advanced in place, and its coarse rows are left as they
+    are.  CI neighbor values at every substep stage time come from the
+    interpolant.  Bonds touching the fine side are damage-checked after
+    each substep when fracture is on.
     """
-    rows = plan.rows_f
-    if len(rows) == 0:
-        return y_half
-    tab = plan.tab
-    dt_k = plan.config.dt / plan.config.K
-    scratch = y_half.copy()
-    y_cur = y_half[rows]
-
-    def fill(y_rows, t):
-        """scratch with the fine rows at y_rows and the CI rows at t."""
-        scratch[rows] = y_rows
-        if interp is not None:
-            scratch[plan.idx_ci] = interp.evaluate(t)
-        return scratch
-
-    for k in range(plan.config.K):
-        t_k = t_n + k * dt_k
-
-        def stage_rate(j, y_rows):
-            stage_t = t_k + tab.c[j] * dt_k
-            return plan.op.rates(fill(y_rows, stage_t), stage_t,
-                                 view=plan.fine_view)
-
-        y_cur, _ = stages(tab, y_cur, dt_k, stage_rate,
-                          rate0=history.values(0)[rows] if k == 0 else None)
-        if plan.s0 is not None:
-            u = fill(y_cur, t_k + dt_k)[:, :plan.op.cloud.dim]
-            update_damage(plan.op.nbrs, u, plan.s0,
-                          bond_mask=plan.fine_bond_mask)
-    y_half[rows] = y_cur
+    K = plan.config.K
+    _substeps(plan, y_half, plan.rows_f, plan.fine_view, plan.idx_ci,
+              lambda t_k, tau: interp.evaluate(t_k + tau), t_n,
+              plan.config.dt / K, K, history, plan.fine_bond_mask)
     return y_half
 
 
@@ -378,10 +381,8 @@ def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
     with timing.phase("coarse"):
         y_half = coarse_advance(plan, y_n, t_n, history)
     with timing.phase("interpolant"):
-        interp = None
-        if len(plan.idx_ci):
-            interp = build_interpolant(plan.idx_ci, y_n, y_half, history,
-                                       plan.tab.r, plan.config.dt)
+        interp = build_interpolant(plan.idx_ci, y_n, y_half, history,
+                                   plan.tab.r, plan.config.dt)
     with timing.phase("fine"):
         y_next = fine_advance(plan, y_half, interp, t_n, history)
     if plan.s0 is not None:

@@ -635,6 +635,11 @@ class TestRunAndCli:
                          "--out", str(blocker / "sub")])
         assert code == 4
 
+    def test_cli_unreadable_config_exit_4(self, tmp_path, capsys):
+        # a directory passes the path check but cannot be read as a file
+        assert cli.main(["validate", "--config", str(tmp_path)]) == 4
+        assert "I/O failure" in capsys.readouterr().err
+
     def test_cli_corrupt_reference_cache_exit_4(self, tmp_path, mini_config,
                                                 capsys):
         path = tmp_path / "mini.cfg"

@@ -7,8 +7,8 @@ import scipy.linalg
 from peridyn.forces import FieldState, InstabilityError, PDOperator
 from peridyn.geometry import build_neighbor_list
 from peridyn.integrator import (
-    ButcherTableau, rk_step, stages, tableau, tableau_rk3, tableau_rk4,
-    upd_run,
+    ButcherTableau, combine, rk_step, stages, tableau, tableau_rk3,
+    tableau_rk4, upd_run,
 )
 from tests.test_forces import make_cloud, unit_alpha_material
 
@@ -122,6 +122,39 @@ class TestRkStep:
             assert calls == list(range(1, tab.r))
             assert np.array_equal(out, plain)
             assert all(np.array_equal(a, b) for a, b in zip(rates, plain_rates))
+
+
+class TestCombine:
+    @staticmethod
+    def out_of_place(y, dt, coeffs, rates):
+        """The sum with fresh temporaries: y + dt * (c_0 r_0 + c_1 r_1 ...)."""
+        terms = [c * r for c, r in zip(coeffs, rates) if c != 0.0]
+        if not terms:
+            return y.copy()
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        return y + dt * acc
+
+    @pytest.mark.parametrize("shape", [(7, 4), (5,), ()])
+    def test_in_place_sum_matches_fresh_temporaries(self, shape):
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=shape)
+        rates = [rng.normal(size=shape) for _ in range(4)]
+        for tab in (tableau_rk3(), tableau_rk4()):
+            for coeffs in [tab.b] + [tab.a[j, :j] for j in range(tab.r)]:
+                got = combine(y, 0.013, coeffs, rates)
+                want = self.out_of_place(y, 0.013, coeffs, rates)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert got is not y
+
+    def test_scalar_rates_broadcast_over_state(self):
+        y = np.arange(6.0).reshape(3, 2)
+        for rates in ([0.5, -2.0], [np.array(0.5), np.array(-2.0)]):
+            got = combine(y, 0.1, [0.25, 0.75], rates)
+            assert got.shape == y.shape
+            assert np.array_equal(got, y + 0.1 * (0.25 * 0.5 + 0.75 * -2.0))
 
 
 def two_point_system():

@@ -319,6 +319,67 @@ class TestFineAdvance:
             assert np.array_equal(out, y0)
 
 
+
+class TestInPlaceContract:
+    """coarse_advance returns one fresh array and fine_advance advances its
+    argument in place; each writes only its own side's rows."""
+
+    @staticmethod
+    def stepped_plan(order, s0, fine_frac):
+        op, labels, _ = smooth_plate(fine_frac=fine_frac)
+        dt = 1e-3
+        plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=3, labels=labels),
+                       s0=s0)
+        hist = OperatorHistory(dt)
+        t_n = 9 * dt
+        for back in (2, 1, 0):
+            t = t_n - back * dt
+            hist.push(t, op.rates(random_state(op, 10 + back), t))
+        return plan, hist, t_n, random_state(op, 3)
+
+    @pytest.mark.parametrize("fine_frac", [0.4, 0.0])
+    @pytest.mark.parametrize("s0", [None, 0.05])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_coarse_advance_leaves_input_and_fine_rows(self, order, s0,
+                                                       fine_frac):
+        plan, hist, t_n, y_n = self.stepped_plan(order, s0, fine_frac)
+        before = y_n.copy()
+        y_half = coarse_advance(plan, y_n, t_n, hist)
+        assert np.array_equal(y_n, before)
+        assert np.array_equal(y_half[plan.rows_f], before[plan.rows_f])
+        assert not np.array_equal(y_half[plan.rows_c], before[plan.rows_c])
+
+    @pytest.mark.parametrize("fine_frac", [0.4, 0.0])
+    @pytest.mark.parametrize("s0", [None, 0.05])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_fine_advance_leaves_coarse_rows(self, order, s0, fine_frac):
+        plan, hist, t_n, y_n = self.stepped_plan(order, s0, fine_frac)
+        y_half = coarse_advance(plan, y_n, t_n, hist)
+        interp = build_interpolant(plan.idx_ci, y_n, y_half, hist, order,
+                                   plan.config.dt)
+        before = y_half.copy()
+        out = fine_advance(plan, y_half, interp, t_n, hist)
+        assert out is y_half
+        assert np.array_equal(out[plan.rows_c], before[plan.rows_c])
+        if len(plan.rows_f):
+            assert not np.array_equal(out[plan.rows_f], before[plan.rows_f])
+
+    @pytest.mark.parametrize("s0", [None, 0.05])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_fine_stage_failure_leaves_step_input(self, order, s0,
+                                                  monkeypatch):
+        plan, hist, t_n, y_n = self.stepped_plan(order, s0, 0.4)
+        before = y_n.copy()
+        # non-finite CI values make the first fine stage that reads them fail
+        monkeypatch.setattr(Interpolant, "evaluate",
+                            lambda self, t: np.full_like(self.y0, np.nan))
+        with pytest.raises(InstabilityError) as err:
+            mts_step(plan, y_n, t_n, t_n + plan.config.dt, hist)
+        assert err.value.stage == 1
+        assert np.array_equal(y_n, before)
+        assert len(hist) == 3 and hist.t_at(0) == t_n
+
+
 class TestStartupAndRun:
     @staticmethod
     def two_startup_steps(op, y0, cfg):
@@ -413,8 +474,9 @@ class TestStartupAndRun:
         assert all(a >= b for a, b in zip(errors, errors[1:]))
 
 
-# The coarse and fine advances as hand-written stage loops, kept here as the
-# oracle for the shared stage loop (integrator.stages) that replaced them.
+# The coarse and fine advances as hand-written stage loops on scratch copies,
+# kept here as the oracle for the in-place substep loop (mts._substeps over
+# integrator.stages) that replaced them.
 
 def hand_coarse_advance(plan, y_n, t_n, history):
     out = y_n.copy()
