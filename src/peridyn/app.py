@@ -24,7 +24,7 @@ from . import io as pio
 from .analysis import ConvergenceRow, halving_violation, l2_error, \
     observed_order, reference_solution, scoped_errors
 from .forces import FieldState, Loading, Material, PDOperator, \
-    break_precrack_bonds, damage_index, poisson_violation
+    SimulationError, break_precrack_bonds, damage_index, poisson_violation
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
@@ -562,8 +562,9 @@ class Scenario:
     """A config resolved onto a concrete cloud, neighbor list, and operator.
 
     Damage flags are per-run state: `fresh_operator()` hands out an operator
-    backed by a pristine copy of the (post-precrack) bond flags, so repeated
-    runs from one scenario are independent.
+    backed by a copy of the scenario's own (post-precrack) bond flags, so
+    repeated runs from one scenario are independent.  Those flags must not
+    change after assembly; `fresh_operator()` raises if they did.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -576,7 +577,7 @@ class Scenario:
         if cfg.fracture.precrack is not None:
             self.precracked_bonds = break_precrack_bonds(
                 self.cloud, self.nbrs, cfg.fracture.precrack)
-        self._mu0 = self.nbrs.mu.copy()
+        self._mu_version = self.nbrs.version
         self.labels = classify_subdomains(self.cloud, self.nbrs,
                                           cfg.mts.fine_boxes)
         self.material = Material(E=cfg.material.E, nu=cfg.material.nu,
@@ -603,7 +604,11 @@ class Scenario:
         return serialize_config(self.cfg)
 
     def fresh_operator(self) -> PDOperator:
-        nbrs = dataclasses.replace(self.nbrs, mu=self._mu0.copy())
+        if self.nbrs.version != self._mu_version:
+            raise SimulationError(
+                "the scenario's bond flags changed after assembly; an "
+                "operator must break bonds in its own copy")
+        nbrs = dataclasses.replace(self.nbrs, mu=self.nbrs.mu.copy())
         return PDOperator(self.cloud, nbrs, self.material,
                           self.loadings, self.cfg.law)
 

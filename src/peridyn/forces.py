@@ -7,7 +7,9 @@ override du/dt with the prescribed velocity and zero the acceleration.
 
 Evaluation can be restricted to a subset of target points (a "view"): the
 multi-time-step scheme advances the coarse and fine subdomains separately
-and must not pay for force sums outside the active subdomain.
+and must not pay for force sums outside the active subdomain.  The two
+sides partition the domain, so an operator split into them holds the bond
+data once: its full view is the union of the two sides' row blocks.
 """
 
 from __future__ import annotations
@@ -261,13 +263,30 @@ class _Block:
 
 @dataclass
 class _View:
-    """Bond-level slice of the neighbor list restricted to target rows."""
+    """Bond-level slice of the neighbor list restricted to target rows.
+
+    A view from ``make_view`` holds its rows ascending, and its blocks tile
+    them in order: a block writes its sums at the view's rows lo:hi.  The
+    union view of a partition (``PDOperator.partition``) holds every point,
+    and its blocks are the two sides' own: each writes its sums at its
+    global rows, so its rates are the full view's, in global order.
+    """
 
     rows: np.ndarray            # global point indices, ascending
-    bond_sel: np.ndarray        # bond ids, grouped by row in CSR order
+    bond_sel: np.ndarray | range  # bond ids, grouped by row in CSR order
     blocks: list                # _Block row blocks; none if no bonds
     constrained_local: np.ndarray
     v_prescribed: np.ndarray
+    at_global_rows: bool = False  # blocks write at blk.rows, not lo:hi
+
+
+def _eta(blk: _Block, u: list) -> list:
+    """Relative displacements u[nbr] - u[row] over a block's slots, per
+    component of the contiguous displacement components ``u``."""
+    eta = [np.take(uk, blk.nbr) for uk in u]
+    for ek, uk in zip(eta, u):
+        ek -= uk[blk.rows]
+    return eta
 
 
 class PDOperator:
@@ -276,6 +295,10 @@ class PDOperator:
     Instances are shared, read-only state for the steppers; the only mutable
     piece is the neighbor list's ``mu`` array, written between steps by the
     damage update, and the blocks' coefficient caches that follow it.
+
+    The full view, over every point, is built on first use.  An operator
+    split by ``partition`` before that never builds one: its full view is
+    the union of the two sides' views, sharing their blocks.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
@@ -313,7 +336,7 @@ class PDOperator:
                 v_presc[load.indices] = value
         self.constrained_mask = constrained
         self.v_prescribed_full = v_presc
-        self._full_view = self.make_view(np.arange(n, dtype=np.int64))
+        self._full_view = None
 
     def make_view(self, rows: np.ndarray) -> _View:
         """Precompute the bond slice for evaluating rates at ``rows`` only,
@@ -356,7 +379,43 @@ class PDOperator:
 
     @property
     def full_view(self) -> _View:
+        """The view over every point, built on first use unless
+        ``partition`` made it the union of its two sides."""
+        if self._full_view is None:
+            view = self.make_view(np.arange(self.cloud.n_points,
+                                            dtype=np.int64))
+            view.bond_sel = range(self.nbrs.n_bonds)
+            self._full_view = view
         return self._full_view
+
+    def partition(self, rows_a: np.ndarray, rows_b: np.ndarray,
+                  bond_masks=None) -> tuple:
+        """The views of two row sets that partition the points.
+
+        If the full view was not built yet, it becomes their union: the two
+        views' own blocks, each writing at its global rows, so the bond
+        data is held once and ``rates(y, t)`` keeps returning every row in
+        global order, bit for bit.  ``bond_masks``, a pair of read-only
+        bond masks that partition the bonds, makes the unmasked damage
+        check run over their two tables (see ``update_damage``).
+        """
+        n = self.cloud.n_points
+        rows = np.concatenate([rows_a, rows_b])
+        if len(rows) != n or np.any(np.bincount(rows, minlength=n) != 1):
+            raise ValueError("row sets do not partition the points")
+        views = self.make_view(rows_a), self.make_view(rows_b)
+        if self._full_view is None:
+            cons = np.flatnonzero(self.constrained_mask)
+            self._full_view = _View(
+                rows=np.arange(n, dtype=np.int64),
+                bond_sel=range(self.nbrs.n_bonds),
+                blocks=views[0].blocks + views[1].blocks,
+                constrained_local=cons,
+                v_prescribed=self.v_prescribed_full[cons],
+                at_global_rows=True)
+        if bond_masks is not None:
+            _partition_damage(self.nbrs, bond_masks)
+        return views
 
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
@@ -365,9 +424,14 @@ class PDOperator:
         rows are written.  Per-point sums run in ascending neighbor order,
         so results are reproducible bit-for-bit.  The bonds are evaluated
         one row block at a time, so the temporaries stay in cache.
+
+        A row's rates do not depend on the view or block that holds it.
+        Pad slots add +0.0 after a row's bonds, which can only turn a -0.0
+        force sum into +0.0, and adding the body force (never -0.0) turns
+        either into +0.0.  With ``view`` None this is the full view.
         """
         if view is None:
-            view = self._full_view
+            view = self.full_view
         dim = self.cloud.dim
         # np.take on contiguous components gathers far faster than fancy
         # indexing into the strided y[:, :dim]; the values are the same
@@ -377,23 +441,22 @@ class PDOperator:
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             for blk in view.blocks:
-                eta = [np.take(uk, blk.nbr) for uk in u]
-                for ek, uk in zip(eta, u):
-                    ek -= uk[blk.rows]
                 try:
                     scale, direction = self._force(
-                        blk.xi, eta, blk.length,
+                        blk.xi, _eta(blk, u), blk.length,
                         blk.coefficient(self.nbrs, self.alpha))
-                except BondCollapseError as err:
-                    b = int(blk.bond[err.collapsed].min())
+                except BondCollapseError:
+                    b = self._lowest_collapsed_bond(view, u)
                     raise SimulationError(
                         f"bond {self.nbrs.bond_i[b]} -> "
                         f"{self.nbrs.neighbors[b]} "
                         f"collapsed to zero length at t={t:.6e}") from None
+                rows = blk.rows if view.at_global_rows \
+                    else slice(blk.lo, blk.hi)
                 term = np.empty_like(scale)
                 for k in range(dim):
                     np.multiply(scale, direction[k], out=term)
-                    force[blk.lo:blk.hi, k] = _slot_sum(term)
+                    force[rows, k] = _slot_sum(term)
             accel = (force * self.cloud.volume_per_point
                      + self.body[view.rows]) / self.material.rho
 
@@ -407,6 +470,18 @@ class PDOperator:
             bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
             raise InstabilityError(point=int(view.rows[bad]), t=t)
         return out
+
+    def _lowest_collapsed_bond(self, view: _View, u: list) -> int:
+        """The lowest id of a collapsed bond over all of the view's blocks:
+        the first block to raise holds it only when the blocks run in bond
+        order, which a union view's do not."""
+        lowest = self.nbrs.n_bonds
+        for blk in view.blocks:
+            try:
+                self._force(blk.xi, _eta(blk, u), blk.length, 1.0)
+            except BondCollapseError as err:
+                lowest = min(lowest, int(blk.bond[err.collapsed].min()))
+        return lowest
 
 
 @dataclass
@@ -445,6 +520,18 @@ def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
     return table
 
 
+def _partition_damage(nbrs: NeighborList, masks) -> None:
+    """Register read-only bond masks that partition the bonds: the
+    unmasked check then runs over their two tables and builds no third.
+    The tables stay registered for the neighbor list's life."""
+    a, b = masks
+    if a.flags.writeable or b.flags.writeable:
+        raise ValueError("partition bond masks must be read-only")
+    if not np.all(a != b):
+        raise ValueError("bond masks do not partition the bonds")
+    nbrs.damage_partition = (_half_bonds(nbrs, a), _half_bonds(nbrs, b))
+
+
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
                   bond_mask: np.ndarray | None = None) -> int:
     """Break every alive bond whose stretch reaches s0 (s >= s0, inclusive).
@@ -453,23 +540,36 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
     check to a subset of bonds (it must be symmetric under bond reversal);
     a read-only mask is taken to be static, and its bond table is built once.
+    Without a mask, the check runs over the tables of the registered bond
+    partition (``PDOperator.partition``) when there is one.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's xi and eta are exact negations,
     so its stretch is bitwise the same and checking it would change nothing.
+    A table is evaluated in chunks of _BLOCK_SLOTS bonds, so the
+    temporaries stay in cache and under the mmap threshold.
     """
-    table = _half_bonds(nbrs, bond_mask)
-    deformed = []
-    for k, xi_k in enumerate(table.xi):
-        u_k = np.ascontiguousarray(u[:, k])
-        d_k = np.take(u_k, table.j)
-        d_k -= np.take(u_k, table.i)
-        d_k += xi_k
-        deformed.append(d_k)
-    # _norm adds the squares in component order, as np.linalg.norm does.
-    # Broken bonds are evaluated too; _break_bonds skips them.
-    hit = bond_stretch(_norm(deformed), table.xi_norm) >= s0
-    return _break_bonds(nbrs, table.ids[hit])
+    if bond_mask is None and nbrs.damage_partition:
+        tables = nbrs.damage_partition
+    else:
+        tables = (_half_bonds(nbrs, bond_mask),)
+    u = [np.ascontiguousarray(u[:, k]) for k in range(nbrs.xi.shape[1])]
+    hits = [np.empty(0, dtype=np.int64)]
+    for table in tables:
+        for lo in range(0, len(table.ids), _BLOCK_SLOTS):
+            chunk = slice(lo, lo + _BLOCK_SLOTS)
+            deformed = []
+            for u_k, xi_k in zip(u, table.xi):
+                d_k = np.take(u_k, table.j[chunk])
+                d_k -= np.take(u_k, table.i[chunk])
+                d_k += xi_k[chunk]
+                deformed.append(d_k)
+            # _norm adds the squares in component order, as
+            # np.linalg.norm does.  Broken bonds are evaluated too;
+            # _break_bonds skips them.
+            hit = bond_stretch(_norm(deformed), table.xi_norm[chunk]) >= s0
+            hits.append(table.ids[chunk][hit])
+    return _break_bonds(nbrs, np.concatenate(hits))
 
 
 def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:

@@ -70,7 +70,9 @@ class NeighborList:
     ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
     one writer, and it bumps ``version`` on every change, so caches derived
     from ``mu`` know when to refresh.  ``damage_tables`` memoizes the
-    static half-bond tables of ``forces.update_damage``, one per bond mask.
+    static half-bond tables of ``forces.update_damage``, one per bond mask,
+    and ``damage_partition`` holds the two tables that the unmasked check
+    runs over once a bond partition is registered.
     """
 
     delta: float
@@ -83,6 +85,7 @@ class NeighborList:
     mu: np.ndarray = field(default=None)  # type: ignore[assignment]
     version: int = field(default=0, init=False)
     damage_tables: dict = field(default_factory=dict, init=False, repr=False)
+    damage_partition: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.mu is None:

@@ -243,8 +243,11 @@ class TimingReport:
 class MtsPlan:
     """Static per-run data: subdomain row sets, operator views, bond masks.
 
-    The bond masks are read-only, so update_damage builds the bond table
-    of each once for the run.
+    The coarse and fine rows partition the points, and so do the bond
+    masks the bonds: the operator's full view (history pushes, startup) is
+    the union of the two views, and the startup's unmasked damage check
+    runs over the two masks' tables.  The bond masks are read-only, so
+    update_damage builds the bond table of each once for the run.
     """
 
     def __init__(self, op, config: MtsConfig, s0: float | None = None):
@@ -258,9 +261,7 @@ class MtsPlan:
         self.rows_f = labels.omega_hat_f
         self.idx_fi = labels.indices(LABEL_FI)
         self.idx_ci = labels.indices(LABEL_CI)
-        self.coarse_view = op.make_view(self.rows_c)
-        self.fine_view = op.make_view(self.rows_f)
-        self.fine_bond_mask = self.coarse_bond_mask = None
+        self.fine_bond_mask = self.coarse_bond_mask = bond_masks = None
         if s0 is not None:
             fine_end = labels.fine_mask
             self.fine_bond_mask = fine_end[op.nbrs.bond_i] | \
@@ -268,6 +269,9 @@ class MtsPlan:
             self.coarse_bond_mask = ~self.fine_bond_mask
             self.fine_bond_mask.flags.writeable = False
             self.coarse_bond_mask.flags.writeable = False
+            bond_masks = (self.coarse_bond_mask, self.fine_bond_mask)
+        self.coarse_view, self.fine_view = op.partition(
+            self.rows_c, self.rows_f, bond_masks)
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):

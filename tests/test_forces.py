@@ -291,10 +291,11 @@ def reference_rates(op, y, rows):
     return out
 
 
-def loaded_plan(law="linear", s0=None, n=16, dim=2):
+def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0)):
     """A 1 x 0.5 plate (or 1 x 0.5 x 0.5 block) of spacing 1/n and horizon
     3/n, with a body-force layer, a velocity-constraint layer, a fine
-    region on its right half and an MtsPlan over it."""
+    region over the x-range ``fine_x`` (by default the right half) and an
+    MtsPlan over it."""
     h = 1.0 / n
     extent = (1.0,) + (0.5,) * (dim - 1)
     if dim == 2:
@@ -311,7 +312,8 @@ def loaded_plan(law="linear", s0=None, n=16, dim=2):
                      indices=np.flatnonzero(x < 0.1),
                      value=np.array([0.0, 0.25, -0.5][:dim]))]
     op = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
-    fine_box = ((0.5,) + (0.0,) * (dim - 1), extent)
+    fine_box = ((fine_x[0],) + (0.0,) * (dim - 1),
+                (fine_x[1],) + extent[1:])
     labels = classify_subdomains(cloud, nbrs, [fine_box])
     plan = MtsPlan(op, MtsConfig(order=4, dt=1e-3, K=2, labels=labels), s0=s0)
     return op, plan
@@ -390,6 +392,135 @@ class TestRatesBitIdentity:
             op.rates(y, 0.0)
 
 
+class TestUnionView:
+    """An MtsPlan splits its operator into coarse and fine views before any
+    full view exists, so the full view is their union.  It must equal a
+    separately built view over every point, bit for bit."""
+
+    @staticmethod
+    def whole(op):
+        return op.make_view(np.arange(op.cloud.n_points))
+
+    @staticmethod
+    def edge_row(op, x):
+        """The point nearest (x, 0[, 0]): an edge row with fewer bonds than
+        an interior one, so its blocks pad it."""
+        target = np.array([x] + [0.0] * (op.cloud.dim - 1))
+        return int(np.argmin(np.linalg.norm(op.cloud.positions - target,
+                                            axis=1)))
+
+    def test_full_view_is_built_lazily(self):
+        op, plan = loaded_plan()
+        assert op.full_view.at_global_rows
+        bare = PDOperator(op.cloud, op.nbrs, op.material, law=op.law)
+        assert bare._full_view is None
+        view = bare.full_view
+        assert bare.full_view is view and not view.at_global_rows
+        assert view.bond_sel == range(op.nbrs.n_bonds)
+        # an operator whose full view exists keeps it through a partition
+        bare.partition(plan.rows_c, plan.rows_f)
+        assert bare.full_view is view
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (2, 80), (3, 16)])
+    def test_union_shares_the_side_blocks(self, dim, n):
+        op, plan = loaded_plan(n=n, dim=dim)
+        full = op.full_view
+        sides = plan.coarse_view.blocks + plan.fine_view.blocks
+        assert len(full.blocks) == len(sides)
+        assert all(a is b for a, b in zip(full.blocks, sides))
+        assert full.bond_sel == range(op.nbrs.n_bonds)
+        assert len(full.bond_sel) == len(plan.coarse_view.bond_sel) \
+            + len(plan.fine_view.bond_sel)
+        assert np.array_equal(full.rows, np.arange(op.cloud.n_points))
+
+    def test_partition_must_cover_each_point_once(self):
+        op, plan = loaded_plan()
+        with pytest.raises(ValueError, match="partition"):
+            op.partition(plan.rows_c, plan.rows_f[1:])
+        with pytest.raises(ValueError, match="partition"):
+            op.partition(plan.rows_c, np.append(plan.rows_f, 0))
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (2, 80), (3, 16)])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_rates_bit_identical(self, law, dim, n):
+        op, plan = loaded_plan(law, n=n, dim=dim)
+        nbrs = op.nbrs
+        y = random_state(op, 47)
+        # One edge row per side whose force sum is -0.0: all its bonds are
+        # broken (coef 0), and each neighbor moves by -/+1% of the bond so
+        # the signed zero of every bond's x-force is negative.  Padded in
+        # the full views, the sum there is +0.0; in a one-row view, -0.0.
+        rows = [self.edge_row(op, 0.3), self.edge_row(op, 0.7)]
+        for q in rows:
+            bonds = np.arange(nbrs.offsets[q], nbrs.offsets[q + 1])
+            write_mu(nbrs, bonds)
+            sign = np.where(nbrs.xi[bonds, 0] >= 0.0, 1.0, -1.0)
+            y[q, :dim] = 0.0
+            y[nbrs.neighbors[bonds], :dim] = \
+                -0.01 * sign[:, None] * nbrs.xi[bonds]
+        write_mu(nbrs, (5, nbrs.n_bonds // 2, nbrs.n_bonds - 9))
+        ref = reference_rates(op, y, np.arange(op.cloud.n_points))
+        for q in rows:
+            bonds = np.arange(nbrs.offsets[q], nbrs.offsets[q + 1])
+            eta = y[nbrs.neighbors[bonds], :dim] - y[q, :dim]
+            force, power = (pairwise_force_linear, 3) if law == "linear" \
+                else (pairwise_force_nonlinear, 1)
+            scale, direction = force(nbrs.xi[bonds].T, eta.T,
+                                     nbrs.xi_norm[bonds] ** power, 0.0)
+            terms = scale * direction[0]
+            assert np.all(terms == 0.0) and np.all(np.signbit(terms))
+            assert nbrs.counts()[q] < nbrs.counts().max()
+            one = op.rates(y, 0.5, op.make_view(np.array([q])))
+            assert one.tobytes() == ref[[q]].tobytes()
+            assert one[0, dim] == 0.0 and not np.signbit(one[0, dim])
+        got = op.rates(y, 0.5)
+        assert got.tobytes() == op.rates(y, 0.5, self.whole(op)).tobytes()
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
+    @pytest.mark.parametrize("fine_x", [(0.5, 1.0), (0.0, 0.5)])
+    def test_instability_names_the_same_point(self, dim, n, fine_x):
+        op, plan = loaded_plan(n=n, dim=dim, fine_x=fine_x)
+        whole = self.whole(op)
+        y = random_state(op, 53)
+        bad = [int(plan.rows_c[len(plan.rows_c) // 2]),
+               int(plan.rows_f[len(plan.rows_f) // 2])]
+        for rows in ([bad[0]], [bad[1]], bad):
+            z = y.copy()
+            z[rows, dim] = np.nan
+            points = []
+            for view in (None, whole):
+                with pytest.raises(InstabilityError) as err:
+                    op.rates(z, 0.25, view)
+                points.append(err.value.point)
+            assert points[0] == points[1] == min(rows)
+
+    @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
+    @pytest.mark.parametrize("fine_x", [(0.5, 1.0), (0.0, 0.5)])
+    def test_collapse_names_the_same_bond(self, dim, n, fine_x):
+        # With the fine side on the left, the union runs the coarse blocks,
+        # of higher bond ids, first: the lowest bond is found by a search.
+        op, plan = loaded_plan("nonlinear", n=n, dim=dim, fine_x=fine_x)
+        nbrs, whole = op.nbrs, self.whole(op)
+        pairs = []
+        for side in (plan.rows_c, plan.rows_f):
+            a = int(side[len(side) // 2])
+            c = int(nbrs.neighbors_of(a)[-1])
+            pairs.append((a, c))
+        for chosen in ([pairs[0]], [pairs[1]], pairs):
+            y = np.zeros((op.cloud.n_points, 2 * dim))
+            for a, c in chosen:
+                y[c, :dim] = op.cloud.positions[a] - op.cloud.positions[c]
+            lowest = min(chosen)
+            messages = []
+            for view in (None, whole):
+                with pytest.raises(SimulationError, match="collapsed") as err:
+                    op.rates(y, 0.125, view)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert messages[0].startswith(f"bond {lowest[0]} -> ")
+
+
 class TestCaches:
     """rates caches alpha * mu per row block and update_damage a bond table
     per static mask; both must follow every change to the bond flags."""
@@ -446,6 +577,17 @@ class TestCaches:
         fresh = Scenario(mini_config()).fresh_operator().nbrs
         with pytest.raises(ValueError, match="read-only"):
             fresh.mu[0] = 0.0
+
+    def test_fresh_operator_refuses_changed_scenario_flags(self, mini_config):
+        # fresh operators copy the scenario's own flags, which therefore
+        # must stay as assembled
+        scenario = Scenario(mini_config())
+        op = scenario.fresh_operator()
+        write_mu(op.nbrs, [0])  # an operator's breaks are its own
+        assert np.all(scenario.fresh_operator().nbrs.mu == 1.0)
+        write_mu(scenario.nbrs, [0])
+        with pytest.raises(SimulationError, match="bond flags changed"):
+            scenario.fresh_operator()
 
     def test_writable_mask_is_not_memoized(self):
         cloud = build_grid(((0, 0), (4, 4)), 1.0, thickness=1.0)
@@ -517,14 +659,26 @@ class TestDamage:
         for i, j in got:
             assert (x[i] - 5.0) * (x[j] - 5.0) < 0
 
-    def check_half_bond_against_oracle(self, mask, n, dim, pairs, noise):
+    def check_half_bond_against_oracle(self, mask, n, dim, pairs, noise,
+                                       partitioned=True, slots=None,
+                                       monkeypatch=None):
         """update_damage against the all-bond oracle on loaded_plan(n, dim)
         with random displacements, plus one x-bond (a, c) per pair at
         exactly s == s0 (binary-exact: xi = 1/n and eta = 1/(2n)); in it
-        the end named by ``moving`` moves."""
+        the end named by ``moving`` moves.
+
+        The plan registers its bond masks as the damage partition; with
+        ``partitioned`` False the check runs as on an operator that no plan
+        split.  ``slots`` sets the chunk length of the check."""
         s0 = 0.5
         op, plan = loaded_plan(s0=s0, n=n, dim=dim)
         nbrs = op.nbrs
+        if not partitioned:
+            nbrs.damage_partition = ()
+        if slots is not None:
+            sides = (plan.coarse_bond_mask, plan.fine_bond_mask)
+            assert min(m.sum() for m in sides) // 2 > 2 * slots
+            monkeypatch.setattr(forces, "_BLOCK_SLOTS", slots)
         bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
         write_mu(nbrs, (3, 250, 777))  # must stay uncounted
         rng = np.random.default_rng(23)
@@ -552,24 +706,48 @@ class TestDamage:
 
         assert update_damage(nbrs, u, s0, bond_mask) == expected
         assert np.array_equal(nbrs.mu, expected_mu)
+        # the unmasked check builds no table of its own over a partition
+        assert (None in nbrs.damage_tables) == \
+            (bond_mask is None and not partitioned)
+
+    @staticmethod
+    def variants(check, monkeypatch):
+        """Run ``check`` with and without a registered partition, in one
+        chunk and in chunks of 29 bonds, each on a fresh plan."""
+        for partitioned in (True, False):
+            for slots in (None, 29):
+                with monkeypatch.context() as patch:
+                    check(partitioned=partitioned, slots=slots,
+                          monkeypatch=patch)
 
     @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
-    def test_half_bond_check_matches_all_bond_oracle(self, mask):
+    def test_half_bond_check_matches_all_bond_oracle(self, mask, monkeypatch):
         # Point (ix, iy) of the 16x8 plate is ix*8 + iy.  One exact bond in
         # the coarse half and one in the fine half; in the first the
         # higher-index end moves, in the second the lower.
-        self.check_half_bond_against_oracle(
+        self.variants(lambda **kw: self.check_half_bond_against_oracle(
             mask, n=16, dim=2, noise=0.02,
             pairs=((2 * 8 + 3, 3 * 8 + 3, "high"),
-                   (12 * 8 + 4, 13 * 8 + 4, "low")))
+                   (12 * 8 + 4, 13 * 8 + 4, "low")), **kw), monkeypatch)
 
     @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
-    def test_half_bond_check_matches_all_bond_oracle_3d(self, mask):
+    def test_half_bond_check_matches_all_bond_oracle_3d(self, mask,
+                                                        monkeypatch):
         # Point (ix, iy, iz) of the 8x4x4 block is (ix*4 + iy)*4 + iz.
-        self.check_half_bond_against_oracle(
+        self.variants(lambda **kw: self.check_half_bond_against_oracle(
             mask, n=8, dim=3, noise=0.04,
             pairs=(((1 * 4 + 1) * 4 + 2, (2 * 4 + 1) * 4 + 2, "high"),
-                   ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")))
+                   ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")),
+            **kw), monkeypatch)
+
+    def test_partition_masks_must_be_static_and_disjoint(self):
+        op, plan = loaded_plan(s0=0.5)
+        coarse, fine = plan.coarse_bond_mask, plan.fine_bond_mask
+        rows = (plan.rows_c, plan.rows_f)
+        with pytest.raises(ValueError, match="partition"):
+            op.partition(*rows, (coarse, coarse))
+        with pytest.raises(ValueError, match="read-only"):
+            op.partition(*rows, (coarse, ~coarse))
 
     def test_bonds_never_heal(self):
         cloud = make_cloud([[0, 0], [1, 0]])
@@ -693,12 +871,13 @@ class TestBlockSize:
 
     @staticmethod
     def assert_blocks_bounded(view, limit):
-        rows = 0
+        """Each row of the view lies in exactly one block, and a block holds
+        at most ``limit`` slots unless it holds a single row.  (A union
+        view's blocks do not tile its rows in order.)"""
         for blk in view.blocks:
-            assert blk.bond.size <= limit or blk.hi - blk.lo == 1
-            assert blk.lo == rows
-            rows = blk.hi
-        assert rows == len(view.rows)
+            assert blk.bond.size <= limit or len(blk.rows) == 1
+        held = np.concatenate([blk.rows for blk in view.blocks])
+        assert np.array_equal(np.sort(held), view.rows)
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     def test_views_hold_at_most_block_slots(self, dim, n):
