@@ -5,19 +5,25 @@ memory, not time, is the first ceiling there.  This script assembles
 everything an MTS run holds (the Scenario, its operator and the MtsPlan),
 makes one `rates` call per view (full, coarse, fine) and one damage check
 per bond mask and one unmasked, and prints the peak resident set size
-after each stage.
+after each stage.  It then prints the bytes held by the neighbor list, the
+views' row blocks and the damage tables, and exits 1 when the peak passes
+1 GiB.
 
-An MTS plan splits the operator into its coarse and fine views, and the
-full view is their union, so the bond data is held once.  Likewise the
-unmasked damage check runs over the two masks' bond tables.
+Each per-bond array is held once: the neighbor list keeps the topology
+(int32 neighbor and partner ids) and the bond flags, and the views and
+damage tables derive the bond geometry from the positions.  An MTS plan
+splits the operator into its coarse and fine views, and the full view is
+their union; likewise the unmasked damage check runs over the two masks'
+bond tables.
 
 It takes no time step: the paper-scale dt is far past the explicit
 stability limit of the paper-scale mesh, so a run would blow up.
 
-Run:  python demos/05_paper_scale_memory.py    (~30 s, about 1.2 GiB)
+Run:  python demos/05_paper_scale_memory.py    (~30 s, about 0.7 GiB)
 """
 
 import resource
+import sys
 import time
 
 import numpy as np
@@ -25,6 +31,8 @@ import numpy as np
 import peridyn as pd
 from peridyn.forces import update_damage
 from peridyn.mts import MtsPlan
+
+PEAK_LIMIT_MIB = 1024.0
 
 
 def peak_mib() -> float:
@@ -40,15 +48,26 @@ def stage(name, fn):
     return result
 
 
-def main():
+def array_bytes(obj) -> int:
+    """Bytes of the numpy arrays an object holds, directly or in a list."""
+    total = 0
+    for value in vars(obj).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, np.ndarray):
+                total += item.nbytes
+    return total
+
+
+def main() -> int:
     cfg = pd.preset_config("crack2d", paper_scale=True)
     scenario = stage("Scenario", lambda: pd.Scenario(cfg))
     op = stage("operator", scenario.fresh_operator)
     plan = stage("MtsPlan", lambda: MtsPlan(op, scenario.mts_config(),
                                             scenario.s0))
-    print(f"  {scenario.cloud.n_points} points, {op.nbrs.n_bonds} bonds; "
-          f"coarse view {len(plan.coarse_view.bond_sel)} bonds, "
-          f"fine view {len(plan.fine_view.bond_sel)}")
+    nbrs = op.nbrs
+    print(f"  {scenario.cloud.n_points} points, {nbrs.n_bonds} bonds; "
+          f"coarse view {plan.coarse_view.n_bonds} bonds, "
+          f"fine view {plan.fine_view.n_bonds}")
 
     y = scenario.initial_state().packed()
     for name, view in (("full", None), ("coarse", plan.coarse_view),
@@ -59,9 +78,29 @@ def main():
     for name, mask in (("coarse", plan.coarse_bond_mask),
                        ("fine", plan.fine_bond_mask), ("unmasked", None)):
         stage(f"damage check, {name}",
-              lambda: update_damage(op.nbrs, u, scenario.s0, mask))
-    print(f"peak RSS: {peak_mib():.0f} MiB")
+              lambda: update_damage(nbrs, u, scenario.s0, mask))
+
+    # the full view is the union of the two sides: their blocks, counted once
+    blocks = plan.coarse_view.blocks + plan.fine_view.blocks
+    slots = sum(blk.nbr.size for blk in blocks)
+    tables = list(nbrs.damage_tables.values())
+    half_bonds = sum(len(table.ids) for table in tables)
+    for name, held, per, unit in (
+            ("neighbor list", nbrs.nbytes, nbrs.n_bonds, "bond"),
+            ("view blocks", sum(array_bytes(blk) for blk in blocks), slots,
+             "padded slot"),
+            ("damage tables", sum(array_bytes(table) for table in tables),
+             half_bonds, "half-bond")):
+        print(f"held by {name:<14} {held / 2 ** 20:7.1f} MiB   "
+              f"{held / max(per, 1):5.1f} B per {unit}")
+
+    peak = peak_mib()
+    print(f"peak RSS: {peak:.0f} MiB (limit {PEAK_LIMIT_MIB:.0f} MiB)")
+    if peak > PEAK_LIMIT_MIB:
+        print("peak RSS exceeds the limit", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,7 +28,7 @@ from .forces import FieldState, Loading, Material, PDOperator, \
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
-from .mts import MtsConfig, TimingReport, mts_run
+from .mts import MtsConfig, MtsPlan, TimingReport, cost_model, mts_run
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -773,8 +773,9 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
 def compare(cfg: SimulationConfig, K=None, out_dir=None):
     """MTS at (dt, K) against UPD at dt/K over the same final time.
 
-    Returns (mts_seconds, upd_seconds, ratio, l2_difference) and writes the
-    two timing reports when out_dir is given.
+    Returns (mts_seconds, upd_seconds, ratio, l2_difference).  With
+    out_dir, writes the MTS timing report and compare.txt, which holds
+    the cost model's ratio (``mts.cost_model``) next to the measured one.
     """
     import time as _time
 
@@ -782,6 +783,8 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
     K = cfg.mts.K if K is None else K
     dt = cfg.time.dt
     n_steps = cfg.time.n_steps
+    model = cost_model(MtsPlan(scenario.fresh_operator(),
+                               scenario.mts_config(K=K)))
 
     op = scenario.fresh_operator()
     t0 = _time.perf_counter()
@@ -802,5 +805,6 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
             fp.write(f"mts_seconds,{mts_seconds:.6f}\n"
                      f"upd_seconds,{upd_seconds:.6f}\n"
                      f"ratio,{mts_seconds / upd_seconds:.6f}\n"
+                     f"model_ratio,{model:.6f}\n"
                      f"l2_difference,{diff:.6e}\n")
     return mts_seconds, upd_seconds, mts_seconds / upd_seconds, diff

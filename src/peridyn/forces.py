@@ -14,8 +14,9 @@ data once: its full view is the union of the two sides' row blocks.
 
 from __future__ import annotations
 
+import functools
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -231,7 +232,8 @@ class _Block:
     Slot s of row q holds that row's s-th bond in ascending neighbor order.
     A row with fewer bonds than the block's widest row is padded with
     force-free bonds: the neighbor is the row itself (so eta = 0), xi is
-    the unit vector e0 and the cached length is 1.
+    the unit vector e0 and the cached length is 1.  The slots' bond ids are
+    not stored: ``bonds`` recomputes them from each row's CSR start.
 
     ``coef`` caches the per-slot factor alpha * mu as of the neighbor
     list's ``version``: the scalar alpha while every slot is alive (alpha
@@ -241,17 +243,20 @@ class _Block:
     lo: int
     hi: int
     rows: np.ndarray    # (R,) global point ids
-    bond: np.ndarray    # (S, R) bond ids; pads hold bond 0
-    nbr: np.ndarray     # (S, R) neighbor points
+    nbr: np.ndarray     # (S, R) neighbor points, intp for the gathers
     xi: np.ndarray      # (dim, S, R) reference bond components
     length: np.ndarray  # (S, R) |xi| (nonlinear law) or |xi|**3 (linear)
     coef: float | np.ndarray = 0.0
     version: int = -1   # nbrs.version that coef was computed at
 
+    def bonds(self, nbrs: NeighborList) -> np.ndarray:
+        """(S, R) bond ids of the slots; pads hold bond 0."""
+        return _slot_bonds(nbrs, self.rows, len(self.nbr))[0]
+
     def coefficient(self, nbrs: NeighborList, alpha: float):
         """alpha * mu over the block's slots, refreshed when mu changed."""
         if self.version != nbrs.version:
-            mu = np.take(nbrs.mu, self.bond)
+            mu = np.take(nbrs.mu, self.bonds(nbrs))
             if np.all(mu == 1.0):
                 self.coef = alpha
             else:
@@ -259,6 +264,17 @@ class _Block:
                 self.coef = mu
             self.version = nbrs.version
         return self.coef
+
+
+def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, n_slots: int):
+    """(S, R) bond ids of rows' slots 0..S-1 from their CSR starts, with
+    the pads (slots past a row's bonds) set to bond 0, and the pad mask."""
+    start = nbrs.offsets[rows]
+    slot = np.arange(n_slots)[:, None]
+    pad = slot >= nbrs.offsets[rows + 1] - start
+    bond = start + slot
+    bond[pad] = 0
+    return bond, pad
 
 
 @dataclass
@@ -273,11 +289,20 @@ class _View:
     """
 
     rows: np.ndarray            # global point indices, ascending
-    bond_sel: np.ndarray | range  # bond ids, grouped by row in CSR order
+    n_bonds: int                # bonds of the view's rows
     blocks: list                # _Block row blocks; none if no bonds
     constrained_local: np.ndarray
     v_prescribed: np.ndarray
+    offsets: np.ndarray = field(repr=False)  # the neighbor list's, shared
     at_global_rows: bool = False  # blocks write at blk.rows, not lo:hi
+
+    @functools.cached_property
+    def bond_sel(self) -> np.ndarray | range:
+        """Bond ids, grouped by row in CSR order; a view over every point
+        sets range(n_bonds).  Built on first access: rates never reads
+        them."""
+        return _concat_ranges(self.offsets[self.rows],
+                              self.offsets[self.rows + 1])
 
 
 def _eta(blk: _Block, u: list) -> list:
@@ -343,39 +368,37 @@ class PDOperator:
         as row blocks of about _BLOCK_SLOTS padded bond slots."""
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
-        start, stop = off[rows], off[rows + 1]
-        bond_sel = _concat_ranges(start, stop)
+        counts = off[rows + 1] - off[rows]
+        n_bonds = int(counts.sum())
         blocks = []
-        if len(bond_sel):
-            counts = stop - start
+        if n_bonds:
+            pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
             step = max(1, _BLOCK_SLOTS // int(counts.max()))
             for lo in range(0, len(rows), step):
                 hi = min(lo + step, len(rows))
-                blocks.append(self._block(lo, hi, rows[lo:hi], start[lo:hi],
-                                          counts[lo:hi]))
+                blocks.append(self._block(
+                    lo, hi, rows[lo:hi], int(counts[lo:hi].max()), pos))
         cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, bond_sel=bond_sel, blocks=blocks,
+        return _View(rows=rows, n_bonds=n_bonds, blocks=blocks,
                      constrained_local=cons,
-                     v_prescribed=self.v_prescribed_full[rows[cons]])
+                     v_prescribed=self.v_prescribed_full[rows[cons]],
+                     offsets=off)
 
-    def _block(self, lo, hi, rows, start, counts) -> _Block:
-        # filled in place: the (S, R, dim) gather of xi is the one temporary
-        nbrs = self.nbrs
-        slot = np.arange(max(int(counts.max()), 1))[:, None]
-        pad = slot >= counts
-        bond = start + slot
-        bond[pad] = 0
-        nbr = np.take(nbrs.neighbors, bond)
+    def _block(self, lo, hi, rows, width, pos) -> _Block:
+        # xi = x_j - x_i from the position components ``pos``, and |xi| by
+        # _norm, bit for bit the neighbor list's derived xi and xi_norm
+        bond, pad = _slot_bonds(self.nbrs, rows, max(width, 1))
+        nbr = self.nbrs.neighbors[bond].astype(np.intp)
         np.copyto(nbr, rows, where=pad)
-        xi = np.take(nbrs.xi, bond, axis=0).transpose(2, 0, 1).copy()
-        xi[:, pad] = 0.0
-        xi[0][pad] = 1.0
-        length = np.take(nbrs.xi_norm, bond)
-        length[pad] = 1.0
+        xi = np.empty((len(pos),) + nbr.shape)
+        for xi_k, pos_k in zip(xi, pos):
+            np.take(pos_k, nbr, out=xi_k)
+            xi_k -= pos_k[rows]
+        xi[0][pad] = 1.0  # a pad's x_j - x_i is +0.0: make it e0
+        length = _norm(xi)
         if self.law == "linear":
             length **= 3
-        return _Block(lo=lo, hi=hi, rows=rows, bond=bond, nbr=nbr, xi=xi,
-                      length=length)
+        return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, xi=xi, length=length)
 
     @property
     def full_view(self) -> _View:
@@ -384,7 +407,7 @@ class PDOperator:
         if self._full_view is None:
             view = self.make_view(np.arange(self.cloud.n_points,
                                             dtype=np.int64))
-            view.bond_sel = range(self.nbrs.n_bonds)
+            view.bond_sel = range(view.n_bonds)
             self._full_view = view
         return self._full_view
 
@@ -406,13 +429,15 @@ class PDOperator:
         views = self.make_view(rows_a), self.make_view(rows_b)
         if self._full_view is None:
             cons = np.flatnonzero(self.constrained_mask)
-            self._full_view = _View(
+            full = _View(
                 rows=np.arange(n, dtype=np.int64),
-                bond_sel=range(self.nbrs.n_bonds),
+                n_bonds=self.nbrs.n_bonds,
                 blocks=views[0].blocks + views[1].blocks,
                 constrained_local=cons,
                 v_prescribed=self.v_prescribed_full[cons],
-                at_global_rows=True)
+                offsets=self.nbrs.offsets, at_global_rows=True)
+            full.bond_sel = range(full.n_bonds)
+            self._full_view = full
         if bond_masks is not None:
             _partition_damage(self.nbrs, bond_masks)
         return views
@@ -480,17 +505,18 @@ class PDOperator:
             try:
                 self._force(blk.xi, _eta(blk, u), blk.length, 1.0)
             except BondCollapseError as err:
-                lowest = min(lowest, int(blk.bond[err.collapsed].min()))
+                lowest = min(lowest,
+                             int(blk.bonds(self.nbrs)[err.collapsed].min()))
         return lowest
 
 
 @dataclass
 class _HalfBonds:
     """The bonds a damage check covers, each once: ascending ids with
-    ``j > i``, and their endpoints and reference geometry gathered once."""
+    ``j > i``, and their endpoints and reference geometry computed once."""
 
-    ids: np.ndarray
-    i: np.ndarray
+    ids: np.ndarray     # int32 bond ids
+    i: np.ndarray       # intp endpoints, for the gathers
     j: np.ndarray
     xi: list            # per component, (bonds,) each
     xi_norm: np.ndarray
@@ -504,15 +530,18 @@ def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
     table = nbrs.damage_tables.get(key)
     if table is not None:
         return table
-    check = nbrs.neighbors > nbrs.bond_i
+    bond_i = nbrs.bond_i
+    check = nbrs.neighbors > bond_i
     if bond_mask is not None:
         check &= bond_mask
     ids = np.flatnonzero(check)
-    xi = np.take(nbrs.xi, ids, axis=0)
-    table = _HalfBonds(ids=ids, i=np.take(nbrs.bond_i, ids),
-                       j=np.take(nbrs.neighbors, ids),
-                       xi=[xi[:, k].copy() for k in range(xi.shape[1])],
-                       xi_norm=np.take(nbrs.xi_norm, ids))
+    i = bond_i[ids].astype(np.intp)
+    del bond_i, check
+    j = nbrs.neighbors[ids].astype(np.intp)
+    # x_j - x_i and _norm: bit for bit the list's derived xi and xi_norm
+    xi = [np.take(p, j) - np.take(p, i) for p in nbrs.positions.T]
+    table = _HalfBonds(ids=ids.astype(np.int32), i=i, j=j, xi=xi,
+                       xi_norm=_norm(xi))
     if bond_mask is None or not bond_mask.flags.writeable:
         nbrs.damage_tables[key] = table
         if bond_mask is not None:
@@ -553,7 +582,8 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
         tables = nbrs.damage_partition
     else:
         tables = (_half_bonds(nbrs, bond_mask),)
-    u = [np.ascontiguousarray(u[:, k]) for k in range(nbrs.xi.shape[1])]
+    u = [np.ascontiguousarray(u[:, k])
+         for k in range(nbrs.positions.shape[1])]
     hits = [np.empty(0, dtype=np.int64)]
     for table in tables:
         for lo in range(0, len(table.ids), _BLOCK_SLOTS):
@@ -606,8 +636,9 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
     margin = 2.0 * nbrs.delta * (1.0 + HORIZON_TOL)
     near = np.flatnonzero(_in_boxes(cloud.positions, [
         (np.minimum(c, d) - margin, np.maximum(c, d) + margin)]))
-    ids = _concat_ranges(nbrs.offsets[near], nbrs.offsets[near + 1])
-    a = cloud.positions[nbrs.bond_i[ids]]
+    start, stop = nbrs.offsets[near], nbrs.offsets[near + 1]
+    ids = _concat_ranges(start, stop)
+    a = cloud.positions[np.repeat(near, stop - start)]
     b = cloud.positions[nbrs.neighbors[ids]]
 
     def cross(o, p, q):
@@ -631,7 +662,9 @@ def damage_index(nbrs: NeighborList, i: int | None = None):
     Points without bonds report 0.  Pass ``i`` for a single point.
     """
     counts = nbrs.counts().astype(float)
-    alive = np.bincount(nbrs.bond_i, weights=nbrs.mu, minlength=nbrs.n_points)
+    # flags are 0.0 or 1.0, so these sums are exact in any order
+    total = np.concatenate(([0.0], np.cumsum(nbrs.mu)))
+    alive = total[nbrs.offsets[1:]] - total[nbrs.offsets[:-1]]
     phi = np.zeros(nbrs.n_points)
     has = counts > 0
     phi[has] = 1.0 - alive[has] / counts[has]

@@ -3,8 +3,9 @@
 The spatial substrate is a uniform lattice of material points with one
 volume per point (dx^2 * thickness in 2D, dx^3 in 3D).  Each point interacts
 with every other point within the horizon radius ``delta``; the neighbor
-list caches the reference bond vectors and carries the per-bond alive flags
-``mu`` that the damage model mutates.
+list holds the bond topology and the per-bond alive flags ``mu`` that the
+damage model mutates.  A bond's reference vector is ``x_j - x_i`` of the
+cloud's positions, so consumers derive the geometry where they need it.
 """
 
 from __future__ import annotations
@@ -59,13 +60,21 @@ class PointCloud:
 
 @dataclass
 class NeighborList:
-    """Horizon neighborhoods in CSR layout with cached bond geometry.
+    """Horizon neighborhoods in CSR layout: topology and bond flags only.
 
-    Bond b runs from ``bond_i[b]`` to ``neighbors[b]``; the bonds of point i
-    occupy ``offsets[i]:offsets[i+1]`` and are sorted by ascending neighbor
-    index (this fixes the force summation order).  ``partner[b]`` is the
-    index of the reversed bond, so symmetric damage updates are O(1).
-    ``mu`` is 1.0 for alive bonds and 0.0 once broken; bonds never heal.
+    The bonds of point i occupy ``offsets[i]:offsets[i+1]``; bond b runs
+    from that point to ``neighbors[b]``, and a point's bonds are sorted by
+    ascending neighbor index (this fixes the force summation order).
+    ``partner[b]`` is the index of the reversed bond, so symmetric damage
+    updates are O(1).  ``mu`` is 1.0 for alive bonds and 0.0 once broken;
+    bonds never heal.
+
+    Each per-bond array exists once, at the narrowest width: ``neighbors``
+    and ``partner`` are int32 (``build_neighbor_list`` refuses counts that
+    do not fit), ``mu`` is float64, and ``positions`` is a reference to the
+    cloud's array, not a copy.  ``bond_i``, ``xi`` and ``xi_norm`` are
+    derived on every access, bit for bit as the build would compute them;
+    they are for setup and checks, never for a per-step path.
 
     ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
     one writer, and it bumps ``version`` on every change, so caches derived
@@ -78,10 +87,8 @@ class NeighborList:
     delta: float
     offsets: np.ndarray
     neighbors: np.ndarray
-    bond_i: np.ndarray
-    xi: np.ndarray
-    xi_norm: np.ndarray
     partner: np.ndarray
+    positions: np.ndarray = field(repr=False)
     mu: np.ndarray = field(default=None)  # type: ignore[assignment]
     version: int = field(default=0, init=False)
     damage_tables: dict = field(default_factory=dict, init=False, repr=False)
@@ -99,6 +106,31 @@ class NeighborList:
     @property
     def n_bonds(self) -> int:
         return len(self.neighbors)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the list owns: the topology and the flags,
+        not the cloud's positions and not the damage tables."""
+        return sum(a.nbytes for a in (self.offsets, self.neighbors,
+                                      self.partner, self.mu))
+
+    @property
+    def bond_i(self) -> np.ndarray:
+        """The point each bond starts at (derived, int32)."""
+        return np.repeat(np.arange(self.n_points, dtype=np.int32),
+                         self.counts())
+
+    @property
+    def xi(self) -> np.ndarray:
+        """(bonds, dim) reference bond vectors ``x_j - x_i`` (derived)."""
+        diff = self.positions[self.neighbors]
+        diff -= self.positions[self.bond_i]
+        return diff
+
+    @property
+    def xi_norm(self) -> np.ndarray:
+        """Reference bond lengths |xi| (derived)."""
+        return np.linalg.norm(self.xi, axis=1)
 
     def neighbors_of(self, i: int) -> np.ndarray:
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
@@ -204,6 +236,18 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return first + (np.arange(total, dtype=np.int64) - reset)
 
 
+# Largest point or bond count the int32 neighbor list can index.
+INDEX_MAX = int(np.iinfo(np.int32).max)
+
+
+def check_index_range(n_points: int, n_bonds: int) -> None:
+    """Raise GeometryError unless every point and bond id fits int32."""
+    if n_points > INDEX_MAX or n_bonds > INDEX_MAX:
+        raise GeometryError(
+            f"{n_points} points and {n_bonds} bonds: the neighbor list "
+            f"indexes both with int32, at most {INDEX_MAX} each")
+
+
 def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     """Find all pairs within the horizon using uniform cell binning.
 
@@ -213,7 +257,8 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
 
     Memory scales with the bonds kept: each cell offset's candidate pairs
     are checked against the horizon as they are generated, and only the
-    accepted ones are collected.
+    accepted ones are collected, as int32.  A cloud whose point or bond
+    count does not fit int32 raises GeometryError.
     """
     if delta < cloud.spacing:
         raise GeometryError(
@@ -221,6 +266,7 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     pos = cloud.positions
     n = cloud.n_points
     dim = cloud.dim
+    check_index_range(n, 0)
     reach = delta * (1.0 + HORIZON_TOL)
 
     cell_size = reach * (1.0 + 1e-9)
@@ -234,6 +280,7 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
 
     pair_i = []
     pair_j = []
+    n_bonds = 0
     offsets_nd = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim),
                                       indexing="ij"), axis=-1).reshape(-1, dim)
     for off in offsets_nd:
@@ -261,12 +308,14 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
             raise GeometryError(
                 f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
         keep = (dist <= reach) & other
-        pair_i.append(bi[keep])
-        pair_j.append(bj[keep])
+        n_bonds += int(np.count_nonzero(keep))
+        check_index_range(n, n_bonds)
+        pair_i.append(bi[keep].astype(np.int32))
+        pair_j.append(bj[keep].astype(np.int32))
 
-    bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int64)
+    bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int32)
     del pair_i
-    bj = np.concatenate(pair_j) if pair_j else np.empty(0, np.int64)
+    bj = np.concatenate(pair_j) if pair_j else np.empty(0, np.int32)
     del pair_j
     # each pair is generated once, so the sorted order is unique; the
     # unsorted arrays are dropped as their sorted copies appear
@@ -279,19 +328,18 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
-    keys = bi * np.int64(n) + bj
-    reverse = bj * np.int64(n) + bi
-    partner = np.searchsorted(keys, reverse)
+    keys = bi * np.int64(n)
+    keys += bj
+    reverse = bj * np.int64(n)
+    reverse += bi
+    del bi
+    partner = np.searchsorted(keys, reverse).astype(np.int32)
     symmetric = np.array_equal(keys[partner], reverse)
     del keys, reverse
     if not symmetric:
         raise GeometryError("neighbor relation is not symmetric (internal error)")
-
-    diff = pos[bj]
-    diff -= pos[bi]
-    dist = np.linalg.norm(diff, axis=1)
     return NeighborList(delta=delta, offsets=offsets, neighbors=bj,
-                        bond_i=bi, xi=diff, xi_norm=dist, partner=partner)
+                        partner=partner, positions=pos)
 
 
 def _in_boxes(positions: np.ndarray, boxes) -> np.ndarray:
@@ -314,9 +362,10 @@ def classify_subdomains(cloud: PointCloud, nbrs: NeighborList,
     """
     fine = _in_boxes(cloud.positions, fine_boxes)
     fine_j = fine[nbrs.neighbors]
-    has_coarse_nbr = np.bincount(nbrs.bond_i, weights=~fine_j,
+    bond_i = nbrs.bond_i
+    has_coarse_nbr = np.bincount(bond_i, weights=~fine_j,
                                  minlength=cloud.n_points) > 0
-    has_fine_nbr = np.bincount(nbrs.bond_i, weights=fine_j,
+    has_fine_nbr = np.bincount(bond_i, weights=fine_j,
                                minlength=cloud.n_points) > 0
     labels = np.full(cloud.n_points, LABEL_C, dtype=np.int8)
     labels[~fine & has_fine_nbr] = LABEL_CI

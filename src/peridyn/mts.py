@@ -264,14 +264,33 @@ class MtsPlan:
         self.fine_bond_mask = self.coarse_bond_mask = bond_masks = None
         if s0 is not None:
             fine_end = labels.fine_mask
-            self.fine_bond_mask = fine_end[op.nbrs.bond_i] | \
-                fine_end[op.nbrs.neighbors]
+            self.fine_bond_mask = np.repeat(fine_end, op.nbrs.counts())
+            self.fine_bond_mask |= fine_end[op.nbrs.neighbors]
             self.coarse_bond_mask = ~self.fine_bond_mask
             self.fine_bond_mask.flags.writeable = False
             self.coarse_bond_mask.flags.writeable = False
             bond_masks = (self.coarse_bond_mask, self.fine_bond_mask)
         self.coarse_view, self.fine_view = op.partition(
             self.rows_c, self.rows_f, bond_masks)
+
+
+def cost_model(plan: MtsPlan) -> float:
+    """The cost of an MTS coarse step over that of UPD at dt/K across the
+    same interval, in bond evaluations, from the views' bond counts.
+
+    An order-r coarse step evaluates the coarse view r-1 times (the first
+    stage reads the history), the fine view K*r-1 times (likewise) and the
+    full view once, for the history push: (r-1)*B_c + (K*r-1)*B_f + B.  UPD
+    at dt/K evaluates the full view K*r times: K*r*B.  The r-2 startup
+    steps and the damage checks are left out.
+    """
+    r, K = plan.tab.r, plan.config.K
+    b = plan.op.nbrs.n_bonds
+    if b == 0:
+        return 1.0
+    mts = (r - 1) * plan.coarse_view.n_bonds \
+        + (K * r - 1) * plan.fine_view.n_bonds + b
+    return mts / (K * r * b)
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):

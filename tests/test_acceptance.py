@@ -71,7 +71,8 @@ def block_sweeps(cache_dir):
 
 @pytest.fixture(scope="session")
 def crack_runs():
-    """UPD and MTS(K=2) crack runs plus the fine-step UPD baseline."""
+    """UPD and MTS(K=2) crack runs plus the fine-step UPD baseline, with
+    each run's final state and bond flags."""
     cfg = pd.preset_config("crack2d")
     scenario = pd.Scenario(cfg)
     dt, n_steps = cfg.time.dt, cfg.time.n_steps
@@ -107,15 +108,19 @@ def crack_runs():
 
     op_f = scenario.fresh_operator()
     t0 = time.perf_counter()
-    upd_run(op_f, scenario.initial_state(), dt / 2, n_steps * 2,
-            tableau(cfg.mts.order), s0=scenario.s0)
+    fine_traj = upd_run(op_f, scenario.initial_state(), dt / 2, n_steps * 2,
+                        tableau(cfg.mts.order), s0=scenario.s0)
     upd_fine_seconds = time.perf_counter() - t0
 
     return dict(cfg=cfg, scenario=scenario, dx=raw_dx, extents=extents,
                 phi_upd=phi_upd, phi_mts=phi_mts, nbrs_upd=op_u.nbrs,
                 midpoints=midpoints, pre_broken=pre_broken,
                 mts_seconds=mts_seconds, upd_fine_seconds=upd_fine_seconds,
-                upd_seconds=upd_seconds)
+                upd_seconds=upd_seconds,
+                finals={"upd": upd_traj.final, "mts": mts_traj.final,
+                        "upd_fine": fine_traj.final},
+                mu={"upd": op_u.nbrs.mu, "mts": op_m.nbrs.mu,
+                    "upd_fine": op_f.nbrs.mu})
 
 
 def test_criterion_1_mts3_temporal_order(plate_sweeps):
@@ -313,6 +318,30 @@ def test_criterion_9_speedup(crack_runs):
            f"MTS(K=2) {crack_runs['mts_seconds']:.1f}s vs UPD(dt/2) "
            f"{crack_runs['upd_fine_seconds']:.1f}s: ratio {ratio:.2f} < 1 "
            f"(fine region {100 * fine_frac:.0f}% of points)")
+
+
+def test_criterion_12_mts_fine_step_accuracy(crack_runs):
+    # The paper's claim: MTS(K) at the coarse dt reproduces UPD at dt/K.
+    # Against UPD(dt/2), desk crack2d measured L2(u_y) = 1.2e-8 for MTS(K=2)
+    # and 2.8e-5 for UPD(dt), about 2400x apart, with 0 and 39 broken bonds
+    # differing.  A scheme with only coarse-step accuracy would sit near a
+    # factor of 1.  A factor of 100 is far from both: it catches that
+    # failure and still allows a 24x loss in the coupling's accuracy.
+    factor = 100.0
+    axis = crack_runs["scenario"].error_axis
+    ref = crack_runs["finals"]["upd_fine"].u[:, axis]
+    broken_ref = crack_runs["mu"]["upd_fine"] == 0.0
+    err, bonds = {}, {}
+    for name in ("mts", "upd"):
+        err[name] = pd.l2_error(crack_runs["finals"][name].u[:, axis], ref)
+        # undirected bonds whose broken state differs from the reference's
+        bonds[name] = int(np.count_nonzero(
+            (crack_runs["mu"][name] == 0.0) != broken_ref)) // 2
+    ok = err["mts"] * factor <= err["upd"] and bonds["mts"] <= bonds["upd"]
+    report(12, ok, f"against UPD(dt/2): L2(u_y) MTS(K=2) {err['mts']:.2e} "
+                   f"vs UPD(dt) {err['upd']:.2e} (at least {factor:.0f}x "
+                   f"closer); differing broken bonds {bonds['mts']} vs "
+                   f"{bonds['upd']}")
 
 
 def test_criterion_10_scoped_error_table(tmp_path):

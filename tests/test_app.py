@@ -778,6 +778,20 @@ class TestRunAndCli:
         with pytest.raises(ValueError, match="K must be an integer >= 1"):
             app.compare(mini_config(n_steps=0), K=0)
 
+    def test_compare_writes_the_cost_model(self, mini_config, tmp_path):
+        cfg = mini_config(n_steps=8)
+        _, _, ratio, _ = app.compare(cfg, K=4, out_dir=str(tmp_path))
+        lines = (tmp_path / "compare.txt").read_text().splitlines()
+        rows = dict(line.split(",") for line in lines)
+        assert list(rows) == ["mts_seconds", "upd_seconds", "ratio",
+                              "model_ratio", "l2_difference"]
+        assert float(rows["ratio"]) == pytest.approx(ratio, abs=1e-6)
+        scenario = Scenario(cfg)
+        plan = app.MtsPlan(scenario.fresh_operator(), scenario.mts_config(K=4))
+        assert float(rows["model_ratio"]) == \
+            pytest.approx(app.cost_model(plan), abs=1e-6)
+        assert 0.0 < app.cost_model(plan) < 1.0
+
     def test_converge_emits_scoped_rows(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)
         out_csv = tmp_path / "table.csv"

@@ -543,7 +543,7 @@ class TestCaches:
             assert np.array_equal(got, reference_rates(op, y, view.rows)), name
             for blk in view.blocks:
                 cached = isinstance(blk.coef, np.ndarray)
-                assert cached == np.isin(blk.bond, broken).any(), name
+                assert cached == np.isin(blk.bonds(op.nbrs), broken).any(), name
                 assert cached or blk.coef == op.alpha, name
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
@@ -864,6 +864,64 @@ class TestNearCrackCut:
             assert self.assert_same_cut(cloud, nbrs, segment) > 0
 
 
+class TestBondStorage:
+    """Blocks and damage tables derive the bond geometry from the
+    positions, bit for bit the neighbor list's derived xi and xi_norm;
+    their gather indices stay intp and no per-slot bond ids are kept."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_block_geometry_matches_the_list(self, law, dim, n):
+        op, plan = loaded_plan(law, n=n, dim=dim)
+        nbrs = op.nbrs
+        xi, xi_norm = nbrs.xi, nbrs.xi_norm
+        power = 3 if law == "linear" else 1
+        for view in (plan.coarse_view, plan.fine_view, op.make_view(
+                np.arange(op.cloud.n_points))):
+            for blk in view.blocks:
+                assert blk.nbr.dtype == np.intp
+                assert not hasattr(blk, "bond")
+                bond, pad = forces._slot_bonds(nbrs, blk.rows, len(blk.nbr))
+                assert np.array_equal(blk.bonds(nbrs), bond)
+                assert np.array_equal(blk.nbr[~pad], nbrs.neighbors[bond][~pad])
+                want = np.moveaxis(xi[bond], -1, 0)
+                want[:, pad] = 0.0
+                want[0][pad] = 1.0
+                assert blk.xi.tobytes() == want.tobytes()
+                length = xi_norm[bond] ** power
+                length[pad] = 1.0
+                assert blk.length.tobytes() == length.tobytes()
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    def test_damage_table_matches_the_list(self, dim, n):
+        op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
+        nbrs = op.nbrs
+        for mask in (plan.coarse_bond_mask, plan.fine_bond_mask):
+            table = forces._half_bonds(nbrs, mask)
+            ids = np.flatnonzero(mask & (nbrs.neighbors > nbrs.bond_i))
+            assert table.ids.dtype == np.int32
+            assert table.i.dtype == table.j.dtype == np.intp
+            assert np.array_equal(table.ids, ids)
+            assert np.array_equal(table.i, nbrs.bond_i[ids])
+            assert np.array_equal(table.j, nbrs.neighbors[ids])
+            xi = nbrs.xi[ids]
+            for k in range(dim):
+                assert table.xi[k].tobytes() == xi[:, k].tobytes()
+            assert table.xi_norm.tobytes() == nbrs.xi_norm[ids].tobytes()
+
+    def test_bond_sel_is_built_on_first_access(self):
+        op, plan = loaded_plan()
+        off = op.nbrs.offsets
+        for view in (plan.coarse_view, plan.fine_view):
+            assert "bond_sel" not in vars(view)
+            sel = view.bond_sel
+            assert vars(view)["bond_sel"] is sel
+            want = np.concatenate([np.arange(off[r], off[r + 1])
+                                   for r in view.rows])
+            assert np.array_equal(sel, want)
+            assert view.n_bonds == len(sel)
+
+
 class TestBlockSize:
     def test_block_temporaries_under_mmap_threshold(self):
         # glibc maps allocations of 128 KiB and more by default
@@ -875,7 +933,7 @@ class TestBlockSize:
         at most ``limit`` slots unless it holds a single row.  (A union
         view's blocks do not tile its rows in order.)"""
         for blk in view.blocks:
-            assert blk.bond.size <= limit or len(blk.rows) == 1
+            assert blk.nbr.size <= limit or len(blk.rows) == 1
         held = np.concatenate([blk.rows for blk in view.blocks])
         assert np.array_equal(np.sort(held), view.rows)
 
@@ -924,3 +982,21 @@ class TestDamageIndex:
         assert len(bonds) == 4
         write_mu(nbrs, broken=bonds[:2])
         assert damage_index(nbrs, center) == pytest.approx(0.5)
+
+    def test_matches_the_bond_sum(self):
+        # alive counts from CSR segments equal the per-bond bincount bit for
+        # bit, isolated points (no bonds) included
+        pos = np.vstack([build_grid(((0, 0), (3, 2)), 0.25,
+                                    thickness=1.0).positions, [[9.0, 9.0]]])
+        nbrs = build_neighbor_list(make_cloud(pos, spacing=0.25), 0.6)
+        rng = np.random.default_rng(5)
+        write_mu(nbrs, broken=rng.choice(nbrs.n_bonds, 60, replace=False))
+        counts = nbrs.counts()
+        assert counts[-1] == 0
+        alive = np.bincount(nbrs.bond_i, weights=nbrs.mu,
+                            minlength=nbrs.n_points)
+        want = np.zeros(nbrs.n_points)
+        has = counts > 0
+        want[has] = 1.0 - alive[has] / counts[has]
+        assert damage_index(nbrs).tobytes() == want.tobytes()
+        assert 0.0 < want.max() < 1.0

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from peridyn.app import preset_config
 from peridyn.geometry import (
-    GeometryError, HORIZON_TOL, LABEL_C, LABEL_CI, LABEL_F, LABEL_FI,
-    NeighborList, PointCloud, _concat_ranges, build_grid, build_neighbor_list,
-    classify_subdomains, select_layer,
+    GeometryError, HORIZON_TOL, INDEX_MAX, LABEL_C, LABEL_CI, LABEL_F,
+    LABEL_FI, PointCloud, _concat_ranges, build_grid, build_neighbor_list,
+    check_index_range, classify_subdomains, select_layer,
 )
 from tests.test_forces import make_cloud
 
@@ -36,7 +37,8 @@ def brute_force_neighbors(positions, delta):
 def all_candidates_builder(cloud, delta):
     """The neighbor-list builder as it was: every cell-pair candidate is
     generated with its bond vector and length first, then the horizon, self
-    and coincident-point checks run over all of them."""
+    and coincident-point checks run over all of them.  Returns the arrays
+    the list once stored, int64 indices and bond geometry included."""
     if delta < cloud.spacing:
         raise GeometryError(
             f"horizon {delta} is degenerate: smaller than spacing {cloud.spacing}")
@@ -99,20 +101,26 @@ def all_candidates_builder(cloud, delta):
     if not np.array_equal(keys[partner], bj * np.int64(n) + bi):
         raise GeometryError("neighbor relation is not symmetric (internal error)")
 
-    return NeighborList(delta=delta, offsets=offsets, neighbors=bj,
-                        bond_i=bi, xi=diff, xi_norm=dist, partner=partner)
+    return SimpleNamespace(offsets=offsets, neighbors=bj, bond_i=bi,
+                           xi=diff, xi_norm=dist, partner=partner,
+                           mu=np.ones(len(bj)))
 
 
 def assert_same_bytes(cloud, delta):
-    """build_neighbor_list equals the all-candidates builder byte for byte;
-    returns the list."""
+    """build_neighbor_list equals the all-candidates builder: the offsets,
+    the flags and the derived bond geometry byte for byte, the int32 index
+    arrays by value; returns the list."""
     got = build_neighbor_list(cloud, delta)
     want = all_candidates_builder(cloud, delta)
-    for name in ("offsets", "neighbors", "bond_i", "xi", "xi_norm",
-                 "partner", "mu"):
+    for name in ("offsets", "xi", "xi_norm", "mu"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    for name in ("neighbors", "bond_i", "partner"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.int32, name
+        assert np.array_equal(a, b), name
+    assert got.positions is cloud.positions
     return got
 
 
@@ -280,7 +288,10 @@ class TestStreamedBuild:
         assert str(got.value) == str(want.value)
 
     def test_desk_crack2d_peak_memory(self):
-        # the kept list is 14.7 MiB; the all-candidates build peaked at 61
+        # The kept list is 4.2 MiB and the build peaks at 10.6 MiB (the
+        # int64 sort keys of the partner search); 12 MiB leaves 13% margin.
+        # With int64 indices and stored bond geometry the list was 14.7 MiB
+        # and the peak 20.7; the all-candidates build peaked at 61.
         cfg = preset_config("crack2d")
         g = cfg.geometry
         cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
@@ -291,7 +302,40 @@ class TestStreamedBuild:
         finally:
             tracemalloc.stop()
         assert nbrs.n_bonds == 272_836
-        assert peak <= 25 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
+
+    @pytest.mark.parametrize("box, dx, ratio", [
+        (((0, 0), (1.3, 0.7)), 0.05, 3.0),
+        (((0, 0, 0), (0.6, 0.4, 0.3)), 0.05, 2.7),
+    ])
+    def test_list_holds_topology_and_flags_only(self, box, dx, ratio):
+        # int32 neighbor and partner, float64 flags, int64 offsets; the
+        # positions are the cloud's own array
+        cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
+                           else None)
+        nbrs = build_neighbor_list(cloud, ratio * dx)
+        held = [v for v in vars(nbrs).values() if isinstance(v, np.ndarray)
+                and v is not cloud.positions]
+        assert sum(a.nbytes for a in held) == nbrs.nbytes
+        assert nbrs.nbytes <= 16 * nbrs.n_bonds + 8 * (nbrs.n_points + 1)
+        assert nbrs.positions is cloud.positions
+
+    def test_index_range_guard(self):
+        # the check needs only the counts, so counts past int32 cost nothing
+        tracemalloc.start()
+        try:
+            check_index_range(INDEX_MAX, INDEX_MAX)
+            for n_points, n_bonds in ((2 ** 31, 0), (10, 2 ** 31),
+                                      (3 * 2 ** 31, 5 * 2 ** 31)):
+                with pytest.raises(GeometryError) as err:
+                    check_index_range(n_points, n_bonds)
+                assert f"{n_points} points and {n_bonds} bonds" \
+                    in str(err.value)
+                assert "int32" in str(err.value)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestClassifySubdomains:

@@ -8,8 +8,8 @@ from peridyn.geometry import build_grid, build_neighbor_list, \
 from peridyn.integrator import combine, rk_step, tableau, upd_run
 from peridyn.mts import (
     Interpolant, MtsConfig, MtsPlan, OperatorHistory, _fi_ghost, assemble_f,
-    build_interpolant, coarse_advance, estimate_derivatives, fine_advance,
-    matrix_A, mts_run, mts_step, startup_step,
+    build_interpolant, coarse_advance, cost_model, estimate_derivatives,
+    fine_advance, matrix_A, mts_run, mts_step, startup_step,
 )
 from tests.conftest import write_mu
 from tests.test_forces import make_cloud, random_state, unit_alpha_material
@@ -589,3 +589,46 @@ class TestSharedStageLoop:
         assert seen["mts"] == [(step, step * dt)
                                for step in range(1, n_steps + 1)]
         assert np.array_equal(mts.times(), np.array(recorded) * dt)
+
+
+class TestCostModel:
+    def test_k1_without_fine_region_costs_what_upd_costs(self):
+        op, labels, _ = smooth_plate(fine_frac=0)
+        for order in (3, 4):
+            plan = MtsPlan(op, MtsConfig(order=order, dt=1e-3, K=1,
+                                         labels=labels))
+            assert plan.fine_view.n_bonds == 0
+            assert cost_model(plan) == 1.0
+
+    def test_crack2d_preset(self):
+        from peridyn.app import Scenario, preset_config
+        scenario = Scenario(preset_config("crack2d"))
+        plan = MtsPlan(scenario.fresh_operator(), scenario.mts_config())
+        for K, want in ((2, 0.601), (4, 0.402), (8, 0.302)):
+            plan.config = scenario.mts_config(K=K)
+            assert cost_model(plan) == pytest.approx(want, abs=1e-3)
+
+    @pytest.mark.parametrize("order, K", [(3, 2), (4, 3)])
+    def test_counts_the_bonds_a_coarse_step_evaluates(self, order, K,
+                                                      monkeypatch):
+        op, labels, _ = smooth_plate()
+        dt = 1e-3
+        plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=K, labels=labels),
+                       s0=0.05)
+        hist = OperatorHistory(dt)
+        t_n = 9 * dt
+        for back in (2, 1, 0):
+            t = t_n - back * dt
+            hist.push(t, op.rates(random_state(op, 20 + back), t))
+        evaluated = []
+        rates = PDOperator.rates
+
+        def counting(self, y, t, view=None):
+            evaluated.append((view or self.full_view).n_bonds)
+            return rates(self, y, t, view)
+
+        monkeypatch.setattr(PDOperator, "rates", counting)
+        mts_step(plan, random_state(op, 3), t_n, t_n + dt, hist)
+        bonds = op.nbrs.n_bonds
+        assert sum(evaluated) == \
+            pytest.approx(cost_model(plan) * K * order * bonds, rel=1e-12)
