@@ -7,19 +7,22 @@ makes one `rates` call per view (full, coarse, fine) and one damage check
 per bond mask and one unmasked, and prints the peak resident set size
 after each stage.  It then prints the bytes held by the neighbor list, the
 views' row blocks and the damage tables, and exits 1 when the peak passes
-1 GiB.
+1 GiB or a store passes its 2D byte budget: 9.5 B per bond in the list,
+24 B of slot data per padded block slot and 28 B per half-bond in the
+damage tables.
 
 Each per-bond array is held once: the neighbor list keeps the topology
-(int32 neighbor and partner ids) and the bond flags, and the views and
-damage tables derive the bond geometry from the positions.  An MTS plan
-splits the operator into its coarse and fine views, and the full view is
-their union; likewise the unmasked damage check runs over the two masks'
-bond tables.
+(int32 neighbor and partner ids) and the bool bond flags, a block slot
+its neighbor id and the linear law's bond factor q (2 doubles), and a
+damage table entry its bond id, its two endpoints and its squared
+breaking length.  An MTS plan splits the operator into its coarse and
+fine views, and the full view is their union; likewise the unmasked
+damage check runs over the two masks' bond tables.
 
 It takes no time step: the paper-scale dt is far past the explicit
 stability limit of the paper-scale mesh, so a run would blow up.
 
-Run:  python demos/05_paper_scale_memory.py    (~30 s, about 0.7 GiB)
+Run:  python demos/05_paper_scale_memory.py    (~10 s, about 0.4 GiB)
 """
 
 import resource
@@ -33,6 +36,9 @@ from peridyn.forces import update_damage
 from peridyn.mts import MtsPlan
 
 PEAK_LIMIT_MIB = 1024.0
+# Bytes per bond, per padded slot and per half-bond, for the 2D crack.
+BUDGETS = {"neighbor list": 9.5, "block slot data": 24.0,
+           "damage tables": 28.0}
 
 
 def peak_mib() -> float:
@@ -80,26 +86,38 @@ def main() -> int:
         stage(f"damage check, {name}",
               lambda: update_damage(nbrs, u, scenario.s0, mask))
 
-    # the full view is the union of the two sides: their blocks, counted once
+    # The full view is the union of the two sides: their blocks, counted
+    # once.  A block's slot data are its neighbor ids and bond vectors; it
+    # also holds its row ids and, once a slot's bond broke, its flags.
     blocks = plan.coarse_view.blocks + plan.fine_view.blocks
     slots = sum(blk.nbr.size for blk in blocks)
+    slot_data = sum(blk.nbr.nbytes + blk.vec.nbytes for blk in blocks)
     tables = list(nbrs.damage_tables.values())
     half_bonds = sum(len(table.ids) for table in tables)
+    failed = []
     for name, held, per, unit in (
             ("neighbor list", nbrs.nbytes, nbrs.n_bonds, "bond"),
             ("view blocks", sum(array_bytes(blk) for blk in blocks), slots,
              "padded slot"),
+            ("block slot data", slot_data, slots, "padded slot"),
             ("damage tables", sum(array_bytes(table) for table in tables),
              half_bonds, "half-bond")):
-        print(f"held by {name:<14} {held / 2 ** 20:7.1f} MiB   "
-              f"{held / max(per, 1):5.1f} B per {unit}")
+        ratio = held / max(per, 1)
+        budget = BUDGETS.get(name)
+        note = "" if budget is None else f"   (budget {budget:.1f})"
+        print(f"held by {name:<15} {held / 2 ** 20:7.1f} MiB   "
+              f"{ratio:5.1f} B per {unit}{note}")
+        if budget is not None and ratio > budget:
+            failed.append(f"{name}: {ratio:.2f} B per {unit} exceeds "
+                          f"the budget of {budget:.1f}")
 
     peak = peak_mib()
     print(f"peak RSS: {peak:.0f} MiB (limit {PEAK_LIMIT_MIB:.0f} MiB)")
     if peak > PEAK_LIMIT_MIB:
-        print("peak RSS exceeds the limit", file=sys.stderr)
-        return 1
-    return 0
+        failed.append("peak RSS exceeds the limit")
+    for problem in failed:
+        print(problem, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -159,44 +159,59 @@ class BondCollapseError(SimulationError):
                          "bond(s) collapsed to zero length")
 
 
-# The kernels below act on bonds held as component arrays: xi[k] and eta[k]
-# are the k-th components of the reference and relative-displacement
-# vectors, all of one shape, and coef is the per-bond factor alpha * mu.
-# Each returns (scale, direction): component k of a bond's pairwise force
-# is scale * direction[k].  The arithmetic, and its order, is that of the
-# (bonds, dim) formulas with einsum and np.linalg.norm, bit for bit.
+# The kernels below act on bonds held as component arrays: vec[k] and eta[k]
+# are the k-th components of the bond's static vector and its relative
+# displacement, all of one shape.  Each returns (scale, direction):
+# component k of a bond's pairwise force is scale * direction[k].
 
 
-def _dot(a, b):
-    """Component dot product, summed in the order einsum("bd,bd->b")
-    uses: x0*e0 + x1*e1 in 2D and (x0*e0 + x2*e2) + x1*e1 in 3D."""
-    dot = a[0] * b[0]
-    if len(a) == 3:
-        dot += a[2] * b[2]
-    dot += a[1] * b[1]
-    return dot
-
-
-def _norm(d):
-    """Euclidean length from components: the square root of the
-    sequential sum of squares, as np.linalg.norm(..., axis=1) adds them."""
+def _norm_sq(d):
+    """Squared Euclidean length from components: the sequential sum of
+    squares, as np.linalg.norm(..., axis=1) adds them."""
     sq = d[0] * d[0]
     for c in d[1:]:
         sq += c * c
-    return np.sqrt(sq)
+    return sq
 
 
-def pairwise_force_linear(xi, eta, xi_norm_cubed, coef):
-    """Linearized pairwise force coef * (xi (x) xi / |xi|^3) eta, from the
-    cached |xi|**3."""
-    scale = _dot(xi, eta)
-    scale *= coef
-    scale /= xi_norm_cubed
-    return scale, xi
+def _norm(d):
+    """Euclidean length from components, bit for bit np.linalg.norm."""
+    return np.sqrt(_norm_sq(d))
+
+
+def bond_factor(xi, xi_norm, alpha, out=None):
+    """The linear law's rank-1 bond factor q = sqrt(alpha / |xi|^3) xi.
+
+    ``xi`` is (dim, ...) and ``xi_norm`` its length; ``out`` may be
+    ``xi``.  The linearized force alpha (xi (x) xi / |xi|^3) eta of an
+    alive bond is then (q . eta) q.
+    """
+    scale = xi_norm ** 3
+    np.divide(alpha, scale, out=scale)
+    np.sqrt(scale, out=scale)
+    return np.multiply(xi, scale, out=out)
+
+
+def pairwise_force_linear(q, eta, alive=None):
+    """Linearized pairwise force mu (q . eta) q from the bond factor q.
+
+    The dot product is summed in component order, in place in ``eta[0]``
+    (the other components of ``eta`` are overwritten too).  ``alive``, the
+    bond flags as 0.0/1.0, is None when every bond is alive.
+    """
+    dot = eta[0]
+    dot *= q[0]
+    for q_k, e_k in zip(q[1:], eta[1:]):
+        e_k *= q_k
+        dot += e_k
+    if alive is not None:
+        dot *= alive
+    return dot, q
 
 
 def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
-    """Nonlinear pairwise force coef * s * (xi + eta)/|xi + eta|.
+    """Nonlinear pairwise force coef * s * (xi + eta)/|xi + eta|, with coef
+    the per-bond factor alpha * mu.
 
     Raises BondCollapseError if a deformed bond collapses to (numerically)
     zero length, which indicates a non-physical state.
@@ -209,13 +224,19 @@ def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
     return coef * bond_stretch(ndef, xi_norm) / ndef, deformed
 
 
-def _slot_sum(a: np.ndarray) -> np.ndarray:
-    """Sum a (slot, row) array over its slots, one slot after another.
+def _slot_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum a * b over the slots of (slot, row) arrays, one slot after
+    another.
 
-    numpy reduces axis 0 of a 2-D array slot by slot, except when there is
-    a single row: then it sums pairwise.  cumsum is sequential always.
+    einsum adds the slots of each row in order when there are several
+    rows, rounding each product first (numpy builds for an x86-64 baseline
+    without FMA do not fuse them; the bitwise tests would show a build that
+    does).  For a single row it sums the contiguous slots in unrolled
+    partial sums; cumsum is sequential always.
     """
-    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+    if a.shape[1] > 1:
+        return np.einsum("sr,sr->r", a, b)
+    return np.cumsum(a * b, axis=0)[-1]
 
 
 # Padded bond slots per row block of a view.  A block's temporaries in
@@ -230,40 +251,38 @@ class _Block:
     """Rows lo:hi of a view, as padded (slot, row) bond arrays.
 
     Slot s of row q holds that row's s-th bond in ascending neighbor order.
-    A row with fewer bonds than the block's widest row is padded with
-    force-free bonds: the neighbor is the row itself (so eta = 0), xi is
-    the unit vector e0 and the cached length is 1.  The slots' bond ids are
-    not stored: ``bonds`` recomputes them from each row's CSR start.
+    ``vec`` holds the bond factor q (``bond_factor``) under the linear law
+    and xi under the nonlinear one, whose ``length`` holds |xi|.  A row
+    with fewer bonds than the block's widest row is padded with force-free
+    bonds: the neighbor is the row itself (so eta = 0), xi is the unit
+    vector e0 and its length 1.  The slots' bond ids are not stored:
+    ``bonds`` recomputes them from each row's CSR start.
 
-    ``coef`` caches the per-slot factor alpha * mu as of the neighbor
-    list's ``version``: the scalar alpha while every slot is alive (alpha
-    times 1.0 is alpha, bit for bit), else the gathered array.
+    ``flags`` caches the slots' bond flags as 0.0/1.0, as of the neighbor
+    list's ``version``: None while every slot is alive, so intact blocks
+    skip the multiplication.
     """
 
     lo: int
     hi: int
     rows: np.ndarray    # (R,) global point ids
     nbr: np.ndarray     # (S, R) neighbor points, intp for the gathers
-    xi: np.ndarray      # (dim, S, R) reference bond components
-    length: np.ndarray  # (S, R) |xi| (nonlinear law) or |xi|**3 (linear)
-    coef: float | np.ndarray = 0.0
-    version: int = -1   # nbrs.version that coef was computed at
+    vec: np.ndarray     # (dim, S, R) q (linear law) or xi (nonlinear)
+    length: np.ndarray | None  # (S, R) |xi| (nonlinear law only)
+    flags: np.ndarray | None = None
+    version: int = -1   # nbrs.version that flags was gathered at
 
     def bonds(self, nbrs: NeighborList) -> np.ndarray:
         """(S, R) bond ids of the slots; pads hold bond 0."""
         return _slot_bonds(nbrs, self.rows, len(self.nbr))[0]
 
-    def coefficient(self, nbrs: NeighborList, alpha: float):
-        """alpha * mu over the block's slots, refreshed when mu changed."""
+    def alive(self, nbrs: NeighborList) -> np.ndarray | None:
+        """The slots' flags (see ``flags``), refreshed when mu changed."""
         if self.version != nbrs.version:
             mu = np.take(nbrs.mu, self.bonds(nbrs))
-            if np.all(mu == 1.0):
-                self.coef = alpha
-            else:
-                mu *= alpha
-                self.coef = mu
+            self.flags = None if mu.all() else mu.astype(float)
             self.version = nbrs.version
-        return self.coef
+        return self.flags
 
 
 def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, n_slots: int):
@@ -319,7 +338,7 @@ class PDOperator:
 
     Instances are shared, read-only state for the steppers; the only mutable
     piece is the neighbor list's ``mu`` array, written between steps by the
-    damage update, and the blocks' coefficient caches that follow it.
+    damage update, and the blocks' flag caches that follow it.
 
     The full view, over every point, is built on first use.  An operator
     split by ``partition`` before that never builds one: its full view is
@@ -335,8 +354,6 @@ class PDOperator:
         self.nbrs = nbrs
         self.material = material
         self.law = law
-        self._force = pairwise_force_linear if law == "linear" \
-            else pairwise_force_nonlinear
         self.alpha = calibrate_alpha(material, nbrs.delta, cloud.dim,
                                      cloud.thickness)
         n, dim = cloud.n_points, cloud.dim
@@ -397,8 +414,17 @@ class PDOperator:
         xi[0][pad] = 1.0  # a pad's x_j - x_i is +0.0: make it e0
         length = _norm(xi)
         if self.law == "linear":
-            length **= 3
-        return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, xi=xi, length=length)
+            return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, length=None,
+                          vec=bond_factor(xi, length, self.alpha, out=xi))
+        return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, vec=xi, length=length)
+
+    def _pair_forces(self, blk: _Block, eta: list, alive):
+        """The block's (scale, direction) under the operator's law; the
+        linear law overwrites ``eta``."""
+        if self.law == "linear":
+            return pairwise_force_linear(blk.vec, eta, alive)
+        coef = self.alpha if alive is None else self.alpha * alive
+        return pairwise_force_nonlinear(blk.vec, eta, blk.length, coef)
 
     @property
     def full_view(self) -> _View:
@@ -451,9 +477,10 @@ class PDOperator:
         one row block at a time, so the temporaries stay in cache.
 
         A row's rates do not depend on the view or block that holds it.
-        Pad slots add +0.0 after a row's bonds, which can only turn a -0.0
-        force sum into +0.0, and adding the body force (never -0.0) turns
-        either into +0.0.  With ``view`` None this is the full view.
+        Pad slots add +0.0 after a row's bonds, and the slot sum of a block
+        of several rows starts from +0.0; either can only turn a -0.0 force
+        sum into +0.0, and adding the body force (never -0.0) turns both
+        into +0.0.  With ``view`` None this is the full view.
         """
         if view is None:
             view = self.full_view
@@ -461,15 +488,13 @@ class PDOperator:
         # np.take on contiguous components gathers far faster than fancy
         # indexing into the strided y[:, :dim]; the values are the same
         u = [np.ascontiguousarray(y[:, k]) for k in range(dim)]
-        nrows = len(view.rows)
-        force = np.zeros((nrows, dim))
+        force = np.zeros((len(view.rows), dim))
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             for blk in view.blocks:
                 try:
-                    scale, direction = self._force(
-                        blk.xi, _eta(blk, u), blk.length,
-                        blk.coefficient(self.nbrs, self.alpha))
+                    scale, direction = self._pair_forces(
+                        blk, _eta(blk, u), blk.alive(self.nbrs))
                 except BondCollapseError:
                     b = self._lowest_collapsed_bond(view, u)
                     raise SimulationError(
@@ -478,15 +503,16 @@ class PDOperator:
                         f"collapsed to zero length at t={t:.6e}") from None
                 rows = blk.rows if view.at_global_rows \
                     else slice(blk.lo, blk.hi)
-                term = np.empty_like(scale)
                 for k in range(dim):
-                    np.multiply(scale, direction[k], out=term)
-                    force[rows, k] = _slot_sum(term)
+                    force[rows, k] = _slot_dot(scale, direction[k])
+            # np.take(..., axis=0) gathers whole rows about ten times
+            # faster than fancy indexing does; the values are the same
             accel = (force * self.cloud.volume_per_point
-                     + self.body[view.rows]) / self.material.rho
+                     + np.take(self.body, view.rows, axis=0)) \
+                / self.material.rho
 
-        out = np.empty((nrows, 2 * dim))
-        out[:, :dim] = y[view.rows, dim:]
+        out = np.take(y, view.rows, axis=0)
+        out[:, :dim] = out[:, dim:]
         out[:, dim:] = accel
         if len(view.constrained_local):
             out[view.constrained_local, :dim] = view.v_prescribed
@@ -503,7 +529,7 @@ class PDOperator:
         lowest = self.nbrs.n_bonds
         for blk in view.blocks:
             try:
-                self._force(blk.xi, _eta(blk, u), blk.length, 1.0)
+                self._pair_forces(blk, _eta(blk, u), None)
             except BondCollapseError as err:
                 lowest = min(lowest,
                              int(blk.bonds(self.nbrs)[err.collapsed].min()))
@@ -513,13 +539,56 @@ class PDOperator:
 @dataclass
 class _HalfBonds:
     """The bonds a damage check covers, each once: ascending ids with
-    ``j > i``, and their endpoints and reference geometry computed once."""
+    ``j > i``, their endpoints, and the squared breaking length of each
+    for the critical stretch ``s0`` (``breaking_square``)."""
 
     ids: np.ndarray     # int32 bond ids
     i: np.ndarray       # intp endpoints, for the gathers
     j: np.ndarray
-    xi: list            # per component, (bonds,) each
-    xi_norm: np.ndarray
+    s0: float | None = None
+    threshold: np.ndarray | None = None  # (bonds,) at s0
+
+    def threshold_at(self, positions: np.ndarray, s0: float) -> np.ndarray:
+        """The bonds' breaking squares at s0, computed on the first call
+        with this s0 in chunks of _BLOCK_SLOTS bonds, so the search's
+        temporaries stay small."""
+        if self.s0 != s0:
+            self.threshold = np.empty(len(self.ids))
+            for lo in range(0, len(self.ids), _BLOCK_SLOTS):
+                chunk = slice(lo, lo + _BLOCK_SLOTS)
+                # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
+                xi_norm = _norm([np.take(p, self.j[chunk])
+                                 - np.take(p, self.i[chunk])
+                                 for p in positions.T])
+                self.threshold[chunk] = breaking_square(xi_norm, s0)
+            self.s0 = s0
+        return self.threshold
+
+
+def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
+    """Per bond, the least double T such that a deformed squared length
+    sq breaks the bond (bond_stretch(sqrt(sq), |xi|) >= s0) exactly when
+    sq >= T.
+
+    The stretch is a non-decreasing function of sq under rounding, so such
+    a T exists.  The search starts from ((1 + s0) |xi|)^2, a few ulps off,
+    and steps by nextafter: up until T breaks, then down while the double
+    below it still breaks.
+    """
+    def breaks(sq):
+        return bond_stretch(np.sqrt(sq), xi_norm) >= s0
+
+    t = ((1.0 + s0) * xi_norm) ** 2
+    up = ~breaks(t)
+    while np.any(up):
+        t[up] = np.nextafter(t[up], np.inf)
+        up = ~breaks(t)
+    while True:
+        below = np.nextafter(t, 0.0)
+        down = breaks(below) & (below < t)
+        if not np.any(down):
+            return t
+        t[down] = below[down]
 
 
 def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
@@ -537,11 +606,8 @@ def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
     ids = np.flatnonzero(check)
     i = bond_i[ids].astype(np.intp)
     del bond_i, check
-    j = nbrs.neighbors[ids].astype(np.intp)
-    # x_j - x_i and _norm: bit for bit the list's derived xi and xi_norm
-    xi = [np.take(p, j) - np.take(p, i) for p in nbrs.positions.T]
-    table = _HalfBonds(ids=ids.astype(np.int32), i=i, j=j, xi=xi,
-                       xi_norm=_norm(xi))
+    table = _HalfBonds(ids=ids.astype(np.int32), i=i,
+                       j=nbrs.neighbors[ids].astype(np.intp))
     if bond_mask is None or not bond_mask.flags.writeable:
         nbrs.damage_tables[key] = table
         if bond_mask is not None:
@@ -573,31 +639,32 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     partition (``PDOperator.partition``) when there is one.
 
     Each undirected bond is evaluated once, in its direction towards the
-    higher point index.  The reversed bond's xi and eta are exact negations,
-    so its stretch is bitwise the same and checking it would change nothing.
-    A table is evaluated in chunks of _BLOCK_SLOTS bonds, so the
-    temporaries stay in cache and under the mmap threshold.
+    higher point index.  The reversed bond's deformed vector is the exact
+    negation, so checking it would change nothing.  The test compares the
+    squared deformed length |p_j - p_i|^2, with p = x + u, against the
+    bond's breaking square (``breaking_square``): the same decision as the
+    stretch formula on that vector, with no square root or division.  A
+    table is evaluated in chunks of _BLOCK_SLOTS bonds, so the temporaries
+    stay in cache and under the mmap threshold.
     """
     if bond_mask is None and nbrs.damage_partition:
         tables = nbrs.damage_partition
     else:
         tables = (_half_bonds(nbrs, bond_mask),)
-    u = [np.ascontiguousarray(u[:, k])
-         for k in range(nbrs.positions.shape[1])]
+    pos = nbrs.positions
+    p = [pos[:, k] + u[:, k] for k in range(pos.shape[1])]
     hits = [np.empty(0, dtype=np.int64)]
     for table in tables:
+        threshold = table.threshold_at(pos, s0)
         for lo in range(0, len(table.ids), _BLOCK_SLOTS):
             chunk = slice(lo, lo + _BLOCK_SLOTS)
             deformed = []
-            for u_k, xi_k in zip(u, table.xi):
-                d_k = np.take(u_k, table.j[chunk])
-                d_k -= np.take(u_k, table.i[chunk])
-                d_k += xi_k[chunk]
+            for p_k in p:
+                d_k = np.take(p_k, table.j[chunk])
+                d_k -= np.take(p_k, table.i[chunk])
                 deformed.append(d_k)
-            # _norm adds the squares in component order, as
-            # np.linalg.norm does.  Broken bonds are evaluated too;
-            # _break_bonds skips them.
-            hit = bond_stretch(_norm(deformed), table.xi_norm[chunk]) >= s0
+            # Broken bonds are evaluated too; _break_bonds skips them.
+            hit = _norm_sq(deformed) >= threshold[chunk]
             hits.append(table.ids[chunk][hit])
     return _break_bonds(nbrs, np.concatenate(hits))
 
@@ -609,11 +676,11 @@ def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:
     if len(ids) == 0:
         return 0
     both = np.union1d(ids, nbrs.partner[ids])
-    newly = both[nbrs.mu[both] > 0.0]
+    newly = both[nbrs.mu[both]]
     if len(newly):
         nbrs.mu.flags.writeable = True
         try:
-            nbrs.mu[newly] = 0.0
+            nbrs.mu[newly] = False
         finally:
             nbrs.mu.flags.writeable = False
         nbrs.version += 1
@@ -652,7 +719,7 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
     # Bond endpoints strictly on opposite sides of the crack line (open bond
     # segment), crossing point within the closed crack segment.
     hits = (d1 * d2 < 0.0) & (d3 * d4 <= 0.0)
-    return _break_bonds(nbrs, ids[hits & (nbrs.mu[ids] > 0.0)])
+    return _break_bonds(nbrs, ids[hits & nbrs.mu[ids]])
 
 
 def damage_index(nbrs: NeighborList, i: int | None = None):
@@ -662,8 +729,8 @@ def damage_index(nbrs: NeighborList, i: int | None = None):
     Points without bonds report 0.  Pass ``i`` for a single point.
     """
     counts = nbrs.counts().astype(float)
-    # flags are 0.0 or 1.0, so these sums are exact in any order
-    total = np.concatenate(([0.0], np.cumsum(nbrs.mu)))
+    # the flags are bool: these are integer counts
+    total = np.concatenate(([0], np.cumsum(nbrs.mu)))
     alive = total[nbrs.offsets[1:]] - total[nbrs.offsets[:-1]]
     phi = np.zeros(nbrs.n_points)
     has = counts > 0

@@ -66,12 +66,12 @@ class NeighborList:
     from that point to ``neighbors[b]``, and a point's bonds are sorted by
     ascending neighbor index (this fixes the force summation order).
     ``partner[b]`` is the index of the reversed bond, so symmetric damage
-    updates are O(1).  ``mu`` is 1.0 for alive bonds and 0.0 once broken;
+    updates are O(1).  ``mu`` is True for alive bonds and False once broken;
     bonds never heal.
 
     Each per-bond array exists once, at the narrowest width: ``neighbors``
     and ``partner`` are int32 (``build_neighbor_list`` refuses counts that
-    do not fit), ``mu`` is float64, and ``positions`` is a reference to the
+    do not fit), ``mu`` is bool, and ``positions`` is a reference to the
     cloud's array, not a copy.  ``bond_i``, ``xi`` and ``xi_norm`` are
     derived on every access, bit for bit as the build would compute them;
     they are for setup and checks, never for a per-step path.
@@ -96,7 +96,7 @@ class NeighborList:
 
     def __post_init__(self):
         if self.mu is None:
-            self.mu = np.ones(len(self.neighbors))
+            self.mu = np.ones(len(self.neighbors), dtype=bool)
         self.mu.flags.writeable = False
 
     @property
@@ -236,6 +236,11 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return first + (np.arange(total, dtype=np.int64) - reset)
 
 
+# Candidate pairs generated at a time by build_neighbor_list, about 100 B
+# of temporaries each.  A desk preset's cell offset fits in one chunk (at
+# most 92k candidates, on crack2d); the paper-scale crack's splits in nine.
+_BUILD_CANDIDATES = 1 << 18
+
 # Largest point or bond count the int32 neighbor list can index.
 INDEX_MAX = int(np.iinfo(np.int32).max)
 
@@ -248,6 +253,20 @@ def check_index_range(n_points: int, n_bonds: int) -> None:
             f"indexes both with int32, at most {INDEX_MAX} each")
 
 
+def _chunks(sizes: np.ndarray, limit: int) -> list:
+    """Slices that split consecutive items into runs of about ``limit``
+    total size: a run ends at the last item whose running total stays
+    within the next multiple of ``limit``, so it exceeds ``limit`` by less
+    than one item's size."""
+    total = np.cumsum(sizes)
+    if total[-1] <= limit:
+        return [slice(None)]
+    cuts = np.searchsorted(total, np.arange(limit, total[-1], limit),
+                           side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(sizes)]))).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     """Find all pairs within the horizon using uniform cell binning.
 
@@ -256,8 +275,9 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     the horizon sphere are kept (relative slack HORIZON_TOL).
 
     Memory scales with the bonds kept: each cell offset's candidate pairs
-    are checked against the horizon as they are generated, and only the
-    accepted ones are collected, as int32.  A cloud whose point or bond
+    are generated over chunks of source points, about _BUILD_CANDIDATES at
+    a time, and checked against the horizon as they are generated; only
+    the accepted ones are collected, as int32.  A cloud whose point or bond
     count does not fit int32 raises GeometryError.
     """
     if delta < cloud.spacing:
@@ -287,31 +307,32 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
         target = cells + off
         valid = np.all((target >= 0) & (target < dims), axis=1)
         src = np.flatnonzero(valid)
-        if not len(src):
-            continue
         tgt_id = np.ravel_multi_index(target[src].T, dims)
         loc = np.searchsorted(uniq_ids, tgt_id)
         found = (loc < len(uniq_ids))
         found[found] &= uniq_ids[loc[found]] == tgt_id[found]
         src = src[found]
+        if not len(src):
+            continue
         loc = loc[found]
         starts, stops = uniq_starts[loc], uniq_stops[loc]
-        bi = np.repeat(src, stops - starts)
-        bj = order[_concat_ranges(starts, stops)]
-        # offsets run in a fixed order, so the first coincident pair found
-        # is the first among all candidates
-        dist = np.linalg.norm(pos[bj] - pos[bi], axis=1)
-        other = bi != bj
-        coincident = (dist == 0.0) & other
-        if np.any(coincident):
-            k = np.flatnonzero(coincident)[0]
-            raise GeometryError(
-                f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
-        keep = (dist <= reach) & other
-        n_bonds += int(np.count_nonzero(keep))
-        check_index_range(n, n_bonds)
-        pair_i.append(bi[keep].astype(np.int32))
-        pair_j.append(bj[keep].astype(np.int32))
+        for chunk in _chunks(stops - starts, _BUILD_CANDIDATES):
+            bi = np.repeat(src[chunk], stops[chunk] - starts[chunk])
+            bj = order[_concat_ranges(starts[chunk], stops[chunk])]
+            # offsets and chunks run in a fixed order, so the first
+            # coincident pair found is the first among all candidates
+            dist = np.linalg.norm(pos[bj] - pos[bi], axis=1)
+            other = bi != bj
+            coincident = (dist == 0.0) & other
+            if np.any(coincident):
+                k = np.flatnonzero(coincident)[0]
+                raise GeometryError(
+                    f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
+            keep = (dist <= reach) & other
+            n_bonds += int(np.count_nonzero(keep))
+            check_index_range(n, n_bonds)
+            pair_i.append(bi[keep].astype(np.int32))
+            pair_j.append(bj[keep].astype(np.int32))
 
     bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int32)
     del pair_i

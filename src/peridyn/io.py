@@ -21,7 +21,7 @@ _CACHE_MAGIC = "peridyn reference cache 1"
 # Part of every reference cache key.  Bump it whenever a change alters
 # trajectory bits (a new summation order, say), so that references cached
 # by the old solver are recomputed instead of served stale.
-REFERENCE_VERSION = 1
+REFERENCE_VERSION = 2
 
 
 def _fmt(x: float) -> str:

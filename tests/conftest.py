@@ -14,7 +14,7 @@ def write_mu(nbrs, broken=(), mu=None):
     ``broken`` bond ids break in both directions through the damage
     model's writer.  ``mu``, a whole flag array that may heal bonds, is
     copied in and bumps ``nbrs.version``, as the damage model would, so
-    the operator's coefficient caches refresh.
+    the operator's flag caches refresh.
     """
     _break_bonds(nbrs, np.asarray(broken, dtype=np.int64))
     if mu is not None:

@@ -5,8 +5,9 @@ from peridyn import forces
 from peridyn.app import Scenario, preset_config
 from peridyn.forces import (
     InstabilityError, Loading, Material, PDOperator, SimulationError,
-    bond_stretch, break_precrack_bonds, calibrate_alpha, damage_index,
-    pairwise_force_linear, pairwise_force_nonlinear, update_damage,
+    bond_factor, bond_stretch, break_precrack_bonds, breaking_square,
+    calibrate_alpha, damage_index, pairwise_force_linear,
+    pairwise_force_nonlinear, update_damage,
 )
 from peridyn.geometry import PointCloud, build_grid, build_neighbor_list, \
     classify_subdomains
@@ -73,12 +74,15 @@ def all_stretches(nbrs, u):
 
 
 def bond_forces(kernel, xi, eta, coef):
-    """(bonds, dim) pairwise forces of a force kernel, fed with the
-    component arrays of (bonds, dim) xi and eta and the power of |xi| its
-    law caches."""
+    """(bonds, dim) pairwise forces of a force kernel with the per-bond
+    factor coef = alpha * mu, fed with the component arrays of (bonds, dim)
+    xi and eta: the linear law takes coef in its bond factor q."""
     xi_norm = np.linalg.norm(xi, axis=1)
-    length = xi_norm ** 3 if kernel is pairwise_force_linear else xi_norm
-    scale, direction = kernel(xi.T, eta.T, length, coef)
+    if kernel is pairwise_force_linear:
+        scale, direction = kernel(bond_factor(xi.T, xi_norm, coef),
+                                  eta.T.copy())
+    else:
+        scale, direction = kernel(xi.T, eta.T, xi_norm, coef)
     return np.stack([scale * d for d in direction], axis=1)
 
 
@@ -257,10 +261,12 @@ class TestApplyOperator:
 
 
 def reference_rates(op, y, rows):
-    """PDOperator.rates at ``rows`` by the original formula, independent of
-    the library's kernels: fancy-index gathers on the strided y[:, :dim],
-    (bonds, dim) arrays with einsum and np.linalg.norm, one bincount per
-    component over the local row positions, constraint overrides last."""
+    """PDOperator.rates at ``rows`` by the formula, independent of the
+    library's kernels: fancy-index gathers on the strided y[:, :dim],
+    (bonds, dim) arrays from the list's xi and np.linalg.norm, one bincount
+    per component over the local row positions, constraint overrides last.
+    The linear law is mu (q . eta) q with q = sqrt(alpha / |xi|^3) xi, the
+    dot summed in component order."""
     nbrs, dim = op.nbrs, op.cloud.dim
     u = y[:, :dim]
     bonds = [np.arange(nbrs.offsets[r], nbrs.offsets[r + 1]) for r in rows]
@@ -268,11 +274,15 @@ def reference_rates(op, y, rows):
     i_local = np.repeat(np.arange(len(rows)), [len(b) for b in bonds])
     xi, xi_norm = nbrs.xi[bond_sel], nbrs.xi_norm[bond_sel]
     eta = u[nbrs.neighbors[bond_sel]] - u[rows[i_local]]
-    coef = op.alpha * nbrs.mu[bond_sel]
+    mu = nbrs.mu[bond_sel].astype(float)
     if op.law == "linear":
-        dot = np.einsum("bd,bd->b", xi, eta)
-        p = (coef * dot / xi_norm ** 3)[:, None] * xi
+        q = np.sqrt(op.alpha / xi_norm ** 3)[:, None] * xi
+        dot = q[:, 0] * eta[:, 0]
+        for k in range(1, dim):
+            dot += q[:, k] * eta[:, k]
+        p = (dot * mu)[:, None] * q
     else:
+        coef = op.alpha * mu
         deformed = xi + eta
         ndef = np.linalg.norm(deformed, axis=1)
         stretch = (ndef - xi_norm) / xi_norm
@@ -368,6 +378,22 @@ class TestRatesBitIdentity:
             got = op.rates(y, 0.0, op.make_view(rows))
             assert np.array_equal(got, reference_rates(op, y, rows))
 
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_one_row_block_matches_wide_block(self, law, dim, n):
+        # the single-row slot sum gives a row the bits it gets among many
+        op, plan = loaded_plan(law, n=n, dim=dim)
+        nbrs = op.nbrs
+        write_mu(nbrs, (0, 17, 400, 901))
+        y = random_state(op, 61)
+        wide = op.rates(y, 0.5)
+        assert all(len(blk.rows) > 1 for blk in op.full_view.blocks)
+        broken = nbrs.bond_i[np.flatnonzero(~nbrs.mu)]
+        for row in {0, int(broken[0]), int(broken[-1]),
+                    int(plan.rows_f[0]), op.cloud.n_points - 1}:
+            one = op.rates(y, 0.5, op.make_view(np.array([row])))
+            assert one.tobytes() == wide[[row]].tobytes(), row
+
     def test_collapse_names_lowest_bond_past_first_block(self):
         op, _ = loaded_plan("nonlinear", n=80)
         nbrs = op.nbrs
@@ -390,6 +416,55 @@ class TestRatesBitIdentity:
                            match=rf"bond {collapsed[0][0]} -> "
                                  rf"{collapsed[0][1]} collapsed"):
             op.rates(y, 0.0)
+
+
+def bare_grid_op(law, dim, n=8):
+    """An unloaded operator on a 1 x 0.5 plate (or 1 x 0.5 x 0.5 block) of
+    spacing 1/n and horizon 3/n."""
+    h = 1.0 / n
+    extent = (1.0,) + (0.5,) * (dim - 1)
+    cloud = build_grid(((0.0,) * dim, extent), h,
+                       thickness=0.01 if dim == 2 else None)
+    mat = unit_alpha_material(3 * h, thickness=0.01) if dim == 2 \
+        else Material(E=1.0, nu=0.25, rho=1.0)
+    return PDOperator(cloud, build_neighbor_list(cloud, 3 * h), mat, law=law)
+
+
+class TestForceSymmetry:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_rigid_translation_is_exactly_force_free(self, law, dim):
+        op = bare_grid_op(law, dim)
+        write_mu(op.nbrs, (4, 100))
+        y = np.zeros((op.cloud.n_points, 2 * dim))
+        y[:, :dim] = np.array([0.3, -0.7, 0.11][:dim]) * op.cloud.spacing
+        for rows in (None, np.arange(0, op.cloud.n_points, 3)):
+            view = None if rows is None else op.make_view(rows)
+            rate = op.rates(y, 0.0, view)
+            assert np.all(rate[:, dim:] == 0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_pairwise_forces_are_antisymmetric(self, law, dim):
+        # bond j -> i carries exactly the negated force of i -> j; a zero
+        # component may keep its sign (x_i - x_j is +0.0 when equal)
+        op = bare_grid_op(law, dim)
+        nbrs = op.nbrs
+        u = random_state(op, 59)[:, :dim]
+        xi, xi_norm = nbrs.xi.T, nbrs.xi_norm
+        eta = (u[nbrs.neighbors] - u[nbrs.bond_i]).T.copy()
+        if law == "linear":
+            scale, direction = pairwise_force_linear(
+                bond_factor(xi, xi_norm, op.alpha), eta)
+        else:
+            scale, direction = pairwise_force_nonlinear(
+                xi, eta, xi_norm, op.alpha)
+        f = np.stack([scale * d for d in direction], axis=1)
+        back = f[nbrs.partner]
+        assert np.array_equal(back, -f)
+        nonzero = f != 0.0
+        assert nonzero.mean() > 0.5
+        assert back[nonzero].tobytes() == (-f[nonzero]).tobytes()
 
 
 class TestUnionView:
@@ -463,10 +538,14 @@ class TestUnionView:
         for q in rows:
             bonds = np.arange(nbrs.offsets[q], nbrs.offsets[q + 1])
             eta = y[nbrs.neighbors[bonds], :dim] - y[q, :dim]
-            force, power = (pairwise_force_linear, 3) if law == "linear" \
-                else (pairwise_force_nonlinear, 1)
-            scale, direction = force(nbrs.xi[bonds].T, eta.T,
-                                     nbrs.xi_norm[bonds] ** power, 0.0)
+            xi, xi_norm = nbrs.xi[bonds].T, nbrs.xi_norm[bonds]
+            if law == "linear":
+                scale, direction = pairwise_force_linear(
+                    bond_factor(xi, xi_norm, op.alpha), eta.T.copy(),
+                    np.zeros(len(bonds)))
+            else:
+                scale, direction = pairwise_force_nonlinear(
+                    xi, eta.T, xi_norm, 0.0)
             terms = scale * direction[0]
             assert np.all(terms == 0.0) and np.all(np.signbit(terms))
             assert nbrs.counts()[q] < nbrs.counts().max()
@@ -522,8 +601,8 @@ class TestUnionView:
 
 
 class TestCaches:
-    """rates caches alpha * mu per row block and update_damage a bond table
-    per static mask; both must follow every change to the bond flags."""
+    """rates caches the bond flags per row block and update_damage a bond
+    table per static mask; both must follow every change to the flags."""
 
     @staticmethod
     def row_near(op, x):
@@ -534,7 +613,8 @@ class TestCaches:
     @staticmethod
     def assert_views(op, plan, y):
         """rates equals the reference on every view, and exactly the blocks
-        holding a broken bond carry a cached coefficient array."""
+        holding a broken bond carry a cached flag array, equal to the
+        slots' flags."""
         broken = np.flatnonzero(op.nbrs.mu == 0.0)
         for name, view in (("full", op.full_view),
                            ("coarse", plan.coarse_view),
@@ -542,9 +622,11 @@ class TestCaches:
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, view.rows)), name
             for blk in view.blocks:
-                cached = isinstance(blk.coef, np.ndarray)
-                assert cached == np.isin(blk.bonds(op.nbrs), broken).any(), name
-                assert cached or blk.coef == op.alpha, name
+                bonds = blk.bonds(op.nbrs)
+                cached = blk.flags is not None
+                assert cached == np.isin(bonds, broken).any(), name
+                assert not cached or np.array_equal(
+                    blk.flags, op.nbrs.mu[bonds].astype(float)), name
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
@@ -561,6 +643,22 @@ class TestCaches:
         write_mu(nbrs, [nbrs.offsets[r] + 5 for r in rows])
         self.assert_views(op, plan, y)  # a second break in cached blocks
         assert not np.array_equal(op.rates(y, 0.5), before)
+
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_rates_follow_flags_set_back_to_alive(self, law):
+        op, plan = loaded_plan(law, n=40)
+        nbrs = op.nbrs
+        y = random_state(op, 67)
+        intact = op.rates(y, 0.5)
+        mu0 = nbrs.mu.copy()
+        write_mu(nbrs, [nbrs.offsets[self.row_near(op, x)] + 3
+                        for x in (0.25, 0.75)])
+        self.assert_views(op, plan, y)
+        assert any(blk.flags is not None for blk in op.full_view.blocks)
+        write_mu(nbrs, mu=mu0)  # every bond alive again
+        self.assert_views(op, plan, y)
+        assert all(blk.flags is None for blk in op.full_view.blocks)
+        assert op.rates(y, 0.5).tobytes() == intact.tobytes()
 
     def test_mu_is_read_only(self, mini_config):
         op, _ = loaded_plan()
@@ -740,6 +838,43 @@ class TestDamage:
                    ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")),
             **kw), monkeypatch)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("s0", [0.5, 0.25, 0.01])
+    def test_squared_test_matches_the_stretch_formula(self, s0, dim):
+        # The check compares |p_j - p_i|^2 with a per-bond breaking square
+        # T; the stretch formula on the same deformed vectors must break
+        # the same bonds.  T is exact: sqrt(T) breaks, the double below
+        # does not.  Binary-exact s0 get an x-bond at exactly s == s0.
+        n = 8
+        h = 1.0 / n
+        op = bare_grid_op("linear", dim, n)
+        nbrs, pos = op.nbrs, op.cloud.positions
+        rng = np.random.default_rng(71)
+        u = s0 * h * rng.normal(size=(op.cloud.n_points, dim))
+        tie = None
+        if s0 != 0.01:
+            # point (ix, iy[, iz]) is ix*4 + iy in 2D, (ix*4 + iy)*4 + iz
+            a = 2 * 4 + 1 if dim == 2 else (2 * 4 + 1) * 4 + 1
+            c = a + 4 ** (dim - 1)  # the next point along x
+            u[[a, c]] = 0.0
+            u[c, 0] = s0 * h
+            tie = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
+        p = pos + u
+        deformed = p[nbrs.neighbors] - p[nbrs.bond_i]
+        s = bond_stretch(np.linalg.norm(deformed, axis=1), nbrs.xi_norm)
+        want = s >= s0
+        assert 0 < want.sum() < len(want)
+        if tie is not None:
+            assert s[tie] == s0 and want[tie]
+
+        t = breaking_square(nbrs.xi_norm, s0)
+        assert np.all(bond_stretch(np.sqrt(t), nbrs.xi_norm) >= s0)
+        below = np.nextafter(t, 0.0)
+        assert np.all(bond_stretch(np.sqrt(below), nbrs.xi_norm) < s0)
+
+        assert update_damage(nbrs, u, s0) == want.sum() // 2
+        assert np.array_equal(~nbrs.mu, want)
+
     def test_partition_masks_must_be_static_and_disjoint(self):
         op, plan = loaded_plan(s0=0.5)
         coarse, fine = plan.coarse_bond_mask, plan.fine_bond_mask
@@ -866,16 +1001,18 @@ class TestNearCrackCut:
 
 class TestBondStorage:
     """Blocks and damage tables derive the bond geometry from the
-    positions, bit for bit the neighbor list's derived xi and xi_norm;
-    their gather indices stay intp and no per-slot bond ids are kept."""
+    positions, bit for bit from the neighbor list's derived xi and
+    xi_norm; their gather indices stay intp and no per-slot bond ids are
+    kept."""
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_block_geometry_matches_the_list(self, law, dim, n):
+        # the linear law holds q = sqrt(alpha / |xi|^3) xi and no length,
+        # the nonlinear law xi and |xi|; a pad's xi is e0, of length 1
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
         xi, xi_norm = nbrs.xi, nbrs.xi_norm
-        power = 3 if law == "linear" else 1
         for view in (plan.coarse_view, plan.fine_view, op.make_view(
                 np.arange(op.cloud.n_points))):
             for blk in view.blocks:
@@ -887,13 +1024,19 @@ class TestBondStorage:
                 want = np.moveaxis(xi[bond], -1, 0)
                 want[:, pad] = 0.0
                 want[0][pad] = 1.0
-                assert blk.xi.tobytes() == want.tobytes()
-                length = xi_norm[bond] ** power
+                length = xi_norm[bond]
                 length[pad] = 1.0
-                assert blk.length.tobytes() == length.tobytes()
+                if law == "linear":
+                    want *= np.sqrt(op.alpha / length ** 3)
+                    assert blk.length is None
+                else:
+                    assert blk.length.tobytes() == length.tobytes()
+                assert blk.vec.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
+        # ids, endpoints and, once a check at s0 ran, the breaking squares
+        # from the list's xi_norm; no bond geometry is stored
         op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
         nbrs = op.nbrs
         for mask in (plan.coarse_bond_mask, plan.fine_bond_mask):
@@ -904,10 +1047,12 @@ class TestBondStorage:
             assert np.array_equal(table.ids, ids)
             assert np.array_equal(table.i, nbrs.bond_i[ids])
             assert np.array_equal(table.j, nbrs.neighbors[ids])
-            xi = nbrs.xi[ids]
-            for k in range(dim):
-                assert table.xi[k].tobytes() == xi[:, k].tobytes()
-            assert table.xi_norm.tobytes() == nbrs.xi_norm[ids].tobytes()
+            assert not hasattr(table, "xi") and not hasattr(table, "xi_norm")
+            assert table.threshold is None
+            update_damage(nbrs, np.zeros((op.cloud.n_points, dim)), 0.5, mask)
+            assert table.s0 == 0.5
+            want = breaking_square(nbrs.xi_norm[ids], 0.5)
+            assert table.threshold.tobytes() == want.tobytes()
 
     def test_bond_sel_is_built_on_first_access(self):
         op, plan = loaded_plan()

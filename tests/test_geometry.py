@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peridyn import geometry
 from peridyn.app import preset_config
 from peridyn.geometry import (
     GeometryError, HORIZON_TOL, INDEX_MAX, LABEL_C, LABEL_CI, LABEL_F,
@@ -107,18 +108,19 @@ def all_candidates_builder(cloud, delta):
 
 
 def assert_same_bytes(cloud, delta):
-    """build_neighbor_list equals the all-candidates builder: the offsets,
-    the flags and the derived bond geometry byte for byte, the int32 index
-    arrays by value; returns the list."""
+    """build_neighbor_list equals the all-candidates builder: the offsets
+    and the derived bond geometry byte for byte, the int32 index arrays
+    and the bool flags by value; returns the list."""
     got = build_neighbor_list(cloud, delta)
     want = all_candidates_builder(cloud, delta)
-    for name in ("offsets", "xi", "xi_norm", "mu"):
+    for name in ("offsets", "xi", "xi_norm"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    for name in ("neighbors", "bond_i", "partner"):
+    for name, dtype in (("neighbors", np.int32), ("bond_i", np.int32),
+                        ("partner", np.int32), ("mu", bool)):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == np.int32, name
+        assert a.dtype == dtype, name
         assert np.array_equal(a, b), name
     assert got.positions is cloud.positions
     return got
@@ -239,8 +241,9 @@ class TestNeighborList:
 
 
 class TestStreamedBuild:
-    """The neighbor list is built offset by offset, keeping only accepted
-    pairs; every array must equal the all-candidates builder's."""
+    """The neighbor list is built offset by offset, over chunks of source
+    points, keeping only accepted pairs; every array must equal the
+    all-candidates builder's."""
 
     @pytest.mark.parametrize("box, dx, ratio", [
         (((0, 0), (1.3, 0.7)), 0.05, 3.0),
@@ -287,6 +290,44 @@ class TestStreamedBuild:
         assert "coincide" in str(got.value)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("chunk", [1, 37, 1000])
+    def test_chunked_candidates_match_all_candidates_builder(
+            self, chunk, monkeypatch):
+        # chunks of one point, of fewer candidates than one point has, and
+        # of many points; the first coincident pair is still the one named
+        monkeypatch.setattr(geometry, "_BUILD_CANDIDATES", chunk)
+        for box, dx, ratio in ((((0, 0), (1.3, 0.7)), 0.05, 3.3),
+                               (((0, 0, 0), (0.6, 0.4, 0.3)), 0.1, 2.7)):
+            cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
+                               else None)
+            assert assert_same_bytes(cloud, ratio * dx).n_bonds > 0
+        pos = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [3.0, 0.0],
+                        [0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
+        cloud = make_cloud(pos, spacing=0.01)
+        with pytest.raises(GeometryError) as want:
+            all_candidates_builder(cloud, 1.2)
+        with pytest.raises(GeometryError) as got:
+            build_neighbor_list(cloud, 1.2)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["plate2d", "block3d", "crack2d"])
+    def test_desk_presets_build_in_one_chunk(self, name, monkeypatch):
+        # one candidate gather per cell offset: chunking costs the desk
+        # presets nothing
+        gathers = []
+        concat = geometry._concat_ranges
+
+        def counted(starts, stops):
+            gathers.append(len(starts))
+            return concat(starts, stops)
+
+        monkeypatch.setattr(geometry, "_concat_ranges", counted)
+        cfg = preset_config(name)
+        g = cfg.geometry
+        cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
+        build_neighbor_list(cloud, cfg.delta)
+        assert len(gathers) == 3 ** cloud.dim
+
     def test_desk_crack2d_peak_memory(self):
         # The kept list is 4.2 MiB and the build peaks at 10.6 MiB (the
         # int64 sort keys of the partner search); 12 MiB leaves 13% margin.
@@ -309,7 +350,7 @@ class TestStreamedBuild:
         (((0, 0, 0), (0.6, 0.4, 0.3)), 0.05, 2.7),
     ])
     def test_list_holds_topology_and_flags_only(self, box, dx, ratio):
-        # int32 neighbor and partner, float64 flags, int64 offsets; the
+        # int32 neighbor and partner, bool flags, int64 offsets; the
         # positions are the cloud's own array
         cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
                            else None)
@@ -317,7 +358,7 @@ class TestStreamedBuild:
         held = [v for v in vars(nbrs).values() if isinstance(v, np.ndarray)
                 and v is not cloud.positions]
         assert sum(a.nbytes for a in held) == nbrs.nbytes
-        assert nbrs.nbytes <= 16 * nbrs.n_bonds + 8 * (nbrs.n_points + 1)
+        assert nbrs.nbytes == 9 * nbrs.n_bonds + 8 * (nbrs.n_points + 1)
         assert nbrs.positions is cloud.positions
 
     def test_index_range_guard(self):
