@@ -707,6 +707,9 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     bad_k = [K for K in k_list if int(K) != K or K < 1]
     if bad_k:
         problems.append(f"K list: K must be an integer >= 1, got {bad_k[0]}")
+    repeated = [K for n, K in enumerate(k_list) if K in k_list[:n]]
+    if repeated:
+        problems.append(f"K list: K {repeated[0]} is repeated")
     if reference_dt is not None and not (math.isfinite(reference_dt)
                                          and reference_dt > 0):
         problems.append("reference dt: must be positive and finite, "

@@ -15,7 +15,6 @@ data once: its full view is the union of the two sides' row blocks.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -437,16 +436,17 @@ class PDOperator:
             self._full_view = view
         return self._full_view
 
-    def partition(self, rows_a: np.ndarray, rows_b: np.ndarray,
-                  bond_masks=None) -> tuple:
-        """The views of two row sets that partition the points.
+    def partition(self, rows_a: np.ndarray, rows_b: np.ndarray) -> tuple:
+        """The views of two row sets that partition the points, and the
+        bond masks of the two sides: side b holds every bond with an end
+        in ``rows_b``, side a the rest.
 
         If the full view was not built yet, it becomes their union: the two
         views' own blocks, each writing at its global rows, so the bond
         data is held once and ``rates(y, t)`` keeps returning every row in
-        global order, bit for bit.  ``bond_masks``, a pair of read-only
-        bond masks that partition the bonds, makes the unmasked damage
-        check run over their two tables (see ``update_damage``).
+        global order, bit for bit.  The masks are read-only and kept as
+        ``nbrs.bond_sides``, which splits the damage table (see
+        ``update_damage``).
         """
         n = self.cloud.n_points
         rows = np.concatenate([rows_a, rows_b])
@@ -464,9 +464,14 @@ class PDOperator:
                 offsets=self.nbrs.offsets, at_global_rows=True)
             full.bond_sel = range(full.n_bonds)
             self._full_view = full
-        if bond_masks is not None:
-            _partition_damage(self.nbrs, bond_masks)
-        return views
+        in_b = np.zeros(n, dtype=bool)
+        in_b[rows_b] = True
+        side_b = np.repeat(in_b, self.nbrs.counts())
+        side_b |= in_b[self.nbrs.neighbors]
+        side_a = ~side_b
+        side_a.flags.writeable = side_b.flags.writeable = False
+        self.nbrs.bond_sides = (side_a, side_b)
+        return views + self.nbrs.bond_sides
 
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
@@ -538,31 +543,18 @@ class PDOperator:
 
 @dataclass
 class _HalfBonds:
-    """The bonds a damage check covers, each once: ascending ids with
-    ``j > i``, their endpoints, and the squared breaking length of each
-    for the critical stretch ``s0`` (``breaking_square``)."""
+    """The bonds a damage check covers, each once towards its higher point
+    index, side after side of the bond masks ``masks`` (every bond when
+    None; the first ``split`` rows are the first side's), ids ascending
+    within a side, with the squared breaking lengths at ``s0``."""
 
     ids: np.ndarray     # int32 bond ids
     i: np.ndarray       # intp endpoints, for the gathers
     j: np.ndarray
-    s0: float | None = None
-    threshold: np.ndarray | None = None  # (bonds,) at s0
-
-    def threshold_at(self, positions: np.ndarray, s0: float) -> np.ndarray:
-        """The bonds' breaking squares at s0, computed on the first call
-        with this s0 in chunks of _BLOCK_SLOTS bonds, so the search's
-        temporaries stay small."""
-        if self.s0 != s0:
-            self.threshold = np.empty(len(self.ids))
-            for lo in range(0, len(self.ids), _BLOCK_SLOTS):
-                chunk = slice(lo, lo + _BLOCK_SLOTS)
-                # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
-                xi_norm = _norm([np.take(p, self.j[chunk])
-                                 - np.take(p, self.i[chunk])
-                                 for p in positions.T])
-                self.threshold[chunk] = breaking_square(xi_norm, s0)
-            self.s0 = s0
-        return self.threshold
+    threshold: np.ndarray
+    s0: float
+    masks: tuple | None
+    split: int
 
 
 def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
@@ -591,40 +583,38 @@ def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
         t[down] = below[down]
 
 
-def _half_bonds(nbrs: NeighborList, bond_mask) -> _HalfBonds:
-    """The half-bond table of ``bond_mask``, memoized on ``nbrs`` when the
-    mask is None or read-only, so its contents cannot change.  A mask's
-    entry is dropped when the mask is freed, before its id can be reused."""
-    key = None if bond_mask is None else id(bond_mask)
-    table = nbrs.damage_tables.get(key)
-    if table is not None:
-        return table
-    bond_i = nbrs.bond_i
-    check = nbrs.neighbors > bond_i
-    if bond_mask is not None:
-        check &= bond_mask
-    ids = np.flatnonzero(check)
-    i = bond_i[ids].astype(np.intp)
-    del bond_i, check
-    table = _HalfBonds(ids=ids.astype(np.int32), i=i,
-                       j=nbrs.neighbors[ids].astype(np.intp))
-    if bond_mask is None or not bond_mask.flags.writeable:
-        nbrs.damage_tables[key] = table
-        if bond_mask is not None:
-            weakref.finalize(bond_mask, nbrs.damage_tables.pop, key, None)
-    return table
-
-
-def _partition_damage(nbrs: NeighborList, masks) -> None:
-    """Register read-only bond masks that partition the bonds: the
-    unmasked check then runs over their two tables and builds no third.
-    The tables stay registered for the neighbor list's life."""
-    a, b = masks
-    if a.flags.writeable or b.flags.writeable:
-        raise ValueError("partition bond masks must be read-only")
-    if not np.all(a != b):
-        raise ValueError("bond masks do not partition the bonds")
-    nbrs.damage_partition = (_half_bonds(nbrs, a), _half_bonds(nbrs, b))
+def _half_bonds(nbrs: NeighborList, s0: float, masks) -> _HalfBonds:
+    """The half-bond table at s0 of the bond masks ``masks`` (None: every
+    bond), filled in chunks of _BLOCK_SLOTS bonds: no temporary but the
+    bool masks spans the bonds."""
+    half = nbrs.neighbors > nbrs.bond_i
+    sides = [half]
+    if masks is not None:
+        sides = [half & m for m in masks[1:]]
+        sides.insert(0, np.logical_and(half, masks[0], out=half))
+    sizes = [int(np.count_nonzero(side)) for side in sides]
+    ids = np.empty(sum(sizes), dtype=np.int32)
+    at = 0
+    for side in sides:
+        for lo in range(0, len(side), _BLOCK_SLOTS):
+            part = np.flatnonzero(side[lo:lo + _BLOCK_SLOTS])
+            ids[at:at + len(part)] = part + lo
+            at += len(part)
+    del sides, half
+    i = np.empty(len(ids), dtype=np.intp)
+    j = np.empty_like(i)
+    threshold = np.empty(len(ids))
+    for lo in range(0, len(ids), _BLOCK_SLOTS):
+        chunk = slice(lo, lo + _BLOCK_SLOTS)
+        # a bond starts at the row whose CSR range holds it
+        i[chunk] = np.searchsorted(nbrs.offsets, ids[chunk], side="right") - 1
+        j[chunk] = np.take(nbrs.neighbors, ids[chunk])
+        # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
+        xi_norm = _norm([np.take(p, j[chunk]) - np.take(p, i[chunk])
+                         for p in nbrs.positions.T])
+        threshold[chunk] = breaking_square(xi_norm, s0)
+    return _HalfBonds(ids=ids, i=i, j=j, threshold=threshold, s0=s0,
+                      masks=masks, split=sizes[0])
 
 
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
@@ -633,39 +623,50 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
 
     Both directions of a bond break together; flags never reset.  Returns
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
-    check to a subset of bonds (it must be symmetric under bond reversal);
-    a read-only mask is taken to be static, and its bond table is built once.
-    Without a mask, the check runs over the tables of the registered bond
-    partition (``PDOperator.partition``) when there is one.
+    check to a subset of bonds (it must be symmetric under bond reversal).
+
+    The list keeps one half-bond table, ``nbrs.damage_table``, split by
+    the bond masks ``nbrs.bond_sides`` of ``PDOperator.partition`` and
+    rebuilt when s0 or the partition changes.  A side's mask (by identity)
+    checks its slice, no mask the whole table; any other mask gets a table
+    for this call only.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact
     negation, so checking it would change nothing.  The test compares the
     squared deformed length |p_j - p_i|^2, with p = x + u, against the
     bond's breaking square (``breaking_square``): the same decision as the
-    stretch formula on that vector, with no square root or division.  A
+    stretch formula on that vector, with no square root or division.  The
     table is evaluated in chunks of _BLOCK_SLOTS bonds, so the temporaries
     stay in cache and under the mmap threshold.
     """
-    if bond_mask is None and nbrs.damage_partition:
-        tables = nbrs.damage_partition
+    sides = nbrs.bond_sides or ()
+    rows = slice(None)
+    if bond_mask is not None and not any(bond_mask is m for m in sides):
+        table = _half_bonds(nbrs, s0, (bond_mask,))
     else:
-        tables = (_half_bonds(nbrs, bond_mask),)
-    pos = nbrs.positions
-    p = [pos[:, k] + u[:, k] for k in range(pos.shape[1])]
+        table = nbrs.damage_table
+        if table is None or table.s0 != s0 \
+                or table.masks is not nbrs.bond_sides:
+            table = nbrs.damage_table = _half_bonds(nbrs, s0,
+                                                    nbrs.bond_sides)
+        if bond_mask is not None:
+            rows = slice(None, table.split) if bond_mask is sides[0] \
+                else slice(table.split, None)
+    ids, i, j, threshold = (table.ids[rows], table.i[rows], table.j[rows],
+                            table.threshold[rows])
+    p = [nbrs.positions[:, k] + u[:, k] for k in range(u.shape[1])]
     hits = [np.empty(0, dtype=np.int64)]
-    for table in tables:
-        threshold = table.threshold_at(pos, s0)
-        for lo in range(0, len(table.ids), _BLOCK_SLOTS):
-            chunk = slice(lo, lo + _BLOCK_SLOTS)
-            deformed = []
-            for p_k in p:
-                d_k = np.take(p_k, table.j[chunk])
-                d_k -= np.take(p_k, table.i[chunk])
-                deformed.append(d_k)
-            # Broken bonds are evaluated too; _break_bonds skips them.
-            hit = _norm_sq(deformed) >= threshold[chunk]
-            hits.append(table.ids[chunk][hit])
+    for lo in range(0, len(ids), _BLOCK_SLOTS):
+        chunk = slice(lo, lo + _BLOCK_SLOTS)
+        deformed = []
+        for p_k in p:
+            d_k = np.take(p_k, j[chunk])
+            d_k -= np.take(p_k, i[chunk])
+            deformed.append(d_k)
+        # Broken bonds are evaluated too; _break_bonds skips them.
+        hit = _norm_sq(deformed) >= threshold[chunk]
+        hits.append(ids[chunk][hit])
     return _break_bonds(nbrs, np.concatenate(hits))
 
 

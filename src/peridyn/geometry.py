@@ -78,10 +78,10 @@ class NeighborList:
 
     ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
     one writer, and it bumps ``version`` on every change, so caches derived
-    from ``mu`` know when to refresh.  ``damage_tables`` memoizes the
-    static half-bond tables of ``forces.update_damage``, one per bond mask,
-    and ``damage_partition`` holds the two tables that the unmasked check
-    runs over once a bond partition is registered.
+    from ``mu`` know when to refresh.  ``bond_sides`` holds the two
+    read-only bond masks of a ``forces.PDOperator.partition``, and
+    ``damage_table`` the half-bond table of ``forces.update_damage``, split
+    by them.
     """
 
     delta: float
@@ -91,8 +91,8 @@ class NeighborList:
     positions: np.ndarray = field(repr=False)
     mu: np.ndarray = field(default=None)  # type: ignore[assignment]
     version: int = field(default=0, init=False)
-    damage_tables: dict = field(default_factory=dict, init=False, repr=False)
-    damage_partition: tuple = field(default=(), init=False, repr=False)
+    bond_sides: tuple | None = field(default=None, init=False, repr=False)
+    damage_table: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mu is None:
@@ -349,14 +349,12 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
 
-    keys = bi * np.int64(n)
-    keys += bj
-    reverse = bj * np.int64(n)
-    reverse += bi
+    # the pairs are unique, so sorting by (j, i) lists each bond's reverse
+    # in bond order: when the relation is symmetric, that is the partner
+    partner = np.lexsort((bi, bj)).astype(np.int32)
+    symmetric = np.array_equal(bi[partner], bj) \
+        and np.array_equal(bj[partner], bi)
     del bi
-    partner = np.searchsorted(keys, reverse).astype(np.int32)
-    symmetric = np.array_equal(keys[partner], reverse)
-    del keys, reverse
     if not symmetric:
         raise GeometryError("neighbor relation is not symmetric (internal error)")
     return NeighborList(delta=delta, offsets=offsets, neighbors=bj,

@@ -243,11 +243,11 @@ class TimingReport:
 class MtsPlan:
     """Static per-run data: subdomain row sets, operator views, bond masks.
 
-    The coarse and fine rows partition the points, and so do the bond
-    masks the bonds: the operator's full view (history pushes, startup) is
-    the union of the two views, and the startup's unmasked damage check
-    runs over the two masks' tables.  The bond masks are read-only, so
-    update_damage builds the bond table of each once for the run.
+    The coarse and fine rows partition the points, and the operator's
+    partition derives the bond masks from them: the fine side holds every
+    bond with a fine end.  The full view (history pushes, startup) is the
+    union of the two views.  Without fracture (``s0`` None) the masks are
+    None, so the fine substeps check no damage.
     """
 
     def __init__(self, op, config: MtsConfig, s0: float | None = None):
@@ -261,17 +261,10 @@ class MtsPlan:
         self.rows_f = labels.omega_hat_f
         self.idx_fi = labels.indices(LABEL_FI)
         self.idx_ci = labels.indices(LABEL_CI)
-        self.fine_bond_mask = self.coarse_bond_mask = bond_masks = None
-        if s0 is not None:
-            fine_end = labels.fine_mask
-            self.fine_bond_mask = np.repeat(fine_end, op.nbrs.counts())
-            self.fine_bond_mask |= fine_end[op.nbrs.neighbors]
-            self.coarse_bond_mask = ~self.fine_bond_mask
-            self.fine_bond_mask.flags.writeable = False
-            self.coarse_bond_mask.flags.writeable = False
-            bond_masks = (self.coarse_bond_mask, self.fine_bond_mask)
-        self.coarse_view, self.fine_view = op.partition(
-            self.rows_c, self.rows_f, bond_masks)
+        self.coarse_view, self.fine_view, *masks = op.partition(
+            self.rows_c, self.rows_f)
+        self.coarse_bond_mask, self.fine_bond_mask = \
+            masks if s0 is not None else (None, None)
 
 
 def cost_model(plan: MtsPlan) -> float:

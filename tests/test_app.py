@@ -672,6 +672,7 @@ class TestRunAndCli:
         ("1e-5,0", "1,2", "positive and finite"),
         ("1e-5,nan", "1,2", "positive and finite"),
         ("1e-5,0.5e-5", "0,2", "K must be an integer >= 1"),
+        ("1e-5,0.5e-5", "1,2,1", "K 1 is repeated"),
     ])
     def test_cli_converge_bad_sweep_exit_2(self, tmp_path, mini_config,
                                            capsys, monkeypatch,

@@ -688,6 +688,8 @@ class TestCaches:
             scenario.fresh_operator()
 
     def test_writable_mask_is_not_memoized(self):
+        # a mask that is no partition side gets a table for its call only,
+        # so a mask changed between calls is honored
         cloud = build_grid(((0, 0), (4, 4)), 1.0, thickness=1.0)
         nbrs = build_neighbor_list(cloud, 1.5)
         u = 0.5 * cloud.positions  # every bond stretches by about 0.5
@@ -697,15 +699,12 @@ class TestCaches:
         mask[:] = left[nbrs.bond_i] & left[nbrs.neighbors]  # same object
         assert update_damage(nbrs, u, 0.25, mask) == mask.sum() // 2 > 0
         assert np.array_equal(nbrs.mu == 0.0, mask)
-        assert id(mask) not in nbrs.damage_tables
-        # a read-only mask is static: its table is built once
+        assert nbrs.damage_table is None
         static = ~mask
-        static.flags.writeable = False
+        static.flags.writeable = False  # read-only changes nothing
         assert update_damage(nbrs, u, 0.25, static) == static.sum() // 2
-        assert id(static) in nbrs.damage_tables
+        assert nbrs.damage_table is None
         assert np.all(nbrs.mu == 0.0)
-        del static  # the table goes with its mask
-        assert not nbrs.damage_tables
 
 
 class TestDamage:
@@ -765,14 +764,14 @@ class TestDamage:
         exactly s == s0 (binary-exact: xi = 1/n and eta = 1/(2n)); in it
         the end named by ``moving`` moves.
 
-        The plan registers its bond masks as the damage partition; with
-        ``partitioned`` False the check runs as on an operator that no plan
-        split.  ``slots`` sets the chunk length of the check."""
+        The plan's partition splits the damage table by its bond masks;
+        with ``partitioned`` False the check runs as on an operator that
+        no plan split.  ``slots`` sets the chunk length of the check."""
         s0 = 0.5
         op, plan = loaded_plan(s0=s0, n=n, dim=dim)
         nbrs = op.nbrs
         if not partitioned:
-            nbrs.damage_partition = ()
+            nbrs.bond_sides = None
         if slots is not None:
             sides = (plan.coarse_bond_mask, plan.fine_bond_mask)
             assert min(m.sum() for m in sides) // 2 > 2 * slots
@@ -804,9 +803,21 @@ class TestDamage:
 
         assert update_damage(nbrs, u, s0, bond_mask) == expected
         assert np.array_equal(nbrs.mu, expected_mu)
-        # the unmasked check builds no table of its own over a partition
-        assert (None in nbrs.damage_tables) == \
-            (bond_mask is None and not partitioned)
+        # over a partition, one table: the coarse half-bonds, then the
+        # fine ones; without one, a mask is no side and keeps no table,
+        # and the unmasked check keeps every half-bond, ascending
+        half = nbrs.neighbors > nbrs.bond_i
+        table = nbrs.damage_table
+        if partitioned:
+            coarse = np.flatnonzero(half & plan.coarse_bond_mask)
+            fine = np.flatnonzero(half & plan.fine_bond_mask)
+            assert table.split == len(coarse)
+            assert np.array_equal(table.ids[:table.split], coarse)
+            assert np.array_equal(table.ids[table.split:], fine)
+        elif bond_mask is not None:
+            assert table is None
+        else:
+            assert np.array_equal(table.ids, np.flatnonzero(half))
 
     @staticmethod
     def variants(check, monkeypatch):
@@ -876,13 +887,23 @@ class TestDamage:
         assert np.array_equal(~nbrs.mu, want)
 
     def test_partition_masks_must_be_static_and_disjoint(self):
+        # the partition derives the masks: read-only, complementary, and
+        # the fine side holds every bond with a fine end
         op, plan = loaded_plan(s0=0.5)
+        nbrs = op.nbrs
         coarse, fine = plan.coarse_bond_mask, plan.fine_bond_mask
-        rows = (plan.rows_c, plan.rows_f)
-        with pytest.raises(ValueError, match="partition"):
-            op.partition(*rows, (coarse, coarse))
-        with pytest.raises(ValueError, match="read-only"):
-            op.partition(*rows, (coarse, ~coarse))
+        assert nbrs.bond_sides[0] is coarse and nbrs.bond_sides[1] is fine
+        assert not coarse.flags.writeable and not fine.flags.writeable
+        assert np.array_equal(coarse, ~fine)
+        fine_end = plan.config.labels.fine_mask
+        assert np.array_equal(fine, fine_end[nbrs.bond_i]
+                              | fine_end[nbrs.neighbors])
+        assert 0 < np.count_nonzero(fine) < nbrs.n_bonds
+        # both ends matter: some fine bonds start at a coarse point
+        assert np.any(fine & ~fine_end[nbrs.bond_i])
+        # without fracture the plan keeps no masks
+        _, plain = loaded_plan()
+        assert plain.coarse_bond_mask is None and plain.fine_bond_mask is None
 
     def test_bonds_never_heal(self):
         cloud = make_cloud([[0, 0], [1, 0]])
@@ -1035,24 +1056,33 @@ class TestBondStorage:
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
-        # ids, endpoints and, once a check at s0 ran, the breaking squares
-        # from the list's xi_norm; no bond geometry is stored
+        # the one table: the coarse ids, then the fine ones, endpoints and,
+        # at the checked s0, the breaking squares from the list's xi_norm;
+        # built once per s0, and no bond geometry is stored
         op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
         nbrs = op.nbrs
-        for mask in (plan.coarse_bond_mask, plan.fine_bond_mask):
-            table = forces._half_bonds(nbrs, mask)
-            ids = np.flatnonzero(mask & (nbrs.neighbors > nbrs.bond_i))
+        assert nbrs.damage_table is None
+        u = np.zeros((op.cloud.n_points, dim))
+        half = nbrs.neighbors > nbrs.bond_i
+        ids = np.concatenate([np.flatnonzero(half & mask) for mask in
+                              (plan.coarse_bond_mask, plan.fine_bond_mask)])
+        table = None
+        for s0 in (0.5, 0.5, 0.25):
+            update_damage(nbrs, u, s0, plan.fine_bond_mask)
+            assert (nbrs.damage_table is table) == (table is not None
+                                                    and table.s0 == s0)
+            table = nbrs.damage_table
             assert table.ids.dtype == np.int32
             assert table.i.dtype == table.j.dtype == np.intp
             assert np.array_equal(table.ids, ids)
             assert np.array_equal(table.i, nbrs.bond_i[ids])
             assert np.array_equal(table.j, nbrs.neighbors[ids])
             assert not hasattr(table, "xi") and not hasattr(table, "xi_norm")
-            assert table.threshold is None
-            update_damage(nbrs, np.zeros((op.cloud.n_points, dim)), 0.5, mask)
-            assert table.s0 == 0.5
-            want = breaking_square(nbrs.xi_norm[ids], 0.5)
+            assert table.s0 == s0
+            want = breaking_square(nbrs.xi_norm[ids], s0)
             assert table.threshold.tobytes() == want.tobytes()
+        update_damage(nbrs, u, 0.25)
+        assert nbrs.damage_table is table  # the unmasked check shares it
 
     def test_bond_sel_is_built_on_first_access(self):
         op, plan = loaded_plan()

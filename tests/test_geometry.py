@@ -329,10 +329,12 @@ class TestStreamedBuild:
         assert len(gathers) == 3 ** cloud.dim
 
     def test_desk_crack2d_peak_memory(self):
-        # The kept list is 4.2 MiB and the build peaks at 10.6 MiB (the
-        # int64 sort keys of the partner search); 12 MiB leaves 13% margin.
-        # With int64 indices and stored bond geometry the list was 14.7 MiB
-        # and the peak 20.7; the all-candidates build peaked at 61.
+        # The kept list is 2.4 MiB and the build peaks at 9.1 MiB (the
+        # temporaries of a cell offset's 92k candidates); 10 MiB leaves 10%
+        # margin.  The int64 sort keys of a searchsorted partner search
+        # peaked at 10.6 MiB; with int64 indices and stored bond geometry
+        # the list was 14.7 MiB and the peak 20.7; the all-candidates
+        # build peaked at 61.
         cfg = preset_config("crack2d")
         g = cfg.geometry
         cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
@@ -343,7 +345,7 @@ class TestStreamedBuild:
         finally:
             tracemalloc.stop()
         assert nbrs.n_bonds == 272_836
-        assert peak <= 12 * 2 ** 20
+        assert peak <= 10 * 2 ** 20
 
     @pytest.mark.parametrize("box, dx, ratio", [
         (((0, 0), (1.3, 0.7)), 0.05, 3.0),
