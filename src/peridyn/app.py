@@ -573,10 +573,8 @@ class Scenario:
         self.cloud = build_grid((cfg.geometry.box_min, cfg.geometry.box_max),
                                 cfg.geometry.dx, cfg.geometry.thickness)
         self.nbrs = build_neighbor_list(self.cloud, cfg.delta)
-        self.precracked_bonds = 0
         if cfg.fracture.precrack is not None:
-            self.precracked_bonds = break_precrack_bonds(
-                self.cloud, self.nbrs, cfg.fracture.precrack)
+            break_precrack_bonds(self.cloud, self.nbrs, cfg.fracture.precrack)
         self._mu_version = self.nbrs.version
         self.labels = classify_subdomains(self.cloud, self.nbrs,
                                           cfg.mts.fine_boxes)
@@ -621,11 +619,11 @@ class Scenario:
                 v[load.indices] = load.value
         return FieldState(u=u, v=v, t=0.0)
 
-    def mts_config(self, order=None, dt=None, K=None) -> MtsConfig:
+    def mts_config(self, dt=None, K=None) -> MtsConfig:
         """The MTS configuration; an argument left None takes the config's
         value, and an explicit one is validated (K=0 raises)."""
         cfg = self.cfg
-        return MtsConfig(order=cfg.mts.order if order is None else order,
+        return MtsConfig(order=cfg.mts.order,
                          dt=cfg.time.dt if dt is None else dt,
                          K=cfg.mts.K if K is None else K,
                          labels=self.labels).validate()
@@ -658,9 +656,9 @@ def run(cfg: SimulationConfig, out_dir=None):
     Returns (trajectory, timing, artifact_paths).
     """
     scenario = Scenario(cfg)
+    op = scenario.fresh_operator()  # a refused config leaves no directory
     out_dir = out_dir or cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
-    op = scenario.fresh_operator()
     cadence = cfg.output.cadence
     paths = []
     want_vtk = "vtk" in cfg.output.formats

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (HORIZON_TOL, NeighborList, PointCloud, _concat_ranges,
-                       _in_boxes)
+from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
+                       _concat_ranges, _in_boxes)
 
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
@@ -339,9 +339,9 @@ class PDOperator:
     piece is the neighbor list's ``mu`` array, written between steps by the
     damage update, and the blocks' flag caches that follow it.
 
-    The full view, over every point, is built on first use.  An operator
-    split by ``partition`` before that never builds one: its full view is
-    the union of the two sides' views, sharing their blocks.
+    The full view, over every point, is built on first use.  ``partition``
+    replaces it with the union of the two sides' views, sharing their
+    blocks, so a split operator holds its bond data once.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
@@ -370,7 +370,7 @@ class PDOperator:
             else:
                 overlap = constrained[load.indices]
                 if np.any(overlap):
-                    raise ValueError(
+                    raise GeometryError(
                         "velocity-constraint layers overlap at point "
                         f"{load.indices[np.flatnonzero(overlap)[0]]}")
                 constrained[load.indices] = True
@@ -427,11 +427,10 @@ class PDOperator:
 
     @property
     def full_view(self) -> _View:
-        """The view over every point, built on first use unless
-        ``partition`` made it the union of its two sides."""
+        """The view over every point: built on first use, or the union of
+        the two sides of the latest ``partition``."""
         if self._full_view is None:
-            view = self.make_view(np.arange(self.cloud.n_points,
-                                            dtype=np.int64))
+            view = self.make_view(np.arange(self.cloud.n_points))
             view.bond_sel = range(view.n_bonds)
             self._full_view = view
         return self._full_view
@@ -441,29 +440,30 @@ class PDOperator:
         bond masks of the two sides: side b holds every bond with an end
         in ``rows_b``, side a the rest.
 
-        If the full view was not built yet, it becomes their union: the two
-        views' own blocks, each writing at its global rows, so the bond
+        The full view becomes their union, replacing any earlier one: the
+        two views' own blocks, each writing at its global rows, so the bond
         data is held once and ``rates(y, t)`` keeps returning every row in
         global order, bit for bit.  The masks are read-only and kept as
-        ``nbrs.bond_sides``, which splits the damage table (see
-        ``update_damage``).
+        ``nbrs.bond_sides``, which split the damage table (see
+        ``update_damage``); a new split drops the old table.
         """
         n = self.cloud.n_points
         rows = np.concatenate([rows_a, rows_b])
         if len(rows) != n or np.any(np.bincount(rows, minlength=n) != 1):
             raise ValueError("row sets do not partition the points")
+        # free the old split's blocks and damage table before the new exist
+        self._full_view = self.nbrs.damage_table = None
         views = self.make_view(rows_a), self.make_view(rows_b)
-        if self._full_view is None:
-            cons = np.flatnonzero(self.constrained_mask)
-            full = _View(
-                rows=np.arange(n, dtype=np.int64),
-                n_bonds=self.nbrs.n_bonds,
-                blocks=views[0].blocks + views[1].blocks,
-                constrained_local=cons,
-                v_prescribed=self.v_prescribed_full[cons],
-                offsets=self.nbrs.offsets, at_global_rows=True)
-            full.bond_sel = range(full.n_bonds)
-            self._full_view = full
+        cons = np.flatnonzero(self.constrained_mask)
+        full = _View(
+            rows=np.arange(n, dtype=np.int64),
+            n_bonds=self.nbrs.n_bonds,
+            blocks=views[0].blocks + views[1].blocks,
+            constrained_local=cons,
+            v_prescribed=self.v_prescribed_full[cons],
+            offsets=self.nbrs.offsets, at_global_rows=True)
+        full.bond_sel = range(full.n_bonds)
+        self._full_view = full
         in_b = np.zeros(n, dtype=bool)
         in_b[rows_b] = True
         side_b = np.repeat(in_b, self.nbrs.counts())
@@ -543,17 +543,16 @@ class PDOperator:
 
 @dataclass
 class _HalfBonds:
-    """The bonds a damage check covers, each once towards its higher point
-    index, side after side of the bond masks ``masks`` (every bond when
-    None; the first ``split`` rows are the first side's), ids ascending
-    within a side, with the squared breaking lengths at ``s0``."""
+    """Every bond once, towards its higher point index, side after side of
+    the list's ``bond_sides`` when it has them (the first ``split`` rows
+    are the first side's), ids ascending within a side, with the squared
+    breaking lengths at ``s0``."""
 
     ids: np.ndarray     # int32 bond ids
     i: np.ndarray       # intp endpoints, for the gathers
     j: np.ndarray
     threshold: np.ndarray
     s0: float
-    masks: tuple | None
     split: int
 
 
@@ -583,15 +582,15 @@ def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
         t[down] = below[down]
 
 
-def _half_bonds(nbrs: NeighborList, s0: float, masks) -> _HalfBonds:
-    """The half-bond table at s0 of the bond masks ``masks`` (None: every
-    bond), filled in chunks of _BLOCK_SLOTS bonds: no temporary but the
-    bool masks spans the bonds."""
+def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
+    """The list's half-bond table at s0, split by ``nbrs.bond_sides``,
+    filled in chunks of _BLOCK_SLOTS bonds: no temporary but the bool
+    masks spans the bonds."""
     half = nbrs.neighbors > nbrs.bond_i
     sides = [half]
-    if masks is not None:
-        sides = [half & m for m in masks[1:]]
-        sides.insert(0, np.logical_and(half, masks[0], out=half))
+    if nbrs.bond_sides is not None:
+        sides = [half & m for m in nbrs.bond_sides[1:]]
+        sides.insert(0, np.logical_and(half, nbrs.bond_sides[0], out=half))
     sizes = [int(np.count_nonzero(side)) for side in sides]
     ids = np.empty(sum(sizes), dtype=np.int32)
     at = 0
@@ -614,7 +613,7 @@ def _half_bonds(nbrs: NeighborList, s0: float, masks) -> _HalfBonds:
                          for p in nbrs.positions.T])
         threshold[chunk] = breaking_square(xi_norm, s0)
     return _HalfBonds(ids=ids, i=i, j=j, threshold=threshold, s0=s0,
-                      masks=masks, split=sizes[0])
+                      split=sizes[0])
 
 
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
@@ -623,13 +622,13 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
 
     Both directions of a bond break together; flags never reset.  Returns
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
-    check to a subset of bonds (it must be symmetric under bond reversal).
+    check to one side of the split that ``PDOperator.partition`` made: it
+    must be one of ``nbrs.bond_sides``, by identity, and any other mask
+    raises ValueError.
 
     The list keeps one half-bond table, ``nbrs.damage_table``, split by
-    the bond masks ``nbrs.bond_sides`` of ``PDOperator.partition`` and
-    rebuilt when s0 or the partition changes.  A side's mask (by identity)
-    checks its slice, no mask the whole table; any other mask gets a table
-    for this call only.
+    ``nbrs.bond_sides`` and rebuilt when s0 changes (a new partition drops
+    it).  A side's mask checks its slice, no mask the whole table.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact
@@ -641,18 +640,16 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     stay in cache and under the mmap threshold.
     """
     sides = nbrs.bond_sides or ()
-    rows = slice(None)
     if bond_mask is not None and not any(bond_mask is m for m in sides):
-        table = _half_bonds(nbrs, s0, (bond_mask,))
-    else:
-        table = nbrs.damage_table
-        if table is None or table.s0 != s0 \
-                or table.masks is not nbrs.bond_sides:
-            table = nbrs.damage_table = _half_bonds(nbrs, s0,
-                                                    nbrs.bond_sides)
-        if bond_mask is not None:
-            rows = slice(None, table.split) if bond_mask is sides[0] \
-                else slice(table.split, None)
+        raise ValueError("bond_mask must be one of the bond masks of the "
+                         "operator's partition (nbrs.bond_sides)")
+    table = nbrs.damage_table
+    if table is None or table.s0 != s0:
+        table = nbrs.damage_table = _half_bonds(nbrs, s0)
+    rows = slice(None)
+    if bond_mask is not None:
+        rows = slice(None, table.split) if bond_mask is sides[0] \
+            else slice(table.split, None)
     ids, i, j, threshold = (table.ids[rows], table.i[rows], table.j[rows],
                             table.threshold[rows])
     p = [nbrs.positions[:, k] + u[:, k] for k in range(u.shape[1])]

@@ -191,6 +191,32 @@ def test_criterion_5_reduction_identity():
                     "over 50 plate2d steps")
 
 
+def test_criterion_5_reduction_identity_with_fracture():
+    # MTS checks damage through its partition's split, all bonds coarse and
+    # none fine; UPD through the unsplit table.  Both must break the same
+    # bonds at the same steps.
+    n = 200
+    cfg = pd.preset_config("crack2d")
+    cfg = dataclasses.replace(
+        cfg, mts=dataclasses.replace(cfg.mts, K=1, fine_boxes=[]),
+        time=dataclasses.replace(cfg.time, n_steps=n))
+    scenario = pd.Scenario(cfg)
+    mts_op, upd_op = scenario.fresh_operator(), scenario.fresh_operator()
+    mts_traj, _ = mts_run(mts_op, scenario.initial_state(),
+                          scenario.mts_config(K=1), n, s0=scenario.s0)
+    upd_traj = upd_run(upd_op, scenario.initial_state(), cfg.time.dt, n,
+                       tableau(cfg.mts.order), s0=scenario.s0)
+    mts_end, upd_end = mts_traj.final, upd_traj.final
+    same = mts_end.t == upd_end.t and np.array_equal(mts_end.u, upd_end.u) \
+        and np.array_equal(mts_end.v, upd_end.v) \
+        and np.array_equal(mts_op.nbrs.mu, upd_op.nbrs.mu)
+    broken = int(np.count_nonzero(scenario.nbrs.mu & ~upd_op.nbrs.mu)) // 2
+    report(5, same and broken > 0,
+           f"mts_run(K=1, no fine region) bit-identical to upd_run over {n} "
+           f"crack2d steps with fracture ({broken} bonds broke beyond the "
+           "pre-crack)")
+
+
 def test_criterion_6_correction_matrices():
     ok = True
     worst = 0.0

@@ -618,6 +618,23 @@ class TestRunAndCli:
         assert cli.main(["run", "--config", "plate2d", "--out", ""]) == 2
         assert sorted(os.listdir(tmp_path)) == ["case.cfg"]
 
+    def test_cli_overlapping_velocity_layers_exit_2(self, tmp_path, capsys,
+                                                    mini_config):
+        cfg = mini_config(n_steps=4)
+        velocity = [LoadSpec(kind="velocity", box=box, value=(0.0, 1.0))
+                    for box in (((0.0, 0.0), (0.2, 0.5)),
+                                ((0.1, 0.0), (0.3, 0.5)))]
+        cfg = dataclasses.replace(cfg, loads=cfg.loads + velocity)
+        path = tmp_path / "overlap.cfg"
+        path.write_text(serialize_config(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert "velocity-constraint layers overlap at point" in err
+        assert not out.exists()  # refused before any output is written
+
     def test_cli_instability_exit_3(self, tmp_path, mini_config):
         cfg = mini_config(n_steps=40, dt=1.0, scheme="upd")
         path = tmp_path / "boom.cfg"

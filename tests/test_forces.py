@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -301,11 +303,13 @@ def reference_rates(op, y, rows):
     return out
 
 
-def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0)):
+def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0),
+                split=True):
     """A 1 x 0.5 plate (or 1 x 0.5 x 0.5 block) of spacing 1/n and horizon
     3/n, with a body-force layer, a velocity-constraint layer, a fine
     region over the x-range ``fine_x`` (by default the right half) and an
-    MtsPlan over it."""
+    MtsPlan over it; with ``split`` False, no plan (None) splits the
+    operator."""
     h = 1.0 / n
     extent = (1.0,) + (0.5,) * (dim - 1)
     if dim == 2:
@@ -322,6 +326,8 @@ def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0)):
                      indices=np.flatnonzero(x < 0.1),
                      value=np.array([0.0, 0.25, -0.5][:dim]))]
     op = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
+    if not split:
+        return op, None
     fine_box = ((fine_x[0],) + (0.0,) * (dim - 1),
                 (fine_x[1],) + extent[1:])
     labels = classify_subdomains(cloud, nbrs, [fine_box])
@@ -468,9 +474,9 @@ class TestForceSymmetry:
 
 
 class TestUnionView:
-    """An MtsPlan splits its operator into coarse and fine views before any
-    full view exists, so the full view is their union.  It must equal a
-    separately built view over every point, bit for bit."""
+    """An MtsPlan splits its operator into coarse and fine views, and the
+    full view becomes their union.  It must equal a separately built view
+    over every point, bit for bit."""
 
     @staticmethod
     def whole(op):
@@ -484,7 +490,7 @@ class TestUnionView:
         return int(np.argmin(np.linalg.norm(op.cloud.positions - target,
                                             axis=1)))
 
-    def test_full_view_is_built_lazily(self):
+    def test_partition_replaces_the_full_view(self):
         op, plan = loaded_plan()
         assert op.full_view.at_global_rows
         bare = PDOperator(op.cloud, op.nbrs, op.material, law=op.law)
@@ -492,9 +498,20 @@ class TestUnionView:
         view = bare.full_view
         assert bare.full_view is view and not view.at_global_rows
         assert view.bond_sel == range(op.nbrs.n_bonds)
-        # an operator whose full view exists keeps it through a partition
-        bare.partition(plan.rows_c, plan.rows_f)
-        assert bare.full_view is view
+        y = random_state(bare, 29)
+        before = bare.rates(y, 0.5)
+        # a partition replaces the existing full view by the union of its
+        # sides, and the old blocks are freed
+        old = [weakref.ref(blk) for blk in view.blocks]
+        del view
+        coarse, fine, *_ = bare.partition(plan.rows_c, plan.rows_f)
+        full = bare.full_view
+        assert full.at_global_rows
+        sides = coarse.blocks + fine.blocks
+        assert len(full.blocks) == len(sides)
+        assert all(a is b for a, b in zip(full.blocks, sides))
+        assert all(ref() is None for ref in old)
+        assert bare.rates(y, 0.5).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (2, 80), (3, 16)])
     def test_union_shares_the_side_blocks(self, dim, n):
@@ -601,8 +618,8 @@ class TestUnionView:
 
 
 class TestCaches:
-    """rates caches the bond flags per row block and update_damage a bond
-    table per static mask; both must follow every change to the flags."""
+    """rates caches the bond flags per row block and update_damage one bond
+    table per partition; both must follow every change to the flags."""
 
     @staticmethod
     def row_near(op, x):
@@ -687,24 +704,29 @@ class TestCaches:
         with pytest.raises(SimulationError, match="bond flags changed"):
             scenario.fresh_operator()
 
-    def test_writable_mask_is_not_memoized(self):
-        # a mask that is no partition side gets a table for its call only,
-        # so a mask changed between calls is honored
+    def test_mask_of_no_side_is_refused(self):
+        # a damage check serves only the split of the operator's partition:
+        # a copy of a side mask, or any mask on a list that no partition
+        # split, raises and breaks nothing
+        op, plan = loaded_plan(s0=0.25)
+        nbrs = op.nbrs
+        u = 0.5 * op.cloud.positions  # every bond stretches by about 0.5
+        others = (plan.fine_bond_mask.copy(), plan.coarse_bond_mask.copy(),
+                  np.ones(nbrs.n_bonds, dtype=bool))
         cloud = build_grid(((0, 0), (4, 4)), 1.0, thickness=1.0)
-        nbrs = build_neighbor_list(cloud, 1.5)
-        u = 0.5 * cloud.positions  # every bond stretches by about 0.5
-        left = cloud.positions[:, 0] < 2.0
-        mask = np.zeros(nbrs.n_bonds, dtype=bool)
-        assert update_damage(nbrs, u, 0.25, mask) == 0
-        mask[:] = left[nbrs.bond_i] & left[nbrs.neighbors]  # same object
-        assert update_damage(nbrs, u, 0.25, mask) == mask.sum() // 2 > 0
-        assert np.array_equal(nbrs.mu == 0.0, mask)
-        assert nbrs.damage_table is None
-        static = ~mask
-        static.flags.writeable = False  # read-only changes nothing
-        assert update_damage(nbrs, u, 0.25, static) == static.sum() // 2
-        assert nbrs.damage_table is None
-        assert np.all(nbrs.mu == 0.0)
+        bare = build_neighbor_list(cloud, 1.5)
+        cases = [(nbrs, u, mask) for mask in others] + [
+            (bare, 0.5 * cloud.positions, np.ones(bare.n_bonds, dtype=bool))]
+        for target, disp, mask in cases:
+            mu, version = target.mu.copy(), target.version
+            with pytest.raises(ValueError, match="bond_sides"):
+                update_damage(target, disp, 0.25, mask)
+            assert np.array_equal(target.mu, mu)
+            assert target.version == version
+            assert target.damage_table is None
+        # the sides themselves are served
+        assert update_damage(nbrs, u, 0.25, plan.fine_bond_mask) > 0
+        assert np.array_equal(~nbrs.mu, plan.fine_bond_mask)
 
 
 class TestDamage:
@@ -765,15 +787,15 @@ class TestDamage:
         the end named by ``moving`` moves.
 
         The plan's partition splits the damage table by its bond masks;
-        with ``partitioned`` False the check runs as on an operator that
-        no plan split.  ``slots`` sets the chunk length of the check."""
+        with ``partitioned`` False no plan splits the operator, and only the
+        unmasked check runs.  ``slots`` sets the chunk length of the
+        check."""
         s0 = 0.5
-        op, plan = loaded_plan(s0=s0, n=n, dim=dim)
+        op, plan = loaded_plan(s0=s0, n=n, dim=dim, split=partitioned)
         nbrs = op.nbrs
-        if not partitioned:
-            nbrs.bond_sides = None
         if slots is not None:
-            sides = (plan.coarse_bond_mask, plan.fine_bond_mask)
+            sides = (plan.coarse_bond_mask, plan.fine_bond_mask) \
+                if partitioned else (np.ones(nbrs.n_bonds, dtype=bool),)
             assert min(m.sum() for m in sides) // 2 > 2 * slots
             monkeypatch.setattr(forces, "_BLOCK_SLOTS", slots)
         bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
@@ -804,8 +826,7 @@ class TestDamage:
         assert update_damage(nbrs, u, s0, bond_mask) == expected
         assert np.array_equal(nbrs.mu, expected_mu)
         # over a partition, one table: the coarse half-bonds, then the
-        # fine ones; without one, a mask is no side and keeps no table,
-        # and the unmasked check keeps every half-bond, ascending
+        # fine ones; without one, every half-bond, ascending
         half = nbrs.neighbors > nbrs.bond_i
         table = nbrs.damage_table
         if partitioned:
@@ -814,16 +835,15 @@ class TestDamage:
             assert table.split == len(coarse)
             assert np.array_equal(table.ids[:table.split], coarse)
             assert np.array_equal(table.ids[table.split:], fine)
-        elif bond_mask is not None:
-            assert table is None
         else:
             assert np.array_equal(table.ids, np.flatnonzero(half))
 
     @staticmethod
-    def variants(check, monkeypatch):
-        """Run ``check`` with and without a registered partition, in one
-        chunk and in chunks of 29 bonds, each on a fresh plan."""
-        for partitioned in (True, False):
+    def variants(check, monkeypatch, masked):
+        """Run ``check`` over a partition and, for the unmasked check
+        (``masked`` False), on an operator that no plan split, in one
+        chunk and in chunks of 29 bonds, each on a fresh operator."""
+        for partitioned in (True,) if masked else (True, False):
             for slots in (None, 29):
                 with monkeypatch.context() as patch:
                     check(partitioned=partitioned, slots=slots,
@@ -837,7 +857,8 @@ class TestDamage:
         self.variants(lambda **kw: self.check_half_bond_against_oracle(
             mask, n=16, dim=2, noise=0.02,
             pairs=((2 * 8 + 3, 3 * 8 + 3, "high"),
-                   (12 * 8 + 4, 13 * 8 + 4, "low")), **kw), monkeypatch)
+                   (12 * 8 + 4, 13 * 8 + 4, "low")), **kw), monkeypatch,
+            masked=mask is not None)
 
     @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
     def test_half_bond_check_matches_all_bond_oracle_3d(self, mask,
@@ -847,7 +868,7 @@ class TestDamage:
             mask, n=8, dim=3, noise=0.04,
             pairs=(((1 * 4 + 1) * 4 + 2, (2 * 4 + 1) * 4 + 2, "high"),
                    ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")),
-            **kw), monkeypatch)
+            **kw), monkeypatch, masked=mask is not None)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("s0", [0.5, 0.25, 0.01])
@@ -1083,6 +1104,14 @@ class TestBondStorage:
             assert table.threshold.tobytes() == want.tobytes()
         update_damage(nbrs, u, 0.25)
         assert nbrs.damage_table is table  # the unmasked check shares it
+        # a new split drops the table and refuses the old split's masks
+        op.partition(plan.rows_f, plan.rows_c)
+        assert nbrs.damage_table is None
+        with pytest.raises(ValueError, match="bond_sides"):
+            update_damage(nbrs, u, 0.25, plan.fine_bond_mask)
+        update_damage(nbrs, u, 0.25, nbrs.bond_sides[1])
+        assert np.array_equal(nbrs.damage_table.ids, np.concatenate(
+            [np.flatnonzero(half & mask) for mask in nbrs.bond_sides]))
 
     def test_bond_sel_is_built_on_first_access(self):
         op, plan = loaded_plan()

@@ -213,6 +213,23 @@ class TestOperatorHistory:
         with pytest.raises(SimulationError, match="increase"):
             hist.push(0.05, np.zeros(2))
 
+    @pytest.mark.parametrize("dt", [1e-5, 1.75e-8, 0.1])
+    @pytest.mark.parametrize("t0", [0.0, 3.3e-3])
+    def test_long_runs_keep_their_spacing(self, t0, dt):
+        # the step loop's times t0 + step * dt carry rounding that grows
+        # with t; only a spacing that is wrong by more than that raises
+        hist = OperatorHistory(dt)
+        values = np.zeros(1)
+        for step in range(20_000):
+            hist.push(t0 + step * dt, values)
+        for step in (10, 10 ** 5, 10 ** 6):
+            hist = OperatorHistory(dt)
+            hist.push(t0 + step * dt, values)
+            hist.push(t0 + (step + 1) * dt, values)
+            for wrong in (2.0 * dt, 0.5 * dt, dt * (1.0 + 1e-6)):
+                with pytest.raises(SimulationError, match="spacing"):
+                    hist.push(hist.t_at(0) + wrong, values)
+
     def test_ring_depth(self):
         hist = OperatorHistory(1.0)
         for k in range(5):
