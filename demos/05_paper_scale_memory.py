@@ -6,19 +6,22 @@ everything an MTS run holds (the Scenario, its operator and the MtsPlan),
 makes one `rates` call per view (full, coarse, fine) and one damage check
 per bond mask and one unmasked, and prints the peak resident set size
 after each stage.  It then prints the bytes held by the neighbor list, the
-views' row blocks and the damage table, and exits 1 when the peak passes
-512 MiB or a store passes its 2D byte budget: 9.5 B per bond in the list,
-24 B of slot data per padded block slot and 28 B per half-bond in the
-damage table.
+views' row blocks and the damage table with its skin state, and exits 1
+when the peak passes 512 MiB or a store passes its 2D byte budget: 9.5 B
+per bond in the list, 24 B of slot data per padded block slot and 14 B
+per half-bond in the damage table and skin state.
 
 Each per-bond array is held once: the neighbor list keeps the topology
 (int32 neighbor and partner ids) and the bool bond flags, a block slot
 its neighbor id and the linear law's bond factor q (2 doubles), and a
-damage table entry its bond id, its two endpoints and its squared
-breaking length.  An MTS plan splits the operator into its coarse and
-fine views, and the full view is their union; likewise the neighbor
-list keeps one damage table, the coarse side's half-bonds and then the
-fine side's, and each check reads its slice of it.
+damage table entry its bond id and its squared breaking length (12 B);
+a refresh derives the bond's ends.  An MTS plan splits the operator into
+its coarse and fine views, and the full view is their union; likewise
+the neighbor list keeps one damage table, the coarse side's half-bonds
+and then the fine side's, and each check reads its slice of it.  Each
+side keeps a Verlet skin: the points of the tiles its bonds link, in
+tile order, their displacements at its latest refresh, the tile pairs
+and the half-bonds it watches.
 
 It takes no time step: the paper-scale dt is far past the explicit
 stability limit of the paper-scale mesh, so a run would blow up.
@@ -39,7 +42,7 @@ from peridyn.mts import MtsPlan
 PEAK_LIMIT_MIB = 512.0
 # Bytes per bond, per padded slot and per half-bond, for the 2D crack.
 BUDGETS = {"neighbor list": 9.5, "block slot data": 24.0,
-           "damage table": 28.0}
+           "damage table": 14.0}
 
 
 def peak_mib() -> float:
@@ -56,12 +59,15 @@ def stage(name, fn):
 
 
 def array_bytes(obj) -> int:
-    """Bytes of the numpy arrays an object holds, directly or in a list."""
+    """Bytes of the numpy arrays an object holds: directly, in a list or
+    tuple, or in the objects such a list holds."""
     total = 0
     for value in vars(obj).values():
-        for item in value if isinstance(value, list) else [value]:
+        for item in value if isinstance(value, (list, tuple)) else [value]:
             if isinstance(item, np.ndarray):
                 total += item.nbytes
+            elif hasattr(item, "__dict__"):
+                total += array_bytes(item)
     return total
 
 
@@ -93,6 +99,8 @@ def main() -> int:
     blocks = plan.coarse_view.blocks + plan.fine_view.blocks
     slots = sum(blk.nbr.size for blk in blocks)
     slot_data = sum(blk.nbr.nbytes + blk.vec.nbytes for blk in blocks)
+    # the table counts with its skin state: each side's points in tile
+    # order, their reference displacements, tile pairs and watch list
     tables = [nbrs.damage_table]
     half_bonds = sum(len(table.ids) for table in tables)
     failed = []

@@ -473,6 +473,14 @@ class PDOperator:
         self.nbrs.bond_sides = (side_a, side_b)
         return views + self.nbrs.bond_sides
 
+    def drop_run_caches(self):
+        """Drop what a run derives and an idle operator need not hold: the
+        damage table with its skin state, and the blocks' flag caches.  The
+        next check or ``rates`` call rebuilds them."""
+        self.nbrs.damage_table = None
+        for blk in self._full_view.blocks if self._full_view else ():
+            blk.flags, blk.version = None, -1
+
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
 
@@ -493,7 +501,13 @@ class PDOperator:
         # np.take on contiguous components gathers far faster than fancy
         # indexing into the strided y[:, :dim]; the values are the same
         u = [np.ascontiguousarray(y[:, k]) for k in range(dim)]
-        force = np.zeros((len(view.rows), dim))
+        # component-major, so a block's sums land in contiguous slices
+        force = np.zeros((dim, len(view.rows)))
+        # np.take(..., axis=0) gathers whole rows about ten times faster
+        # than fancy indexing does; the values are the same
+        state = np.take(y, view.rows, axis=0)
+        body = np.take(self.body, view.rows, axis=0)
+        out = np.empty_like(state)
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             for blk in view.blocks:
@@ -509,16 +523,15 @@ class PDOperator:
                 rows = blk.rows if view.at_global_rows \
                     else slice(blk.lo, blk.hi)
                 for k in range(dim):
-                    force[rows, k] = _slot_dot(scale, direction[k])
-            # np.take(..., axis=0) gathers whole rows about ten times
-            # faster than fancy indexing does; the values are the same
-            accel = (force * self.cloud.volume_per_point
-                     + np.take(self.body, view.rows, axis=0)) \
-                / self.material.rho
-
-        out = np.take(y, view.rows, axis=0)
-        out[:, :dim] = out[:, dim:]
-        out[:, dim:] = accel
+                    force[k][rows] = _slot_dot(scale, direction[k])
+            # one column at a time, (force * V + body) / rho in place: no
+            # self-overlapping (so buffered) copy of out
+            for k, accel in enumerate(force):
+                out[:, k] = state[:, dim + k]
+                accel *= self.cloud.volume_per_point
+                accel += body[:, k]
+                accel /= self.material.rho
+                out[:, dim + k] = accel
         if len(view.constrained_local):
             out[view.constrained_local, :dim] = view.v_prescribed
             out[view.constrained_local, dim:] = 0.0
@@ -541,19 +554,62 @@ class PDOperator:
         return lowest
 
 
+# The damage check's Verlet skin (Verlet 1967; Plimpton 1995, "Fast
+# parallel algorithms for short-range molecular dynamics").  A refresh
+# tests every half-bond of a side and watches those within the skin of
+# breaking; later checks test only the watched ones while a bound on how far
+# any bond's deformed vector moved since the refresh stays under the skin.
+# The skin is this fraction of s0 * min|xi|: under 1, so an undeformed
+# body watches no bond (each slack is then about s0 |xi|), and close to 1,
+# since a wider skin refreshes less often.  The bound's tiles are this
+# many horizons wide, and the bound carries a rounding margin of this many
+# machine epsilons times max|x| + max|u| + max|u_ref| + max sqrt(T).  The
+# rounding of p = x + u, of the deformed vectors and their squares (at the
+# refresh and at the check) and of the tile boxes adds up to under 20 eps
+# of that sum.
+_SKIN_FRACTION = 0.9
+_TILE_HORIZONS = 4
+_SKIN_ROUNDING = 32 * np.finfo(float).eps
+
+
+@dataclass
+class _Skin:
+    """One side's slice ``rows`` of the half-bond table; the points of the
+    tiles its half-bonds link, tile after tile (``order``), each tile's
+    start in ``order`` and the linked tile pairs (``pairs``, two arrays of
+    local tile ids); and the state of its latest refresh: the
+    displacements then at ``order``, their largest component, and the
+    watched half-bonds (ids, intp ends i and j, breaking squares)."""
+
+    rows: slice
+    order: np.ndarray
+    starts: np.ndarray
+    pairs: tuple
+    u_ref: np.ndarray | None = None  # (dim, len(order))
+    u_ref_max: float = 0.0
+    watch: tuple = ()
+    checks: int = 0
+    refreshes: int = 0
+
+
 @dataclass
 class _HalfBonds:
     """Every bond once, towards its higher point index, side after side of
-    the list's ``bond_sides`` when it has them (the first ``split`` rows
-    are the first side's), ids ascending within a side, with the squared
-    breaking lengths at ``s0``."""
+    the list's ``bond_sides`` when it has them (each ``_Skin`` holds its
+    side's slice), ids ascending within a side, with the squared
+    breaking lengths at ``s0``: 12 B per half-bond.  A refresh derives the
+    ends of a chunk of them (``_ends``).
+
+    The skin state: ``skin`` (_SKIN_FRACTION * s0 * min|xi|), ``reach``
+    (max|x| + max sqrt(T), the static part of the rounding margin) and one
+    ``_Skin`` per side."""
 
     ids: np.ndarray     # int32 bond ids
-    i: np.ndarray       # intp endpoints, for the gathers
-    j: np.ndarray
     threshold: np.ndarray
     s0: float
-    split: int
+    skin: float
+    reach: float
+    sides: list
 
 
 def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
@@ -582,10 +638,40 @@ def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
         t[down] = below[down]
 
 
+def _tiles(positions: np.ndarray, width: float) -> np.ndarray:
+    """Each point's tile, a cube of side ``width``: ids 0.. over the
+    occupied tiles."""
+    cell = np.floor((positions - positions.min(axis=0)) / width)
+    cell = cell.astype(np.int64)
+    key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
+    return np.unique(key, return_inverse=True)[1].ravel()
+
+
+def _skin_side(rows: slice, tile: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> _Skin:
+    """A side's skin over the tile pairs (a, b) its half-bonds link, with
+    the points of those tiles in tile order."""
+    used = np.unique(np.concatenate([a, b]))
+    order = np.flatnonzero(np.isin(tile, used))
+    order = order[np.argsort(tile[order], kind="stable")]
+    return _Skin(rows=rows, order=order,
+                 starts=np.flatnonzero(np.diff(tile[order], prepend=-1)),
+                 pairs=(np.searchsorted(used, a), np.searchsorted(used, b)))
+
+
+def _ends(nbrs: NeighborList, ids: np.ndarray):
+    """The two ends (intp) of the bonds ``ids``: a bond's far end is its
+    neighbor, and its source the neighbor of its reversed bond."""
+    ids = ids.astype(np.intp)
+    back = np.take(nbrs.partner, ids).astype(np.intp)
+    return (np.take(nbrs.neighbors, back).astype(np.intp),
+            np.take(nbrs.neighbors, ids).astype(np.intp))
+
+
 def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
     """The list's half-bond table at s0, split by ``nbrs.bond_sides``,
     filled in chunks of _BLOCK_SLOTS bonds: no temporary but the bool
-    masks spans the bonds."""
+    masks spans the bonds.  Each side starts with no refresh."""
     half = nbrs.neighbors > nbrs.bond_i
     sides = [half]
     if nbrs.bond_sides is not None:
@@ -600,20 +686,31 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
             ids[at:at + len(part)] = part + lo
             at += len(part)
     del sides, half
-    i = np.empty(len(ids), dtype=np.intp)
-    j = np.empty_like(i)
+    tile = _tiles(nbrs.positions, _TILE_HORIZONS * nbrs.delta)
+    n_tiles = tile.max() + 1
+    # np.take copies a strided source whole on every call
+    pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
     threshold = np.empty(len(ids))
-    for lo in range(0, len(ids), _BLOCK_SLOTS):
-        chunk = slice(lo, lo + _BLOCK_SLOTS)
-        # a bond starts at the row whose CSR range holds it
-        i[chunk] = np.searchsorted(nbrs.offsets, ids[chunk], side="right") - 1
-        j[chunk] = np.take(nbrs.neighbors, ids[chunk])
-        # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
-        xi_norm = _norm([np.take(p, j[chunk]) - np.take(p, i[chunk])
-                         for p in nbrs.positions.T])
-        threshold[chunk] = breaking_square(xi_norm, s0)
-    return _HalfBonds(ids=ids, i=i, j=j, threshold=threshold, s0=s0,
-                      split=sizes[0])
+    min_len, skins = np.inf, []
+    bounds = np.cumsum([0] + sizes)
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        keys = [np.empty(0, dtype=np.int64)]
+        for lo in range(first, stop, _BLOCK_SLOTS):
+            chunk = slice(lo, min(lo + _BLOCK_SLOTS, stop))
+            i_c, j_c = _ends(nbrs, ids[chunk])
+            # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
+            xi_norm = _norm([np.take(p, j_c) - np.take(p, i_c) for p in pos])
+            threshold[chunk] = breaking_square(xi_norm, s0)
+            min_len = min(min_len, xi_norm.min())
+            keys.append(np.unique(tile[i_c] * n_tiles + tile[j_c]))
+        skins.append(_skin_side(slice(int(first), int(stop)), tile,
+                                *np.divmod(np.unique(np.concatenate(keys)),
+                                           n_tiles)))
+    reach = np.abs(nbrs.positions).max(initial=0.0) \
+        + np.sqrt(threshold.max(initial=0.0))
+    return _HalfBonds(ids=ids, threshold=threshold, s0=s0,
+                      skin=_SKIN_FRACTION * s0 * min_len if len(ids) else 0.0,
+                      reach=float(reach), sides=skins)
 
 
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
@@ -628,16 +725,19 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
 
     The list keeps one half-bond table, ``nbrs.damage_table``, split by
     ``nbrs.bond_sides`` and rebuilt when s0 changes (a new partition drops
-    it).  A side's mask checks its slice, no mask the whole table.
+    it).  A side's mask checks its slice, no mask every side.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact
     negation, so checking it would change nothing.  The test compares the
     squared deformed length |p_j - p_i|^2, with p = x + u, against the
     bond's breaking square (``breaking_square``): the same decision as the
-    stretch formula on that vector, with no square root or division.  The
-    table is evaluated in chunks of _BLOCK_SLOTS bonds, so the temporaries
-    stay in cache and under the mmap threshold.
+    stretch formula on that vector, with no square root or division.
+
+    Each side keeps a Verlet skin (``_check_side``): most checks test only
+    the half-bonds that were near breaking at the side's latest refresh,
+    with the same comparison, and so make the same decisions as a test of
+    every half-bond.
     """
     sides = nbrs.bond_sides or ()
     if bond_mask is not None and not any(bond_mask is m for m in sides):
@@ -646,25 +746,86 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     table = nbrs.damage_table
     if table is None or table.s0 != s0:
         table = nbrs.damage_table = _half_bonds(nbrs, s0)
-    rows = slice(None)
+    checked = table.sides
     if bond_mask is not None:
-        rows = slice(None, table.split) if bond_mask is sides[0] \
-            else slice(table.split, None)
-    ids, i, j, threshold = (table.ids[rows], table.i[rows], table.j[rows],
-                            table.threshold[rows])
+        checked = [checked[0 if bond_mask is sides[0] else 1]]
+    return _break_bonds(nbrs, np.concatenate(
+        [_check_side(nbrs, table, side, u) for side in checked]))
+
+
+def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
+                u: np.ndarray) -> np.ndarray:
+    """The ids of the side's half-bonds at or past their breaking square.
+
+    While ``_drift`` stays under the skin, no half-bond that was more than
+    the skin from breaking at the latest refresh can have reached it, so
+    only the watched ones are tested.  Otherwise (and at the first check)
+    the side refreshes: every half-bond is tested and the watch list and
+    the reference displacements are rebuilt.
+    """
+    side.checks += 1
+    if side.u_ref is not None and _drift(table, side, u) < table.skin:
+        ids, i, j, threshold = side.watch
+        # p_j - p_i as the refresh computes it, at the watched ends only;
+        # fancy indexing reads the strided columns without copying them
+        deformed = [(x_k[j] + u_k[j]) - (x_k[i] + u_k[i])
+                    for x_k, u_k in zip(nbrs.positions.T, u.T)]
+        return ids[_norm_sq(deformed) >= threshold]
+    side.refreshes += 1
     p = [nbrs.positions[:, k] + u[:, k] for k in range(u.shape[1])]
-    hits = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, len(ids), _BLOCK_SLOTS):
-        chunk = slice(lo, lo + _BLOCK_SLOTS)
+    empty = np.empty(0, dtype=np.intp)
+    hits = [np.empty(0, dtype=np.int32)]
+    watch = [(hits[0], empty, empty, np.empty(0))]
+    for lo in range(side.rows.start, side.rows.stop, _BLOCK_SLOTS):
+        chunk = slice(lo, min(lo + _BLOCK_SLOTS, side.rows.stop))
+        ids = table.ids[chunk]
+        i, j = _ends(nbrs, ids)
         deformed = []
         for p_k in p:
-            d_k = np.take(p_k, j[chunk])
-            d_k -= np.take(p_k, i[chunk])
+            d_k = np.take(p_k, j)
+            d_k -= np.take(p_k, i)
             deformed.append(d_k)
-        # Broken bonds are evaluated too; _break_bonds skips them.
-        hit = _norm_sq(deformed) >= threshold[chunk]
-        hits.append(ids[chunk][hit])
-    return _break_bonds(nbrs, np.concatenate(hits))
+        # Broken bonds are evaluated and watched too; _break_bonds skips
+        # them.
+        sq = _norm_sq(deformed)
+        threshold = table.threshold[chunk]
+        hits.append(ids[sq >= threshold])
+        # the slack sqrt(T) - |p_j - p_i| is at most the skin
+        grown = np.sqrt(sq, out=sq)
+        grown += table.skin
+        grown *= grown
+        near = np.flatnonzero(grown >= threshold)
+        watch.append((ids[near], i[near], j[near], threshold[near]))
+    side.watch = tuple(map(np.concatenate, zip(*watch)))
+    side.u_ref = np.stack([u_k[side.order] for u_k in u.T])
+    side.u_ref_max = float(np.abs(side.u_ref).max(initial=0.0))
+    return np.concatenate(hits)
+
+
+def _drift(table: _HalfBonds, side: _Skin, u: np.ndarray) -> float:
+    """An upper bound on how far any of the side's deformed bond vectors
+    moved since its latest refresh, rounding margin included.
+
+    Per tile, the box of u - u_ref has its midpoint c and half-diagonal r;
+    a bond from tile a to tile b moved by at most r_a + r_b + |c_a - c_b|,
+    so a tile's rigid motion costs nothing.  NaN (a non-finite u) reads as
+    no bound, and the side refreshes.
+    """
+    lo = np.empty((len(side.u_ref), len(side.starts)))
+    hi = np.empty_like(lo)
+    for k, (u_k, ref_k) in enumerate(zip(u.T, side.u_ref)):
+        du = u_k[side.order]
+        du -= ref_k
+        np.minimum.reduceat(du, side.starts, out=lo[k])
+        np.maximum.reduceat(du, side.starts, out=hi[k])
+    centre = (lo + hi) * 0.5
+    radius = _norm((hi - lo) * 0.5)
+    a, b = side.pairs
+    bound = np.max(radius[a] + radius[b] + _norm(centre[:, a] - centre[:, b]),
+                   initial=0.0)
+    moved = max(-lo.min(initial=0.0), hi.max(initial=0.0))
+    scale = table.reach + 2.0 * side.u_ref_max + moved
+    return bound + _SKIN_ROUNDING * scale
 
 
 def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:

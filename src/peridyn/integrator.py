@@ -170,6 +170,11 @@ def upd_run(op, state0: FieldState, dt: float, n_steps: int,
             tab: ButcherTableau, s0: float | None = None,
             record_every: int | None = None, on_step=None) -> Trajectory:
     """Advance the whole domain with a single time step (the UPD baseline):
-    upd_step under run_steps."""
-    return run_steps(lambda _, y, t, __: upd_step(op, tab, y, t, dt, s0),
-                     state0, dt, n_steps, record_every, on_step)
+    upd_step under run_steps.  The operator's run caches are dropped when
+    the run ends (``PDOperator.drop_run_caches``), so an idle operator
+    holds only its bond data."""
+    try:
+        return run_steps(lambda _, y, t, __: upd_step(op, tab, y, t, dt, s0),
+                         state0, dt, n_steps, record_every, on_step)
+    finally:
+        op.drop_run_caches()

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -6,14 +7,16 @@ import pytest
 from peridyn import forces
 from peridyn.app import Scenario, preset_config
 from peridyn.forces import (
-    InstabilityError, Loading, Material, PDOperator, SimulationError,
+    FieldState, InstabilityError, Loading, Material, PDOperator,
+    SimulationError,
     bond_factor, bond_stretch, break_precrack_bonds, breaking_square,
     calibrate_alpha, damage_index, pairwise_force_linear,
     pairwise_force_nonlinear, update_damage,
 )
 from peridyn.geometry import PointCloud, build_grid, build_neighbor_list, \
     classify_subdomains
-from peridyn.mts import MtsConfig, MtsPlan
+from peridyn.integrator import tableau, upd_run
+from peridyn.mts import MtsConfig, MtsPlan, mts_run
 from tests.conftest import write_mu
 
 
@@ -832,9 +835,10 @@ class TestDamage:
         if partitioned:
             coarse = np.flatnonzero(half & plan.coarse_bond_mask)
             fine = np.flatnonzero(half & plan.fine_bond_mask)
-            assert table.split == len(coarse)
-            assert np.array_equal(table.ids[:table.split], coarse)
-            assert np.array_equal(table.ids[table.split:], fine)
+            split = table.sides[0].rows.stop
+            assert split == len(coarse)
+            assert np.array_equal(table.ids[:split], coarse)
+            assert np.array_equal(table.ids[split:], fine)
         else:
             assert np.array_equal(table.ids, np.flatnonzero(half))
 
@@ -934,6 +938,310 @@ class TestDamage:
         assert np.all(nbrs.mu == 0.0)
         assert update_damage(nbrs, np.zeros((2, 2)), s0=0.5) == 0
         assert np.all(nbrs.mu == 0.0)
+
+
+def place_square(x, u, a, c, target):
+    """Move u[c] (u[a] stays) so that the 2D half-bond a -> c, computed as
+    the damage check does, has |p_c - p_a|^2 == target exactly: the
+    x-offset falls just short and a small y-offset makes up the rest,
+    which lands on every double near the target."""
+    p_a = x[a] + u[a]
+    for shrink in (1e-12, 2e-12, 3e-12, 5e-12, 8e-12):
+        u[c, 0] = p_a[0] + np.sqrt(target) * (1.0 - shrink) - x[c, 0]
+        d0 = (x[c, 0] + u[c, 0]) - p_a[0]
+        u[c, 1] = p_a[1] + np.sqrt(target - d0 * d0) - x[c, 1]
+        d1 = (x[c, 1] + u[c, 1]) - p_a[1]
+        if d0 * d0 + d1 * d1 == target:
+            return
+    raise AssertionError("could not place the bond at the target square")
+
+
+class TestDamageSkin:
+    """Each side of the damage table keeps a Verlet skin: every check
+    returns the count and leaves the flags and version that a stateless
+    full pass would, while most checks test only the half-bonds that were
+    near breaking at the side's latest refresh."""
+
+    S0 = 0.05
+
+    @staticmethod
+    def jittered_op(dim, seed=3):
+        """A lattice of spacing h = 1/24 (2D) or 1/8 (3D) with each point
+        moved by up to 0.3 h per axis, and a horizon of 2 h."""
+        n = 24 if dim == 2 else 8
+        h = 1.0 / n
+        rng = np.random.default_rng(seed)
+        axes = np.meshgrid(*[np.arange(n) * h] * dim, indexing="ij")
+        pos = np.stack(axes, axis=-1).reshape(-1, dim)
+        pos += rng.uniform(-0.3 * h, 0.3 * h, size=pos.shape)
+        cloud = make_cloud(pos, spacing=h, volume=h ** dim,
+                           thickness=0.01 if dim == 2 else None)
+        mat = unit_alpha_material(2 * h, thickness=0.01) if dim == 2 \
+            else Material(E=1.0, nu=0.25, rho=1.0)
+        return PDOperator(cloud, build_neighbor_list(cloud, 2 * h), mat)
+
+    @staticmethod
+    def split(op):
+        """Partition at x = 0.5; the masks to check with: none, then the
+        two sides."""
+        x = op.cloud.positions[:, 0]
+        *_, side_a, side_b = op.partition(np.flatnonzero(x < 0.5),
+                                          np.flatnonzero(x >= 0.5))
+        return None, side_a, side_b
+
+    @staticmethod
+    def replay(op, states, s0, masks=(None,)):
+        """Check each state under each mask in turn, each check against a
+        stateless full pass on a twin of the list (whose table is dropped
+        before every check); returns the bonds broken."""
+        nbrs = op.nbrs
+        twin = dataclasses.replace(nbrs, mu=nbrs.mu.copy())
+        twin.bond_sides, twin.version = nbrs.bond_sides, nbrs.version
+        total = 0
+        for u in states:
+            for mask in masks:
+                twin.damage_table = None
+                want = update_damage(twin, u, s0, mask)
+                assert update_damage(nbrs, u, s0, mask) == want
+                assert np.array_equal(nbrs.mu, twin.mu)
+                assert nbrs.version == twin.version
+                total += want
+        return total
+
+    @staticmethod
+    def counts(nbrs):
+        """(checks, refreshes), summed over the table's sides."""
+        sides = nbrs.damage_table.sides
+        return (sum(side.checks for side in sides),
+                sum(side.refreshes for side in sides))
+
+    @staticmethod
+    def motion(op, name):
+        """40 displacement states: a rotation by up to 0.008 rad about the
+        centre of a cloud whose random distortion grows from 0.03 h to
+        0.04 h per axis (rms), or its two halves (at x = 0.5) moving apart
+        by up to 0.16 h."""
+        x, h, dim = op.cloud.positions, op.cloud.spacing, op.cloud.dim
+        field = h * np.random.default_rng(11).normal(size=x.shape)
+        if name == "halves":
+            apart = np.where(x[:, :1] < 0.5, -1.0, 1.0) * np.eye(dim)[0]
+            return [0.002 * k * h * apart + 0.002 * field for k in range(40)]
+        centre = x.mean(axis=0)
+        states = []
+        for k in range(40):
+            cos, sin = np.cos(2e-4 * k), np.sin(2e-4 * k)
+            rot = np.eye(dim)
+            rot[:2, :2] = [[cos, -sin], [sin, cos]]
+            states.append((x - centre + (0.03 + 2.5e-4 * k) * field)
+                          @ rot.T + centre - x)
+        return states
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("motion", ["rotation", "halves"])
+    def test_matches_a_full_pass(self, motion, dim, monkeypatch):
+        # over a partition (no mask, then each side) and without one, in
+        # one chunk and in chunks of 29 half-bonds: the same breaks as a
+        # full pass, with some checks refreshing and some not
+        for partitioned in (True, False):
+            for slots in (None, 29):
+                with monkeypatch.context() as patch:
+                    if slots is not None:
+                        patch.setattr(forces, "_BLOCK_SLOTS", slots)
+                    op = self.jittered_op(dim)
+                    masks = self.split(op) if partitioned else (None,)
+                    assert self.replay(op, self.motion(op, motion), self.S0,
+                                       masks) > 0
+                    checks, refreshes = self.counts(op.nbrs)
+                    assert 1 < refreshes < checks
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rigid_translation(self, dim):
+        # a rigid translation by 40 widths of the cloud costs no refresh:
+        # the tiles' boxes do not grow and their centres move together.  One
+        # so large that p = x + u rounds at a quarter of the spacing breaks
+        # bonds by rounding alone; the rounding margin grows with |u| and
+        # makes that check refresh.
+        op = self.jittered_op(dim)
+        masks = self.split(op)
+        x, h = op.cloud.positions, op.cloud.spacing
+        self.replay(op, [np.zeros_like(x)], self.S0, masks)
+        before = self.counts(op.nbrs)
+        self.replay(op, [np.full_like(x, 40.0)], self.S0, masks)
+        checks, refreshes = self.counts(op.nbrs)
+        assert checks > before[0] and refreshes == before[1]
+        assert self.replay(op, [np.full_like(x, 2.0 ** 50 * h)], self.S0,
+                           masks) > 0
+        assert self.counts(op.nbrs)[1] > refreshes
+
+    def test_bond_at_exactly_its_breaking_square(self):
+        # a check that tests only the watched half-bonds breaks one whose
+        # |p_j - p_i|^2 is exactly T, and keeps one at the double below T
+        cloud = build_grid(((0, 0), (1, 0.5)), 1.0 / 8, thickness=0.01)
+        nbrs = build_neighbor_list(cloud, 1.5 / 8)
+        x, s0 = cloud.positions, 0.25
+        op = PDOperator(cloud, nbrs, unit_alpha_material(1.5 / 8))
+        bonds = []
+        for start in ((0.1875, 0.1875), (0.6875, 0.3125)):
+            a = int(np.argmin(np.linalg.norm(x - start, axis=1)))
+            c = int(np.argmin(np.linalg.norm(x - x[a] - (0.125, 0.0),
+                                             axis=1)))
+            assert a < c  # the half-bond a -> c is in the table
+            bond = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
+            bonds.append((a, c, bond,
+                          breaking_square(nbrs.xi_norm[[bond]], s0)[0]))
+        u = np.zeros_like(x)
+        skin = forces._SKIN_FRACTION * s0 * nbrs.xi_norm.min()
+        # both bonds within the skin of breaking: the first check refreshes
+        # and watches them
+        for a, c, _, t in bonds:
+            u[c, 0] = np.sqrt(t) - 0.5 * skin - (x[c, 0] - x[a, 0])
+        self.replay(op, [u], s0)
+        assert nbrs.damage_table.skin == skin
+        watched = set(nbrs.damage_table.sides[0].watch[0].tolist())
+        assert {bond for _, _, bond, _ in bonds} <= watched
+        # about half the skin further: exactly T and the double below
+        for (a, c, _, t), target in zip(bonds, (1.0, 0.0)):
+            place_square(x, u, a, c, t if target else np.nextafter(t, 0.0))
+        refreshes = self.counts(nbrs)[1]
+        assert self.replay(op, [u], s0) == 1
+        assert self.counts(nbrs)[1] == refreshes
+        assert not nbrs.mu[bonds[0][2]] and nbrs.mu[bonds[1][2]]
+
+    def test_a_bound_just_under_the_skin_refreshes(self):
+        # the bound is known only up to rounding: a tile moved rigidly by
+        # the double below the skin reads a bound under the skin, and the
+        # margin makes the check refresh
+        op = self.jittered_op(2)
+        nbrs, x = op.nbrs, op.cloud.positions
+        u = np.zeros_like(x)
+        update_damage(nbrs, u, self.S0)
+        table = nbrs.damage_table
+        side = table.sides[0]
+        tile = side.order[side.starts[5]:side.starts[6]]
+        u[tile, 0] = 0.5 * table.skin
+        self.replay(op, [u], self.S0)
+        assert self.counts(nbrs) == (2, 1)
+        u[tile, 0] = np.nextafter(table.skin, 0.0)
+        self.replay(op, [u], self.S0)
+        assert self.counts(nbrs) == (3, 2)
+
+    def test_a_refresh_moves_the_reference(self):
+        # after a shear past the skin refreshes, checks of the same or a
+        # nearby state measure from it and do not refresh
+        op = self.jittered_op(2)
+        nbrs, x = op.nbrs, op.cloud.positions
+        shear = np.zeros_like(x)
+        shear[:, 0] = 0.01 * x[:, 1]
+        for u, refreshes in ((0.0 * shear, 1), (shear, 2), (shear, 2),
+                             (1.001 * shear, 2)):
+            self.replay(op, [u], self.S0)
+            assert self.counts(nbrs)[1] == refreshes
+
+    def test_a_new_partition_resets_the_state(self):
+        # a bond on the left is past breaking while only the right side is
+        # checked; once a new partition makes the left the checked side,
+        # its first check breaks it
+        op = self.jittered_op(2)
+        nbrs, x = op.nbrs, op.cloud.positions
+        left = np.flatnonzero(x[:, 0] < 0.5)
+        right = np.flatnonzero(x[:, 0] >= 0.5)
+        *_, side = op.partition(left, right)
+        a = int(np.argmin(np.linalg.norm(x - (0.2, 0.5), axis=1)))
+        c = nbrs.neighbors_of(a)[-1]
+        u = np.zeros_like(x)
+        u[c] = 0.2 * (x[c] - x[a])  # stretch 0.2 > S0
+        assert self.replay(op, [u, u], self.S0, (side,)) == 0
+        *_, side = op.partition(right, left)
+        assert nbrs.damage_table is None
+        assert self.replay(op, [u], self.S0, (side,)) > 0
+        assert self.counts(nbrs) == (1, 1)
+        assert not nbrs.mu[nbrs.offsets[a]
+                           + np.searchsorted(nbrs.neighbors_of(a), c)]
+
+    def test_a_new_s0_resets_the_state(self):
+        # a table at another s0 starts with no refresh and no watch list
+        op = self.jittered_op(2)
+        nbrs = op.nbrs
+        states = self.motion(op, "halves")
+        self.replay(op, states[:30], 0.5)
+        assert self.counts(nbrs)[1] >= 1
+        table = nbrs.damage_table
+        assert self.replay(op, states[30:31], self.S0) > 0
+        assert nbrs.damage_table is not table
+        assert self.counts(nbrs) == (1, 1)
+
+    def test_table_layout(self):
+        # 12 B per half-bond: int32 ids and float64 squares
+        op = self.jittered_op(3)
+        update_damage(op.nbrs, np.zeros((op.cloud.n_points, 3)), self.S0)
+        table = op.nbrs.damage_table
+        held = (table.ids, table.threshold)
+        assert sum(a.nbytes for a in held) == 12 * len(table.ids)
+        assert table.skin == forces._SKIN_FRACTION * self.S0 \
+            * op.nbrs.xi_norm.min()
+
+    def test_crack2d(self):
+        # a real MTS run refreshes each side on some checks, not all, and
+        # drops the table when it ends; its states, amplified and with the
+        # crack faces pulled apart, break the same bonds as a full pass
+        scenario = Scenario(preset_config("crack2d"))
+        op = scenario.fresh_operator()
+        seen = []
+
+        def on_step(step, t, y):
+            seen.append([(side.checks, side.refreshes)
+                         for side in op.nbrs.damage_table.sides])
+
+        traj, _ = mts_run(op, scenario.initial_state(),
+                          scenario.mts_config(), 12, s0=scenario.s0,
+                          record_every=1, on_step=on_step)
+        assert op.nbrs.damage_table is None
+        assert all(1 <= refreshes < checks for checks, refreshes in seen[-1])
+        y = op.cloud.positions[:, 1]
+        opening = np.where(y < 0.025, -1.0, 1.0)
+        states = []
+        for k, state in enumerate(traj.states):
+            u = (1.0 + 0.5 * k) * state.u
+            u[:, 1] += 3e-7 * k * opening
+            states.append(u)
+        masks = (None,) + op.nbrs.bond_sides
+        assert self.replay(op, states, scenario.s0, masks) > 0
+        checks, refreshes = self.counts(op.nbrs)
+        assert 1 < refreshes < checks
+
+    @pytest.mark.parametrize("scheme", ["upd", "mts"])
+    def test_runs_end_holding_only_bond_data(self, scheme):
+        # after a run, also one that raised, the operator holds no damage
+        # table and no flag caches; its bond data and flags stay
+        op, plan = loaded_plan(s0=0.5)
+        state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
+                            v=np.zeros((op.cloud.n_points, 2)), t=0.0)
+        write_mu(op.nbrs, (3, 250))
+
+        def run(on_step=None):
+            if scheme == "upd":
+                return upd_run(op, state0, 1e-3, 3, tableau(4), s0=0.5,
+                               on_step=on_step)
+            return mts_run(op, state0, plan.config, 3, s0=0.5,
+                           on_step=on_step)
+
+        def stop(step, t, y):
+            assert op.nbrs.damage_table is not None
+            raise RuntimeError("stop")
+
+        for on_step in (None, stop):
+            try:
+                run(on_step)
+            except RuntimeError:
+                pass
+            assert op.nbrs.damage_table is None
+            assert all(blk.flags is None and blk.version == -1
+                       for blk in op.full_view.blocks)
+            assert op.nbrs.mu.sum() == op.nbrs.n_bonds - 4
+            y = random_state(op, 5)
+            assert np.array_equal(op.rates(y, 0.0),
+                                  reference_rates(op, y, np.arange(
+                                      op.cloud.n_points)))
 
 
 class TestPrecrack:
@@ -1077,9 +1385,10 @@ class TestBondStorage:
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
-        # the one table: the coarse ids, then the fine ones, endpoints and,
-        # at the checked s0, the breaking squares from the list's xi_norm;
-        # built once per s0, and no bond geometry is stored
+        # the one table: the coarse ids, then the fine ones, and, at the
+        # checked s0, the breaking squares from the list's xi_norm (12 B
+        # per half-bond); built once per s0, and no bond geometry and no
+        # ends are stored
         op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
         nbrs = op.nbrs
         assert nbrs.damage_table is None
@@ -1094,10 +1403,14 @@ class TestBondStorage:
                                                     and table.s0 == s0)
             table = nbrs.damage_table
             assert table.ids.dtype == np.int32
-            assert table.i.dtype == table.j.dtype == np.intp
             assert np.array_equal(table.ids, ids)
-            assert np.array_equal(table.i, nbrs.bond_i[ids])
-            assert np.array_equal(table.j, nbrs.neighbors[ids])
+            assert not hasattr(table, "i") and not hasattr(table, "j")
+            for lo in range(0, len(ids), 37):  # the ends a refresh derives
+                chunk = ids[lo:lo + 37]
+                i, j = forces._ends(nbrs, chunk)
+                assert i.dtype == j.dtype == np.intp
+                assert np.array_equal(i, nbrs.bond_i[chunk])
+                assert np.array_equal(j, nbrs.neighbors[chunk])
             assert not hasattr(table, "xi") and not hasattr(table, "xi_norm")
             assert table.s0 == s0
             want = breaking_square(nbrs.xi_norm[ids], s0)
