@@ -561,31 +561,26 @@ class PDOperator:
 # any bond's deformed vector moved since the refresh stays under the skin.
 # The skin is this fraction of s0 * min|xi|: under 1, so an undeformed
 # body watches no bond (each slack is then about s0 |xi|), and close to 1,
-# since a wider skin refreshes less often.  The bound's tiles are this
-# many horizons wide, and the bound carries a rounding margin of this many
-# machine epsilons times max|x| + max|u| + max|u_ref| + max sqrt(T).  The
-# rounding of p = x + u, of the deformed vectors and their squares (at the
-# refresh and at the check) and of the tile boxes adds up to under 20 eps
-# of that sum.
+# since a wider skin refreshes less often.  The bound carries a rounding
+# margin of this many machine epsilons times max|x| + max|u| + max|u_ref|
+# + max sqrt(T).  The rounding of p = x + u, of the deformed vectors and
+# their squares (at the refresh and at the check) and of the box of
+# u - u_ref adds up to under 20 eps of that sum.
 _SKIN_FRACTION = 0.9
-_TILE_HORIZONS = 4
 _SKIN_ROUNDING = 32 * np.finfo(float).eps
 
 
 @dataclass
 class _Skin:
-    """One side's slice ``rows`` of the half-bond table; the points of the
-    tiles its half-bonds link, tile after tile (``order``), each tile's
-    start in ``order`` and the linked tile pairs (``pairs``, two arrays of
-    local tile ids); and the state of its latest refresh: the
-    displacements then at ``order``, their largest component, and the
-    watched half-bonds (ids, intp ends i and j, breaking squares)."""
+    """One side's slice ``rows`` of the half-bond table and ``points``, the
+    ends of its half-bonds (ascending); and the state of its latest
+    refresh: the displacements then at ``points``, their largest
+    component, and the watched half-bonds (ids, intp ends i and j,
+    breaking squares)."""
 
     rows: slice
-    order: np.ndarray
-    starts: np.ndarray
-    pairs: tuple
-    u_ref: np.ndarray | None = None  # (dim, len(order))
+    points: np.ndarray
+    u_ref: np.ndarray | None = None  # (dim, len(points))
     u_ref_max: float = 0.0
     watch: tuple = ()
     checks: int = 0
@@ -638,27 +633,6 @@ def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
         t[down] = below[down]
 
 
-def _tiles(positions: np.ndarray, width: float) -> np.ndarray:
-    """Each point's tile, a cube of side ``width``: ids 0.. over the
-    occupied tiles."""
-    cell = np.floor((positions - positions.min(axis=0)) / width)
-    cell = cell.astype(np.int64)
-    key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
-    return np.unique(key, return_inverse=True)[1].ravel()
-
-
-def _skin_side(rows: slice, tile: np.ndarray, a: np.ndarray,
-               b: np.ndarray) -> _Skin:
-    """A side's skin over the tile pairs (a, b) its half-bonds link, with
-    the points of those tiles in tile order."""
-    used = np.unique(np.concatenate([a, b]))
-    order = np.flatnonzero(np.isin(tile, used))
-    order = order[np.argsort(tile[order], kind="stable")]
-    return _Skin(rows=rows, order=order,
-                 starts=np.flatnonzero(np.diff(tile[order], prepend=-1)),
-                 pairs=(np.searchsorted(used, a), np.searchsorted(used, b)))
-
-
 def _ends(nbrs: NeighborList, ids: np.ndarray):
     """The two ends (intp) of the bonds ``ids``: a bond's far end is its
     neighbor, and its source the neighbor of its reversed bond."""
@@ -671,7 +645,14 @@ def _ends(nbrs: NeighborList, ids: np.ndarray):
 def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
     """The list's half-bond table at s0, split by ``nbrs.bond_sides``,
     filled in chunks of _BLOCK_SLOTS bonds: no temporary but the bool
-    masks spans the bonds.  Each side starts with no refresh."""
+    masks spans the bonds.  Each side starts with no refresh.
+
+    Raises ValueError unless s0 is positive and finite: no breaking square
+    exists for a NaN or for s0 <= -1, and at s0 = 0 every bond breaks at
+    rest."""
+    if not (np.isfinite(s0) and s0 > 0):
+        raise ValueError(f"critical stretch s0 must be positive and finite, "
+                         f"got {s0}")
     half = nbrs.neighbors > nbrs.bond_i
     sides = [half]
     if nbrs.bond_sides is not None:
@@ -686,15 +667,13 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
             ids[at:at + len(part)] = part + lo
             at += len(part)
     del sides, half
-    tile = _tiles(nbrs.positions, _TILE_HORIZONS * nbrs.delta)
-    n_tiles = tile.max() + 1
     # np.take copies a strided source whole on every call
     pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
     threshold = np.empty(len(ids))
     min_len, skins = np.inf, []
     bounds = np.cumsum([0] + sizes)
     for first, stop in zip(bounds[:-1], bounds[1:]):
-        keys = [np.empty(0, dtype=np.int64)]
+        ends = np.zeros(nbrs.n_points, dtype=bool)
         for lo in range(first, stop, _BLOCK_SLOTS):
             chunk = slice(lo, min(lo + _BLOCK_SLOTS, stop))
             i_c, j_c = _ends(nbrs, ids[chunk])
@@ -702,10 +681,9 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
             xi_norm = _norm([np.take(p, j_c) - np.take(p, i_c) for p in pos])
             threshold[chunk] = breaking_square(xi_norm, s0)
             min_len = min(min_len, xi_norm.min())
-            keys.append(np.unique(tile[i_c] * n_tiles + tile[j_c]))
-        skins.append(_skin_side(slice(int(first), int(stop)), tile,
-                                *np.divmod(np.unique(np.concatenate(keys)),
-                                           n_tiles)))
+            ends[i_c] = ends[j_c] = True
+        skins.append(_Skin(rows=slice(int(first), int(stop)),
+                           points=np.flatnonzero(ends)))
     reach = np.abs(nbrs.positions).max(initial=0.0) \
         + np.sqrt(threshold.max(initial=0.0))
     return _HalfBonds(ids=ids, threshold=threshold, s0=s0,
@@ -797,7 +775,7 @@ def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
         near = np.flatnonzero(grown >= threshold)
         watch.append((ids[near], i[near], j[near], threshold[near]))
     side.watch = tuple(map(np.concatenate, zip(*watch)))
-    side.u_ref = np.stack([u_k[side.order] for u_k in u.T])
+    side.u_ref = np.stack([u_k[side.points] for u_k in u.T])
     side.u_ref_max = float(np.abs(side.u_ref).max(initial=0.0))
     return np.concatenate(hits)
 
@@ -806,26 +784,20 @@ def _drift(table: _HalfBonds, side: _Skin, u: np.ndarray) -> float:
     """An upper bound on how far any of the side's deformed bond vectors
     moved since its latest refresh, rounding margin included.
 
-    Per tile, the box of u - u_ref has its midpoint c and half-diagonal r;
-    a bond from tile a to tile b moved by at most r_a + r_b + |c_a - c_b|,
-    so a tile's rigid motion costs nothing.  NaN (a non-finite u) reads as
-    no bound, and the side refreshes.
+    Over the side's points, component k of u - u_ref lies in [lo_k, hi_k].
+    Both ends of a half-bond are side points, so component k of its change
+    (u_j - u_j,ref) - (u_i - u_i,ref) lies within hi_k - lo_k, and the box's
+    diagonal |hi - lo| bounds it: a rigid motion of the side costs nothing.
+    NaN (a non-finite u) reads as no bound, and the side refreshes.  A side
+    with no half-bonds has no points and reads 0.
     """
-    lo = np.empty((len(side.u_ref), len(side.starts)))
-    hi = np.empty_like(lo)
-    for k, (u_k, ref_k) in enumerate(zip(u.T, side.u_ref)):
-        du = u_k[side.order]
-        du -= ref_k
-        np.minimum.reduceat(du, side.starts, out=lo[k])
-        np.maximum.reduceat(du, side.starts, out=hi[k])
-    centre = (lo + hi) * 0.5
-    radius = _norm((hi - lo) * 0.5)
-    a, b = side.pairs
-    bound = np.max(radius[a] + radius[b] + _norm(centre[:, a] - centre[:, b]),
-                   initial=0.0)
-    moved = max(-lo.min(initial=0.0), hi.max(initial=0.0))
-    scale = table.reach + 2.0 * side.u_ref_max + moved
-    return bound + _SKIN_ROUNDING * scale
+    if not len(side.points):
+        return 0.0
+    du = np.stack([u_k[side.points] for u_k in u.T])
+    du -= side.u_ref
+    lo, hi = du.min(axis=1), du.max(axis=1)
+    scale = table.reach + 2.0 * side.u_ref_max + max(-lo.min(), hi.max())
+    return _norm(hi - lo) + _SKIN_ROUNDING * scale
 
 
 def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:

@@ -930,6 +930,28 @@ class TestDamage:
         _, plain = loaded_plan()
         assert plain.coarse_bond_mask is None and plain.fine_bond_mask is None
 
+    @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf, 0.0, -1.5])
+    def test_refuses_a_critical_stretch_it_cannot_integrate(self, s0,
+                                                             monkeypatch):
+        # no breaking square exists for NaN or s0 <= -1, and at 0 every
+        # bond breaks at rest: the check, and both drivers through it,
+        # raise before searching for one (a search that would not end)
+        def search(xi_norm, s0):
+            raise RuntimeError("searched for a breaking square")
+
+        monkeypatch.setattr(forces, "breaking_square", search)
+        op, plan = loaded_plan(s0=0.5)
+        state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
+                            v=np.zeros((op.cloud.n_points, 2)), t=0.0)
+        for check in (
+                lambda: update_damage(op.nbrs, state0.u, s0),
+                lambda: upd_run(op, state0, 1e-3, 2, tableau(4), s0=s0),
+                lambda: mts_run(op, state0, plan.config, 2, s0=s0)):
+            with pytest.raises(ValueError, match="s0"):
+                check()
+            assert op.nbrs.damage_table is None
+        assert op.nbrs.mu.all()
+
     def test_bonds_never_heal(self):
         cloud = make_cloud([[0, 0], [1, 0]])
         nbrs = build_neighbor_list(cloud, 1.0)
@@ -1057,10 +1079,10 @@ class TestDamageSkin:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rigid_translation(self, dim):
         # a rigid translation by 40 widths of the cloud costs no refresh:
-        # the tiles' boxes do not grow and their centres move together.  One
-        # so large that p = x + u rounds at a quarter of the spacing breaks
-        # bonds by rounding alone; the rounding margin grows with |u| and
-        # makes that check refresh.
+        # the sides' boxes of u - u_ref do not grow.  One so large that
+        # p = x + u rounds at a quarter of the spacing breaks bonds by
+        # rounding alone; the rounding margin grows with |u| and makes that
+        # check refresh.
         op = self.jittered_op(dim)
         masks = self.split(op)
         x, h = op.cloud.positions, op.cloud.spacing
@@ -1108,22 +1130,43 @@ class TestDamageSkin:
         assert not nbrs.mu[bonds[0][2]] and nbrs.mu[bonds[1][2]]
 
     def test_a_bound_just_under_the_skin_refreshes(self):
-        # the bound is known only up to rounding: a tile moved rigidly by
-        # the double below the skin reads a bound under the skin, and the
-        # margin makes the check refresh
+        # the bound is known only up to rounding: the x < 0.5 half moved
+        # rigidly by half the skin costs no refresh; moved by the double
+        # below the skin it reads a bound under the skin, and the margin
+        # makes the check refresh.  A diagonal move whose components stay
+        # under the skin but whose length does not refreshes too: the bound
+        # is the box's diagonal, not its widest side.
         op = self.jittered_op(2)
         nbrs, x = op.nbrs, op.cloud.positions
+        half = x[:, 0] < 0.5
         u = np.zeros_like(x)
         update_damage(nbrs, u, self.S0)
-        table = nbrs.damage_table
-        side = table.sides[0]
-        tile = side.order[side.starts[5]:side.starts[6]]
-        u[tile, 0] = 0.5 * table.skin
+        skin = nbrs.damage_table.skin
+        u[half, 0] = 0.5 * skin
         self.replay(op, [u], self.S0)
         assert self.counts(nbrs) == (2, 1)
-        u[tile, 0] = np.nextafter(table.skin, 0.0)
+        u[half, 0] = np.nextafter(skin, 0.0)
         self.replay(op, [u], self.S0)
         assert self.counts(nbrs) == (3, 2)
+        u[half] += 0.75 * skin
+        self.replay(op, [u], self.S0)
+        assert self.counts(nbrs) == (4, 3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_side_with_no_half_bonds(self, dim):
+        # a partition into every row and none: the empty side has no
+        # half-bonds and no points, and reads a bound of 0, so only its
+        # first check refreshes; the other side still matches a full pass
+        op = self.jittered_op(dim)
+        n = op.cloud.n_points
+        *_, side_a, side_b = op.partition(np.arange(n),
+                                          np.empty(0, dtype=np.int64))
+        masks = (None, side_a, side_b)
+        assert self.replay(op, self.motion(op, "halves"), self.S0, masks) > 0
+        full, empty = op.nbrs.damage_table.sides
+        assert len(empty.points) == 0 and empty.rows.start == empty.rows.stop
+        assert (empty.checks, empty.refreshes) == (80, 1)
+        assert 1 < full.refreshes < full.checks
 
     def test_a_refresh_moves_the_reference(self):
         # after a shear past the skin refreshes, checks of the same or a
@@ -1415,6 +1458,10 @@ class TestBondStorage:
             assert table.s0 == s0
             want = breaking_square(nbrs.xi_norm[ids], s0)
             assert table.threshold.tobytes() == want.tobytes()
+            for side in table.sides:  # the ends of the side's half-bonds
+                ends = table.ids[side.rows]
+                assert np.array_equal(side.points, np.union1d(
+                    nbrs.bond_i[ends], nbrs.neighbors[ends]))
         update_damage(nbrs, u, 0.25)
         assert nbrs.damage_table is table  # the unmasked check shares it
         # a new split drops the table and refuses the old split's masks
