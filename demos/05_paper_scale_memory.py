@@ -16,7 +16,7 @@ table and skin state.
 Each per-bond array is held once: the neighbor list keeps the topology
 (int32 neighbor and partner ids) and the bool bond flags, a block slot
 its neighbor id and the linear law's bond factor q (2 doubles), and a
-damage table entry its bond id and its squared breaking length (12 B);
+damage table entry its bond id and its length |xi| (12 B);
 a refresh derives the bond's ends.  An MTS plan splits the operator into
 its coarse and fine views, and the full view is their union; likewise
 the neighbor list keeps one damage table, the coarse side's half-bonds

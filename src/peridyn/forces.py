@@ -71,10 +71,12 @@ class Material:
     rho: float
 
     def validate(self, dim: int):
-        if self.E <= 0:
-            raise ValueError(f"elastic modulus must be positive, got {self.E}")
-        if self.rho <= 0:
-            raise ValueError(f"density must be positive, got {self.rho}")
+        if not (np.isfinite(self.E) and self.E > 0):
+            raise ValueError("elastic modulus must be positive and finite, "
+                             f"got {self.E}")
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("density must be positive and finite, "
+                             f"got {self.rho}")
         problem = poisson_violation(self.nu, dim)
         if problem:
             raise ValueError(problem)
@@ -164,18 +166,14 @@ class BondCollapseError(SimulationError):
 # component k of a bond's pairwise force is scale * direction[k].
 
 
-def _norm_sq(d):
-    """Squared Euclidean length from components: the sequential sum of
-    squares, as np.linalg.norm(..., axis=1) adds them."""
+def _norm(d):
+    """Euclidean length from components, bit for bit np.linalg.norm: the
+    square root of the squares summed in component order, as
+    np.linalg.norm(..., axis=1) adds them."""
     sq = d[0] * d[0]
     for c in d[1:]:
         sq += c * c
-    return sq
-
-
-def _norm(d):
-    """Euclidean length from components, bit for bit np.linalg.norm."""
-    return np.sqrt(_norm_sq(d))
+    return np.sqrt(sq)
 
 
 def bond_factor(xi, xi_norm, alpha, out=None):
@@ -563,9 +561,11 @@ class PDOperator:
 # body watches no bond (each slack is then about s0 |xi|), and close to 1,
 # since a wider skin refreshes less often.  The bound carries a rounding
 # margin of this many machine epsilons times max|x| + max|u| + max|u_ref|
-# + max sqrt(T).  The rounding of p = x + u, of the deformed vectors and
-# their squares (at the refresh and at the check) and of the box of
-# u - u_ref adds up to under 20 eps of that sum.
+# + (1 + s0) max|xi|; the last term bounds the deformed length of every
+# unwatched half-bond, whose length plus the skin stays short of breaking.
+# The rounding of p = x + u, of the deformed vectors and their lengths (at
+# the refresh and at the check), of a length plus the skin and of the box
+# of u - u_ref adds up to under 20 eps of that sum.
 _SKIN_FRACTION = 0.9
 _SKIN_ROUNDING = 32 * np.finfo(float).eps
 
@@ -576,7 +576,7 @@ class _Skin:
     ends of its half-bonds (ascending); and the state of its latest
     refresh: the displacements then at ``points``, their largest
     component, and the watched half-bonds (ids, intp ends i and j,
-    breaking squares)."""
+    lengths |xi|)."""
 
     rows: slice
     points: np.ndarray
@@ -591,46 +591,20 @@ class _Skin:
 class _HalfBonds:
     """Every bond once, towards its higher point index, side after side of
     the list's ``bond_sides`` when it has them (each ``_Skin`` holds its
-    side's slice), ids ascending within a side, with the squared
-    breaking lengths at ``s0``: 12 B per half-bond.  A refresh derives the
-    ends of a chunk of them (``_ends``).
+    side's slice), ids ascending within a side, with their lengths |xi|
+    (bit for bit the list's ``xi_norm``): 12 B per half-bond.  A refresh
+    derives the ends of a chunk of them (``_ends``).
 
     The skin state: ``skin`` (_SKIN_FRACTION * s0 * min|xi|), ``reach``
-    (max|x| + max sqrt(T), the static part of the rounding margin) and one
-    ``_Skin`` per side."""
+    (max|x| + (1 + s0) max|xi|, the static part of the rounding margin) and
+    one ``_Skin`` per side."""
 
     ids: np.ndarray     # int32 bond ids
-    threshold: np.ndarray
+    length: np.ndarray  # float64 |xi|
     s0: float
     skin: float
     reach: float
     sides: list
-
-
-def breaking_square(xi_norm: np.ndarray, s0: float) -> np.ndarray:
-    """Per bond, the least double T such that a deformed squared length
-    sq breaks the bond (bond_stretch(sqrt(sq), |xi|) >= s0) exactly when
-    sq >= T.
-
-    The stretch is a non-decreasing function of sq under rounding, so such
-    a T exists.  The search starts from ((1 + s0) |xi|)^2, a few ulps off,
-    and steps by nextafter: up until T breaks, then down while the double
-    below it still breaks.
-    """
-    def breaks(sq):
-        return bond_stretch(np.sqrt(sq), xi_norm) >= s0
-
-    t = ((1.0 + s0) * xi_norm) ** 2
-    up = ~breaks(t)
-    while np.any(up):
-        t[up] = np.nextafter(t[up], np.inf)
-        up = ~breaks(t)
-    while True:
-        below = np.nextafter(t, 0.0)
-        down = breaks(below) & (below < t)
-        if not np.any(down):
-            return t
-        t[down] = below[down]
 
 
 def _ends(nbrs: NeighborList, ids: np.ndarray):
@@ -647,9 +621,8 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
     filled in chunks of _BLOCK_SLOTS bonds: no temporary but the bool
     masks spans the bonds.  Each side starts with no refresh.
 
-    Raises ValueError unless s0 is positive and finite: no breaking square
-    exists for a NaN or for s0 <= -1, and at s0 = 0 every bond breaks at
-    rest."""
+    Raises ValueError unless s0 is positive and finite: a NaN or infinite
+    s0 breaks no bond, and at s0 <= 0 every bond breaks at rest."""
     if not (np.isfinite(s0) and s0 > 0):
         raise ValueError(f"critical stretch s0 must be positive and finite, "
                          f"got {s0}")
@@ -669,8 +642,8 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
     del sides, half
     # np.take copies a strided source whole on every call
     pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
-    threshold = np.empty(len(ids))
-    min_len, skins = np.inf, []
+    length = np.empty(len(ids))
+    skins = []
     bounds = np.cumsum([0] + sizes)
     for first, stop in zip(bounds[:-1], bounds[1:]):
         ends = np.zeros(nbrs.n_points, dtype=bool)
@@ -678,16 +651,16 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
             chunk = slice(lo, min(lo + _BLOCK_SLOTS, stop))
             i_c, j_c = _ends(nbrs, ids[chunk])
             # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
-            xi_norm = _norm([np.take(p, j_c) - np.take(p, i_c) for p in pos])
-            threshold[chunk] = breaking_square(xi_norm, s0)
-            min_len = min(min_len, xi_norm.min())
+            length[chunk] = _norm([np.take(p, j_c) - np.take(p, i_c)
+                                   for p in pos])
             ends[i_c] = ends[j_c] = True
         skins.append(_Skin(rows=slice(int(first), int(stop)),
                            points=np.flatnonzero(ends)))
     reach = np.abs(nbrs.positions).max(initial=0.0) \
-        + np.sqrt(threshold.max(initial=0.0))
-    return _HalfBonds(ids=ids, threshold=threshold, s0=s0,
-                      skin=_SKIN_FRACTION * s0 * min_len if len(ids) else 0.0,
+        + (1.0 + s0) * length.max(initial=0.0)
+    return _HalfBonds(ids=ids, length=length, s0=s0,
+                      skin=_SKIN_FRACTION * s0 * length.min() if len(ids)
+                      else 0.0,
                       reach=float(reach), sides=skins)
 
 
@@ -707,15 +680,17 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact
-    negation, so checking it would change nothing.  The test compares the
-    squared deformed length |p_j - p_i|^2, with p = x + u, against the
-    bond's breaking square (``breaking_square``): the same decision as the
-    stretch formula on that vector, with no square root or division.
+    negation, so checking it would change nothing.  The test is the
+    stretch formula, ``bond_stretch(|p_j - p_i|, |xi|) >= s0`` with
+    p = x + u, on the lengths the table holds.
 
     Each side keeps a Verlet skin (``_check_side``): most checks test only
     the half-bonds that were near breaking at the side's latest refresh,
-    with the same comparison, and so make the same decisions as a test of
-    every half-bond.
+    with the same test, and so make the same decisions as a test of every
+    half-bond.  The stretch rises with the deformed length under rounding
+    too, so a half-bond that the skin's growth of its length at the
+    refresh would not break cannot break while the drift bound, rounding
+    margin included, stays under the skin.
     """
     sides = nbrs.bond_sides or ()
     if bond_mask is not None and not any(bond_mask is m for m in sides):
@@ -733,7 +708,7 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
 
 def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
                 u: np.ndarray) -> np.ndarray:
-    """The ids of the side's half-bonds at or past their breaking square.
+    """The ids of the side's half-bonds whose stretch reaches s0.
 
     While ``_drift`` stays under the skin, no half-bond that was more than
     the skin from breaking at the latest refresh can have reached it, so
@@ -743,12 +718,12 @@ def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
     """
     side.checks += 1
     if side.u_ref is not None and _drift(table, side, u) < table.skin:
-        ids, i, j, threshold = side.watch
+        ids, i, j, length = side.watch
         # p_j - p_i as the refresh computes it, at the watched ends only;
         # fancy indexing reads the strided columns without copying them
         deformed = [(x_k[j] + u_k[j]) - (x_k[i] + u_k[i])
                     for x_k, u_k in zip(nbrs.positions.T, u.T)]
-        return ids[_norm_sq(deformed) >= threshold]
+        return ids[bond_stretch(_norm(deformed), length) >= table.s0]
     side.refreshes += 1
     p = [nbrs.positions[:, k] + u[:, k] for k in range(u.shape[1])]
     empty = np.empty(0, dtype=np.intp)
@@ -765,15 +740,14 @@ def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
             deformed.append(d_k)
         # Broken bonds are evaluated and watched too; _break_bonds skips
         # them.
-        sq = _norm_sq(deformed)
-        threshold = table.threshold[chunk]
-        hits.append(ids[sq >= threshold])
-        # the slack sqrt(T) - |p_j - p_i| is at most the skin
-        grown = np.sqrt(sq, out=sq)
+        grown = _norm(deformed)
+        length = table.length[chunk]
+        hits.append(ids[bond_stretch(grown, length) >= table.s0])
+        # watched: the half-bonds that a growth of their length by the skin
+        # breaks
         grown += table.skin
-        grown *= grown
-        near = np.flatnonzero(grown >= threshold)
-        watch.append((ids[near], i[near], j[near], threshold[near]))
+        near = np.flatnonzero(bond_stretch(grown, length) >= table.s0)
+        watch.append((ids[near], i[near], j[near], length[near]))
     side.watch = tuple(map(np.concatenate, zip(*watch)))
     side.u_ref = np.stack([u_k[side.points] for u_k in u.T])
     side.u_ref_max = float(np.abs(side.u_ref).max(initial=0.0))

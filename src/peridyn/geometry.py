@@ -195,10 +195,11 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
         raise GeometryError("box must be a (min, max) pair of 2D or 3D corners")
     dim = len(lo)
     extents = hi - lo
-    if np.any(extents <= 0):
-        raise GeometryError(f"box extents must be positive, got {extents}")
-    if dx <= 0:
-        raise GeometryError(f"spacing must be positive, got {dx}")
+    if not np.all(np.isfinite(extents) & (extents > 0)):
+        raise GeometryError("box extents must be positive and finite, "
+                            f"got {extents}")
+    if not (np.isfinite(dx) and dx > 0):
+        raise GeometryError(f"spacing must be positive and finite, got {dx}")
     counts = np.rint(extents / dx).astype(int)
     if np.any(counts < 1):
         raise GeometryError(f"spacing {dx} exceeds box extents {extents}")
@@ -213,8 +214,10 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
     positions = np.column_stack([m.ravel() for m in mesh])
 
     if dim == 2:
-        if thickness is None or thickness <= 0:
-            raise GeometryError("2D grids require a positive thickness")
+        if thickness is None or not (np.isfinite(thickness)
+                                     and thickness > 0):
+            raise GeometryError("2D grids require a positive, finite "
+                                f"thickness, got {thickness}")
         volume = dx * dx * thickness
     else:
         thickness = None
@@ -280,6 +283,8 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     the accepted ones are collected, as int32.  A cloud whose point or bond
     count does not fit int32 raises GeometryError.
     """
+    if not np.isfinite(delta):
+        raise GeometryError(f"horizon must be finite, got {delta}")
     if delta < cloud.spacing:
         raise GeometryError(
             f"horizon {delta} is degenerate: smaller than spacing {cloud.spacing}")

@@ -8,6 +8,7 @@ in the test suite on the exact same code path as the PD runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,8 @@ def stages(tab: ButcherTableau, y, dt: float, stage_rate, rate0=None):
 def rk_step(tab: ButcherTableau, y, rate_fn, t: float, dt: float):
     """One explicit RK step of ``rate_fn(y, t)``; returns (y_next,
     stage_rates)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     return stages(tab, y, dt, lambda j, yj: rate_fn(yj, t + tab.c[j] * dt))
 
 

@@ -53,8 +53,8 @@ class MtsConfig:
     def validate(self):
         if self.order not in (3, 4):
             raise ValueError(f"order must be 3 or 4, got {self.order}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if int(self.K) != self.K or self.K < 1:
             raise ValueError(f"K must be an integer >= 1, got {self.K}")
         return self
@@ -80,8 +80,8 @@ def matrix_A(r: int, dt: float) -> CorrectionMatrices:
     Row j of Gamma scales as dt^(1-j), making d = Gamma f dimensionally a
     vector of successive derivatives.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if r == 4:
         A = np.array([
             [0.5, dt / 6.0, dt * dt / 24.0],
@@ -140,7 +140,6 @@ class Interpolant:
 
     t0: float
     dt: float
-    indices: np.ndarray
     y0: np.ndarray
     L0: np.ndarray
     d: np.ndarray
@@ -216,8 +215,7 @@ def build_interpolant(indices, y_n, y_np1, history: OperatorHistory,
     y0 = np.take(y_n, idx, axis=0)
     f = assemble_f(r, dt, y0, np.take(y_np1, idx, axis=0), *levels)
     d = estimate_derivatives(matrix_A(r, dt), f)
-    return Interpolant(t0=history.t_at(0), dt=dt, indices=idx, y0=y0,
-                       L0=levels[0], d=d)
+    return Interpolant(t0=history.t_at(0), dt=dt, y0=y0, L0=levels[0], d=d)
 
 
 class TimingReport:

@@ -9,14 +9,14 @@ from peridyn.app import Scenario, preset_config
 from peridyn.forces import (
     FieldState, InstabilityError, Loading, Material, PDOperator,
     SimulationError,
-    bond_factor, bond_stretch, break_precrack_bonds, breaking_square,
+    bond_factor, bond_stretch, break_precrack_bonds,
     calibrate_alpha, damage_index, pairwise_force_linear,
     pairwise_force_nonlinear, update_damage,
 )
-from peridyn.geometry import PointCloud, build_grid, build_neighbor_list, \
-    classify_subdomains
-from peridyn.integrator import tableau, upd_run
-from peridyn.mts import MtsConfig, MtsPlan, mts_run
+from peridyn.geometry import GeometryError, PointCloud, build_grid, \
+    build_neighbor_list, classify_subdomains
+from peridyn.integrator import rk_step, tableau, upd_run
+from peridyn.mts import MtsConfig, MtsPlan, matrix_A, mts_run
 from tests.conftest import write_mu
 
 
@@ -64,6 +64,37 @@ class TestMaterialValidation:
             Material(E=1.0, nu=1 / 3, rho=1.0).validate(3)
         Material(E=1.0, nu=1 / 3, rho=1.0).validate(2)
         Material(E=1.0, nu=0.25, rho=1.0).validate(3)
+
+
+def _grid(dx=0.1, thickness=0.01):
+    return build_grid(((0, 0), (1, 1)), dx, thickness=thickness)
+
+
+@pytest.mark.parametrize("check, error, value", [
+    (lambda: Material(E=np.nan, nu=1 / 3, rho=1.0).validate(2),
+     ValueError, "nan"),
+    (lambda: Material(E=1.0, nu=1 / 3, rho=np.inf).validate(2),
+     ValueError, "inf"),
+    (lambda: _grid(dx=np.nan), GeometryError, "nan"),
+    (lambda: _grid(thickness=np.nan), GeometryError, "nan"),
+    (lambda: build_grid(((0, 0), (1, np.inf)), 0.1, thickness=0.01),
+     GeometryError, "inf"),
+    (lambda: build_neighbor_list(_grid(), np.inf), GeometryError, "inf"),
+    (lambda: build_neighbor_list(_grid(), np.nan), GeometryError, "nan"),
+    (lambda: MtsConfig(order=4, dt=np.nan, K=2, labels=None).validate(),
+     ValueError, "nan"),
+    (lambda: matrix_A(4, np.nan), ValueError, "nan"),
+    (lambda: matrix_A(3, np.inf), ValueError, "inf"),
+    (lambda: rk_step(tableau(4), np.zeros(1), lambda y, t: y, 0.0, np.nan),
+     ValueError, "nan"),
+], ids=["E-nan", "rho-inf", "dx-nan", "thickness-nan", "box-inf", "delta-inf",
+        "delta-nan", "MtsConfig-dt-nan", "matrix_A-dt-nan", "matrix_A-dt-inf",
+        "rk_step-dt-nan"])
+def test_refuses_non_finite_inputs(check, error, value):
+    # NaN compares false, so a positivity test alone lets it through; each
+    # guard says it wants a finite value and names the one it refuses
+    with pytest.raises(error, match=rf"finite.*\b{value}\b"):
+        check()
 
 
 def stretch(xi, eta):
@@ -877,10 +908,9 @@ class TestDamage:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("s0", [0.5, 0.25, 0.01])
     def test_squared_test_matches_the_stretch_formula(self, s0, dim):
-        # The check compares |p_j - p_i|^2 with a per-bond breaking square
-        # T; the stretch formula on the same deformed vectors must break
-        # the same bonds.  T is exact: sqrt(T) breaks, the double below
-        # does not.  Binary-exact s0 get an x-bond at exactly s == s0.
+        # The check breaks the bonds that the stretch formula on
+        # np.linalg.norm of the same deformed vectors breaks.  Binary-exact
+        # s0 get an x-bond at exactly s == s0.
         n = 8
         h = 1.0 / n
         op = bare_grid_op("linear", dim, n)
@@ -902,12 +932,6 @@ class TestDamage:
         assert 0 < want.sum() < len(want)
         if tie is not None:
             assert s[tie] == s0 and want[tie]
-
-        t = breaking_square(nbrs.xi_norm, s0)
-        assert np.all(bond_stretch(np.sqrt(t), nbrs.xi_norm) >= s0)
-        below = np.nextafter(t, 0.0)
-        assert np.all(bond_stretch(np.sqrt(below), nbrs.xi_norm) < s0)
-
         assert update_damage(nbrs, u, s0) == want.sum() // 2
         assert np.array_equal(~nbrs.mu, want)
 
@@ -931,15 +955,10 @@ class TestDamage:
         assert plain.coarse_bond_mask is None and plain.fine_bond_mask is None
 
     @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf, 0.0, -1.5])
-    def test_refuses_a_critical_stretch_it_cannot_integrate(self, s0,
-                                                             monkeypatch):
-        # no breaking square exists for NaN or s0 <= -1, and at 0 every
-        # bond breaks at rest: the check, and both drivers through it,
-        # raise before searching for one (a search that would not end)
-        def search(xi_norm, s0):
-            raise RuntimeError("searched for a breaking square")
-
-        monkeypatch.setattr(forces, "breaking_square", search)
+    def test_refuses_a_critical_stretch_it_cannot_integrate(self, s0):
+        # a NaN or infinite s0 would break no bond, and s0 <= 0 would break
+        # bonds at rest: the check, and both drivers through it, raise
+        # before building a table or breaking a bond
         op, plan = loaded_plan(s0=0.5)
         state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
                             v=np.zeros((op.cloud.n_points, 2)), t=0.0)
@@ -962,20 +981,33 @@ class TestDamage:
         assert np.all(nbrs.mu == 0.0)
 
 
-def place_square(x, u, a, c, target):
-    """Move u[c] (u[a] stays) so that the 2D half-bond a -> c, computed as
-    the damage check does, has |p_c - p_a|^2 == target exactly: the
+def breaking_length(xi_norm, s0):
+    """The least double l with bond_stretch(l, |xi|) >= s0, by nextafter
+    steps from (1 + s0) |xi|: the stretch rises with l under rounding."""
+    def breaks(length):
+        return bond_stretch(length, xi_norm) >= s0
+
+    length = (1.0 + s0) * xi_norm
+    while not breaks(length):
+        length = np.nextafter(length, np.inf)
+    while breaks(np.nextafter(length, 0.0)):
+        length = np.nextafter(length, 0.0)
+    return length
+
+
+def place_length(x, u, a, c, target):
+    """Move u[c] (u[a] stays) so that the half-bond a -> c along x, computed
+    as the damage check does, has |p_c - p_a| == target exactly: the
     x-offset falls just short and a small y-offset makes up the rest,
     which lands on every double near the target."""
     p_a = x[a] + u[a]
     for shrink in (1e-12, 2e-12, 3e-12, 5e-12, 8e-12):
-        u[c, 0] = p_a[0] + np.sqrt(target) * (1.0 - shrink) - x[c, 0]
+        u[c, 0] = p_a[0] + target * (1.0 - shrink) - x[c, 0]
         d0 = (x[c, 0] + u[c, 0]) - p_a[0]
-        u[c, 1] = p_a[1] + np.sqrt(target - d0 * d0) - x[c, 1]
-        d1 = (x[c, 1] + u[c, 1]) - p_a[1]
-        if d0 * d0 + d1 * d1 == target:
+        u[c, 1] = p_a[1] + np.sqrt(target * target - d0 * d0) - x[c, 1]
+        if forces._norm((x[c] + u[c]) - p_a) == target:
             return
-    raise AssertionError("could not place the bond at the target square")
+    raise AssertionError("could not place the bond at the target length")
 
 
 class TestDamageSkin:
@@ -1095,9 +1127,10 @@ class TestDamageSkin:
                            masks) > 0
         assert self.counts(op.nbrs)[1] > refreshes
 
-    def test_bond_at_exactly_its_breaking_square(self):
+    def test_bond_at_exactly_its_breaking_length(self):
         # a check that tests only the watched half-bonds breaks one whose
-        # |p_j - p_i|^2 is exactly T, and keeps one at the double below T
+        # |p_j - p_i| is exactly its breaking length, and keeps one at the
+        # double below it
         cloud = build_grid(((0, 0), (1, 0.5)), 1.0 / 8, thickness=0.01)
         nbrs = build_neighbor_list(cloud, 1.5 / 8)
         x, s0 = cloud.positions, 0.25
@@ -1110,24 +1143,68 @@ class TestDamageSkin:
             assert a < c  # the half-bond a -> c is in the table
             bond = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
             bonds.append((a, c, bond,
-                          breaking_square(nbrs.xi_norm[[bond]], s0)[0]))
+                          breaking_length(nbrs.xi_norm[bond], s0)))
         u = np.zeros_like(x)
         skin = forces._SKIN_FRACTION * s0 * nbrs.xi_norm.min()
         # both bonds within the skin of breaking: the first check refreshes
         # and watches them
-        for a, c, _, t in bonds:
-            u[c, 0] = np.sqrt(t) - 0.5 * skin - (x[c, 0] - x[a, 0])
+        for a, c, _, length in bonds:
+            u[c, 0] = length - 0.5 * skin - (x[c, 0] - x[a, 0])
         self.replay(op, [u], s0)
         assert nbrs.damage_table.skin == skin
         watched = set(nbrs.damage_table.sides[0].watch[0].tolist())
         assert {bond for _, _, bond, _ in bonds} <= watched
-        # about half the skin further: exactly T and the double below
-        for (a, c, _, t), target in zip(bonds, (1.0, 0.0)):
-            place_square(x, u, a, c, t if target else np.nextafter(t, 0.0))
+        # about half the skin further: exactly the breaking length and the
+        # double below
+        for (a, c, _, length), target in zip(bonds, (1.0, 0.0)):
+            place_length(x, u, a, c,
+                         length if target else np.nextafter(length, 0.0))
         refreshes = self.counts(nbrs)[1]
         assert self.replay(op, [u], s0) == 1
         assert self.counts(nbrs)[1] == refreshes
         assert not nbrs.mu[bonds[0][2]] and nbrs.mu[bonds[1][2]]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("s0", [0.01, 0.1, 1.0 / 3.0])
+    def test_bonds_around_their_breaking_length(self, s0, dim):
+        # an x-bond placed at each double from 3 below to 3 above its
+        # breaking length, checked once by a refresh and once by a check
+        # that tests only the watched half-bonds: each decision is the
+        # stretch formula's, and only the bond itself can break
+        h = 1.0 / 8
+        box = ((0, 0), (1, 0.5)) if dim == 2 else ((0, 0, 0), (1, 0.5, 0.5))
+        cloud = build_grid(box, h, thickness=0.01)
+        x = cloud.positions
+        a = int(np.argmin(np.linalg.norm(x - x.mean(axis=0), axis=1)))
+        c = int(np.argmin(np.linalg.norm(x - x[a] - h * np.eye(dim)[0],
+                                         axis=1)))
+        assert a < c  # the half-bond a -> c is in the table
+        nbrs = build_neighbor_list(cloud, 1.5 * h)
+        bond = nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
+        xi_norm = nbrs.xi_norm[bond]
+        skin = forces._SKIN_FRACTION * s0 * nbrs.xi_norm.min()
+        targets = [breaking_length(xi_norm, s0)]
+        for _ in range(3):
+            targets.insert(0, np.nextafter(targets[0], 0.0))
+            targets.append(np.nextafter(targets[-1], np.inf))
+        decisions = []
+        for target in targets:
+            want = bond_stretch(target, xi_norm) >= s0
+            decisions.append(bool(want))
+            for watched in (False, True):
+                nbrs = build_neighbor_list(cloud, 1.5 * h)
+                u = np.zeros_like(x)
+                if watched:  # refresh with the bond within the skin
+                    u[c, 0] = targets[3] - 0.5 * skin - (x[c, 0] - x[a, 0])
+                    assert update_damage(nbrs, u, s0) == 0
+                    assert bond in nbrs.damage_table.sides[0].watch[0]
+                place_length(x, u, a, c, target)
+                assert update_damage(nbrs, u, s0) == want
+                assert nbrs.mu[bond] != want
+                assert nbrs.mu.sum() == nbrs.n_bonds - 2 * want
+                side = nbrs.damage_table.sides[0]
+                assert (side.checks, side.refreshes) == (1 + watched, 1)
+        assert decisions == [False] * 3 + [True] * 4
 
     def test_a_bound_just_under_the_skin_refreshes(self):
         # the bound is known only up to rounding: the x < 0.5 half moved
@@ -1214,12 +1291,14 @@ class TestDamageSkin:
         assert self.counts(nbrs) == (1, 1)
 
     def test_table_layout(self):
-        # 12 B per half-bond: int32 ids and float64 squares
+        # 12 B per half-bond: int32 ids and float64 lengths |xi|, bit for
+        # bit the list's
         op = self.jittered_op(3)
         update_damage(op.nbrs, np.zeros((op.cloud.n_points, 3)), self.S0)
         table = op.nbrs.damage_table
-        held = (table.ids, table.threshold)
+        held = (table.ids, table.length)
         assert sum(a.nbytes for a in held) == 12 * len(table.ids)
+        assert table.length.tobytes() == op.nbrs.xi_norm[table.ids].tobytes()
         assert table.skin == forces._SKIN_FRACTION * self.S0 \
             * op.nbrs.xi_norm.min()
 
@@ -1428,10 +1507,9 @@ class TestBondStorage:
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
-        # the one table: the coarse ids, then the fine ones, and, at the
-        # checked s0, the breaking squares from the list's xi_norm (12 B
-        # per half-bond); built once per s0, and no bond geometry and no
-        # ends are stored
+        # the one table: the coarse ids, then the fine ones, and their
+        # lengths, the bytes of the list's xi_norm (12 B per half-bond);
+        # built once per s0, and no bond vectors and no ends are stored
         op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
         nbrs = op.nbrs
         assert nbrs.damage_table is None
@@ -1456,8 +1534,7 @@ class TestBondStorage:
                 assert np.array_equal(j, nbrs.neighbors[chunk])
             assert not hasattr(table, "xi") and not hasattr(table, "xi_norm")
             assert table.s0 == s0
-            want = breaking_square(nbrs.xi_norm[ids], s0)
-            assert table.threshold.tobytes() == want.tobytes()
+            assert table.length.tobytes() == nbrs.xi_norm[ids].tobytes()
             for side in table.sides:  # the ends of the side's half-bonds
                 ends = table.ids[side.rows]
                 assert np.array_equal(side.points, np.union1d(

@@ -215,6 +215,8 @@ class TestUpdRun:
             runs.append(np.stack([s.packed() for s in traj.states]))
         assert np.array_equal(runs[0], runs[1])
 
+    # the blow-up overflows in combine on its way to the non-finite trap
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_instability_reports_last_good_step(self):
         op, y0 = two_point_system()
         with pytest.raises(InstabilityError, match="last good step") as err:
