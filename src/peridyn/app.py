@@ -28,7 +28,7 @@ from .forces import FieldState, Loading, Material, PDOperator, \
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
-from .mts import MtsConfig, MtsPlan, TimingReport, cost_model, mts_run
+from .mts import MtsConfig, TimingReport, cost_model, mts_run
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -49,13 +49,6 @@ class GeometrySpec:
     box_max: tuple
     dx: float
     thickness: float | None
-
-
-@dataclass
-class MaterialSpec:
-    E: float
-    nu: float
-    rho: float
 
 
 @dataclass
@@ -97,7 +90,7 @@ class OutputSpec:
 class SimulationConfig:
     name: str
     geometry: GeometrySpec
-    material: MaterialSpec
+    material: Material
     delta: float
     law: str
     loads: list
@@ -465,7 +458,7 @@ def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
         name=name,
         geometry=GeometrySpec(box_min=origin, box_max=box_max,
                               dx=dx, thickness=thickness),
-        material=MaterialSpec(E=E, nu=nu, rho=8000.0),
+        material=Material(E=E, nu=nu, rho=8000.0),
         delta=delta, law="linear",
         loads=[LoadSpec(kind="body_force",
                         box=((1.0 - layer_w,) + origin[1:], far),
@@ -515,7 +508,7 @@ def _crack2d(paper_scale: bool) -> SimulationConfig:
         name="crack2d",
         geometry=GeometrySpec(box_min=(0.0, 0.0), box_max=(side, side),
                               dx=dx, thickness=0.01),
-        material=MaterialSpec(E=E, nu=1.0 / 3.0, rho=8000.0),
+        material=Material(E=E, nu=1.0 / 3.0, rho=8000.0),
         delta=delta, law="linear",
         loads=[
             LoadSpec(kind="velocity",
@@ -578,8 +571,6 @@ class Scenario:
         self._mu_version = self.nbrs.version
         self.labels = classify_subdomains(self.cloud, self.nbrs,
                                           cfg.mts.fine_boxes)
-        self.material = Material(E=cfg.material.E, nu=cfg.material.nu,
-                                 rho=cfg.material.rho)
         self.loadings = []
         for spec in cfg.loads:
             idx = select_layer(self.cloud, spec.box)
@@ -607,7 +598,7 @@ class Scenario:
                 "the scenario's bond flags changed after assembly; an "
                 "operator must break bonds in its own copy")
         nbrs = dataclasses.replace(self.nbrs, mu=self.nbrs.mu.copy())
-        return PDOperator(self.cloud, nbrs, self.material,
+        return PDOperator(self.cloud, nbrs, self.cfg.material,
                           self.loadings, self.cfg.law)
 
     def initial_state(self) -> FieldState:
@@ -633,27 +624,28 @@ class Scenario:
 # orchestration
 
 def run_scheme(scenario: Scenario, op, scheme: str, dt: float, n_steps: int,
-               K=None, record_every=None, on_step=None):
+               K=None, on_step=None):
     """One run of the scenario on ``op`` from its initial state, by UPD at
-    dt or by MTS at (dt, K); returns (trajectory, timing).  UPD times the
-    whole run as one "upd" phase."""
+    dt or by MTS at (dt, K); returns (trajectory, timing).  The trajectory
+    holds the initial and final states.  UPD times the whole run as one
+    "upd" phase."""
     state0 = scenario.initial_state()
     if scheme == "upd":
         timing = TimingReport()
         with timing.phase("upd"):
             traj = upd_run(op, state0, dt, n_steps,
                            tableau(scenario.cfg.mts.order), s0=scenario.s0,
-                           record_every=record_every, on_step=on_step)
+                           on_step=on_step)
         return traj, timing
     return mts_run(op, state0, scenario.mts_config(dt=dt, K=K), n_steps,
-                   s0=scenario.s0, record_every=record_every,
-                   on_step=on_step)
+                   s0=scenario.s0, on_step=on_step)
 
 
 def run(cfg: SimulationConfig, out_dir=None):
     """Execute the configured scheme; write snapshots and the timing report.
 
-    Returns (trajectory, timing, artifact_paths).
+    Returns (trajectory, timing, artifact_paths).  The VTK snapshots are
+    the cadenced record; the trajectory holds the initial and final states.
     """
     scenario = Scenario(cfg)
     op = scenario.fresh_operator()  # a refused config leaves no directory
@@ -679,8 +671,7 @@ def run(cfg: SimulationConfig, out_dir=None):
             paths.append(snap_path(step))
 
     traj, timing = run_scheme(scenario, op, cfg.mts.scheme, cfg.time.dt,
-                              cfg.time.n_steps, record_every=cadence or None,
-                              on_step=on_step)
+                              cfg.time.n_steps, on_step=on_step)
     if cfg.time.n_steps > 0:
         tpath = os.path.join(out_dir, "timing.txt")
         pio.write_timing(timing, tpath)
@@ -774,28 +765,27 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
 def compare(cfg: SimulationConfig, K=None, out_dir=None):
     """MTS at (dt, K) against UPD at dt/K over the same final time.
 
-    Returns (mts_seconds, upd_seconds, ratio, l2_difference).  With
-    out_dir, writes the MTS timing report and compare.txt, which holds
-    the cost model's ratio (``mts.cost_model``) next to the measured one.
+    Returns (mts_seconds, upd_seconds, ratio, l2_difference): the wall
+    times of the two runs, phases "mts" and "upd" of one TimingReport.
+    With out_dir, writes the MTS timing report and compare.txt, which
+    holds the cost model's ratio (``mts.cost_model``) next to the
+    measured one.
     """
-    import time as _time
-
     scenario = Scenario(cfg)
     K = cfg.mts.K if K is None else K
     dt = cfg.time.dt
     n_steps = cfg.time.n_steps
-    model = cost_model(MtsPlan(scenario.fresh_operator(),
-                               scenario.mts_config(K=K)))
+    model = cost_model(scenario.nbrs, scenario.mts_config(K=K))
 
+    timing = TimingReport()
     op = scenario.fresh_operator()
-    t0 = _time.perf_counter()
-    mts_traj, mts_timing = run_scheme(scenario, op, "mts", dt, n_steps, K=K)
-    mts_seconds = _time.perf_counter() - t0
-
+    with timing.phase("mts"):
+        mts_traj, mts_timing = run_scheme(scenario, op, "mts", dt, n_steps,
+                                          K=K)
     op = scenario.fresh_operator()
-    t0 = _time.perf_counter()
-    upd_traj, _ = run_scheme(scenario, op, "upd", dt / K, n_steps * K)
-    upd_seconds = _time.perf_counter() - t0
+    with timing.phase("upd"):
+        upd_traj, _ = run_scheme(scenario, op, "upd", dt / K, n_steps * K)
+    mts_seconds, upd_seconds = timing.seconds("mts"), timing.seconds("upd")
 
     axis = scenario.error_axis
     diff = l2_error(mts_traj.final.u[:, axis], upd_traj.final.u[:, axis])

@@ -134,9 +134,12 @@ def calibrate_alpha(material: Material, delta: float, dim: int,
     """Micro-modulus from energy equivalence with classical elasticity:
     9E/(pi delta^3 d) in 2D, 12E/(pi delta^4) in 3D.
     """
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"horizon must be positive and finite, got {delta}")
     if dim == 2:
-        if thickness is None or thickness <= 0:
-            raise ValueError("2D calibration requires a positive thickness")
+        if thickness is None or not (np.isfinite(thickness) and thickness > 0):
+            raise ValueError("2D calibration requires a positive and finite "
+                             f"thickness, got {thickness}")
         return 9.0 * material.E / (np.pi * delta ** 3 * thickness)
     if dim == 3:
         return 12.0 * material.E / (np.pi * delta ** 4)

@@ -68,8 +68,6 @@ class CorrectionMatrices:
     first r-1 time derivatives of the rate operator.
     """
 
-    r: int
-    dt: float
     A: np.ndarray
     gamma: np.ndarray
 
@@ -105,7 +103,7 @@ def matrix_A(r: int, dt: float) -> CorrectionMatrices:
         ])
     else:
         raise ValueError(f"correction matrices exist for r in {{3, 4}}, got {r}")
-    return CorrectionMatrices(r=r, dt=dt, A=A, gamma=gamma)
+    return CorrectionMatrices(A=A, gamma=gamma)
 
 
 def assemble_f(r: int, dt: float, y_n, y_np1, L_n, L_nm1, L_nm2=None):
@@ -269,9 +267,10 @@ class MtsPlan:
             masks if s0 is not None else (None, None)
 
 
-def cost_model(plan: MtsPlan) -> float:
+def cost_model(nbrs, config: MtsConfig) -> float:
     """The cost of an MTS coarse step over that of UPD at dt/K across the
-    same interval, in bond evaluations, from the views' bond counts.
+    same interval, in bond evaluations, from the bond counts of the two
+    sides' rows (the MtsPlan views' ``n_bonds``).
 
     An order-r coarse step evaluates the coarse view r-1 times (the first
     stage reads the history), the fine view K*r-1 times (likewise) and the
@@ -279,13 +278,14 @@ def cost_model(plan: MtsPlan) -> float:
     at dt/K evaluates the full view K*r times: K*r*B.  The r-2 startup
     steps and the damage checks are left out.
     """
-    r, K = plan.tab.r, plan.config.K
-    b = plan.op.nbrs.n_bonds
+    r, K = config.order, config.K
+    b = nbrs.n_bonds
     if b == 0:
         return 1.0
-    mts = (r - 1) * plan.coarse_view.n_bonds \
-        + (K * r - 1) * plan.fine_view.n_bonds + b
-    return mts / (K * r * b)
+    counts = nbrs.counts()
+    b_c, b_f = (int(counts[rows].sum()) for rows in
+                (config.labels.omega_hat_c, config.labels.omega_hat_f))
+    return ((r - 1) * b_c + (K * r - 1) * b_f + b) / (K * r * b)
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):

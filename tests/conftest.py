@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from peridyn.app import (
-    FractureSpec, GeometrySpec, LoadSpec, MaterialSpec, MtsSpec, OutputSpec,
+    FractureSpec, GeometrySpec, LoadSpec, MtsSpec, OutputSpec,
     SimulationConfig, TimeSpec,
 )
-from peridyn.forces import _break_bonds
+from peridyn.forces import Material, _break_bonds
 
 
 def write_mu(nbrs, broken=(), mu=None):
@@ -33,7 +33,7 @@ def mini_config():
             name="custom",
             geometry=GeometrySpec(box_min=(0.0, 0.0), box_max=(1.0, 0.5),
                                   dx=0.1, thickness=0.01),
-            material=MaterialSpec(E=1.92e9, nu=1.0 / 3.0, rho=8000.0),
+            material=Material(E=1.92e9, nu=1.0 / 3.0, rho=8000.0),
             delta=0.3, law="linear",
             loads=[LoadSpec(kind="body_force",
                             box=((0.9, 0.0), (1.0, 0.5)),

@@ -13,13 +13,15 @@ import peridyn.cli as cli
 import peridyn.io as pio
 from peridyn.analysis import ConvergenceRow, observed_order
 from peridyn.app import (
-    ConfigError, FractureSpec, GeometrySpec, LoadSpec, MaterialSpec, MtsSpec,
+    ConfigError, FractureSpec, GeometrySpec, LoadSpec, MtsSpec,
     OutputSpec, Scenario, SimulationConfig, TimeSpec, apply_overrides,
     converge, parse_config, preset_config, run, serialize_config,
     validate_config,
 )
-from peridyn.forces import FieldState
+from peridyn.forces import FieldState, Material, PDOperator
 from peridyn.geometry import build_grid
+from peridyn.mts import MtsPlan
+from tests.test_mts import views_ratio
 
 CUSTOM_TEXT = """
 [scenario]
@@ -67,6 +69,16 @@ formats = vtk,csv
 [analysis]
 error_component = y
 """
+
+# CUSTOM_TEXT as a 3D block: the points take three components and nu = 1/4
+CUSTOM_3D_TEXT = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                     "box = 0, 0, 0 ; 1, 0.5, 0.5") \
+    .replace("nu = 0.3333333333333333", "nu = 0.25") \
+    .replace("thickness = 0.01\n", "") \
+    .replace("box = 0.9, 0 ; 1, 0.5", "box = 0.9, 0, 0 ; 1, 0.5, 0.5") \
+    .replace("value = 0, 2e10", "value = 0, 2e10, 0") \
+    .replace("fine_box.1 = 0.6, 0 ; 1, 0.5",
+             "fine_box.1 = 0.6, 0, 0 ; 1, 0.5, 0.5")
 
 
 class TestParseConfig:
@@ -209,9 +221,9 @@ def valid_configs(draw):
         geometry=GeometrySpec(box_min=lo, box_max=hi, dx=draw(POSITIVE),
                               thickness=draw(POSITIVE if dim == 2
                                              else st.none())),
-        material=MaterialSpec(E=draw(POSITIVE),
-                              nu=1.0 / 3.0 if dim == 2 else 0.25,
-                              rho=draw(POSITIVE)),
+        material=Material(E=draw(POSITIVE),
+                          nu=1.0 / 3.0 if dim == 2 else 0.25,
+                          rho=draw(POSITIVE)),
         delta=draw(POSITIVE), law=draw(st.sampled_from(["linear", "nonlinear"])),
         loads=[LoadSpec(kind=draw(st.sampled_from(["body_force", "velocity"])),
                         box=box(),
@@ -366,18 +378,59 @@ class TestSchema:
         assert err.value.problems == ["load.1.kind: missing required key"]
 
     def test_thickness_in_3d_refused(self):
-        text = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
-                                   "box = 0, 0, 0 ; 1, 0.5, 0.5") \
-            .replace("nu = 0.3333333333333333", "nu = 0.25") \
-            .replace("box = 0.9, 0 ; 1, 0.5", "box = 0.9, 0, 0 ; 1, 0.5, 0.5") \
-            .replace("value = 0, 2e10", "value = 0, 2e10, 0") \
-            .replace("fine_box.1 = 0.6, 0 ; 1, 0.5",
-                     "fine_box.1 = 0.6, 0, 0 ; 1, 0.5, 0.5")
+        text = CUSTOM_3D_TEXT.replace("dx = 0.1\n",
+                                      "dx = 0.1\nthickness = 0.01\n")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.problems == ["geometry.thickness: applies only to 2D"]
-        cfg = parse_config(text.replace("thickness = 0.01\n", ""))
+        cfg = parse_config(CUSTOM_3D_TEXT)
         assert cfg.geometry.thickness is None
+
+    @pytest.mark.parametrize("command, text, problem", [
+        ("validate", "[scenario]\nname = nope\n",
+         "scenario.name: unknown preset 'nope'"),
+        ("validate", "[scenario]\nname = plate2d\n\n[time]\ndt = 1e-5\n",
+         "no sections besides [scenario]; found ['time']"),
+        ("validate", CUSTOM_TEXT.replace("[time]\ndt = 1e-5\nn_steps = 8\n",
+                                         ""),
+         "time: missing required section"),
+        ("validate", CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                         "box = 0, 0, 0, 0 ; 1, 1, 1, 1"),
+         "geometry.box: dimension must be 2 or 3, got 4"),
+        ("validate", CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
+                                         "box = 0, 0 ; 1, 0"),
+         "geometry.box: extents must be positive"),
+        ("validate", CUSTOM_TEXT.replace("thickness = 0.01\n", ""),
+         "geometry.thickness: required and positive in 2D"),
+        ("validate", CUSTOM_TEXT.replace("enabled = false", "enabled = true"),
+         "fracture.s0: must be positive when fracture is enabled"),
+        ("validate", CUSTOM_3D_TEXT.replace(
+            "enabled = false",
+            "enabled = false\nprecrack = 0.2, 0.2, 0.2 ; 0.4, 0.2, 0.2"),
+         "fracture.precrack: pre-cracks are only supported in 2D"),
+        ("validate", CUSTOM_TEXT.replace("error_component = y",
+                                         "error_component = z"),
+         "analysis.error_component: invalid axis 'z' for 2D"),
+        ("converge", CUSTOM_TEXT.replace("n_steps = 8", "n_steps = 0"),
+         "time.n_steps: convergence sweeps need n_steps > 0"),
+    ], ids=["unknown-preset", "preset-with-section", "no-time-section",
+            "4-component-box", "zero-extent", "2d-no-thickness",
+            "fracture-no-s0", "precrack-3d", "error-component-z-2d",
+            "converge-no-steps"])
+    def test_cli_refuses_config(self, tmp_path, capsys, command, text,
+                                problem):
+        argv = [command, "--config", write_config(tmp_path, text),
+                "--out", str(tmp_path / "out")]
+        if command == "converge":
+            argv += ["--dt-list", "1e-5,0.5e-5", "--k-list", "1,2"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and problem in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_preset_name_refused(self):
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            preset_config("nope")
 
     def test_numbered_entries_follow_their_integer_index(self):
         load = CUSTOM_TEXT[CUSTOM_TEXT.index("[load.1]"):
@@ -521,6 +574,13 @@ class TestCsvWriter:
         for got, want in zip(recomputed, [r.cr for r in parsed[1:]]):
             assert got == pytest.approx(want, abs=2e-5)
 
+    def test_wrong_header_refused(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text("dt,K,scope,error\n1e-05,1,all,3e-09\n")
+        with pytest.raises(ValueError,
+                           match="unexpected CSV header: 'dt,K,scope,error'"):
+            pio.read_csv(path)
+
 
 class TestReferenceCache:
     def state(self, rng):
@@ -574,6 +634,9 @@ class TestRunAndCli:
         assert names == ["snapshot_000000.vtk", "snapshot_000004.vtk",
                          "snapshot_000008.vtk", "timing.txt"]
         assert timing.seconds("coarse") > 0
+        # the snapshots are the cadenced record: the trajectory holds the
+        # initial and final states only
+        assert [state.t for state in traj.states] == [0.0, 8 * cfg.time.dt]
 
     def test_cli_validate_ok(self, tmp_path):
         path = tmp_path / "ok.cfg"
@@ -657,17 +720,33 @@ class TestRunAndCli:
         assert cli.main(["validate", "--config", str(tmp_path)]) == 4
         assert "I/O failure" in capsys.readouterr().err
 
-    def test_cli_corrupt_reference_cache_exit_4(self, tmp_path, mini_config,
-                                                capsys):
+    @staticmethod
+    def converge_and_cache(tmp_path, mini_config):
+        """Run a small `pd converge`; its argv and the reference it cached."""
         path = tmp_path / "mini.cfg"
         path.write_text(serialize_config(mini_config(n_steps=8)))
         argv = ["converge", "--config", str(path), "--dt-list",
                 "1e-5,0.5e-5", "--k-list", "1,2", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         (cached,) = (tmp_path / "refcache").iterdir()
+        return argv, cached
+
+    def test_cli_corrupt_reference_cache_exit_4(self, tmp_path, mini_config,
+                                                capsys):
+        argv, cached = self.converge_and_cache(tmp_path, mini_config)
         cached.write_bytes(cached.read_bytes()[:-8])  # truncate the payload
         assert cli.main(argv) == 4
         assert cached.name in capsys.readouterr().err
+
+    def test_cli_unparsable_reference_cache_header_exit_4(
+            self, tmp_path, mini_config, capsys):
+        argv, cached = self.converge_and_cache(tmp_path, mini_config)
+        data = cached.read_bytes()
+        assert b"\ndim 2\n" in data
+        cached.write_bytes(data.replace(b"\ndim 2\n", b"\ndim two\n", 1))
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert cached.name in err and "corrupt reference cache header" in err
 
     @pytest.mark.parametrize("option, value", [("--dt-list", "1e-5,abc"),
                                                ("--k-list", "1,x")])
@@ -805,10 +884,25 @@ class TestRunAndCli:
                               "model_ratio", "l2_difference"]
         assert float(rows["ratio"]) == pytest.approx(ratio, abs=1e-6)
         scenario = Scenario(cfg)
-        plan = app.MtsPlan(scenario.fresh_operator(), scenario.mts_config(K=4))
-        assert float(rows["model_ratio"]) == \
-            pytest.approx(app.cost_model(plan), abs=1e-6)
-        assert 0.0 < app.cost_model(plan) < 1.0
+        config = scenario.mts_config(K=4)
+        model = app.cost_model(scenario.nbrs, config)
+        assert model == views_ratio(MtsPlan(scenario.fresh_operator(), config))
+        assert float(rows["model_ratio"]) == pytest.approx(model, abs=1e-6)
+        assert 0.0 < model < 1.0
+
+    def test_compare_builds_one_operator_per_run(self, mini_config,
+                                                 monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(PDOperator(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(app, "PDOperator", counting)
+        mts_seconds, upd_seconds, ratio, _ = app.compare(mini_config(n_steps=4),
+                                                         K=2)
+        assert len(built) == 2
+        assert ratio == mts_seconds / upd_seconds
 
     def test_converge_emits_scoped_rows(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)

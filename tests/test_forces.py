@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import weakref
 
 import numpy as np
@@ -70,6 +71,17 @@ def _grid(dx=0.1, thickness=0.01):
     return build_grid(((0, 0), (1, 1)), dx, thickness=thickness)
 
 
+def _alpha(delta=1.0, dim=2, thickness=1.0):
+    mat = Material(E=1.0, nu=1 / 3 if dim == 2 else 0.25, rho=1.0)
+    return calibrate_alpha(mat, delta, dim, thickness if dim == 2 else None)
+
+
+def _pair_operator_parts(thickness=1.0):
+    """A 2D cloud of two points, its neighbor list and a material."""
+    cloud = make_cloud([[0.0, 0.0], [1.0, 0.0]], thickness=thickness)
+    return cloud, build_neighbor_list(cloud, 1.5), unit_alpha_material(1.5)
+
+
 @pytest.mark.parametrize("check, error, value", [
     (lambda: Material(E=np.nan, nu=1 / 3, rho=1.0).validate(2),
      ValueError, "nan"),
@@ -87,14 +99,41 @@ def _grid(dx=0.1, thickness=0.01):
     (lambda: matrix_A(3, np.inf), ValueError, "inf"),
     (lambda: rk_step(tableau(4), np.zeros(1), lambda y, t: y, 0.0, np.nan),
      ValueError, "nan"),
+    (lambda: PDOperator(*_pair_operator_parts(thickness=np.nan)),
+     ValueError, "nan"),
+    (lambda: _alpha(delta=np.inf, dim=3), ValueError, "inf"),
+    (lambda: _alpha(delta=np.nan), ValueError, "nan"),
+    (lambda: _alpha(delta=-1.0, dim=3), ValueError, "-1.0"),
+    (lambda: _alpha(delta=0.0), ValueError, "0.0"),
 ], ids=["E-nan", "rho-inf", "dx-nan", "thickness-nan", "box-inf", "delta-inf",
         "delta-nan", "MtsConfig-dt-nan", "matrix_A-dt-nan", "matrix_A-dt-inf",
-        "rk_step-dt-nan"])
+        "rk_step-dt-nan", "alpha-thickness-nan", "alpha-delta-inf",
+        "alpha-delta-nan", "alpha-delta-negative", "alpha-delta-zero"])
 def test_refuses_non_finite_inputs(check, error, value):
     # NaN compares false, so a positivity test alone lets it through; each
-    # guard says it wants a finite value and names the one it refuses
-    with pytest.raises(error, match=rf"finite.*\b{value}\b"):
+    # guard says it wants a finite value and names the one it refuses (a
+    # whole token: no word character before it, none after)
+    with pytest.raises(error, match=rf"finite.*(?<!\w){re.escape(value)}\b"):
         check()
+
+
+@pytest.mark.parametrize("build, problem", [
+    (lambda: Loading(kind="pressure", indices=np.arange(2),
+                     value=np.zeros(2)), "unknown loading kind 'pressure'"),
+    (lambda: Loading(kind="body_force_layer", indices=np.arange(0),
+                     value=np.zeros(2)), "loading layer is empty"),
+    (lambda: PDOperator(*_pair_operator_parts(), law="cubic"),
+     "unknown force law 'cubic'"),
+    (lambda: PDOperator(*_pair_operator_parts(), loadings=[Loading(
+        kind="body_force_layer", indices=np.arange(1), value=np.zeros(3))]),
+     r"loading value must have 2 components, got \(3,\)"),
+    (lambda: MtsConfig(order=5, dt=1e-3, K=1, labels=None).validate(),
+     "order must be 3 or 4, got 5"),
+], ids=["loading-kind", "loading-empty", "operator-law",
+        "operator-load-length", "mts-order"])
+def test_refuses_invalid_inputs(build, problem):
+    with pytest.raises(ValueError, match=problem):
+        build()
 
 
 def stretch(xi, eta):

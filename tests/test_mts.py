@@ -608,22 +608,28 @@ class TestSharedStageLoop:
         assert np.array_equal(mts.times(), np.array(recorded) * dt)
 
 
+def views_ratio(plan: MtsPlan) -> float:
+    """The cost model's ratio from the bond counts of the plan's views."""
+    r, K, b = plan.tab.r, plan.config.K, plan.op.nbrs.n_bonds
+    return ((r - 1) * plan.coarse_view.n_bonds
+            + (K * r - 1) * plan.fine_view.n_bonds + b) / (K * r * b)
+
+
 class TestCostModel:
     def test_k1_without_fine_region_costs_what_upd_costs(self):
         op, labels, _ = smooth_plate(fine_frac=0)
         for order in (3, 4):
-            plan = MtsPlan(op, MtsConfig(order=order, dt=1e-3, K=1,
-                                         labels=labels))
+            config = MtsConfig(order=order, dt=1e-3, K=1, labels=labels)
+            plan = MtsPlan(op, config)
             assert plan.fine_view.n_bonds == 0
-            assert cost_model(plan) == 1.0
+            assert cost_model(op.nbrs, config) == 1.0
 
     def test_crack2d_preset(self):
         from peridyn.app import Scenario, preset_config
         scenario = Scenario(preset_config("crack2d"))
-        plan = MtsPlan(scenario.fresh_operator(), scenario.mts_config())
         for K, want in ((2, 0.601), (4, 0.402), (8, 0.302)):
-            plan.config = scenario.mts_config(K=K)
-            assert cost_model(plan) == pytest.approx(want, abs=1e-3)
+            assert cost_model(scenario.nbrs, scenario.mts_config(K=K)) == \
+                pytest.approx(want, abs=1e-3)
 
     @pytest.mark.parametrize("order, K", [(3, 2), (4, 3)])
     def test_counts_the_bonds_a_coarse_step_evaluates(self, order, K,
@@ -647,5 +653,7 @@ class TestCostModel:
         monkeypatch.setattr(PDOperator, "rates", counting)
         mts_step(plan, random_state(op, 3), t_n, t_n + dt, hist)
         bonds = op.nbrs.n_bonds
+        model = cost_model(op.nbrs, plan.config)
+        assert model == views_ratio(plan)
         assert sum(evaluated) == \
-            pytest.approx(cost_model(plan) * K * order * bonds, rel=1e-12)
+            pytest.approx(model * K * order * bonds, rel=1e-12)
