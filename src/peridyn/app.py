@@ -248,11 +248,16 @@ def parse_config(source: str, paper_scale: bool = False) -> SimulationConfig:
     paper_scale, as the key or the argument, picks its full-scale variant.
     Custom configs spell out every section and take no paper_scale.  All
     violations are collected and reported together; unknown sections or
-    keys are rejected.
+    keys are rejected.  A one-line source with no section header is a
+    preset name or a path: when it is neither, the ConfigError names it.
     """
     if source in PRESETS and not os.path.exists(source):
         text = f"[scenario]\nname = {source}\n"
-    elif "\n" not in source and "[" not in source and os.path.exists(source):
+    elif "\n" not in source and "[" not in source:
+        if not os.path.exists(source):
+            raise ConfigError(
+                f"config {source!r}: no such preset or file (presets: "
+                f"{', '.join(sorted(PRESETS))})")
         with open(source) as fp:
             text = fp.read()
     else:

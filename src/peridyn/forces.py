@@ -15,6 +15,7 @@ data once: its full view is the union of the two sides' row blocks.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,10 +214,11 @@ def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
     """Nonlinear pairwise force coef * s * (xi + eta)/|xi + eta|, with coef
     the per-bond factor alpha * mu.
 
+    The deformed vectors xi + eta are formed in place in the array ``eta``.
     Raises BondCollapseError if a deformed bond collapses to (numerically)
     zero length, which indicates a non-physical state.
     """
-    deformed = [x + e for x, e in zip(xi, eta)]
+    deformed = np.add(xi, eta, out=eta)
     ndef = _norm(deformed)
     collapsed = ndef < COLLAPSE_TOL * xi_norm
     if np.any(collapsed):
@@ -224,9 +226,9 @@ def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
     return coef * bond_stretch(ndef, xi_norm) / ndef, deformed
 
 
-def _slot_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum a * b over the slots of (slot, row) arrays, one slot after
-    another.
+def _slot_sums(scale: np.ndarray, direction: np.ndarray, out: np.ndarray):
+    """out[k] = the sum of scale * direction[k] over the slots of (slot,
+    row) arrays, one slot after another, for every component k at once.
 
     einsum adds the slots of each row in order when there are several
     rows, rounding each product first (numpy builds for an x86-64 baseline
@@ -234,15 +236,18 @@ def _slot_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     does).  For a single row it sums the contiguous slots in unrolled
     partial sums; cumsum is sequential always.
     """
-    if a.shape[1] > 1:
-        return np.einsum("sr,sr->r", a, b)
-    return np.cumsum(a * b, axis=0)[-1]
+    if scale.shape[1] > 1:
+        np.einsum("sr,ksr->kr", scale, direction, out=out)
+    else:
+        out[...] = np.cumsum(scale * direction, axis=1)[:, -1]
 
 
 # Padded bond slots per row block of a view.  A block's temporaries in
-# rates (a few arrays of this many doubles) then stay in the L2 cache, and
-# each stays under 128 KiB, glibc's default mmap threshold, so the
-# allocator reuses their memory instead of mapping fresh pages per call.
+# rates (a few arrays of this many doubles per component) then stay in the
+# L2 cache.  One component's array stays under 128 KiB, glibc's default
+# mmap threshold; the (dim, slot, row) displacements span dim of them, and
+# glibc raises its threshold past their size when it frees the first one,
+# so later calls reuse heap memory instead of mapping fresh pages.
 _BLOCK_SLOTS = 15_000
 
 
@@ -296,7 +301,7 @@ def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, n_slots: int):
     return bond, pad
 
 
-@dataclass
+@dataclass(eq=False)  # hashed by identity: the operator keys plans by view
 class _View:
     """Bond-level slice of the neighbor list restricted to target rows.
 
@@ -324,12 +329,41 @@ class _View:
                               self.offsets[self.rows + 1])
 
 
-def _eta(blk: _Block, u: list) -> list:
-    """Relative displacements u[nbr] - u[row] over a block's slots, per
-    component of the contiguous displacement components ``u``."""
-    eta = [np.take(uk, blk.nbr) for uk in u]
-    for ek, uk in zip(eta, u):
-        ek -= uk[blk.rows]
+@dataclass
+class _Plan:
+    """How ``rates`` evaluates one view: built on the view's first call and
+    held by the operator until the run ends (``drop_run_caches``).
+
+    ``steps`` holds per block the block, its rows' columns of the (dim, N)
+    displacements and the columns of the view's (dim, R) force array that
+    take its sums: lo:hi, or in a union view its global rows.  Each is a
+    slice when contiguous; a block whose destination is not is summed into
+    the first columns of ``sums`` (dim, its widest such block's rows) and
+    scattered.  ``rows`` selects the view's rows of the state and the body
+    force.  A plan holds no N-sized array.
+    """
+
+    steps: list
+    rows: slice | np.ndarray
+    sums: np.ndarray | None
+
+
+def _selector(rows: np.ndarray) -> slice | np.ndarray:
+    """``rows`` as a slice when they run contiguously upwards, else as
+    they are."""
+    if len(rows) and np.all(np.diff(rows) == 1):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
+def _eta(blk: _Block, u: np.ndarray, rows) -> np.ndarray:
+    """Relative displacements u[nbr] - u[row] over a block's slots, (dim,
+    S, R), from the (dim, N) displacements ``u``; ``rows`` selects the
+    block's rows (a slice or their ids)."""
+    eta = np.take(u, blk.nbr, axis=1)
+    # np.take gathers columns several times faster than fancy indexing
+    eta -= u[:, None, rows] if isinstance(rows, slice) \
+        else np.take(u, rows, axis=1)[:, None]
     return eta
 
 
@@ -342,7 +376,9 @@ class PDOperator:
 
     The full view, over every point, is built on first use.  ``partition``
     replaces it with the union of the two sides' views, sharing their
-    blocks, so a split operator holds its bond data once.
+    blocks, so a split operator holds its bond data once.  ``rates`` builds
+    each view's evaluation plan (``_Plan``) on the view's first call.  The
+    full view and the plans last one run: ``drop_run_caches`` drops them.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
@@ -358,7 +394,8 @@ class PDOperator:
                                      cloud.thickness)
         n, dim = cloud.n_points, cloud.dim
 
-        self.body = np.zeros((n, dim))
+        # (n, dim) rows of a component-major array, the layout rates reads
+        self.body = np.zeros((dim, n)).T
         constrained = np.zeros(n, dtype=bool)
         v_presc = np.zeros((n, dim))
         for load in loadings:
@@ -379,6 +416,7 @@ class PDOperator:
         self.constrained_mask = constrained
         self.v_prescribed_full = v_presc
         self._full_view = None
+        self._plans = weakref.WeakKeyDictionary()  # _View -> _Plan
 
     def make_view(self, rows: np.ndarray) -> _View:
         """Precompute the bond slice for evaluating rates at ``rows`` only,
@@ -418,9 +456,9 @@ class PDOperator:
                           vec=bond_factor(xi, length, self.alpha, out=xi))
         return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, vec=xi, length=length)
 
-    def _pair_forces(self, blk: _Block, eta: list, alive):
-        """The block's (scale, direction) under the operator's law; the
-        linear law overwrites ``eta``."""
+    def _pair_forces(self, blk: _Block, eta: np.ndarray, alive):
+        """The block's (scale, direction) under the operator's law; both
+        laws overwrite ``eta``."""
         if self.law == "linear":
             return pairwise_force_linear(blk.vec, eta, alive)
         coef = self.alpha if alive is None else self.alpha * alive
@@ -429,7 +467,8 @@ class PDOperator:
     @property
     def full_view(self) -> _View:
         """The view over every point: built on first use, or the union of
-        the two sides of the latest ``partition``."""
+        the two sides of the latest ``partition``, until the end of the run
+        (``drop_run_caches``)."""
         if self._full_view is None:
             view = self.make_view(np.arange(self.cloud.n_points))
             view.bond_sel = range(view.n_bonds)
@@ -476,11 +515,31 @@ class PDOperator:
 
     def drop_run_caches(self):
         """Drop what a run derives and an idle operator need not hold: the
-        damage table with its skin state, and the blocks' flag caches.  The
-        next check or ``rates`` call rebuilds them."""
+        full view, the views' evaluation plans, the damage table with its
+        skin state, and the blocks' flag caches.  An idle operator then
+        holds its topology and bond flags only; the next check or ``rates``
+        call rebuilds what it needs."""
         self.nbrs.damage_table = None
-        for blk in self._full_view.blocks if self._full_view else ():
-            blk.flags, blk.version = None, -1
+        for view in [self._full_view, *self._plans]:
+            for blk in view.blocks if view is not None else ():
+                blk.flags, blk.version = None, -1
+        self._full_view = None
+        self._plans.clear()
+
+    def _plan(self, view: _View) -> _Plan:
+        """The view's evaluation plan, built on its first call."""
+        plan = self._plans.get(view)
+        if plan is None:
+            steps = [(blk, _selector(blk.rows),
+                      _selector(blk.rows) if view.at_global_rows
+                      else slice(blk.lo, blk.hi)) for blk in view.blocks]
+            scattered = [len(dest) for *_, dest in steps
+                         if not isinstance(dest, slice)]
+            sums = np.empty((self.cloud.dim, max(scattered))) \
+                if scattered else None
+            plan = self._plans[view] = _Plan(steps, _selector(view.rows),
+                                             sums)
+        return plan
 
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
@@ -488,7 +547,10 @@ class PDOperator:
         Neighbor values are read from the full array ``y``; only the target
         rows are written.  Per-point sums run in ascending neighbor order,
         so results are reproducible bit-for-bit.  The bonds are evaluated
-        one row block at a time, so the temporaries stay in cache.
+        one row block at a time, so the temporaries stay in cache, as the
+        view's plan lays out: one slot sum per block for every component,
+        written in place or, in a union view, scattered.  The returned
+        array is new on every call.
 
         A row's rates do not depend on the view or block that holds it.
         Pad slots add +0.0 after a row's bonds, and the slot sum of a block
@@ -498,57 +560,67 @@ class PDOperator:
         """
         if view is None:
             view = self.full_view
+        plan = self._plan(view)
         dim = self.cloud.dim
-        # np.take on contiguous components gathers far faster than fancy
-        # indexing into the strided y[:, :dim]; the values are the same
-        u = [np.ascontiguousarray(y[:, k]) for k in range(dim)]
+        # one (dim, N) copy: np.take gathers from contiguous components far
+        # faster than from the strided y[:, :dim]; the values are the same
+        u = y[:, :dim].T.copy()
         # component-major, so a block's sums land in contiguous slices
         force = np.zeros((dim, len(view.rows)))
-        # np.take(..., axis=0) gathers whole rows about ten times faster
-        # than fancy indexing does; the values are the same
-        state = np.take(y, view.rows, axis=0)
-        body = np.take(self.body, view.rows, axis=0)
-        out = np.empty_like(state)
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
-            for blk in view.blocks:
+            for blk, rows, dest in plan.steps:
                 try:
                     scale, direction = self._pair_forces(
-                        blk, _eta(blk, u), blk.alive(self.nbrs))
+                        blk, _eta(blk, u, rows), blk.alive(self.nbrs))
                 except BondCollapseError:
-                    b = self._lowest_collapsed_bond(view, u)
+                    b = self._lowest_collapsed_bond(plan, u)
                     raise SimulationError(
                         f"bond {self.nbrs.bond_i[b]} -> "
                         f"{self.nbrs.neighbors[b]} "
                         f"collapsed to zero length at t={t:.6e}") from None
-                rows = blk.rows if view.at_global_rows \
-                    else slice(blk.lo, blk.hi)
-                for k in range(dim):
-                    force[k][rows] = _slot_dot(scale, direction[k])
-            # one column at a time, (force * V + body) / rho in place: no
-            # self-overlapping (so buffered) copy of out
-            for k, accel in enumerate(force):
-                out[:, k] = state[:, dim + k]
-                accel *= self.cloud.volume_per_point
-                accel += body[:, k]
-                accel /= self.material.rho
-                out[:, dim + k] = accel
+                if isinstance(dest, slice):
+                    _slot_sums(scale, direction, force[:, dest])
+                else:
+                    sums = plan.sums[:, :len(dest)]
+                    _slot_sums(scale, direction, sums)
+                    # a scatter per component: a 2D one is several times
+                    # slower
+                    for force_k, sums_k in zip(force, sums):
+                        force_k[dest] = sums_k
+            force *= self.cloud.volume_per_point
+            body = self.body.T
+            if isinstance(plan.rows, slice):
+                force += body[:, plan.rows]
+                velocity = y[plan.rows, dim:]
+            else:
+                force += np.take(body, plan.rows, axis=1)
+                # np.take(..., axis=0) gathers whole rows about ten times
+                # faster than fancy indexing does; the values are the same
+                velocity = np.take(y, plan.rows, axis=0)[:, dim:]
+            force /= self.material.rho
+        # one column at a time: a transposing copy is about three times
+        # slower
+        out = np.empty((len(view.rows), 2 * dim))
+        for k, accel in enumerate(force):
+            out[:, k] = velocity[:, k]
+            out[:, dim + k] = accel
         if len(view.constrained_local):
             out[view.constrained_local, :dim] = view.v_prescribed
             out[view.constrained_local, dim:] = 0.0
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
             raise InstabilityError(point=int(view.rows[bad]), t=t)
         return out
 
-    def _lowest_collapsed_bond(self, view: _View, u: list) -> int:
+    def _lowest_collapsed_bond(self, plan: _Plan, u: np.ndarray) -> int:
         """The lowest id of a collapsed bond over all of the view's blocks:
         the first block to raise holds it only when the blocks run in bond
         order, which a union view's do not."""
         lowest = self.nbrs.n_bonds
-        for blk in view.blocks:
+        for blk, rows, _ in plan.steps:
             try:
-                self._pair_forces(blk, _eta(blk, u), None)
+                self._pair_forces(blk, _eta(blk, u, rows), None)
             except BondCollapseError as err:
                 lowest = min(lowest,
                              int(blk.bonds(self.nbrs)[err.collapsed].min()))

@@ -649,8 +649,11 @@ class TestRunAndCli:
         assert cli.main(["validate", "--config", str(path)]) == 2
         assert "forces.law" in capsys.readouterr().err
 
-    def test_cli_unknown_preset_exit_2(self):
+    def test_cli_unknown_preset_exit_2(self, capsys):
         assert cli.main(["validate", "--config", "nosuchpreset.cfg"]) == 2
+        err = capsys.readouterr().err
+        assert "config 'nosuchpreset.cfg': no such preset or file" in err
+        assert "syntax error" not in err
 
     def test_cli_preset_name_and_paper_scale(self, capsys):
         assert cli.main(["validate", "--config", "plate2d"]) == 0

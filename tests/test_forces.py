@@ -1,9 +1,12 @@
 import dataclasses
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peridyn import forces
 from peridyn.app import Scenario, preset_config
@@ -495,6 +498,130 @@ class TestRatesBitIdentity:
                            match=rf"bond {collapsed[0][0]} -> "
                                  rf"{collapsed[0][1]} collapsed"):
             op.rates(y, 0.0)
+
+
+def row_by_row_rates(op, y, rows):
+    """PDOperator.rates at ``rows``, one row at a time: each row's bond
+    forces from the list's xi and |xi|, added bond by bond into a Python
+    float from +0.0, then (sum * V + body) / rho; the constraint overrides
+    last.  The linear law is mu (q . eta) q with q = sqrt(alpha / |xi|^3)
+    xi, the nonlinear one alpha mu s (xi + eta) / |xi + eta|; dot products
+    and squared lengths are summed in component order."""
+    nbrs, dim = op.nbrs, op.cloud.dim
+    out = np.empty((len(rows), 2 * dim))
+    for q, i in enumerate(rows):
+        bonds = np.arange(nbrs.offsets[i], nbrs.offsets[i + 1])
+        xi, xi_norm = nbrs.xi[bonds], nbrs.xi_norm[bonds]
+        eta = y[nbrs.neighbors[bonds], :dim] - y[i, :dim]
+        mu = nbrs.mu[bonds].astype(float)
+        if op.law == "linear":
+            factor = np.sqrt(op.alpha / xi_norm ** 3)[:, None] * xi
+            dot = factor[:, 0] * eta[:, 0]
+            for k in range(1, dim):
+                dot += factor[:, k] * eta[:, k]
+            p = (dot * mu)[:, None] * factor
+        else:
+            deformed = xi + eta
+            square = deformed[:, 0] * deformed[:, 0]
+            for k in range(1, dim):
+                square += deformed[:, k] * deformed[:, k]
+            length = np.sqrt(square)
+            stretch = (length - xi_norm) / xi_norm
+            p = (op.alpha * mu * stretch / length)[:, None] * deformed
+        for k in range(dim):
+            total = 0.0
+            for term in p[:, k]:
+                total += float(term)
+            out[q, k] = y[i, dim + k]
+            out[q, dim + k] = (total * op.cloud.volume_per_point
+                               + op.body[i, k]) / op.material.rho
+        if op.constrained_mask[i]:
+            out[q, :dim] = op.v_prescribed_full[i]
+            out[q, dim:] = 0.0
+    return out
+
+
+def islanded_plan(law, dim):
+    """loaded_plan's loads and fine region (x >= 0.5) on a coarse plate (or
+    block) plus two points with no bonds, far out on each side: the one at
+    x = -5 is velocity-constrained and coarse, the one at x = 5 carries
+    the body force and is fine.  Returns the split operator, its plan, an
+    unsplit operator on the same list and the two bondless rows."""
+    n = 8 if dim == 2 else 6
+    h = 1.0 / n
+    extent = (1.0,) + (0.5,) * (dim - 1)
+    grid = build_grid(((0.0,) * dim, extent), h,
+                      thickness=0.01 if dim == 2 else None)
+    far = np.full((2, dim), 0.25)
+    far[:, 0] = (-5.0, 5.0)
+    pos = np.vstack([grid.positions, far])
+    cloud = dataclasses.replace(grid, positions=pos, bounds=np.array(
+        [pos.min(axis=0), pos.max(axis=0)]))
+    mat = unit_alpha_material(3 * h, thickness=0.01) if dim == 2 \
+        else Material(E=1.0, nu=0.25, rho=1.0)
+    nbrs = build_neighbor_list(cloud, 3 * h)
+    x = pos[:, 0]
+    loads = [Loading(kind="body_force_layer", indices=np.flatnonzero(x > 0.9),
+                     value=np.array([0.3, -2.0, 0.7][:dim])),
+             Loading(kind="velocity_constraint",
+                     indices=np.flatnonzero(x < 0.1),
+                     value=np.array([0.0, 0.25, -0.5][:dim]))]
+    op = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
+    bare = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
+    fine_box = ((0.5,) + (0.0,) * (dim - 1), (6.0,) + extent[1:])
+    labels = classify_subdomains(cloud, nbrs, [fine_box])
+    plan = MtsPlan(op, MtsConfig(order=4, dt=1e-3, K=2, labels=labels))
+    bondless = np.arange(grid.n_points, cloud.n_points)
+    return op, plan, bare, bondless
+
+
+class TestRatesPlan:
+    """rates evaluates a view through its plan: one einsum per block of
+    several rows, a cumsum per one-row block, sums written in place or,
+    in a union view, scattered.  Every view kind must give the per-row
+    formula's bits, and no returned array may share a workspace."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(law=st.sampled_from(["linear", "nonlinear"]),
+           dim=st.sampled_from([2, 3]),
+           slots=st.sampled_from([forces._BLOCK_SLOTS, 300, 40]),
+           seed=st.integers(0, 2 ** 16), n_broken=st.integers(1, 40))
+    def test_every_view_matches_row_by_row(self, law, dim, slots, seed,
+                                           n_broken):
+        # blocks of `slots` padded slots: 40 makes every block one row
+        with mock.patch.object(forces, "_BLOCK_SLOTS", slots):
+            op, plan, bare, bondless = islanded_plan(law, dim)
+            n = op.cloud.n_points
+            rng = np.random.default_rng(seed)
+            one = int(rng.integers(n - 2))
+            views = {
+                "full": (bare, None), "union": (op, None),
+                "coarse": (op, plan.coarse_view),
+                "fine": (op, plan.fine_view),
+                "one row": (op, op.make_view(np.array([one]))),
+                "one bondless row": (op, op.make_view(bondless[1:])),
+                "bondless": (op, op.make_view(bondless)),
+                "scattered rows": (op, op.make_view(np.sort(
+                    rng.choice(n, n // 3, replace=False)))),
+            }
+        assert bondless[0] in plan.rows_c and bondless[1] in plan.rows_f
+        states = random_state(op, seed), random_state(op, seed + 1)
+        # first with every bond alive (no flag caches), then with breaks
+        for broken in ((), rng.choice(op.nbrs.n_bonds, n_broken)):
+            write_mu(op.nbrs, broken)
+            for name, (o, view) in views.items():
+                rows = np.arange(n) if view is None else view.rows
+                first = o.rates(states[0], 0.5, view)
+                kept = first.copy()
+                second = o.rates(states[1], 0.5, view)
+                # the MTS history keeps returned arrays
+                assert first.tobytes() == kept.tobytes(), name
+                assert not np.shares_memory(first, second), name
+                for y, got in zip(states, (first, second)):
+                    assert got.tobytes() == \
+                        row_by_row_rates(o, y, rows).tobytes(), name
+        assert any(blk.flags is not None for blk in op.full_view.blocks)
+        assert any(blk.flags is not None for blk in bare.full_view.blocks)
 
 
 def bare_grid_op(law, dim, n=8):
@@ -1373,7 +1500,8 @@ class TestDamageSkin:
     @pytest.mark.parametrize("scheme", ["upd", "mts"])
     def test_runs_end_holding_only_bond_data(self, scheme):
         # after a run, also one that raised, the operator holds no damage
-        # table and no flag caches; its bond data and flags stay
+        # table, no full view, no evaluation plans and no flag caches; its
+        # bond data and flags stay
         op, plan = loaded_plan(s0=0.5)
         state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
                             v=np.zeros((op.cloud.n_points, 2)), t=0.0)
@@ -1396,8 +1524,11 @@ class TestDamageSkin:
             except RuntimeError:
                 pass
             assert op.nbrs.damage_table is None
+            assert op._full_view is None and not op._plans
+            # the blocks a upd run evaluated: the union of the plan's sides
             assert all(blk.flags is None and blk.version == -1
-                       for blk in op.full_view.blocks)
+                       for blk in plan.coarse_view.blocks
+                       + plan.fine_view.blocks)
             assert op.nbrs.mu.sum() == op.nbrs.n_bonds - 4
             y = random_state(op, 5)
             assert np.array_equal(op.rates(y, 0.0),

@@ -491,6 +491,56 @@ class TestStartupAndRun:
         assert all(a >= b for a, b in zip(errors, errors[1:]))
 
 
+class TestRunScopedViews:
+    """A run builds the full view and the views' evaluation plans and drops
+    them when it ends, also when it raises: an idle operator holds its
+    topology and bond flags only, and its next run equals a run on a fresh
+    operator with the same flags, bit for bit."""
+
+    @staticmethod
+    def run(scheme, op, labels, y0, s0, on_step=None):
+        state0 = FieldState.from_packed(y0, 0.0)
+        if scheme == "upd":
+            return upd_run(op, state0, 1e-3, 6, tableau(4), s0=s0,
+                           on_step=on_step)
+        cfg = MtsConfig(order=4, dt=1e-3, K=2, labels=labels)
+        return mts_run(op, state0, cfg, 6, s0=s0, on_step=on_step)[0]
+
+    @pytest.mark.parametrize("s0", [None, 1e-8])
+    @pytest.mark.parametrize("scheme", ["upd", "mts"])
+    def test_views_last_one_run(self, scheme, s0):
+        op, labels, y0 = smooth_plate()
+        # a view that outlives the runs: its plan goes all the same
+        kept = op.make_view(labels.omega_hat_f)
+        op.rates(y0, 0.0, kept)
+        assert len(op._plans) == 1
+        held = []
+
+        def stop(step, t, y):
+            held.append((op._full_view is not None, len(op._plans)))
+            if step == 4:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            self.run(scheme, op, labels, y0, s0, stop)
+        # the kept view's plan and the full view's, and from the first MTS
+        # step the coarse and fine views' too
+        assert held[-1] == (True, 2 if scheme == "upd" else 4)
+        assert op._full_view is None and len(op._plans) == 0
+        assert op.nbrs.damage_table is None
+        assert (s0 is None) == op.nbrs.mu.all()
+        fresh, _, _ = smooth_plate()
+        write_mu(fresh.nbrs, mu=op.nbrs.mu)
+        again = self.run(scheme, op, labels, y0, s0)
+        assert op._full_view is None and len(op._plans) == 0
+        want = self.run(scheme, fresh, labels, y0, s0)
+        assert len(again.states) == len(want.states)
+        for got, expected in zip(again.states, want.states):
+            assert got.u.tobytes() == expected.u.tobytes()
+            assert got.v.tobytes() == expected.v.tobytes()
+        assert np.array_equal(op.nbrs.mu, fresh.nbrs.mu)
+
+
 # The coarse and fine advances as hand-written stage loops on scratch copies,
 # kept here as the oracle for the in-place substep loop (mts._substeps over
 # integrator.stages) that replaced them.
