@@ -530,9 +530,11 @@ class PDOperator:
         """The view's evaluation plan, built on its first call."""
         plan = self._plans.get(view)
         if plan is None:
-            steps = [(blk, _selector(blk.rows),
-                      _selector(blk.rows) if view.at_global_rows
-                      else slice(blk.lo, blk.hi)) for blk in view.blocks]
+            steps = []
+            for blk in view.blocks:
+                rows = _selector(blk.rows)
+                steps.append((blk, rows, rows if view.at_global_rows
+                              else slice(blk.lo, blk.hi)))
             scattered = [len(dest) for *_, dest in steps
                          if not isinstance(dest, slice)]
             sums = np.empty((self.cloud.dim, max(scattered))) \

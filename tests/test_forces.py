@@ -380,12 +380,14 @@ def reference_rates(op, y, rows):
 
 
 def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0),
-                split=True):
+                split=True, bondless=False):
     """A 1 x 0.5 plate (or 1 x 0.5 x 0.5 block) of spacing 1/n and horizon
     3/n, with a body-force layer, a velocity-constraint layer, a fine
     region over the x-range ``fine_x`` (by default the right half) and an
     MtsPlan over it; with ``split`` False, no plan (None) splits the
-    operator."""
+    operator.  With ``bondless``, two points with no bonds follow the
+    grid's, at x = -5 (in the constraint layer) and x = 5 (in the body
+    force layer)."""
     h = 1.0 / n
     extent = (1.0,) + (0.5,) * (dim - 1)
     if dim == 2:
@@ -394,6 +396,12 @@ def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0),
     else:
         cloud = build_grid(((0, 0, 0), extent), h)
         mat = Material(E=1.0, nu=0.25, rho=1.0)
+    if bondless:
+        far = np.full((2, dim), 0.25)
+        far[:, 0] = (-5.0, 5.0)
+        pos = np.vstack([cloud.positions, far])
+        cloud = dataclasses.replace(cloud, positions=pos, bounds=np.array(
+            [pos.min(axis=0), pos.max(axis=0)]))
     nbrs = build_neighbor_list(cloud, 3 * h)
     x = cloud.positions[:, 0]
     loads = [Loading(kind="body_force_layer", indices=np.flatnonzero(x > 0.9),
@@ -541,40 +549,6 @@ def row_by_row_rates(op, y, rows):
     return out
 
 
-def islanded_plan(law, dim):
-    """loaded_plan's loads and fine region (x >= 0.5) on a coarse plate (or
-    block) plus two points with no bonds, far out on each side: the one at
-    x = -5 is velocity-constrained and coarse, the one at x = 5 carries
-    the body force and is fine.  Returns the split operator, its plan, an
-    unsplit operator on the same list and the two bondless rows."""
-    n = 8 if dim == 2 else 6
-    h = 1.0 / n
-    extent = (1.0,) + (0.5,) * (dim - 1)
-    grid = build_grid(((0.0,) * dim, extent), h,
-                      thickness=0.01 if dim == 2 else None)
-    far = np.full((2, dim), 0.25)
-    far[:, 0] = (-5.0, 5.0)
-    pos = np.vstack([grid.positions, far])
-    cloud = dataclasses.replace(grid, positions=pos, bounds=np.array(
-        [pos.min(axis=0), pos.max(axis=0)]))
-    mat = unit_alpha_material(3 * h, thickness=0.01) if dim == 2 \
-        else Material(E=1.0, nu=0.25, rho=1.0)
-    nbrs = build_neighbor_list(cloud, 3 * h)
-    x = pos[:, 0]
-    loads = [Loading(kind="body_force_layer", indices=np.flatnonzero(x > 0.9),
-                     value=np.array([0.3, -2.0, 0.7][:dim])),
-             Loading(kind="velocity_constraint",
-                     indices=np.flatnonzero(x < 0.1),
-                     value=np.array([0.0, 0.25, -0.5][:dim]))]
-    op = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
-    bare = PDOperator(cloud, nbrs, mat, loadings=loads, law=law)
-    fine_box = ((0.5,) + (0.0,) * (dim - 1), (6.0,) + extent[1:])
-    labels = classify_subdomains(cloud, nbrs, [fine_box])
-    plan = MtsPlan(op, MtsConfig(order=4, dt=1e-3, K=2, labels=labels))
-    bondless = np.arange(grid.n_points, cloud.n_points)
-    return op, plan, bare, bondless
-
-
 class TestRatesPlan:
     """rates evaluates a view through its plan: one einsum per block of
     several rows, a cumsum per one-row block, sums written in place or,
@@ -588,10 +562,16 @@ class TestRatesPlan:
            seed=st.integers(0, 2 ** 16), n_broken=st.integers(1, 40))
     def test_every_view_matches_row_by_row(self, law, dim, slots, seed,
                                            n_broken):
-        # blocks of `slots` padded slots: 40 makes every block one row
+        # blocks of `slots` padded slots: 40 makes every block one row; the
+        # far bondless point at x = 5 is fine
+        n = 8 if dim == 2 else 6
         with mock.patch.object(forces, "_BLOCK_SLOTS", slots):
-            op, plan, bare, bondless = islanded_plan(law, dim)
+            op, plan = loaded_plan(law, n=n, dim=dim, fine_x=(0.5, 6.0),
+                                   bondless=True)
+            bare, _ = loaded_plan(law, n=n, dim=dim, split=False,
+                                  bondless=True)
             n = op.cloud.n_points
+            bondless = np.array([n - 2, n - 1])
             rng = np.random.default_rng(seed)
             one = int(rng.integers(n - 2))
             views = {
@@ -605,10 +585,12 @@ class TestRatesPlan:
                     rng.choice(n, n // 3, replace=False)))),
             }
         assert bondless[0] in plan.rows_c and bondless[1] in plan.rows_f
+        assert op.nbrs.counts()[bondless].sum() == 0
         states = random_state(op, seed), random_state(op, seed + 1)
         # first with every bond alive (no flag caches), then with breaks
         for broken in ((), rng.choice(op.nbrs.n_bonds, n_broken)):
             write_mu(op.nbrs, broken)
+            write_mu(bare.nbrs, broken)
             for name, (o, view) in views.items():
                 rows = np.arange(n) if view is None else view.rows
                 first = o.rates(states[0], 0.5, view)
