@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
-                       _concat_ranges, _in_boxes)
+                       _concat_ranges, _in_boxes, _norm)
 
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
@@ -168,16 +168,6 @@ class BondCollapseError(SimulationError):
 # are the k-th components of the bond's static vector and its relative
 # displacement, all of one shape.  Each returns (scale, direction):
 # component k of a bond's pairwise force is scale * direction[k].
-
-
-def _norm(d):
-    """Euclidean length from components, bit for bit np.linalg.norm: the
-    square root of the squares summed in component order, as
-    np.linalg.norm(..., axis=1) adds them."""
-    sq = d[0] * d[0]
-    for c in d[1:]:
-        sq += c * c
-    return np.sqrt(sq)
 
 
 def bond_factor(xi, xi_norm, alpha, out=None):

@@ -130,7 +130,7 @@ class NeighborList:
     @property
     def xi_norm(self) -> np.ndarray:
         """Reference bond lengths |xi| (derived)."""
-        return np.linalg.norm(self.xi, axis=1)
+        return _norm(self.xi.T)
 
     def neighbors_of(self, i: int) -> np.ndarray:
         return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
@@ -228,6 +228,16 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
                       thickness=thickness)
 
 
+def _norm(d):
+    """Euclidean length from components, bit for bit np.linalg.norm: the
+    square root of the squares summed in component order, as
+    np.linalg.norm(..., axis=1) adds them."""
+    sq = d[0] * d[0]
+    for c in d[1:]:
+        sq += c * c
+    return np.sqrt(sq)
+
+
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Concatenate arange(starts[k], stops[k]) for all k, vectorized."""
     lengths = stops - starts
@@ -243,6 +253,10 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 # of temporaries each.  A desk preset's cell offset fits in one chunk (at
 # most 92k candidates, on crack2d); the paper-scale crack's splits in nine.
 _BUILD_CANDIDATES = 1 << 18
+
+# Bonds whose neighbor and partner ids build_neighbor_list derives at a
+# time from its sorted keys: int64 temporaries of 512 KiB each.
+_DERIVE_BONDS = 1 << 16
 
 # Largest point or bond count the int32 neighbor list can index.
 INDEX_MAX = int(np.iinfo(np.int32).max)
@@ -280,8 +294,12 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     Memory scales with the bonds kept: each cell offset's candidate pairs
     are generated over chunks of source points, about _BUILD_CANDIDATES at
     a time, and checked against the horizon as they are generated; only
-    the accepted ones are collected, as int32.  A cloud whose point or bond
-    count does not fit int32 raises GeometryError.
+    the accepted ones are collected, each as one int64 key i*n + j, and a
+    chunk's temporaries are freed before the next chunk's exist.  A sort of
+    the keys orders the bonds, ``offsets`` and ``neighbors`` are read off
+    the sorted keys, and a second sort, by neighbor, finds ``partner``.  A
+    cloud whose point or bond count does not fit int32 raises
+    GeometryError.
     """
     if not np.isfinite(delta):
         raise GeometryError(f"horizon must be finite, got {delta}")
@@ -302,9 +320,9 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
     sorted_ids = cell_id[order]
     uniq_ids, uniq_starts = np.unique(sorted_ids, return_index=True)
     uniq_stops = np.append(uniq_starts[1:], n)
+    comps = [np.ascontiguousarray(p) for p in pos.T]
 
-    pair_i = []
-    pair_j = []
+    parts = []
     n_bonds = 0
     offsets_nd = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim),
                                       indexing="ij"), axis=-1).reshape(-1, dim)
@@ -313,6 +331,7 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
         valid = np.all((target >= 0) & (target < dims), axis=1)
         src = np.flatnonzero(valid)
         tgt_id = np.ravel_multi_index(target[src].T, dims)
+        del target, valid
         loc = np.searchsorted(uniq_ids, tgt_id)
         found = (loc < len(uniq_ids))
         found[found] &= uniq_ids[loc[found]] == tgt_id[found]
@@ -325,45 +344,63 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
             bi = np.repeat(src[chunk], stops[chunk] - starts[chunk])
             bj = order[_concat_ranges(starts[chunk], stops[chunk])]
             # offsets and chunks run in a fixed order, so the first
-            # coincident pair found is the first among all candidates
-            dist = np.linalg.norm(pos[bj] - pos[bi], axis=1)
+            # coincident pair found is the first among all candidates;
+            # _norm of the components is np.linalg.norm(pos[bj] - pos[bi],
+            # axis=1) bit for bit
+            dist = _norm([np.take(p, bj) - np.take(p, bi) for p in comps])
             other = bi != bj
             coincident = (dist == 0.0) & other
             if np.any(coincident):
                 k = np.flatnonzero(coincident)[0]
                 raise GeometryError(
                     f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
-            keep = (dist <= reach) & other
+            keep = dist <= reach
+            keep &= other
+            del dist, other
             n_bonds += int(np.count_nonzero(keep))
             check_index_range(n, n_bonds)
-            pair_i.append(bi[keep].astype(np.int32))
-            pair_j.append(bj[keep].astype(np.int32))
+            key = bi[keep]
+            key *= n
+            key += bj[keep]
+            parts.append(key)
+            del bi, bj, keep
 
-    bi = np.concatenate(pair_i) if pair_i else np.empty(0, np.int32)
-    del pair_i
-    bj = np.concatenate(pair_j) if pair_j else np.empty(0, np.int32)
-    del pair_j
-    # each pair is generated once, so the sorted order is unique; the
-    # unsorted arrays are dropped as their sorted copies appear
-    sort = np.lexsort((bj, bi))
-    bi = bi[sort]
-    bj = bj[sort]
-    del sort
+    # the keys i*n + j are unique, so sorting them gives the (i, j) order;
+    # each offset's keys come as one ascending run, and the stable sort
+    # merges runs
+    keys = np.concatenate(parts) if parts else np.empty(0, np.int64)
+    del parts
+    keys.sort(kind="stable")
+    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    spans = [slice(lo, min(lo + _DERIVE_BONDS, n_bonds))
+             for lo in range(0, n_bonds, _DERIVE_BONDS)]
+    neighbors = np.empty(n_bonds, dtype=np.int32)
+    for span in spans:
+        neighbors[span] = keys[span] % n
+    del keys
 
-    counts = np.bincount(bi, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-
-    # the pairs are unique, so sorting by (j, i) lists each bond's reverse
-    # in bond order: when the relation is symmetric, that is the partner
-    partner = np.lexsort((bi, bj)).astype(np.int32)
-    symmetric = np.array_equal(bi[partner], bj) \
-        and np.array_equal(bj[partner], bi)
-    del bi
-    if not symmetric:
-        raise GeometryError("neighbor relation is not symmetric (internal error)")
-    return NeighborList(delta=delta, offsets=offsets, neighbors=bj,
+    # sorted by (j, bond id), and so by (j, i), the bonds list each bond's
+    # reverse in bond order when the relation is symmetric: that is the
+    # partner.  The key j * n_bonds + b fits int64, as both fit int32.
+    by_j = neighbors.astype(np.int64)
+    by_j *= n_bonds
+    for span in spans:
+        by_j[span] += np.arange(span.start, span.stop)
+    by_j.sort()
+    partner = np.empty(n_bonds, dtype=np.int32)
+    for span in spans:
+        partner[span] = by_j[span] % n_bonds
+    del by_j
+    nbrs = NeighborList(delta=delta, offsets=offsets, neighbors=neighbors,
                         partner=partner, positions=pos)
+    bond_i = nbrs.bond_i
+    for span in spans:
+        found = partner[span]
+        if not (np.array_equal(np.take(neighbors, found), bond_i[span])
+                and np.array_equal(np.take(bond_i, found), neighbors[span])):
+            raise GeometryError(
+                "neighbor relation is not symmetric (internal error)")
+    return nbrs
 
 
 def _in_boxes(positions: np.ndarray, boxes) -> np.ndarray:
@@ -385,12 +422,13 @@ def classify_subdomains(cloud: PointCloud, nbrs: NeighborList,
     An empty box list labels everything C.
     """
     fine = _in_boxes(cloud.positions, fine_boxes)
-    fine_j = fine[nbrs.neighbors]
-    bond_i = nbrs.bond_i
-    has_coarse_nbr = np.bincount(bond_i, weights=~fine_j,
-                                 minlength=cloud.n_points) > 0
-    has_fine_nbr = np.bincount(bond_i, weights=fine_j,
-                               minlength=cloud.n_points) > 0
+    # each point's fine neighbors, differenced from a running count over
+    # the bonds; int32 holds it, as the bond count fits int32
+    total = np.zeros(nbrs.n_bonds + 1, dtype=np.int32)
+    np.cumsum(np.take(fine, nbrs.neighbors), out=total[1:])
+    n_fine = total[nbrs.offsets[1:]] - total[nbrs.offsets[:-1]]
+    has_fine_nbr = n_fine > 0
+    has_coarse_nbr = n_fine < nbrs.counts()
     labels = np.full(cloud.n_points, LABEL_C, dtype=np.int8)
     labels[~fine & has_fine_nbr] = LABEL_CI
     labels[fine] = LABEL_F

@@ -10,8 +10,9 @@ from peridyn import geometry
 from peridyn.app import preset_config
 from peridyn.geometry import (
     GeometryError, HORIZON_TOL, INDEX_MAX, LABEL_C, LABEL_CI, LABEL_F,
-    LABEL_FI, PointCloud, _concat_ranges, build_grid, build_neighbor_list,
-    check_index_range, classify_subdomains, select_layer,
+    LABEL_FI, PointCloud, _concat_ranges, _norm, build_grid,
+    build_neighbor_list, check_index_range, classify_subdomains,
+    select_layer,
 )
 from tests.test_forces import make_cloud
 
@@ -240,6 +241,28 @@ class TestNeighborList:
             build_neighbor_list(cloud, 1.5)
 
 
+class TestNorm:
+    """The solver's one length helper: the build's horizon test and the
+    row blocks' |xi| both rest on it matching np.linalg.norm exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_matches_linalg_norm_bit_for_bit(self, dim, data):
+        # rows of one magnitude, from 1e-150 to 1e150, whose components
+        # lie within a few decades of each other, so the order of the sum
+        # shows in the rounding
+        mantissa = st.floats(-10.0, 10.0)
+        row = st.integers(-150, 150).flatmap(lambda e: st.tuples(*[
+            st.builds(lambda m, k: m * 10.0 ** (e + k), mantissa,
+                      st.integers(-2, 2))] * dim))
+        x = np.array(data.draw(st.lists(row, min_size=1, max_size=40)),
+                     dtype=float)
+        want = np.linalg.norm(x, axis=1)
+        got = _norm(np.ascontiguousarray(x.T))
+        assert got.tobytes() == want.tobytes()
+        assert _norm(x.T).tobytes() == want.tobytes()
+
+
 class TestStreamedBuild:
     """The neighbor list is built offset by offset, over chunks of source
     points, keeping only accepted pairs; every array must equal the
@@ -294,8 +317,11 @@ class TestStreamedBuild:
     def test_chunked_candidates_match_all_candidates_builder(
             self, chunk, monkeypatch):
         # chunks of one point, of fewer candidates than one point has, and
-        # of many points; the first coincident pair is still the one named
+        # of many points; the first coincident pair is still the one named.
+        # The sorted keys are turned into neighbors and partners over as
+        # many bonds at a time, so that runs over many chunks too.
         monkeypatch.setattr(geometry, "_BUILD_CANDIDATES", chunk)
+        monkeypatch.setattr(geometry, "_DERIVE_BONDS", chunk)
         for box, dx, ratio in ((((0, 0), (1.3, 0.7)), 0.05, 3.3),
                                (((0, 0, 0), (0.6, 0.4, 0.3)), 0.1, 2.7)):
             cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
@@ -309,6 +335,18 @@ class TestStreamedBuild:
         with pytest.raises(GeometryError) as got:
             build_neighbor_list(cloud, 1.2)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("chunk", [1, 37, 1 << 16])
+    def test_asymmetric_relation_refused(self, chunk, monkeypatch):
+        # a length that depends on the bond's direction keeps the pairs on
+        # the horizon shell one way only: the partner check must refuse it
+        monkeypatch.setattr(geometry, "_DERIVE_BONDS", chunk)
+        norm = geometry._norm
+        monkeypatch.setattr(geometry, "_norm",
+                            lambda d: norm(d) * np.where(d[0] > 0, 2.0, 1.0))
+        cloud = build_grid(((0, 0), (1.3, 0.7)), 0.05, thickness=0.01)
+        with pytest.raises(GeometryError, match="not symmetric"):
+            build_neighbor_list(cloud, 3.0 * 0.05)
 
     @pytest.mark.parametrize("name", ["plate2d", "block3d", "crack2d"])
     def test_desk_presets_build_in_one_chunk(self, name, monkeypatch):
@@ -329,12 +367,14 @@ class TestStreamedBuild:
         assert len(gathers) == 3 ** cloud.dim
 
     def test_desk_crack2d_peak_memory(self):
-        # The kept list is 2.4 MiB and the build peaks at 9.1 MiB (the
-        # temporaries of a cell offset's 92k candidates); 10 MiB leaves 10%
-        # margin.  The int64 sort keys of a searchsorted partner search
-        # peaked at 10.6 MiB; with int64 indices and stored bond geometry
-        # the list was 14.7 MiB and the peak 20.7; the all-candidates
-        # build peaked at 61.
+        # The kept list is 2.4 MiB and the build peaks at 6.9 MiB (the
+        # int64 keys kept so far and the temporaries of a cell offset's 92k
+        # candidates); the sorts and the derivation after them stay under
+        # 6 MiB.  Kept as int32 pairs with two lexsorts, the build peaked
+        # at 9.1 MiB; an earlier searchsorted partner search over int64
+        # keys at 10.6; with int64 indices and stored bond geometry the
+        # list was 14.7 MiB and the peak 20.7; the all-candidates build
+        # peaked at 61.
         cfg = preset_config("crack2d")
         g = cfg.geometry
         cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
