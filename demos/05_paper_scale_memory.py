@@ -5,8 +5,9 @@ memory, not time, is the first ceiling there.  This script assembles
 everything an MTS run holds (the Scenario, its operator and the MtsPlan),
 makes one `rates` call per view (full, coarse, fine) and one damage check
 per bond mask and one unmasked, and prints the peak resident set size
-after each stage.  The unmasked check starts from a fresh table, so it
-times the table build and a full pass over both sides.  It then prints
+after each stage.  The unmasked check starts from a dropped table and
+split, as the next run's first check does, so it times the build of an
+unsplit table and a full pass over it.  It then prints
 the bytes held by the neighbor list, the views' row blocks and the damage
 table with its skin state, and exits 1 when the peak passes 512 MiB or a
 store passes its 2D byte budget: 9.5 B per bond in the list, 24 B of
@@ -92,8 +93,8 @@ def main() -> int:
     for name, mask in (("coarse", plan.coarse_bond_mask),
                        ("fine", plan.fine_bond_mask), ("unmasked", None)):
         if mask is None:
-            # at u = 0 both skins hold: drop the table, so that this check
-            # builds it and refreshes both sides
+            # at u = 0 both skins hold: drop the run's table and split, so
+            # that this check builds an unsplit table and refreshes it
             op.drop_run_caches()
         stage(f"damage check, {name}",
               lambda: update_damage(nbrs, u, scenario.s0, mask))

@@ -28,7 +28,8 @@ from .forces import FieldState, Loading, Material, PDOperator, \
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
-from .mts import MtsConfig, TimingReport, cost_model, mts_run
+from .mts import MtsConfig, TimingReport, cost_model, mts_run, \
+    refinement_violation
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -152,7 +153,7 @@ _SCHEMA = (
            ("nonempty",)),
     _Field("output", "cadence", "output.cadence", "int", 0, ("at_least", 0)),
     _Field("output", "formats", "output.formats", "names", ("vtk",),
-           ("one_of", "vtk", "csv")),
+           ("one_of", "vtk")),
     _Field("analysis", "error_component", "error_component", "str", "y"),
 )
 
@@ -452,7 +453,8 @@ def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
     """The plate2d/block3d scenario: a linear body from the origin to
     ``box_max`` (x length 1.0) under a y body force b = 2e8 * 1.0 / 0.01 in
     a layer max(dx, 0.01) deep at x = 1, with the fine region the last two
-    horizons (delta = 3 dx) in x; 40 steps of 1e-5 s, MTS order 4, K = 2."""
+    horizons (delta = 3 dx) in x; 40 steps of 1e-5 s, MTS order 4, K = 2,
+    and no snapshots."""
     delta = 3 * dx
     layer_w = max(dx, 0.01)
     b_p = 2.0e8 * 1.0 / 0.01
@@ -472,7 +474,7 @@ def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
         time=TimeSpec(dt=1.0e-5, n_steps=40),
         mts=MtsSpec(scheme="mts", order=4, K=2,
                     fine_boxes=[((fine_lo,) + origin[1:], far)]),
-        output=OutputSpec(directory="out", cadence=0, formats=("csv",)),
+        output=OutputSpec(directory="out", cadence=0, formats=()),
         error_component="y")
 
 
@@ -698,9 +700,9 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     dt_problem = halving_violation(dt_list)
     if dt_problem:
         problems.append(f"dt list: {dt_problem}")
-    bad_k = [K for K in k_list if int(K) != K or K < 1]
+    bad_k = [problem for K in k_list if (problem := refinement_violation(K))]
     if bad_k:
-        problems.append(f"K list: K must be an integer >= 1, got {bad_k[0]}")
+        problems.append(f"K list: {bad_k[0]}")
     repeated = [K for n, K in enumerate(k_list) if K in k_list[:n]]
     if repeated:
         problems.append(f"K list: K {repeated[0]} is repeated")

@@ -15,7 +15,6 @@ data once: its full view is the union of the two sides' row blocks.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,9 +215,10 @@ def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
     return coef * bond_stretch(ndef, xi_norm) / ndef, deformed
 
 
-def _slot_sums(scale: np.ndarray, direction: np.ndarray, out: np.ndarray):
+def _slot_sums(scale: np.ndarray, direction: np.ndarray, out=None):
     """out[k] = the sum of scale * direction[k] over the slots of (slot,
-    row) arrays, one slot after another, for every component k at once.
+    row) arrays, one slot after another, for every component k at once;
+    returns ``out``, a new (dim, row) array when it is None.
 
     einsum adds the slots of each row in order when there are several
     rows, rounding each product first (numpy builds for an x86-64 baseline
@@ -227,9 +227,12 @@ def _slot_sums(scale: np.ndarray, direction: np.ndarray, out: np.ndarray):
     partial sums; cumsum is sequential always.
     """
     if scale.shape[1] > 1:
-        np.einsum("sr,ksr->kr", scale, direction, out=out)
-    else:
-        out[...] = np.cumsum(scale * direction, axis=1)[:, -1]
+        return np.einsum("sr,ksr->kr", scale, direction, out=out)
+    sums = np.cumsum(scale * direction, axis=1)[:, -1]
+    if out is None:
+        return sums
+    out[...] = sums
+    return out
 
 
 # Padded bond slots per row block of a view.  A block's temporaries in
@@ -243,7 +246,7 @@ _BLOCK_SLOTS = 15_000
 
 @dataclass
 class _Block:
-    """Rows lo:hi of a view, as padded (slot, row) bond arrays.
+    """Some rows of a view, as padded (slot, row) bond arrays.
 
     Slot s of row q holds that row's s-th bond in ascending neighbor order.
     ``vec`` holds the bond factor q (``bond_factor``) under the linear law
@@ -258,8 +261,6 @@ class _Block:
     skip the multiplication.
     """
 
-    lo: int
-    hi: int
     rows: np.ndarray    # (R,) global point ids
     nbr: np.ndarray     # (S, R) neighbor points, intp for the gathers
     vec: np.ndarray     # (dim, S, R) q (linear law) or xi (nonlinear)
@@ -291,24 +292,36 @@ def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, n_slots: int):
     return bond, pad
 
 
-@dataclass(eq=False)  # hashed by identity: the operator keys plans by view
+@dataclass
 class _View:
-    """Bond-level slice of the neighbor list restricted to target rows.
+    """Bond-level slice of the neighbor list restricted to target rows, and
+    how ``rates`` evaluates it, laid out when the view is made.
 
-    A view from ``make_view`` holds its rows ascending, and its blocks tile
-    them in order: a block writes its sums at the view's rows lo:hi.  The
-    union view of a partition (``PDOperator.partition``) holds every point,
-    and its blocks are the two sides' own: each writes its sums at its
-    global rows, so its rates are the full view's, in global order.
+    ``steps`` holds per block the block, its rows' columns of the (dim, N)
+    displacements and the columns of the view's (dim, R) force array that
+    take its sums; each is a slice when contiguous.  A view from
+    ``make_view`` holds its rows ascending, and its blocks tile them in
+    order, so a block's sums go to its own positions among the view's rows.
+    The union view of a partition (``PDOperator.partition``) holds every
+    point and the two sides' blocks, each writing its sums at its global
+    rows, so its rates are the full view's, in global order.  ``sel``
+    selects the view's rows of the state and the body force.  The steps
+    hold no array of their own: their selectors are slices or the blocks'
+    row arrays.
     """
 
     rows: np.ndarray            # global point indices, ascending
     n_bonds: int                # bonds of the view's rows
-    blocks: list                # _Block row blocks; none if no bonds
+    steps: list                 # (block, source, dest); none if no bonds
+    sel: slice | np.ndarray
     constrained_local: np.ndarray
     v_prescribed: np.ndarray
     offsets: np.ndarray = field(repr=False)  # the neighbor list's, shared
-    at_global_rows: bool = False  # blocks write at blk.rows, not lo:hi
+
+    @property
+    def blocks(self) -> list:
+        """The view's _Block row blocks, in evaluation order."""
+        return [blk for blk, *_ in self.steps]
 
     @functools.cached_property
     def bond_sel(self) -> np.ndarray | range:
@@ -317,25 +330,6 @@ class _View:
         them."""
         return _concat_ranges(self.offsets[self.rows],
                               self.offsets[self.rows + 1])
-
-
-@dataclass
-class _Plan:
-    """How ``rates`` evaluates one view: built on the view's first call and
-    held by the operator until the run ends (``drop_run_caches``).
-
-    ``steps`` holds per block the block, its rows' columns of the (dim, N)
-    displacements and the columns of the view's (dim, R) force array that
-    take its sums: lo:hi, or in a union view its global rows.  Each is a
-    slice when contiguous; a block whose destination is not is summed into
-    the first columns of ``sums`` (dim, its widest such block's rows) and
-    scattered.  ``rows`` selects the view's rows of the state and the body
-    force.  A plan holds no N-sized array.
-    """
-
-    steps: list
-    rows: slice | np.ndarray
-    sums: np.ndarray | None
 
 
 def _selector(rows: np.ndarray) -> slice | np.ndarray:
@@ -366,9 +360,8 @@ class PDOperator:
 
     The full view, over every point, is built on first use.  ``partition``
     replaces it with the union of the two sides' views, sharing their
-    blocks, so a split operator holds its bond data once.  ``rates`` builds
-    each view's evaluation plan (``_Plan``) on the view's first call.  The
-    full view and the plans last one run: ``drop_run_caches`` drops them.
+    blocks, so a split operator holds its bond data once.  The full view
+    and the split last one run: ``drop_run_caches`` drops them.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
@@ -406,7 +399,6 @@ class PDOperator:
         self.constrained_mask = constrained
         self.v_prescribed_full = v_presc
         self._full_view = None
-        self._plans = weakref.WeakKeyDictionary()  # _View -> _Plan
 
     def make_view(self, rows: np.ndarray) -> _View:
         """Precompute the bond slice for evaluating rates at ``rows`` only,
@@ -415,21 +407,25 @@ class PDOperator:
         off = self.nbrs.offsets
         counts = off[rows + 1] - off[rows]
         n_bonds = int(counts.sum())
-        blocks = []
+        steps = []
         if n_bonds:
             pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
             step = max(1, _BLOCK_SLOTS // int(counts.max()))
             for lo in range(0, len(rows), step):
                 hi = min(lo + step, len(rows))
-                blocks.append(self._block(
-                    lo, hi, rows[lo:hi], int(counts[lo:hi].max()), pos))
-        cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, n_bonds=n_bonds, blocks=blocks,
-                     constrained_local=cons,
-                     v_prescribed=self.v_prescribed_full[rows[cons]],
-                     offsets=off)
+                blk = self._block(rows[lo:hi], int(counts[lo:hi].max()), pos)
+                steps.append((blk, _selector(blk.rows), slice(lo, hi)))
+        return self._view(rows, n_bonds, steps)
 
-    def _block(self, lo, hi, rows, width, pos) -> _Block:
+    def _view(self, rows, n_bonds, steps) -> _View:
+        """The view of ``rows`` that ``steps`` evaluate."""
+        cons = np.flatnonzero(self.constrained_mask[rows])
+        return _View(rows=rows, n_bonds=n_bonds, steps=steps,
+                     sel=_selector(rows), constrained_local=cons,
+                     v_prescribed=self.v_prescribed_full[rows[cons]],
+                     offsets=self.nbrs.offsets)
+
+    def _block(self, rows, width, pos) -> _Block:
         # xi = x_j - x_i from the position components ``pos``, and |xi| by
         # _norm, bit for bit the neighbor list's derived xi and xi_norm
         bond, pad = _slot_bonds(self.nbrs, rows, max(width, 1))
@@ -442,9 +438,9 @@ class PDOperator:
         xi[0][pad] = 1.0  # a pad's x_j - x_i is +0.0: make it e0
         length = _norm(xi)
         if self.law == "linear":
-            return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, length=None,
+            return _Block(rows=rows, nbr=nbr, length=None,
                           vec=bond_factor(xi, length, self.alpha, out=xi))
-        return _Block(lo=lo, hi=hi, rows=rows, nbr=nbr, vec=xi, length=length)
+        return _Block(rows=rows, nbr=nbr, vec=xi, length=length)
 
     def _pair_forces(self, blk: _Block, eta: np.ndarray, alive):
         """The block's (scale, direction) under the operator's law; both
@@ -475,7 +471,8 @@ class PDOperator:
         data is held once and ``rates(y, t)`` keeps returning every row in
         global order, bit for bit.  The masks are read-only and kept as
         ``nbrs.bond_sides``, which split the damage table (see
-        ``update_damage``); a new split drops the old table.
+        ``update_damage``); a new split drops the old table.  The split
+        lasts one run, as the full view does (``drop_run_caches``).
         """
         n = self.cloud.n_points
         rows = np.concatenate([rows_a, rows_b])
@@ -484,14 +481,9 @@ class PDOperator:
         # free the old split's blocks and damage table before the new exist
         self._full_view = self.nbrs.damage_table = None
         views = self.make_view(rows_a), self.make_view(rows_b)
-        cons = np.flatnonzero(self.constrained_mask)
-        full = _View(
-            rows=np.arange(n, dtype=np.int64),
-            n_bonds=self.nbrs.n_bonds,
-            blocks=views[0].blocks + views[1].blocks,
-            constrained_local=cons,
-            v_prescribed=self.v_prescribed_full[cons],
-            offsets=self.nbrs.offsets, at_global_rows=True)
+        full = self._view(np.arange(n, dtype=np.int64), self.nbrs.n_bonds,
+                          [(blk, src, src) for view in views
+                           for blk, src, _ in view.steps])
         full.bond_sel = range(full.n_bonds)
         self._full_view = full
         in_b = np.zeros(n, dtype=bool)
@@ -505,33 +497,15 @@ class PDOperator:
 
     def drop_run_caches(self):
         """Drop what a run derives and an idle operator need not hold: the
-        full view, the views' evaluation plans, the damage table with its
-        skin state, and the blocks' flag caches.  An idle operator then
+        full view and its blocks' flag caches, the split (``bond_sides``)
+        and the damage table with its skin state.  An idle operator then
         holds its topology and bond flags only; the next check or ``rates``
         call rebuilds what it needs."""
-        self.nbrs.damage_table = None
-        for view in [self._full_view, *self._plans]:
-            for blk in view.blocks if view is not None else ():
+        self.nbrs.damage_table = self.nbrs.bond_sides = None
+        if self._full_view is not None:
+            for blk in self._full_view.blocks:
                 blk.flags, blk.version = None, -1
         self._full_view = None
-        self._plans.clear()
-
-    def _plan(self, view: _View) -> _Plan:
-        """The view's evaluation plan, built on its first call."""
-        plan = self._plans.get(view)
-        if plan is None:
-            steps = []
-            for blk in view.blocks:
-                rows = _selector(blk.rows)
-                steps.append((blk, rows, rows if view.at_global_rows
-                              else slice(blk.lo, blk.hi)))
-            scattered = [len(dest) for *_, dest in steps
-                         if not isinstance(dest, slice)]
-            sums = np.empty((self.cloud.dim, max(scattered))) \
-                if scattered else None
-            plan = self._plans[view] = _Plan(steps, _selector(view.rows),
-                                             sums)
-        return plan
 
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
@@ -539,10 +513,10 @@ class PDOperator:
         Neighbor values are read from the full array ``y``; only the target
         rows are written.  Per-point sums run in ascending neighbor order,
         so results are reproducible bit-for-bit.  The bonds are evaluated
-        one row block at a time, so the temporaries stay in cache, as the
-        view's plan lays out: one slot sum per block for every component,
-        written in place or, in a union view, scattered.  The returned
-        array is new on every call.
+        one row block at a time, so the temporaries stay in cache, by the
+        view's steps: one slot sum per block for every component, written
+        in place or, in a union view, scattered.  The returned array is new
+        on every call.
 
         A row's rates do not depend on the view or block that holds it.
         Pad slots add +0.0 after a row's bonds, and the slot sum of a block
@@ -552,7 +526,6 @@ class PDOperator:
         """
         if view is None:
             view = self.full_view
-        plan = self._plan(view)
         dim = self.cloud.dim
         # one (dim, N) copy: np.take gathers from contiguous components far
         # faster than from the strided y[:, :dim]; the values are the same
@@ -561,12 +534,12 @@ class PDOperator:
         force = np.zeros((dim, len(view.rows)))
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
-            for blk, rows, dest in plan.steps:
+            for blk, rows, dest in view.steps:
                 try:
                     scale, direction = self._pair_forces(
                         blk, _eta(blk, u, rows), blk.alive(self.nbrs))
                 except BondCollapseError:
-                    b = self._lowest_collapsed_bond(plan, u)
+                    b = self._lowest_collapsed_bond(view, u)
                     raise SimulationError(
                         f"bond {self.nbrs.bond_i[b]} -> "
                         f"{self.nbrs.neighbors[b]} "
@@ -574,22 +547,21 @@ class PDOperator:
                 if isinstance(dest, slice):
                     _slot_sums(scale, direction, force[:, dest])
                 else:
-                    sums = plan.sums[:, :len(dest)]
-                    _slot_sums(scale, direction, sums)
                     # a scatter per component: a 2D one is several times
                     # slower
+                    sums = _slot_sums(scale, direction)
                     for force_k, sums_k in zip(force, sums):
                         force_k[dest] = sums_k
             force *= self.cloud.volume_per_point
             body = self.body.T
-            if isinstance(plan.rows, slice):
-                force += body[:, plan.rows]
-                velocity = y[plan.rows, dim:]
+            if isinstance(view.sel, slice):
+                force += body[:, view.sel]
+                velocity = y[view.sel, dim:]
             else:
-                force += np.take(body, plan.rows, axis=1)
+                force += np.take(body, view.sel, axis=1)
                 # np.take(..., axis=0) gathers whole rows about ten times
                 # faster than fancy indexing does; the values are the same
-                velocity = np.take(y, plan.rows, axis=0)[:, dim:]
+                velocity = np.take(y, view.sel, axis=0)[:, dim:]
             force /= self.material.rho
         # one column at a time: a transposing copy is about three times
         # slower
@@ -605,12 +577,12 @@ class PDOperator:
             raise InstabilityError(point=int(view.rows[bad]), t=t)
         return out
 
-    def _lowest_collapsed_bond(self, plan: _Plan, u: np.ndarray) -> int:
+    def _lowest_collapsed_bond(self, view: _View, u: np.ndarray) -> int:
         """The lowest id of a collapsed bond over all of the view's blocks:
         the first block to raise holds it only when the blocks run in bond
         order, which a union view's do not."""
         lowest = self.nbrs.n_bonds
-        for blk, rows, _ in plan.steps:
+        for blk, rows, _ in view.steps:
             try:
                 self._pair_forces(blk, _eta(blk, u, rows), None)
             except BondCollapseError as err:
@@ -742,8 +714,9 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     raises ValueError.
 
     The list keeps one half-bond table, ``nbrs.damage_table``, split by
-    ``nbrs.bond_sides`` and rebuilt when s0 changes (a new partition drops
-    it).  A side's mask checks its slice, no mask every side.
+    ``nbrs.bond_sides`` and rebuilt when s0 changes (a new partition or
+    the run's end drops it).  A side's mask checks its slice, no mask every
+    side.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact

@@ -20,8 +20,9 @@ _CACHE_MAGIC = "peridyn reference cache 1"
 
 # Part of every reference cache key.  Bump it whenever a change alters
 # trajectory bits (a new summation order, say), so that references cached
-# by the old solver are recomputed instead of served stale.
-REFERENCE_VERSION = 2
+# by the old solver are recomputed instead of served stale, and whenever
+# the canonical text of a preset changes.
+REFERENCE_VERSION = 3
 
 
 def _fmt(x: float) -> str:

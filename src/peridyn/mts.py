@@ -27,6 +27,7 @@ driver.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,9 +56,19 @@ class MtsConfig:
             raise ValueError(f"order must be 3 or 4, got {self.order}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if int(self.K) != self.K or self.K < 1:
-            raise ValueError(f"K must be an integer >= 1, got {self.K}")
+        problem = refinement_violation(self.K)
+        if problem:
+            raise ValueError(problem)
         return self
+
+
+def refinement_violation(K) -> str | None:
+    """The rule on the refinement level: None when K is an integer >= 1,
+    else the complaint.  A float is refused even when it is whole: K counts
+    substeps."""
+    if isinstance(K, numbers.Integral) and K >= 1:
+        return None
+    return f"K must be an integer >= 1, got {K}"
 
 
 @dataclass

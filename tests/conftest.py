@@ -43,7 +43,7 @@ def mini_config():
             mts=MtsSpec(scheme=scheme, order=order, K=K,
                         fine_boxes=[((0.6, 0.0), (1.0, 0.5))] if fine else []),
             output=OutputSpec(directory="out", cadence=cadence,
-                              formats=("vtk", "csv")),
+                              formats=("vtk",)),
             error_component="y")
     return make
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ fine_box.1 = 0.6, 0 ; 1, 0.5
 [output]
 directory = out
 cadence = 4
-formats = vtk,csv
+formats = vtk
 
 [analysis]
 error_component = y
@@ -179,19 +180,19 @@ class TestParseConfig:
 # every cached reference: change it only together with io.REFERENCE_VERSION.
 CANONICAL_SHA256 = {
     ("plate2d", False):
-        "01b2677d7b59b44bf0dcf5cd5a38189ac3688609f6530ad40cf5ee50518ca2c9",
+        "5516ff9326fe4ffdb3a5639e32760a66920524fc10a500818e17e93d4e17413d",
     ("plate2d", True):
-        "213a33283bc5a6a8bd270dc3b5519173da388cc8207ca0af34dca091e53c92c6",
+        "dc0f674de924733ac14086331c0a3041b430535171feb327239df3052f8841ed",
     ("block3d", False):
-        "0f4173e936f81d7d5096fe7a70c0c471bc6207836b8005f40b34edf843a652f0",
+        "2d6ca105c6ec72722f3acca5b8e42ea7a916e6a1dbe2909775fc61f21a53eb5e",
     ("block3d", True):
-        "fc47957b2c6d291536b3e92631ca9258b18ac42c9ae25d8a263c1da561524ad4",
+        "805b04a5d6a04ad1777c51cfad3b354e506d5c694b530da8ff43fc969dddfe22",
     ("crack2d", False):
         "c18b47753122c7ef7501a262ca885510bfdb174c7bdde4a709f773aeb2cb9804",
     ("crack2d", True):
         "6c77b38c9cd4437bf8407904ea8ad190e278f23342b34b452826f1546236dfd2",
     ("custom", False):
-        "a6179f6231d3582009277453f841d420e85428b40788f3e3fcdf5b3dc08ad931",
+        "e888f8b3c77337f45b988e8dc8222658166caa25f18b9b09db7b4633c26b98d1",
 }
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -242,8 +243,7 @@ def valid_configs(draw):
         output=OutputSpec(
             directory=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
             cadence=cadence,
-            formats=tuple(draw(st.lists(st.sampled_from(["vtk", "csv"]),
-                                        max_size=3)))),
+            formats=tuple(draw(st.lists(st.just("vtk"), max_size=1)))),
         error_component=draw(st.sampled_from("xyz"[:dim])))
 
 
@@ -411,12 +411,14 @@ class TestSchema:
         ("validate", CUSTOM_TEXT.replace("error_component = y",
                                          "error_component = z"),
          "analysis.error_component: invalid axis 'z' for 2D"),
+        ("validate", CUSTOM_TEXT.replace("formats = vtk", "formats = vtk,csv"),
+         "output.formats: expected vtk, got 'csv'"),
         ("converge", CUSTOM_TEXT.replace("n_steps = 8", "n_steps = 0"),
          "time.n_steps: convergence sweeps need n_steps > 0"),
     ], ids=["unknown-preset", "preset-with-section", "no-time-section",
             "4-component-box", "zero-extent", "2d-no-thickness",
             "fracture-no-s0", "precrack-3d", "error-component-z-2d",
-            "converge-no-steps"])
+            "csv-format", "converge-no-steps"])
     def test_cli_refuses_config(self, tmp_path, capsys, command, text,
                                 problem):
         argv = [command, "--config", write_config(tmp_path, text),
@@ -791,6 +793,19 @@ class TestRunAndCli:
         assert "configuration error" in err and problem in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("K", [2.0, math.inf, math.nan])
+    def test_converge_non_integer_k_refused(self, mini_config, monkeypatch,
+                                            K):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the K list was "
+                                 "checked")
+
+        for name in ("reference_solution", "upd_run", "mts_run"):
+            monkeypatch.setattr(app, name, no_run)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"K list: K must be an integer >= 1, got {K}")):
+            converge(mini_config(n_steps=8), [1e-5, 0.5e-5], [1, K])
+
     @pytest.mark.parametrize("reference_dt, problem", [
         ("0.3e-5", "reference dt 3e-06 does not divide the final time"),
         ("0", "reference dt: must be positive and finite, got 0.0"),
@@ -862,8 +877,11 @@ class TestRunAndCli:
         default = scenario.mts_config()
         assert (default.order, default.dt, default.K) == (4, 1e-5, 2)
         assert scenario.mts_config(K=1).K == 1
-        with pytest.raises(ValueError, match="K must be an integer >= 1"):
-            scenario.mts_config(K=0)
+        # a whole float too: K counts substeps
+        for K in (0, 2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"K must be an integer >= 1, got {K}")):
+                scenario.mts_config(K=K)
         with pytest.raises(ValueError, match="dt must be positive"):
             scenario.mts_config(dt=0.0)
 

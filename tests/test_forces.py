@@ -487,7 +487,8 @@ class TestRatesBitIdentity:
     def test_collapse_names_lowest_bond_past_first_block(self):
         op, _ = loaded_plan("nonlinear", n=80)
         nbrs = op.nbrs
-        first_block_end = op.full_view.blocks[0].hi
+        # the first block's rows are the first of the view's
+        first_block_end = len(op.full_view.blocks[0].rows)
         y = np.zeros((op.cloud.n_points, 4))
         # Move c onto a, so a -> c and c -> a collapse; a -> c is the last
         # slot of row a and c -> a an early slot of the later row c, in the
@@ -672,13 +673,23 @@ class TestUnionView:
         return int(np.argmin(np.linalg.norm(op.cloud.positions - target,
                                             axis=1)))
 
+    @staticmethod
+    def assert_steps_write_own_rows(view):
+        """Each step reads its block's rows of the state and writes its
+        sums at the block's rows among the view's."""
+        n = len(view.offsets) - 1
+        for blk, src, dest in view.steps:
+            assert np.array_equal(np.arange(n)[src], blk.rows)
+            assert np.array_equal(view.rows[dest], blk.rows)
+
     def test_partition_replaces_the_full_view(self):
         op, plan = loaded_plan()
-        assert op.full_view.at_global_rows
+        self.assert_steps_write_own_rows(op.full_view)
         bare = PDOperator(op.cloud, op.nbrs, op.material, law=op.law)
         assert bare._full_view is None
         view = bare.full_view
-        assert bare.full_view is view and not view.at_global_rows
+        assert bare.full_view is view
+        self.assert_steps_write_own_rows(view)
         assert view.bond_sel == range(op.nbrs.n_bonds)
         y = random_state(bare, 29)
         before = bare.rates(y, 0.5)
@@ -688,7 +699,7 @@ class TestUnionView:
         del view
         coarse, fine, *_ = bare.partition(plan.rows_c, plan.rows_f)
         full = bare.full_view
-        assert full.at_global_rows
+        self.assert_steps_write_own_rows(full)
         sides = coarse.blocks + fine.blocks
         assert len(full.blocks) == len(sides)
         assert all(a is b for a, b in zip(full.blocks, sides))
@@ -706,6 +717,26 @@ class TestUnionView:
         assert len(full.bond_sel) == len(plan.coarse_view.bond_sel) \
             + len(plan.fine_view.bond_sel)
         assert np.array_equal(full.rows, np.arange(op.cloud.n_points))
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_union_of_interleaved_sides(self, law, dim, n):
+        # sides of every other point: each side's blocks hold scattered
+        # rows, so the union scatters every block's sums
+        op, _ = loaded_plan(law, n=n, dim=dim, split=False)
+        write_mu(op.nbrs, (0, 17, 400, 901))
+        y = random_state(op, 67)
+        points = np.arange(op.cloud.n_points)
+        views = op.partition(points[::2], points[1::2])[:2]
+        full = op.full_view
+        self.assert_steps_write_own_rows(full)
+        assert all(not isinstance(dest, slice) for *_, dest in full.steps)
+        got = op.rates(y, 0.5)
+        assert got.tobytes() == op.rates(y, 0.5, self.whole(op)).tobytes()
+        for view in views:
+            self.assert_steps_write_own_rows(view)
+            assert op.rates(y, 0.5, view).tobytes() == \
+                got[view.rows].tobytes()
 
     def test_partition_must_cover_each_point_once(self):
         op, plan = loaded_plan()
@@ -1465,7 +1496,7 @@ class TestDamageSkin:
         traj, _ = mts_run(op, scenario.initial_state(),
                           scenario.mts_config(), 12, s0=scenario.s0,
                           record_every=1, on_step=on_step)
-        assert op.nbrs.damage_table is None
+        assert op.nbrs.damage_table is None and op.nbrs.bond_sides is None
         assert all(1 <= refreshes < checks for checks, refreshes in seen[-1])
         y = op.cloud.positions[:, 1]
         opening = np.where(y < 0.025, -1.0, 1.0)
@@ -1474,7 +1505,9 @@ class TestDamageSkin:
             u = (1.0 + 0.5 * k) * state.u
             u[:, 1] += 3e-7 * k * opening
             states.append(u)
-        masks = (None,) + op.nbrs.bond_sides
+        # the run's split ended with it: the replay splits anew
+        plan = MtsPlan(op, scenario.mts_config(), scenario.s0)
+        masks = (None, plan.coarse_bond_mask, plan.fine_bond_mask)
         assert self.replay(op, states, scenario.s0, masks) > 0
         checks, refreshes = self.counts(op.nbrs)
         assert 1 < refreshes < checks
@@ -1482,8 +1515,8 @@ class TestDamageSkin:
     @pytest.mark.parametrize("scheme", ["upd", "mts"])
     def test_runs_end_holding_only_bond_data(self, scheme):
         # after a run, also one that raised, the operator holds no damage
-        # table, no full view, no evaluation plans and no flag caches; its
-        # bond data and flags stay
+        # table, no full view, no split and no flag caches; its bond data
+        # and flags stay
         op, plan = loaded_plan(s0=0.5)
         state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
                             v=np.zeros((op.cloud.n_points, 2)), t=0.0)
@@ -1506,7 +1539,7 @@ class TestDamageSkin:
             except RuntimeError:
                 pass
             assert op.nbrs.damage_table is None
-            assert op._full_view is None and not op._plans
+            assert op._full_view is None and op.nbrs.bond_sides is None
             # the blocks a upd run evaluated: the union of the plan's sides
             assert all(blk.flags is None and blk.version == -1
                        for blk in plan.coarse_view.blocks
@@ -1745,7 +1778,7 @@ class TestBlockSize:
         monkeypatch.setattr(forces, "_BLOCK_SLOTS", 10)
         for rows in (op.full_view.rows, plan.fine_view.rows):
             view = op.make_view(rows)
-            assert all(blk.hi - blk.lo == 1 for blk in view.blocks)
+            assert all(len(blk.rows) == 1 for blk in view.blocks)
             self.assert_blocks_bounded(view, 10)
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, rows))

@@ -492,10 +492,10 @@ class TestStartupAndRun:
 
 
 class TestRunScopedViews:
-    """A run builds the full view and the views' evaluation plans and drops
-    them when it ends, also when it raises: an idle operator holds its
-    topology and bond flags only, and its next run equals a run on a fresh
-    operator with the same flags, bit for bit."""
+    """A run builds the full view and the split and drops them when it
+    ends, also when it raises: an idle operator holds its topology and bond
+    flags only, and its next run equals a run on a fresh operator with the
+    same flags, bit for bit."""
 
     @staticmethod
     def run(scheme, op, labels, y0, s0, on_step=None):
@@ -510,29 +510,34 @@ class TestRunScopedViews:
     @pytest.mark.parametrize("scheme", ["upd", "mts"])
     def test_views_last_one_run(self, scheme, s0):
         op, labels, y0 = smooth_plate()
-        # a view that outlives the runs: its plan goes all the same
+        # a view that outlives the runs: it keeps evaluating, on the flags
+        # of the moment
         kept = op.make_view(labels.omega_hat_f)
-        op.rates(y0, 0.0, kept)
-        assert len(op._plans) == 1
+        z = np.random.default_rng(3).normal(scale=1e-3, size=y0.shape)
+        before = op.rates(z, 0.0, kept)
         held = []
 
         def stop(step, t, y):
-            held.append((op._full_view is not None, len(op._plans)))
+            held.append((op._full_view is not None,
+                         op.nbrs.bond_sides is not None))
             if step == 4:
                 raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
             self.run(scheme, op, labels, y0, s0, stop)
-        # the kept view's plan and the full view's, and from the first MTS
-        # step the coarse and fine views' too
-        assert held[-1] == (True, 2 if scheme == "upd" else 4)
-        assert op._full_view is None and len(op._plans) == 0
+        # the full view, and in an MTS run the split
+        assert held[-1] == (True, scheme == "mts")
+        assert op._full_view is None and op.nbrs.bond_sides is None
         assert op.nbrs.damage_table is None
         assert (s0 is None) == op.nbrs.mu.all()
+        after = op.rates(z, 0.0, kept)
+        made_now = op.rates(z, 0.0, op.make_view(labels.omega_hat_f))
+        assert after.tobytes() == made_now.tobytes()
+        assert (after.tobytes() == before.tobytes()) == (s0 is None)
         fresh, _, _ = smooth_plate()
         write_mu(fresh.nbrs, mu=op.nbrs.mu)
         again = self.run(scheme, op, labels, y0, s0)
-        assert op._full_view is None and len(op._plans) == 0
+        assert op._full_view is None and op.nbrs.bond_sides is None
         want = self.run(scheme, fresh, labels, y0, s0)
         assert len(again.states) == len(want.states)
         for got, expected in zip(again.states, want.states):
