@@ -20,8 +20,8 @@ its neighbor id and the linear law's bond factor q (2 doubles), and a
 damage table entry its bond id and its length |xi| (12 B);
 a refresh derives the bond's ends.  An MTS plan splits the operator into
 its coarse and fine views, and the full view is their union; likewise
-the neighbor list keeps one damage table, the coarse side's half-bonds
-and then the fine side's, and each check reads its slice of it.  Each
+the neighbor list keeps one damage table with one side per bond mask,
+each holding its own half-bonds, and each check reads its side.  Each
 side keeps a Verlet skin: the ends of its half-bonds, their
 displacements at its latest refresh and the half-bonds it watches.
 
@@ -107,16 +107,15 @@ def main() -> int:
     slot_data = sum(blk.nbr.nbytes + blk.vec.nbytes for blk in blocks)
     # the table counts with its skin state: each side's points (the ends
     # of its half-bonds), their reference displacements and watch list
-    tables = [nbrs.damage_table]
-    half_bonds = sum(len(table.ids) for table in tables)
+    table = nbrs.damage_table
+    half_bonds = sum(len(side.ids) for side in table.sides)
     failed = []
     for name, held, per, unit in (
             ("neighbor list", nbrs.nbytes, nbrs.n_bonds, "bond"),
             ("view blocks", sum(array_bytes(blk) for blk in blocks), slots,
              "padded slot"),
             ("block slot data", slot_data, slots, "padded slot"),
-            ("damage table", sum(array_bytes(table) for table in tables),
-             half_bonds, "half-bond")):
+            ("damage table", array_bytes(table), half_bonds, "half-bond")):
         ratio = held / max(per, 1)
         budget = BUDGETS.get(name)
         note = "" if budget is None else f"   (budget {budget:.1f})"

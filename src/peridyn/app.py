@@ -776,13 +776,15 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
     times of the two runs, phases "mts" and "upd" of one TimingReport.
     With out_dir, writes the MTS timing report and compare.txt, which
     holds the cost model's ratio (``mts.cost_model``) next to the
-    measured one.
+    measured one.  Raises ConfigError when n_steps is 0: no run to time.
     """
     scenario = Scenario(cfg)
     K = cfg.mts.K if K is None else K
     dt = cfg.time.dt
     n_steps = cfg.time.n_steps
     model = cost_model(scenario.nbrs, scenario.mts_config(K=K))
+    if n_steps == 0:
+        raise ConfigError(["time.n_steps: comparisons need n_steps > 0"])
 
     timing = TimingReport()
     op = scenario.fresh_operator()

@@ -82,14 +82,14 @@ def main(argv=None) -> int:
             sys.stdout.write(serialize_config(cfg))
             return EXIT_OK
         if args.command == "run":
-            traj, _, paths = run(cfg, out_dir=args.out)
+            traj, _, paths = run(cfg)
             print(f"completed {cfg.time.n_steps} steps "
                   f"(t = {traj.final.t:.6e} s); wrote {len(paths)} artifacts")
             return EXIT_OK
         if args.command == "converge":
             dt_list = _number_list(args.dt_list, float, "--dt-list")
             k_list = _number_list(args.k_list, int, "--k-list")
-            out_dir = args.out or cfg.output.directory
+            out_dir = cfg.output.directory
             out_csv = os.path.join(out_dir, "convergence.csv")
             rows = converge(cfg, dt_list, k_list,
                             reference_dt=args.reference_dt, out_csv=out_csv,
@@ -97,9 +97,8 @@ def main(argv=None) -> int:
             print(f"wrote {len(rows)} rows to {out_csv}")
             return EXIT_OK
         if args.command == "compare":
-            out_dir = args.out or cfg.output.directory
-            t_mts, t_upd, ratio, diff = compare(cfg, K=args.K,
-                                                out_dir=out_dir)
+            t_mts, t_upd, ratio, diff = compare(
+                cfg, K=args.K, out_dir=cfg.output.directory)
             print(f"MTS {t_mts:.3f}s vs UPD(dt/K) {t_upd:.3f}s "
                   f"(ratio {ratio:.3f}); final L2 difference {diff:.3e}")
             return EXIT_OK

@@ -610,14 +610,16 @@ _SKIN_ROUNDING = 32 * np.finfo(float).eps
 
 
 @dataclass
-class _Skin:
-    """One side's slice ``rows`` of the half-bond table and ``points``, the
-    ends of its half-bonds (ascending); and the state of its latest
+class _Side:
+    """One side of the half-bond table: its half-bonds ``ids`` (ascending),
+    their lengths |xi| (bit for bit the list's ``xi_norm``) and ``points``,
+    the ends of its half-bonds (ascending); and the state of its latest
     refresh: the displacements then at ``points``, their largest
     component, and the watched half-bonds (ids, intp ends i and j,
     lengths |xi|)."""
 
-    rows: slice
+    ids: np.ndarray     # int32 bond ids
+    length: np.ndarray  # float64 |xi|
     points: np.ndarray
     u_ref: np.ndarray | None = None  # (dim, len(points))
     u_ref_max: float = 0.0
@@ -628,37 +630,51 @@ class _Skin:
 
 @dataclass
 class _HalfBonds:
-    """Every bond once, towards its higher point index, side after side of
-    the list's ``bond_sides`` when it has them (each ``_Skin`` holds its
-    side's slice), ids ascending within a side, with their lengths |xi|
-    (bit for bit the list's ``xi_norm``): 12 B per half-bond.  A refresh
-    derives the ends of a chunk of them (``_ends``).
+    """Every bond once, towards its higher point index, as one ``_Side``
+    per side of the list's ``bond_sides`` (one side when it has none):
+    12 B per half-bond.  A refresh derives the ends of a chunk of them
+    (``_chunk_lengths``).
 
-    The skin state: ``skin`` (_SKIN_FRACTION * s0 * min|xi|), ``reach``
-    (max|x| + (1 + s0) max|xi|, the static part of the rounding margin) and
-    one ``_Skin`` per side."""
+    The skin state, over every side: ``skin`` (_SKIN_FRACTION * s0 *
+    min|xi|) and ``reach`` (max|x| + (1 + s0) max|xi|, the static part of
+    the rounding margin)."""
 
-    ids: np.ndarray     # int32 bond ids
-    length: np.ndarray  # float64 |xi|
     s0: float
     skin: float
     reach: float
     sides: list
 
 
-def _ends(nbrs: NeighborList, ids: np.ndarray):
-    """The two ends (intp) of the bonds ``ids``: a bond's far end is its
-    neighbor, and its source the neighbor of its reversed bond."""
+def _chunk_lengths(nbrs: NeighborList, ids: np.ndarray, coords: list):
+    """The two ends (intp) of the bonds ``ids`` and their lengths |c_j -
+    c_i| in ``coords``, one contiguous array per component: the positions
+    give |xi|, bit for bit the list's ``xi_norm``, and p = x + u the
+    deformed lengths.  A bond's far end is its neighbor, and its source
+    the neighbor of its reversed bond."""
     ids = ids.astype(np.intp)
     back = np.take(nbrs.partner, ids).astype(np.intp)
-    return (np.take(nbrs.neighbors, back).astype(np.intp),
-            np.take(nbrs.neighbors, ids).astype(np.intp))
+    i = np.take(nbrs.neighbors, back).astype(np.intp)
+    j = np.take(nbrs.neighbors, ids).astype(np.intp)
+    return i, j, _norm([np.take(c, j) - np.take(c, i) for c in coords])
+
+
+def _nonzero32(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) as int32, found in chunks of _BLOCK_SLOTS, so
+    that no int64 array spans the result."""
+    ids = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    at = 0
+    for lo in range(0, len(mask), _BLOCK_SLOTS):
+        part = np.flatnonzero(mask[lo:lo + _BLOCK_SLOTS])
+        ids[at:at + len(part)] = part + lo
+        at += len(part)
+    return ids
 
 
 def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
-    """The list's half-bond table at s0, split by ``nbrs.bond_sides``,
-    filled in chunks of _BLOCK_SLOTS bonds: no temporary but the bool
-    masks spans the bonds.  Each side starts with no refresh.
+    """The list's half-bond table at s0, one side per mask of
+    ``nbrs.bond_sides``, each with no refresh.  Every side's ids are found
+    before the bool masks are freed, then each side's lengths and ends in
+    chunks of _BLOCK_SLOTS bonds: no temporary mask outlives the ids.
 
     Raises ValueError unless s0 is positive and finite: a NaN or infinite
     s0 breaks no bond, and at s0 <= 0 every bond breaks at rest."""
@@ -666,41 +682,26 @@ def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
         raise ValueError(f"critical stretch s0 must be positive and finite, "
                          f"got {s0}")
     half = nbrs.neighbors > nbrs.bond_i
-    sides = [half]
-    if nbrs.bond_sides is not None:
-        sides = [half & m for m in nbrs.bond_sides[1:]]
-        sides.insert(0, np.logical_and(half, nbrs.bond_sides[0], out=half))
-    sizes = [int(np.count_nonzero(side)) for side in sides]
-    ids = np.empty(sum(sizes), dtype=np.int32)
-    at = 0
-    for side in sides:
-        for lo in range(0, len(side), _BLOCK_SLOTS):
-            part = np.flatnonzero(side[lo:lo + _BLOCK_SLOTS])
-            ids[at:at + len(part)] = part + lo
-            at += len(part)
-    del sides, half
+    ids = [_nonzero32(half & mask) for mask in nbrs.bond_sides or [True]]
+    del half
     # np.take copies a strided source whole on every call
     pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
-    length = np.empty(len(ids))
-    skins = []
-    bounds = np.cumsum([0] + sizes)
-    for first, stop in zip(bounds[:-1], bounds[1:]):
+    sides = []
+    for side_ids in ids:
+        length = np.empty(len(side_ids))
         ends = np.zeros(nbrs.n_points, dtype=bool)
-        for lo in range(first, stop, _BLOCK_SLOTS):
-            chunk = slice(lo, min(lo + _BLOCK_SLOTS, stop))
-            i_c, j_c = _ends(nbrs, ids[chunk])
-            # x_j - x_i and _norm: the list's derived xi_norm, bit for bit
-            length[chunk] = _norm([np.take(p, j_c) - np.take(p, i_c)
-                                   for p in pos])
-            ends[i_c] = ends[j_c] = True
-        skins.append(_Skin(rows=slice(int(first), int(stop)),
+        for lo in range(0, len(side_ids), _BLOCK_SLOTS):
+            chunk = slice(lo, lo + _BLOCK_SLOTS)
+            i, j, length[chunk] = _chunk_lengths(nbrs, side_ids[chunk], pos)
+            ends[i] = ends[j] = True
+        sides.append(_Side(ids=side_ids, length=length,
                            points=np.flatnonzero(ends)))
-    reach = np.abs(nbrs.positions).max(initial=0.0) \
-        + (1.0 + s0) * length.max(initial=0.0)
-    return _HalfBonds(ids=ids, length=length, s0=s0,
-                      skin=_SKIN_FRACTION * s0 * length.min() if len(ids)
-                      else 0.0,
-                      reach=float(reach), sides=skins)
+    held = [side.length for side in sides if len(side.ids)]
+    longest = max((length.max() for length in held), default=0.0)
+    shortest = min((length.min() for length in held), default=0.0)
+    reach = np.abs(nbrs.positions).max(initial=0.0) + (1.0 + s0) * longest
+    return _HalfBonds(s0=s0, skin=_SKIN_FRACTION * s0 * shortest,
+                      reach=float(reach), sides=sides)
 
 
 def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
@@ -713,10 +714,10 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     must be one of ``nbrs.bond_sides``, by identity, and any other mask
     raises ValueError.
 
-    The list keeps one half-bond table, ``nbrs.damage_table``, split by
-    ``nbrs.bond_sides`` and rebuilt when s0 changes (a new partition or
-    the run's end drops it).  A side's mask checks its slice, no mask every
-    side.
+    The list keeps one half-bond table, ``nbrs.damage_table``, with one
+    side per mask of ``nbrs.bond_sides``, rebuilt when s0 changes (a new
+    partition or the run's end drops it).  A side's mask checks that side,
+    no mask every side.
 
     Each undirected bond is evaluated once, in its direction towards the
     higher point index.  The reversed bond's deformed vector is the exact
@@ -746,7 +747,7 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
         [_check_side(nbrs, table, side, u) for side in checked]))
 
 
-def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
+def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Side,
                 u: np.ndarray) -> np.ndarray:
     """The ids of the side's half-bonds whose stretch reaches s0.
 
@@ -769,19 +770,12 @@ def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
     empty = np.empty(0, dtype=np.intp)
     hits = [np.empty(0, dtype=np.int32)]
     watch = [(hits[0], empty, empty, np.empty(0))]
-    for lo in range(side.rows.start, side.rows.stop, _BLOCK_SLOTS):
-        chunk = slice(lo, min(lo + _BLOCK_SLOTS, side.rows.stop))
-        ids = table.ids[chunk]
-        i, j = _ends(nbrs, ids)
-        deformed = []
-        for p_k in p:
-            d_k = np.take(p_k, j)
-            d_k -= np.take(p_k, i)
-            deformed.append(d_k)
+    for lo in range(0, len(side.ids), _BLOCK_SLOTS):
+        chunk = slice(lo, lo + _BLOCK_SLOTS)
+        ids, length = side.ids[chunk], side.length[chunk]
         # Broken bonds are evaluated and watched too; _break_bonds skips
         # them.
-        grown = _norm(deformed)
-        length = table.length[chunk]
+        i, j, grown = _chunk_lengths(nbrs, ids, p)
         hits.append(ids[bond_stretch(grown, length) >= table.s0])
         # watched: the half-bonds that a growth of their length by the skin
         # breaks
@@ -794,7 +788,7 @@ def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Skin,
     return np.concatenate(hits)
 
 
-def _drift(table: _HalfBonds, side: _Skin, u: np.ndarray) -> float:
+def _drift(table: _HalfBonds, side: _Side, u: np.ndarray) -> float:
     """An upper bound on how far any of the side's deformed bond vectors
     moved since its latest refresh, rounding margin included.
 

@@ -81,7 +81,7 @@ class NeighborList:
     from ``mu`` know when to refresh.  ``bond_sides`` holds the two
     read-only bond masks of a ``forces.PDOperator.partition`` for one run,
     and ``damage_table`` the half-bond table of ``forces.update_damage``,
-    split by them.
+    one side per mask.
     """
 
     delta: float

@@ -415,10 +415,12 @@ class TestSchema:
          "output.formats: expected vtk, got 'csv'"),
         ("converge", CUSTOM_TEXT.replace("n_steps = 8", "n_steps = 0"),
          "time.n_steps: convergence sweeps need n_steps > 0"),
+        ("compare", CUSTOM_TEXT.replace("n_steps = 8", "n_steps = 0"),
+         "time.n_steps: comparisons need n_steps > 0"),
     ], ids=["unknown-preset", "preset-with-section", "no-time-section",
             "4-component-box", "zero-extent", "2d-no-thickness",
             "fracture-no-s0", "precrack-3d", "error-component-z-2d",
-            "csv-format", "converge-no-steps"])
+            "csv-format", "converge-no-steps", "compare-no-steps"])
     def test_cli_refuses_config(self, tmp_path, capsys, command, text,
                                 problem):
         argv = [command, "--config", write_config(tmp_path, text),

@@ -942,6 +942,26 @@ class TestCaches:
         assert np.array_equal(~nbrs.mu, plan.fine_bond_mask)
 
 
+def assert_sides_partition(nbrs):
+    """The list's damage table holds one side per mask of
+    ``nbrs.bond_sides`` (one side without a split): a side's ids are its
+    mask's half-bonds as ascending int32, its lengths the bytes of the
+    list's ``xi_norm`` at them and its points the ends of its half-bonds;
+    merged, the sides' ids are every half-bond."""
+    half = nbrs.neighbors > nbrs.bond_i
+    masks = nbrs.bond_sides or (np.ones(nbrs.n_bonds, dtype=bool),)
+    sides = nbrs.damage_table.sides
+    assert len(sides) == len(masks)
+    for side, mask in zip(sides, masks):
+        assert side.ids.dtype == np.int32
+        assert np.array_equal(side.ids, np.flatnonzero(half & mask))
+        assert side.length.tobytes() == nbrs.xi_norm[side.ids].tobytes()
+        assert np.array_equal(side.points, np.union1d(
+            nbrs.bond_i[side.ids], nbrs.neighbors[side.ids]))
+    merged = np.sort(np.concatenate([side.ids for side in sides]))
+    assert np.array_equal(merged, np.flatnonzero(half))
+
+
 class TestDamage:
     def grid_setup(self, s0=None):
         cloud = build_grid(((0, 0), (10, 10)), 1.0, thickness=1.0)
@@ -1038,19 +1058,11 @@ class TestDamage:
 
         assert update_damage(nbrs, u, s0, bond_mask) == expected
         assert np.array_equal(nbrs.mu, expected_mu)
-        # over a partition, one table: the coarse half-bonds, then the
-        # fine ones; without one, every half-bond, ascending
-        half = nbrs.neighbors > nbrs.bond_i
-        table = nbrs.damage_table
+        # over a partition, a coarse side and a fine side; without one,
+        # one side of every half-bond
+        assert_sides_partition(nbrs)
         if partitioned:
-            coarse = np.flatnonzero(half & plan.coarse_bond_mask)
-            fine = np.flatnonzero(half & plan.fine_bond_mask)
-            split = table.sides[0].rows.stop
-            assert split == len(coarse)
-            assert np.array_equal(table.ids[:split], coarse)
-            assert np.array_equal(table.ids[split:], fine)
-        else:
-            assert np.array_equal(table.ids, np.flatnonzero(half))
+            assert nbrs.bond_sides[0] is plan.coarse_bond_mask
 
     @staticmethod
     def variants(check, monkeypatch, masked):
@@ -1187,6 +1199,51 @@ def place_length(x, u, a, c, target):
         if forces._norm((x[c] + u[c]) - p_a) == target:
             return
     raise AssertionError("could not place the bond at the target length")
+
+
+class TestDamageSides:
+    """Each side of the damage table owns its half-bonds, on random clouds
+    and random partitions."""
+
+    @staticmethod
+    def random_op(dim, seed):
+        """150 points uniform in the unit square or cube, about 10
+        neighbors each."""
+        rng = np.random.default_rng(seed)
+        pos = rng.random((150, dim))
+        cloud = make_cloud(pos, spacing=0.08, volume=1.0 / 150,
+                           thickness=0.01 if dim == 2 else None)
+        mat = Material(E=1.0, nu=1 / 3 if dim == 2 else 0.25, rho=1.0)
+        delta = 0.15 if dim == 2 else 0.25
+        return PDOperator(cloud, build_neighbor_list(cloud, delta), mat), rng
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sides_partition_the_half_bonds(self, dim, seed):
+        # a random split, and splits with an empty side b and an empty
+        # side a; the split table's sides, merged, are the unsplit table,
+        # with the same skin and reach
+        op, rng = self.random_op(dim, seed)
+        nbrs, n = op.nbrs, op.cloud.n_points
+        unsplit = forces._half_bonds(dataclasses.replace(nbrs), 0.05)
+        (whole,) = unsplit.sides
+        in_b = rng.random(n) < 0.3
+        everything, nothing = np.arange(n), np.empty(0, dtype=np.int64)
+        for rows_a, rows_b in ((np.flatnonzero(~in_b), np.flatnonzero(in_b)),
+                               (everything, nothing), (nothing, everything)):
+            *_, mask_b = op.partition(rows_a, rows_b)
+            update_damage(nbrs, np.zeros((n, dim)), 0.05, mask_b)
+            assert_sides_partition(nbrs)
+            table = nbrs.damage_table
+            ids = np.concatenate([side.ids for side in table.sides])
+            order = np.argsort(ids)
+            assert np.array_equal(ids[order], whole.ids)
+            assert np.concatenate([side.length for side in table.sides])[
+                order].tobytes() == whole.length.tobytes()
+            assert (table.skin, table.reach) == (unsplit.skin, unsplit.reach)
+            empty = [side for side in table.sides if not len(side.ids)]
+            assert all(len(side.points) == 0 for side in empty)
+            assert len(empty) == (len(rows_a) == 0) + (len(rows_b) == 0)
 
 
 class TestDamageSkin:
@@ -1420,7 +1477,8 @@ class TestDamageSkin:
         masks = (None, side_a, side_b)
         assert self.replay(op, self.motion(op, "halves"), self.S0, masks) > 0
         full, empty = op.nbrs.damage_table.sides
-        assert len(empty.points) == 0 and empty.rows.start == empty.rows.stop
+        assert len(empty.points) == len(empty.ids) == len(empty.length) == 0
+        assert_sides_partition(op.nbrs)
         assert (empty.checks, empty.refreshes) == (80, 1)
         assert 1 < full.refreshes < full.checks
 
@@ -1470,16 +1528,25 @@ class TestDamageSkin:
         assert self.counts(nbrs) == (1, 1)
 
     def test_table_layout(self):
-        # 12 B per half-bond: int32 ids and float64 lengths |xi|, bit for
-        # bit the list's
-        op = self.jittered_op(3)
-        update_damage(op.nbrs, np.zeros((op.cloud.n_points, 3)), self.S0)
-        table = op.nbrs.damage_table
-        held = (table.ids, table.length)
-        assert sum(a.nbytes for a in held) == 12 * len(table.ids)
-        assert table.length.tobytes() == op.nbrs.xi_norm[table.ids].tobytes()
-        assert table.skin == forces._SKIN_FRACTION * self.S0 \
-            * op.nbrs.xi_norm.min()
+        # 12 B per half-bond: each side's int32 ids and float64 lengths
+        # |xi|, bit for bit the list's; split or not, the skin and reach
+        # are taken over every side
+        for split in (False, True):
+            op = self.jittered_op(3)
+            if split:
+                self.split(op)
+            update_damage(op.nbrs, np.zeros((op.cloud.n_points, 3)), self.S0)
+            table = op.nbrs.damage_table
+            assert len(table.sides) == 1 + split
+            assert_sides_partition(op.nbrs)
+            half_bonds = sum(len(side.ids) for side in table.sides)
+            held = [a for side in table.sides for a in (side.ids, side.length)]
+            assert sum(a.nbytes for a in held) == 12 * half_bonds
+            xi_norm = op.nbrs.xi_norm
+            assert table.skin == \
+                forces._SKIN_FRACTION * self.S0 * xi_norm.min()
+            assert table.reach == np.abs(op.cloud.positions).max() \
+                + (1.0 + self.S0) * xi_norm.max()
 
     def test_crack2d(self):
         # a real MTS run refreshes each side on some checks, not all, and
@@ -1692,38 +1759,36 @@ class TestBondStorage:
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
-        # the one table: the coarse ids, then the fine ones, and their
-        # lengths, the bytes of the list's xi_norm (12 B per half-bond);
-        # built once per s0, and no bond vectors and no ends are stored
+        # one side per mask, coarse then fine: its ids and their lengths,
+        # the bytes of the list's xi_norm (12 B per half-bond); built once
+        # per s0, and no bond vectors and no ends are stored
         op, plan = loaded_plan(s0=0.5, n=n, dim=dim)
         nbrs = op.nbrs
         assert nbrs.damage_table is None
         u = np.zeros((op.cloud.n_points, dim))
-        half = nbrs.neighbors > nbrs.bond_i
-        ids = np.concatenate([np.flatnonzero(half & mask) for mask in
-                              (plan.coarse_bond_mask, plan.fine_bond_mask)])
         table = None
         for s0 in (0.5, 0.5, 0.25):
             update_damage(nbrs, u, s0, plan.fine_bond_mask)
             assert (nbrs.damage_table is table) == (table is not None
                                                     and table.s0 == s0)
             table = nbrs.damage_table
-            assert table.ids.dtype == np.int32
-            assert np.array_equal(table.ids, ids)
-            assert not hasattr(table, "i") and not hasattr(table, "j")
-            for lo in range(0, len(ids), 37):  # the ends a refresh derives
-                chunk = ids[lo:lo + 37]
-                i, j = forces._ends(nbrs, chunk)
-                assert i.dtype == j.dtype == np.intp
-                assert np.array_equal(i, nbrs.bond_i[chunk])
-                assert np.array_equal(j, nbrs.neighbors[chunk])
-            assert not hasattr(table, "xi") and not hasattr(table, "xi_norm")
             assert table.s0 == s0
-            assert table.length.tobytes() == nbrs.xi_norm[ids].tobytes()
-            for side in table.sides:  # the ends of the side's half-bonds
-                ends = table.ids[side.rows]
-                assert np.array_equal(side.points, np.union1d(
-                    nbrs.bond_i[ends], nbrs.neighbors[ends]))
+            assert all(a is b for a, b in zip(nbrs.bond_sides, (
+                plan.coarse_bond_mask, plan.fine_bond_mask)))
+            assert_sides_partition(nbrs)
+            for side in table.sides:
+                assert set(vars(side)) == {
+                    "ids", "length", "points", "u_ref", "u_ref_max",
+                    "watch", "checks", "refreshes"}
+                for lo in range(0, len(side.ids), 37):  # what a chunk derives
+                    chunk = side.ids[lo:lo + 37]
+                    i, j, length = forces._chunk_lengths(
+                        nbrs, chunk, list(nbrs.positions.T.copy()))
+                    assert i.dtype == j.dtype == np.intp
+                    assert np.array_equal(i, nbrs.bond_i[chunk])
+                    assert np.array_equal(j, nbrs.neighbors[chunk])
+                    assert length.tobytes() == nbrs.xi_norm[chunk].tobytes()
+            assert set(vars(table)) == {"s0", "skin", "reach", "sides"}
         update_damage(nbrs, u, 0.25)
         assert nbrs.damage_table is table  # the unmasked check shares it
         # a new split drops the table and refuses the old split's masks
@@ -1732,8 +1797,7 @@ class TestBondStorage:
         with pytest.raises(ValueError, match="bond_sides"):
             update_damage(nbrs, u, 0.25, plan.fine_bond_mask)
         update_damage(nbrs, u, 0.25, nbrs.bond_sides[1])
-        assert np.array_equal(nbrs.damage_table.ids, np.concatenate(
-            [np.flatnonzero(half & mask) for mask in nbrs.bond_sides]))
+        assert_sides_partition(nbrs)
 
     def test_bond_sel_is_built_on_first_access(self):
         op, plan = loaded_plan()

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from peridyn.app import Scenario, preset_config, run_scheme
 from peridyn.forces import FieldState, InstabilityError, Loading, \
     PDOperator, SimulationError, update_damage
 from peridyn.geometry import build_grid, build_neighbor_list, \
@@ -680,7 +683,6 @@ class TestCostModel:
             assert cost_model(op.nbrs, config) == 1.0
 
     def test_crack2d_preset(self):
-        from peridyn.app import Scenario, preset_config
         scenario = Scenario(preset_config("crack2d"))
         for K, want in ((2, 0.601), (4, 0.402), (8, 0.302)):
             assert cost_model(scenario.nbrs, scenario.mts_config(K=K)) == \
@@ -712,3 +714,52 @@ class TestCostModel:
         assert model == views_ratio(plan)
         assert sum(evaluated) == \
             pytest.approx(model * K * order * bonds, rel=1e-12)
+
+
+def momentum_imbalance(op, final) -> float:
+    """The larger relative error of the momentum balance rho V sum(v) =
+    T V sum(b) and of its integral rho V sum(u) = T^2/2 V sum(b), for a
+    run from rest with body forces only: internal forces cancel pair by
+    pair, so a scheme that evaluates each bond once per stage keeps both."""
+    rho, vol, T = op.material.rho, op.cloud.volume_per_point, final.t
+    load = vol * op.body.sum(axis=0)
+    return max(np.abs(total - expect).max() / np.abs(expect).max()
+               for total, expect in (
+                   (rho * vol * final.v.sum(axis=0), T * load),
+                   (rho * vol * final.u.sum(axis=0), 0.5 * T * T * load)))
+
+
+class TestMomentumBalance:
+    """Desk plate2d, from rest under a body-force layer, to the preset's
+    final time.  UPD keeps the balance to rounding.  MTS evaluates each
+    interface bond twice, at different values, so its impulses need not
+    cancel; the imbalance is a time-stepping error and falls at the
+    scheme's order as dt halves."""
+
+    @staticmethod
+    def imbalances(order, scheme, halvings):
+        cfg = preset_config("plate2d")
+        cfg = dataclasses.replace(cfg, mts=dataclasses.replace(cfg.mts,
+                                                               order=order))
+        scenario = Scenario(cfg)
+        dt, n = cfg.time.dt, cfg.time.n_steps
+        found = []
+        for h in (2 ** k for k in range(halvings + 1)):
+            op = scenario.fresh_operator()
+            traj, _ = run_scheme(scenario, op, scheme, dt / h, n * h, K=2)
+            assert traj.final.t == pytest.approx(scenario.final_time)
+            found.append(momentum_imbalance(op, traj.final))
+        return found
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_upd_keeps_the_balance(self, order):
+        assert max(self.imbalances(order, "upd", 1)) <= 1e-12
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_mts_imbalance_falls_at_the_order(self, order):
+        # each halving divides it by at least 0.8 * 2^r, unless it is
+        # already down to rounding
+        found = self.imbalances(order, "mts", 2)
+        assert found[0] > 1e-9
+        for coarse, fine in zip(found, found[1:]):
+            assert fine <= 1e-12 or coarse / fine >= 0.8 * 2 ** order
