@@ -2,7 +2,7 @@
 
 Temporal convergence is measured against a fine-step UPD reference on the
 same mesh, so errors are pure time-integration errors.  References are
-cached on disk keyed by a hash of the scenario and the reference step.
+cached on disk (.npy) keyed by a hash of the scenario and the reference step.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io as pio
 from .forces import FieldState
 from .geometry import SubdomainLabels
 from .integrator import ButcherTableau, upd_run
@@ -103,8 +104,6 @@ def reference_solution(scenario, tab: ButcherTableau, dt_ref: float,
     combines the scenario's canonical serialization, the method order, and
     dt_ref, so cached and fresh references agree bit-for-bit.
     """
-    from . import io as pio  # local import: analysis stays usable standalone
-
     final_time = scenario.final_time
     n_ref = round(final_time / dt_ref)
     if abs(n_ref * dt_ref - final_time) > 1e-9 * final_time:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
+import numbers
 import operator
 import os
 import typing
@@ -342,9 +343,17 @@ def _entries(cfg: SimulationConfig):
                     yield section, row.key, row, value
 
 
+def _number_problem(x):
+    """Why x is no finite number that the text form can carry, or None."""
+    if isinstance(x, bool):
+        return f"must be a number, got {x!r}"
+    return None if math.isfinite(x) else f"must be finite, got {x}"
+
+
 def _field_problem(row: _Field, value, dim: int):
     """The row's own check on one value: `dim` components in each point,
-    finite numbers and ordered box corners, then row.check."""
+    finite non-bool numbers, ints for int and ordered box corners, then
+    row.check."""
     if value is None:
         if row.default is None:
             return None  # an optional key left out
@@ -353,13 +362,17 @@ def _field_problem(row: _Field, value, dim: int):
         sizes = [len(point) for point in points if len(point) != dim]
         if sizes:
             return f"expected {dim} components, got {sizes[0]}"
-        bad = [x for point in points for x in point if not math.isfinite(x)]
+        bad = [p for point in points for x in point
+               if (p := _number_problem(x))]
         if bad:
-            return f"must be finite, got {bad[0]}"
+            return bad[0]
         if row.kind == "box" and any(a > b for a, b in zip(*value)):
             return "min corner exceeds max corner"
-    elif row.kind == "float" and not math.isfinite(value):
-        return f"must be finite, got {value}"
+    elif row.kind == "float" and (problem := _number_problem(value)):
+        return problem
+    elif row.kind == "int" and (isinstance(value, bool) or
+                                not isinstance(value, numbers.Integral)):
+        return f"must be an integer, got {value!r}"
     rule, *args = row.check or (None,)
     if rule == "positive" and not (value is not None and value > 0):
         return "must be positive"
@@ -648,7 +661,7 @@ def run_scheme(scenario: Scenario, op, scheme: str, dt: float, n_steps: int,
                    s0=scenario.s0, on_step=on_step)
 
 
-def run(cfg: SimulationConfig, out_dir=None):
+def run(cfg: SimulationConfig):
     """Execute the configured scheme; write snapshots and the timing report.
 
     Returns (trajectory, timing, artifact_paths).  The VTK snapshots are
@@ -656,7 +669,7 @@ def run(cfg: SimulationConfig, out_dir=None):
     """
     scenario = Scenario(cfg)
     op = scenario.fresh_operator()  # a refused config leaves no directory
-    out_dir = out_dir or cfg.output.directory
+    out_dir = cfg.output.directory
     os.makedirs(out_dir, exist_ok=True)
     cadence = cfg.output.cadence
     paths = []

@@ -861,11 +861,11 @@ def break_precrack_bonds(cloud: PointCloud, nbrs: NeighborList,
     return _break_bonds(nbrs, ids[hits & nbrs.mu[ids]])
 
 
-def damage_index(nbrs: NeighborList, i: int | None = None):
+def damage_index(nbrs: NeighborList) -> np.ndarray:
     """Volume-weighted fraction of broken bonds per point, in [0, 1].
 
     With uniform point volumes this is 1 - (alive bonds / total bonds).
-    Points without bonds report 0.  Pass ``i`` for a single point.
+    Points without bonds report 0.
     """
     counts = nbrs.counts().astype(float)
     # the flags are bool: these are integer counts
@@ -874,4 +874,4 @@ def damage_index(nbrs: NeighborList, i: int | None = None):
     phi = np.zeros(nbrs.n_points)
     has = counts > 0
     phi[has] = 1.0 - alive[has] / counts[has]
-    return float(phi[i]) if i is not None else phi
+    return phi

@@ -39,16 +39,14 @@ class PointCloud:
 
     positions has shape (N, dim) in meters; ``volume_per_point`` is the
     common cell volume (m^3).  ``thickness`` is the out-of-plane depth in 2D
-    and None in 3D.  ``bounds`` is the (2, dim) bounding box.  The points do
-    not move: ``vtk_head`` keeps the static text of the cloud's VTK
-    snapshots once ``io.write_vtk`` has formatted it.
+    and None in 3D.  The points do not move: ``vtk_head`` keeps the static
+    text of their VTK snapshots once ``io.write_vtk`` has formatted it.
     """
 
     dim: int
     positions: np.ndarray
     spacing: float
     volume_per_point: float
-    bounds: np.ndarray
     thickness: float | None = None
     vtk_head: str | None = field(default=None, init=False, repr=False,
                                  compare=False)
@@ -222,10 +220,8 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
     else:
         thickness = None
         volume = dx ** 3
-    bounds = np.vstack([lo, hi])
     return PointCloud(dim=dim, positions=positions, spacing=dx,
-                      volume_per_point=volume, bounds=bounds,
-                      thickness=thickness)
+                      volume_per_point=volume, thickness=thickness)
 
 
 def _norm(d):

@@ -1,5 +1,5 @@
 """Writers: legacy ASCII VTK snapshots, convergence CSV, timing reports,
-and the binary reference-solution cache.
+and the reference-solution cache (numpy .npy arrays).
 
 All output is deterministic: no wall-clock time stamps appear in any data
 section, and floats are printed with 17 significant digits (VTK) so parsed
@@ -16,8 +16,6 @@ import numpy as np
 from .forces import FieldState
 from .geometry import PointCloud
 
-_CACHE_MAGIC = "peridyn reference cache 1"
-
 # Part of every reference cache key.  Bump it whenever a change alters
 # trajectory bits (a new summation order, say), so that references cached
 # by the old solver are recomputed instead of served stale, and whenever
@@ -25,13 +23,9 @@ _CACHE_MAGIC = "peridyn reference cache 1"
 REFERENCE_VERSION = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _rows(a: np.ndarray) -> str:
     """The rows of a 1-D or 2-D float array as lines of space-separated
-    "%.17g" values, _fmt's text, formatted by one template string."""
+    "%.17g" values, formatted by one template string."""
     a = np.asarray(a, dtype=float)
     line = " ".join(["%.17g"] * (a.shape[1] if a.ndim == 2 else 1))
     return "\n".join([line] * len(a)) % tuple(a.ravel().tolist())
@@ -93,26 +87,6 @@ def write_csv(rows, path):
         fp.write("\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    """Parse a convergence CSV back into ConvergenceRow objects."""
-    from .analysis import ConvergenceRow
-
-    rows = []
-    with open(path) as fp:
-        header = fp.readline().strip()
-        if header != "dt,K,scope,error,CR":
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        for line in fp:
-            line = line.strip()
-            if not line:
-                continue
-            dt, k, scope, err, cr = line.split(",")
-            rows.append(ConvergenceRow(
-                dt=float(dt), K=int(k), scope=scope, error=float(err),
-                cr=None if cr == "" else float(cr)))
-    return rows
-
-
 def write_timing(timing, path):
     """Flat text record of the phase timings: phase,calls,seconds."""
     lines = ["phase,calls,seconds"]
@@ -131,23 +105,15 @@ def reference_cache_key(canonical_text: str, order: int, dt_ref: float) -> str:
 
 
 def reference_cache_path(cache_dir, key: str) -> str:
-    return os.path.join(cache_dir, f"ref_{key}.bin")
+    return os.path.join(cache_dir, f"ref_{key}.npy")
 
 
 def save_reference(path, state: FieldState):
-    """Flat binary dump with a small text header (native little-endian
-    float64, u then v, C order)."""
+    """Two .npy arrays in one file: the time, then u and v stacked."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    n, dim = state.u.shape
-    header = (f"{_CACHE_MAGIC}\n"
-              f"dim {dim}\n"
-              f"points {n}\n"
-              f"components {2 * dim}\n"
-              f"final_time {_fmt(state.t)}\n")
     with open(path, "wb") as fp:
-        fp.write(header.encode())
-        np.ascontiguousarray(state.u, dtype="<f8").tofile(fp)
-        np.ascontiguousarray(state.v, dtype="<f8").tofile(fp)
+        np.save(fp, np.float64(state.t))
+        np.save(fp, np.stack([state.u, state.v]))
 
 
 class ReferenceCacheError(OSError):
@@ -157,26 +123,21 @@ class ReferenceCacheError(OSError):
 def load_reference(path) -> FieldState | None:
     """Read a cached reference; None when the file does not exist.
 
-    Raises ReferenceCacheError, naming the file, when its magic line, its
-    header or the length of its payload is wrong.
+    Raises ReferenceCacheError, naming the file, unless it holds exactly a
+    0-d float64 time and a (2, N, dim) float64 array of u and v.  np.load
+    checks each array's magic, header and length, and refuses pickles.
     """
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fp:
-        if fp.readline() != f"{_CACHE_MAGIC}\n".encode():
-            raise ReferenceCacheError(f"{path}: not a reference cache file")
-        try:
-            meta = dict(fp.readline().decode().split() for _ in range(4))
-            dim, n = int(meta["dim"]), int(meta["points"])
-            t = float(meta["final_time"])
-        except (ValueError, KeyError) as err:
-            raise ReferenceCacheError(
-                f"{path}: corrupt reference cache header ({err})") from None
-        data = np.fromfile(fp, dtype="<f8", count=2 * n * dim)
-        if data.size != 2 * n * dim or fp.read(1):
-            raise ReferenceCacheError(
-                f"{path}: reference cache payload does not hold exactly "
-                f"{2 * n * dim} values ({n} points x {2 * dim} components)")
-    u = data[:n * dim].reshape(n, dim)
-    v = data[n * dim:].reshape(n, dim)
-    return FieldState(u=u, v=v, t=t)
+    try:
+        with open(path, "rb") as fp:
+            t, uv = np.load(fp), np.load(fp)
+            if fp.read(1) or not all(isinstance(a, np.ndarray) and
+                                     a.dtype == np.float64 for a in (t, uv)) \
+                    or t.ndim != 0 or uv.ndim != 3 or len(uv) != 2:
+                raise ValueError("expected a float64 time, then u and v as "
+                                 "one (2, N, dim) float64 array, and no more")
+    except (ValueError, EOFError) as err:
+        raise ReferenceCacheError(
+            f"{path}: corrupt reference cache file ({err})") from None
+    return FieldState(u=uv[0], v=uv[1], t=float(t))

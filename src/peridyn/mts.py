@@ -412,11 +412,9 @@ def fine_advance(plan: MtsPlan, y_half: np.ndarray, interp: Interpolant,
 
 
 def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
-             history: OperatorHistory,
-             timing: TimingReport | None = None) -> np.ndarray:
+             history: OperatorHistory, timing: TimingReport) -> np.ndarray:
     """Full coarse step: coarse advance, interpolant, fine advance, damage,
     then push the rates at t_{n+1} into the history."""
-    timing = timing if timing is not None else TimingReport()
     with timing.phase("coarse"):
         y_half = coarse_advance(plan, y_n, t_n, history)
     with timing.phase("interpolant"):
@@ -435,12 +433,10 @@ def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
 
 
 def startup_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
-                 history: OperatorHistory,
-                 timing: TimingReport | None = None) -> np.ndarray:
+                 history: OperatorHistory, timing: TimingReport) -> np.ndarray:
     """Startup coarse step, taken before the history holds r-1 levels: K
     whole-domain UPD steps at dt/K (no correction terms, every bond
     damage-checked), then push the rates at t_{n+1}."""
-    timing = timing if timing is not None else TimingReport()
     op = plan.op
     dt_k = plan.config.dt / plan.config.K
     y = y_n

@@ -110,7 +110,7 @@ class TestReferenceSolution:
         assert np.array_equal(fresh.u, cached.u)
         assert np.array_equal(fresh.v, cached.v)
         assert fresh.t == cached.t
-        assert len(list(tmp_path.glob("ref_*.bin"))) == 1
+        assert len(list(tmp_path.glob("ref_*.npy"))) == 1
 
     def test_reference_insensitivity(self, mini_config):
         # halving the reference step changes reported sweep errors < 1%

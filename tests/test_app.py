@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import math
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import peridyn.app as app
 import peridyn.cli as cli
 import peridyn.io as pio
-from peridyn.analysis import ConvergenceRow, observed_order
+from peridyn.analysis import ConvergenceRow, observed_order, \
+    reference_solution
 from peridyn.app import (
     ConfigError, FractureSpec, GeometrySpec, LoadSpec, MtsSpec,
     OutputSpec, Scenario, SimulationConfig, TimeSpec, apply_overrides,
@@ -21,6 +23,7 @@ from peridyn.app import (
 )
 from peridyn.forces import FieldState, Material, PDOperator
 from peridyn.geometry import build_grid
+from peridyn.integrator import tableau
 from peridyn.mts import MtsPlan
 from tests.test_mts import views_ratio
 
@@ -307,6 +310,26 @@ class TestSchema:
             validate_config(dataclasses.replace(
                 cfg, mts=dataclasses.replace(cfg.mts, fine_boxes=fine)))
 
+    # values a library caller can set but the text form cannot carry
+    @pytest.mark.parametrize("spec, key, value, problem", [
+        ("time", "n_steps", 3.5, "time.n_steps: must be an integer, got 3.5"),
+        ("time", "n_steps", 4.0, "time.n_steps: must be an integer, got 4.0"),
+        ("mts", "order", 4.0, "mts.order: must be an integer, got 4.0"),
+        ("material", "rho", True, "material.rho: must be a number, got True"),
+        ("mts", "K", 2.0, "mts.K: must be an integer, got 2.0"),
+        ("mts", "K", True, "mts.K: must be an integer, got True"),
+        ("geometry", "box_max", (1.0, True),
+         "geometry.box: must be a number, got True"),
+    ], ids=["n_steps-3.5", "n_steps-4.0", "order-4.0", "rho-True", "K-2.0",
+            "K-True", "box-True"])
+    def test_untyped_library_values_refused(self, spec, key, value, problem):
+        cfg = preset_config("plate2d")
+        cfg = dataclasses.replace(cfg, **{spec: dataclasses.replace(
+            getattr(cfg, spec), **{key: value})})
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.problems == [problem]
+
     @pytest.mark.parametrize("old, new, problem", [
         ("delta = 0.3", "delta = nan", "horizon.delta: must be finite"),
         ("enabled = false", "enabled = true\ns0 = nan",
@@ -530,7 +553,7 @@ class TestVtkWriter:
         cfg = dataclasses.replace(
             cfg, time=dataclasses.replace(cfg.time, n_steps=0),
             output=dataclasses.replace(cfg.output, cadence=0))
-        traj, _, paths = run(cfg, out_dir=str(tmp_path))
+        traj, _, paths = run(apply_overrides(cfg, out=str(tmp_path)))
         arrays = self.parse_vtk(paths[0])
         assert np.all(arrays["damage"] >= 0.0)
         assert np.all(arrays["damage"] <= 1.0)
@@ -542,7 +565,7 @@ class TestVtkWriter:
         cfg = dataclasses.replace(
             cfg, time=dataclasses.replace(cfg.time, n_steps=260),
             output=dataclasses.replace(cfg.output, cadence=130))
-        _, _, paths = run(cfg, out_dir=str(tmp_path))
+        _, _, paths = run(apply_overrides(cfg, out=str(tmp_path)))
         snaps = sorted(p for p in paths if p.endswith(".vtk"))
         assert len(snaps) == 3
         totals = [self.parse_vtk(p)["damage"].sum() for p in snaps]
@@ -572,18 +595,13 @@ class TestCsvWriter:
                 for dt, e, cr in zip(dts, errors, crs)]
         path = tmp_path / "sweep.csv"
         pio.write_csv(rows, path)
-        parsed = pio.read_csv(path)
-        recomputed = observed_order([r.error for r in parsed],
-                                    [r.dt for r in parsed])
-        for got, want in zip(recomputed, [r.cr for r in parsed[1:]]):
-            assert got == pytest.approx(want, abs=2e-5)
-
-    def test_wrong_header_refused(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        path.write_text("dt,K,scope,error\n1e-05,1,all,3e-09\n")
-        with pytest.raises(ValueError,
-                           match="unexpected CSV header: 'dt,K,scope,error'"):
-            pio.read_csv(path)
+        with open(path, newline="") as fp:
+            parsed = list(csv.DictReader(fp))
+        assert parsed[0]["CR"] == ""
+        recomputed = observed_order([float(r["error"]) for r in parsed],
+                                    [float(r["dt"]) for r in parsed])
+        for got, r in zip(recomputed, parsed[1:]):
+            assert got == pytest.approx(float(r["CR"]), abs=2e-5)
 
 
 class TestReferenceCache:
@@ -591,29 +609,58 @@ class TestReferenceCache:
         return FieldState(u=rng.normal(size=(5, 2)), v=rng.normal(size=(5, 2)),
                           t=0.125)
 
-    def test_header_only_file_rejected(self, tmp_path, rng):
-        path = str(tmp_path / "ref.bin")
-        pio.save_reference(path, self.state(rng))
-        with open(path, "rb") as fp:
-            header = b"".join(fp.readline() for _ in range(5))
-        with open(path, "wb") as fp:
-            fp.write(header)
-        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
-            pio.load_reference(path)
+    def test_header_only_file_rejected(self, tmp_path):
+        # the time array alone: the u and v array is missing
+        path = tmp_path / "ref.npy"
+        np.save(path, np.float64(0.125))
+        with pytest.raises(pio.ReferenceCacheError, match="ref.npy"):
+            pio.load_reference(str(path))
 
     def test_trailing_data_rejected(self, tmp_path, rng):
-        path = str(tmp_path / "ref.bin")
+        path = str(tmp_path / "ref.npy")
         pio.save_reference(path, self.state(rng))
         with open(path, "ab") as fp:
-            fp.write(b"\0" * 8)
-        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
+            fp.write(b"\0")
+        with pytest.raises(pio.ReferenceCacheError, match="ref.npy"):
             pio.load_reference(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "ref.bin"
+        path = tmp_path / "ref.npy"
         path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(64))
-        with pytest.raises(pio.ReferenceCacheError, match="ref.bin"):
+        with pytest.raises(pio.ReferenceCacheError, match="ref.npy"):
             pio.load_reference(str(path))
+
+    @pytest.mark.parametrize("arrays", [
+        (np.zeros((5, 2)), np.zeros((2, 5, 2))),  # time not 0-d
+        (np.float64(0.1), np.float64(0.2)),
+        (np.float64(0.1), np.zeros((5, 2))),  # u and v not stacked
+        (np.float64(0.1), np.zeros((3, 5, 2))),
+        (np.float64(0.1), np.zeros((2, 5, 2), dtype=np.float32)),
+        (np.float64(0.1), np.zeros((2, 5, 2), dtype=">f8")),
+        (np.float64(0.1), np.array([None, 1.0], dtype=object)),  # a pickle
+    ], ids=["time-shape", "uv-scalar", "uv-ndim", "uv-count", "float32",
+            "big-endian", "object"])
+    def test_wrong_arrays_rejected(self, tmp_path, arrays):
+        path = tmp_path / "ref.npy"
+        with open(path, "wb") as fp:
+            for a in arrays:
+                np.save(fp, a)
+        with pytest.raises(pio.ReferenceCacheError, match="ref.npy"):
+            pio.load_reference(str(path))
+
+    def test_benchmark_read_path(self, mini_config, tmp_path):
+        # perfbench's plate-converge rounds read the sweep's reference
+        # back by this key and path
+        cfg = mini_config(n_steps=4)
+        dts, order = [1e-5, 0.5e-5], cfg.mts.order
+        app.converge(cfg, dts, [1, 2], cache_dir=str(tmp_path))
+        sc = Scenario(cfg)
+        key = pio.reference_cache_key(sc.canonical_text, order, min(dts) / 16)
+        got = pio.load_reference(pio.reference_cache_path(str(tmp_path), key))
+        want = reference_solution(sc, tableau(order), min(dts) / 16)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.v.tobytes() == want.v.tobytes()
+        assert got.t == want.t
 
     def test_key_changes_with_reference_version(self, monkeypatch):
         args = ("[scenario]\nname = custom\n", 4, 1e-6)
@@ -626,14 +673,14 @@ class TestReferenceCache:
 class TestRunAndCli:
     def test_zero_steps_writes_initial_snapshot(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=0)
-        traj, timing, paths = run(cfg, out_dir=str(tmp_path))
+        traj, timing, paths = run(apply_overrides(cfg, out=str(tmp_path)))
         assert len(traj.states) == 1
         assert [os.path.basename(p) for p in paths] == ["snapshot_000000.vtk"]
 
     def test_run_writes_cadenced_snapshots_and_timing(self, mini_config,
                                                       tmp_path):
         cfg = mini_config(n_steps=8, cadence=4)
-        traj, timing, paths = run(cfg, out_dir=str(tmp_path))
+        traj, timing, paths = run(apply_overrides(cfg, out=str(tmp_path)))
         names = sorted(os.path.basename(p) for p in paths)
         assert names == ["snapshot_000000.vtk", "snapshot_000004.vtk",
                          "snapshot_000008.vtk", "timing.txt"]
@@ -749,11 +796,34 @@ class TestRunAndCli:
             self, tmp_path, mini_config, capsys):
         argv, cached = self.converge_and_cache(tmp_path, mini_config)
         data = cached.read_bytes()
-        assert b"\ndim 2\n" in data
-        cached.write_bytes(data.replace(b"\ndim 2\n", b"\ndim two\n", 1))
+        assert b"'shape': (2, " in data
+        cached.write_bytes(data.replace(b"'shape': (2, ", b"'shape': (2x ", 1))
         assert cli.main(argv) == 4
         err = capsys.readouterr().err
-        assert cached.name in err and "corrupt reference cache header" in err
+        assert cached.name in err and "corrupt reference cache file" in err
+        assert "Cannot parse header" in err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data + b"\0",
+        lambda data: b"\x89PNG\r\n\x1a\n" + bytes(64),
+        lambda data: data[:data.index(b"\x93NUMPY", 1)],
+    ], ids=["trailing-byte", "foreign-file", "time-only"])
+    def test_cli_malformed_reference_cache_exit_4(
+            self, tmp_path, mini_config, capsys, corrupt):
+        argv, cached = self.converge_and_cache(tmp_path, mini_config)
+        cached.write_bytes(corrupt(cached.read_bytes()))
+        assert cli.main(argv) == 4
+        assert cached.name in capsys.readouterr().err
+
+    def test_cli_old_format_cache_is_not_read(self, tmp_path, mini_config):
+        argv, cached = self.converge_and_cache(tmp_path, mini_config)
+        assert cached.suffix == ".npy"
+        old = cached.with_suffix(".bin")
+        old.write_bytes(b"peridyn reference cache 1\n")
+        cached.unlink()
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in old.parent.iterdir()) == \
+            sorted([old.name, cached.name])
 
     @pytest.mark.parametrize("option, value", [("--dt-list", "1e-5,abc"),
                                                ("--k-list", "1,x")])

@@ -21,8 +21,7 @@ def row_cloud(n=10, dx=1.0):
     """Points at x = 0..n-1 on the y = 0 line."""
     pos = np.zeros((n, 2))
     pos[:, 0] = np.arange(n) * dx
-    return PointCloud(dim=2, positions=pos, spacing=dx, volume_per_point=1.0,
-                      bounds=np.array([[0.0, 0.0], [(n - 1) * dx, 0.0]]))
+    return PointCloud(dim=2, positions=pos, spacing=dx, volume_per_point=1.0)
 
 
 def brute_force_neighbors(positions, delta):
@@ -133,8 +132,8 @@ class TestBuildGrid:
         assert cloud.n_points == 100 * 50
         assert cloud.volume_per_point == pytest.approx(1e-6)
         assert cloud.dim == 2
-        lo, hi = cloud.bounds
-        assert np.all(cloud.positions >= lo) and np.all(cloud.positions <= hi)
+        assert np.all(cloud.positions > (0, 0))
+        assert np.all(cloud.positions < (1, 0.5))
 
     def test_single_cell(self):
         cloud = build_grid(((0, 0), (1, 1)), 1.0, thickness=1.0)
@@ -196,8 +195,7 @@ class TestNeighborList:
             n = rng.integers(20, 200)
             pos = rng.uniform(0, 3, size=(n, 2))
             cloud = PointCloud(dim=2, positions=pos, spacing=0.01,
-                               volume_per_point=1.0,
-                               bounds=np.array([[0., 0.], [3., 3.]]))
+                               volume_per_point=1.0)
             delta = rng.uniform(0.3, 1.2)
             nbrs = build_neighbor_list(cloud, delta)
             oracle = brute_force_neighbors(pos, delta)
@@ -210,8 +208,7 @@ class TestNeighborList:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(0, 2, size=(60, 2))
         cloud = PointCloud(dim=2, positions=pos, spacing=0.01,
-                           volume_per_point=1.0,
-                           bounds=np.array([[0., 0.], [2., 2.]]))
+                           volume_per_point=1.0)
         nbrs = build_neighbor_list(cloud, delta)
         pairs = set(zip(nbrs.bond_i.tolist(), nbrs.neighbors.tolist()))
         assert all((j, i) in pairs for i, j in pairs)
@@ -235,8 +232,7 @@ class TestNeighborList:
     def test_coincident_points_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         cloud = PointCloud(dim=2, positions=pos, spacing=0.5,
-                           volume_per_point=1.0,
-                           bounds=np.array([[0., 0.], [1., 0.]]))
+                           volume_per_point=1.0)
         with pytest.raises(GeometryError, match="coincide"):
             build_neighbor_list(cloud, 1.5)
 

@@ -10,9 +10,10 @@ from peridyn.geometry import build_grid, build_neighbor_list, \
     classify_subdomains
 from peridyn.integrator import combine, rk_step, tableau, upd_run
 from peridyn.mts import (
-    Interpolant, MtsConfig, MtsPlan, OperatorHistory, _fi_ghost, assemble_f,
-    build_interpolant, coarse_advance, cost_model, estimate_derivatives,
-    fine_advance, matrix_A, mts_run, mts_step, startup_step,
+    Interpolant, MtsConfig, MtsPlan, OperatorHistory, TimingReport,
+    _fi_ghost, assemble_f, build_interpolant, coarse_advance, cost_model,
+    estimate_derivatives, fine_advance, matrix_A, mts_run, mts_step,
+    startup_step,
 )
 from tests.conftest import write_mu
 from tests.test_forces import make_cloud, random_state, unit_alpha_material
@@ -292,7 +293,7 @@ class TestCoarseAdvance:
             y, _ = rk_step(tab, y, op.rates, m * dt, dt)
             hist.push((m + 1) * dt, op.rates(y, (m + 1) * dt))
         plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=1, labels=labels))
-        stepped = mts_step(plan, y, 2 * dt, 3 * dt, hist)
+        stepped = mts_step(plan, y, 2 * dt, 3 * dt, hist, TimingReport())
         plain, _ = rk_step(tab, y, op.rates, 2 * dt, dt)
         assert np.array_equal(stepped, plain)
 
@@ -394,7 +395,8 @@ class TestInPlaceContract:
         monkeypatch.setattr(Interpolant, "evaluate",
                             lambda self, t: np.full_like(self.y0, np.nan))
         with pytest.raises(InstabilityError) as err:
-            mts_step(plan, y_n, t_n, t_n + plan.config.dt, hist)
+            mts_step(plan, y_n, t_n, t_n + plan.config.dt, hist,
+                     TimingReport())
         assert err.value.stage == 1
         assert np.array_equal(y_n, before)
         assert len(hist) == 3 and hist.t_at(0) == t_n
@@ -410,7 +412,8 @@ class TestStartupAndRun:
         states = [y0]
         for m in range(2):
             states.append(startup_step(plan, states[-1], m * cfg.dt,
-                                       (m + 1) * cfg.dt, hist))
+                                       (m + 1) * cfg.dt, hist,
+                                       TimingReport()))
         return hist, states[1:]
 
     def test_startup_k1_equals_two_upd_steps(self):
@@ -442,7 +445,7 @@ class TestStartupAndRun:
         y[:, :2] = 0.05 * op.cloud.positions  # every bond stretched 5%
         hist = OperatorHistory(cfg.dt)
         hist.push(0.0, op.rates(y, 0.0))
-        startup_step(plan, y, 0.0, cfg.dt, hist)
+        startup_step(plan, y, 0.0, cfg.dt, hist, TimingReport())
         assert np.all(op.nbrs.mu == 0.0)  # coarse and fine bonds alike
 
     def test_total_simulated_time(self):
@@ -708,7 +711,8 @@ class TestCostModel:
             return rates(self, y, t, view)
 
         monkeypatch.setattr(PDOperator, "rates", counting)
-        mts_step(plan, random_state(op, 3), t_n, t_n + dt, hist)
+        mts_step(plan, random_state(op, 3), t_n, t_n + dt, hist,
+                 TimingReport())
         bonds = op.nbrs.n_bonds
         model = cost_model(op.nbrs, plan.config)
         assert model == views_ratio(plan)
@@ -763,3 +767,42 @@ class TestMomentumBalance:
         assert found[0] > 1e-9
         for coarse, fine in zip(found, found[1:]):
             assert fine <= 1e-12 or coarse / fine >= 0.8 * 2 ** order
+
+
+def energy(op, state) -> tuple:
+    """(H, kinetic energy) of a state under the linear law with body forces
+    only: H = 1/2 rho V sum |v|^2 - 1/2 V sum u . f(u) - V sum b . u, where
+    f(u) = rho * accel - b is the internal force density (accel depends on
+    u alone)."""
+    rho, vol, dim = op.material.rho, op.cloud.volume_per_point, op.cloud.dim
+    u, v = state.u, state.v
+    force = rho * op.rates(state.packed(), state.t)[:, dim:] - op.body
+    kinetic = 0.5 * rho * vol * np.sum(v * v)
+    return kinetic - vol * np.sum(u * (0.5 * force + op.body)), kinetic
+
+
+class TestEnergyBalance:
+    """Desk plate2d, from rest under a body-force layer: the linear law
+    without fracture conserves H, so its drift over the preset's run is a
+    time-stepping error and falls at the scheme's order as dt halves."""
+
+    @pytest.mark.parametrize("scheme, order", [("upd", 3), ("upd", 4),
+                                               ("mts", 3), ("mts", 4)])
+    def test_drift_falls_at_the_order(self, scheme, order):
+        cfg = preset_config("plate2d")
+        cfg = dataclasses.replace(cfg, mts=dataclasses.replace(cfg.mts,
+                                                               order=order))
+        scenario = Scenario(cfg)
+        dt, n = cfg.time.dt, cfg.time.n_steps
+        drifts = []
+        for h in (1, 2, 4):
+            op = scenario.fresh_operator()
+            traj, _ = run_scheme(scenario, op, scheme, dt / h, n * h, K=2)
+            (h0, _), (h1, kinetic) = (energy(op, s) for s in
+                                      (traj.states[0], traj.final))
+            drifts.append((abs(h1 - h0), kinetic))
+        assert drifts[0][0] > 1e-9 * drifts[0][1]
+        # each halving divides it by at least 0.8 * 2^r, unless it is
+        # already under 1e-12 of the kinetic energy
+        for (coarse, _), (fine, kinetic) in zip(drifts, drifts[1:]):
+            assert fine <= 1e-12 * kinetic or coarse / fine >= 0.8 * 2 ** order
