@@ -345,7 +345,7 @@ def _entries(cfg: SimulationConfig):
 
 def _number_problem(x):
     """Why x is no finite number that the text form can carry, or None."""
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return f"must be a number, got {x!r}"
     return None if math.isfinite(x) else f"must be finite, got {x}"
 
@@ -440,7 +440,7 @@ def _fmt_pair(pair) -> str:
     return f"{_fmt_vec(pair[0])} ; {_fmt_vec(pair[1])}"
 
 
-_WRITERS = {"str": str, "int": str, "float": repr,
+_WRITERS = {"str": str, "int": str, "float": lambda v: repr(float(v)),
             "bool": lambda v: str(v).lower(), "box": _fmt_pair,
             "segment": _fmt_pair, "vector": _fmt_vec, "names": ",".join}
 

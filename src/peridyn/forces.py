@@ -532,18 +532,18 @@ class PDOperator:
         u = y[:, :dim].T.copy()
         # component-major, so a block's sums land in contiguous slices
         force = np.zeros((dim, len(view.rows)))
+        # the lowest collapsed bond: a union view's blocks run out of order
+        collapsed = self.nbrs.n_bonds
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             for blk, rows, dest in view.steps:
                 try:
                     scale, direction = self._pair_forces(
                         blk, _eta(blk, u, rows), blk.alive(self.nbrs))
-                except BondCollapseError:
-                    b = self._lowest_collapsed_bond(view, u)
-                    raise SimulationError(
-                        f"bond {self.nbrs.bond_i[b]} -> "
-                        f"{self.nbrs.neighbors[b]} "
-                        f"collapsed to zero length at t={t:.6e}") from None
+                except BondCollapseError as err:
+                    collapsed = min(collapsed, int(
+                        blk.bonds(self.nbrs)[err.collapsed].min()))
+                    continue
                 if isinstance(dest, slice):
                     _slot_sums(scale, direction, force[:, dest])
                 else:
@@ -552,6 +552,11 @@ class PDOperator:
                     sums = _slot_sums(scale, direction)
                     for force_k, sums_k in zip(force, sums):
                         force_k[dest] = sums_k
+            if collapsed < self.nbrs.n_bonds:
+                raise SimulationError(
+                    f"bond {self.nbrs.bond_i[collapsed]} -> "
+                    f"{self.nbrs.neighbors[collapsed]} "
+                    f"collapsed to zero length at t={t:.6e}")
             force *= self.cloud.volume_per_point
             body = self.body.T
             if isinstance(view.sel, slice):
@@ -576,19 +581,6 @@ class PDOperator:
             bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
             raise InstabilityError(point=int(view.rows[bad]), t=t)
         return out
-
-    def _lowest_collapsed_bond(self, view: _View, u: np.ndarray) -> int:
-        """The lowest id of a collapsed bond over all of the view's blocks:
-        the first block to raise holds it only when the blocks run in bond
-        order, which a union view's do not."""
-        lowest = self.nbrs.n_bonds
-        for blk, rows, _ in view.steps:
-            try:
-                self._pair_forces(blk, _eta(blk, u, rows), None)
-            except BondCollapseError as err:
-                lowest = min(lowest,
-                             int(blk.bonds(self.nbrs)[err.collapsed].min()))
-        return lowest
 
 
 # The damage check's Verlet skin (Verlet 1967; Plimpton 1995, "Fast

@@ -193,19 +193,20 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
         raise GeometryError("box must be a (min, max) pair of 2D or 3D corners")
     dim = len(lo)
     extents = hi - lo
+    shown = tuple(map(float, extents))  # the messages print plain floats
     if not np.all(np.isfinite(extents) & (extents > 0)):
         raise GeometryError("box extents must be positive and finite, "
-                            f"got {extents}")
+                            f"got {shown}")
     if not (np.isfinite(dx) and dx > 0):
         raise GeometryError(f"spacing must be positive and finite, got {dx}")
     counts = np.rint(extents / dx).astype(int)
     if np.any(counts < 1):
-        raise GeometryError(f"spacing {dx} exceeds box extents {extents}")
+        raise GeometryError(f"spacing {dx} exceeds box extents {shown}")
     misfit = np.abs(counts * dx - extents)
     if np.any(misfit > GRID_FIT_TOL * extents):
         raise GeometryError(
-            f"spacing {dx} does not tile extents {tuple(extents)} "
-            f"(misfit {tuple(misfit)} exceeds 0.5%)")
+            f"spacing {dx} does not tile extents {shown} "
+            f"(misfit {tuple(map(float, misfit))} exceeds 0.5%)")
 
     axes = [lo[k] + (np.arange(counts[k]) + 0.5) * dx for k in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

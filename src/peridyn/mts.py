@@ -6,12 +6,12 @@ One coarse step from t_n to t_{n+1} runs three phases:
 
 1. Advance the coarse side (C and CI points) with one RK step of size dt.
    Stage evaluations at CI points read neighbors in the fine boundary layer
-   FI; those neighbor values at the stage times are supplied by Taylor
-   extrapolation from the operator history (backward-difference estimates
-   of the first and, for order 4, second time derivative of the rates).
-2. Build, for every CI point, a degree-r polynomial interpolant from the
-   states at t_n and t_{n+1}, the rate at t_n, and derivative estimates
-   d = Gamma f obtained from the correction matrices.
+   FI; those neighbor values at the stage times come from the Taylor
+   ghost, an Interpolant whose derivative estimates are backward
+   differences of the rates in the operator history.
+2. Build, for every CI point, a degree-r Interpolant from the states at
+   t_n and t_{n+1}, the rate at t_n, and derivative estimates d = Gamma f
+   obtained from the correction matrices.
 3. Advance the fine side (F and FI points) with K RK substeps of size dt/K;
    stage evaluations at FI points read their CI neighbors through the
    interpolant at the exact stage times.
@@ -140,11 +140,12 @@ def estimate_derivatives(corr: CorrectionMatrices, f: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Interpolant:
-    """Per-point polynomial on the CI layer, valid on [t0, t0 + dt].
-
-    Evaluates U^n + tau L^n + sum_j tau^j/j! d_{j-1}; the derivative
-    estimates make the polynomial reproduce trajectories of degree <= r
-    exactly and track smooth motions to O(dt^{r+1}).
+    """Per-point polynomial U^n + tau L^n + sum_j tau^j/j! d_{j-1} about t0,
+    with d[j] an estimate of the (j+1)-th derivative of L.  On the CI layer
+    it interpolates the coarse step on [t0, t0 + dt], where estimates from
+    the correction matrices make it reproduce trajectories of degree <= r
+    exactly and track smooth motions to O(dt^{r+1}); on the FI layer it is
+    the Taylor ghost (``_fi_ghost``).
     """
 
     t0: float
@@ -153,6 +154,15 @@ class Interpolant:
     L0: np.ndarray
     d: np.ndarray
 
+    def __call__(self, tau: float) -> np.ndarray:
+        """The polynomial at t0 + tau, unchecked."""
+        out = self.y0 + tau * self.L0
+        power = tau
+        for j in range(len(self.d)):
+            power *= tau
+            out = out + (_INV_FACT[j] * power) * self.d[j]
+        return out
+
     def evaluate(self, t: float) -> np.ndarray:
         tau = t - self.t0
         slack = 1e-9 * self.dt
@@ -160,12 +170,7 @@ class Interpolant:
             raise SimulationError(
                 f"interpolant evaluated at t={t!r} outside its validity "
                 f"window [{self.t0!r}, {self.t0 + self.dt!r}]")
-        out = self.y0 + tau * self.L0
-        power = tau
-        for j in range(len(self.d)):
-            power *= tau
-            out = out + (_INV_FACT[j] * power) * self.d[j]
-        return out
+        return self(tau)
 
 
 class OperatorHistory:
@@ -300,8 +305,7 @@ def cost_model(nbrs, config: MtsConfig) -> float:
 
 
 def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
-    """Taylor extrapolator ``ghost(tau)`` for the FI-point values at
-    t_n + tau.
+    """The Taylor ghost Interpolant: ``ghost(tau)`` = FI values at t_n + tau.
 
     Derivatives of the rates come from backward differences over the
     history; order 4 uses the three-level second-order difference for L'
@@ -317,14 +321,8 @@ def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
         L2 = levels[2]
         d = ((3.0 * L0 - 4.0 * L1 + L2) / (2.0 * dt),
              (L0 - 2.0 * L1 + L2) / (dt * dt))
-    y0 = np.take(y_n, fi, axis=0)
-
-    def ghost(tau: float) -> np.ndarray:
-        out = y0 + tau * L0
-        for coef, d_j in zip((0.5 * tau * tau, tau ** 3 / 6.0), d):
-            out = out + coef * d_j
-        return out
-    return ghost
+    return Interpolant(t0=history.t_at(0), dt=dt,
+                       y0=np.take(y_n, fi, axis=0), L0=L0, d=d)
 
 
 def _put_rows(y: np.ndarray, rows, values: np.ndarray):

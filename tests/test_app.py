@@ -256,6 +256,12 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def replaced(cfg, spec, key, value):
+    """cfg with ``cfg.<spec>.<key>`` set to value, unvalidated."""
+    return dataclasses.replace(cfg, **{spec: dataclasses.replace(
+        getattr(cfg, spec), **{key: value})})
+
+
 class TestSchema:
     @pytest.mark.parametrize("name, paper_scale", sorted(CANONICAL_SHA256))
     def test_canonical_text_is_pinned(self, name, paper_scale):
@@ -320,15 +326,38 @@ class TestSchema:
         ("mts", "K", True, "mts.K: must be an integer, got True"),
         ("geometry", "box_max", (1.0, True),
          "geometry.box: must be a number, got True"),
+        ("material", "rho", np.True_,
+         f"material.rho: must be a number, got {np.True_!r}"),
+        ("geometry", "box_max", (1.0, np.False_),
+         f"geometry.box: must be a number, got {np.False_!r}"),
+        ("mts", "K", np.True_, f"mts.K: must be an integer, got {np.True_!r}"),
     ], ids=["n_steps-3.5", "n_steps-4.0", "order-4.0", "rho-True", "K-2.0",
-            "K-True", "box-True"])
+            "K-True", "box-True", "rho-np.True_", "box-np.False_",
+            "K-np.True_"])
     def test_untyped_library_values_refused(self, spec, key, value, problem):
-        cfg = preset_config("plate2d")
-        cfg = dataclasses.replace(cfg, **{spec: dataclasses.replace(
-            getattr(cfg, spec), **{key: value})})
         with pytest.raises(ConfigError) as err:
-            validate_config(cfg)
+            validate_config(replaced(preset_config("plate2d"), spec, key,
+                                     value))
         assert err.value.problems == [problem]
+
+    # numpy scalars that a library caller computes are numbers of the
+    # config, and the text form carries them as plain ones
+    @pytest.mark.parametrize("changes", [
+        [("material", "rho", np.float64(8000.0))],
+        [("time", "dt", np.float64(1e-5))],
+        [("material", "rho", np.float64(8000.0)),
+         ("time", "dt", np.float64(1e-5)),
+         ("geometry", "dx", np.float64(0.025))],
+        [("time", "n_steps", np.int64(40))],
+    ], ids=["rho", "dt", "rho-dt-dx", "n_steps"])
+    def test_numpy_scalars_round_trip(self, changes):
+        plain = dataclasses.replace(preset_config("plate2d"), name="custom")
+        cfg = plain
+        for spec, key, value in changes:
+            cfg = replaced(cfg, spec, key, value)
+        text = serialize_config(validate_config(cfg))
+        assert text == serialize_config(plain)
+        assert parse_config(text) == cfg
 
     @pytest.mark.parametrize("old, new, problem", [
         ("delta = 0.3", "delta = nan", "horizon.delta: must be finite"),

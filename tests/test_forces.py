@@ -805,7 +805,7 @@ class TestUnionView:
     @pytest.mark.parametrize("fine_x", [(0.5, 1.0), (0.0, 0.5)])
     def test_collapse_names_the_same_bond(self, dim, n, fine_x):
         # With the fine side on the left, the union runs the coarse blocks,
-        # of higher bond ids, first: the lowest bond is found by a search.
+        # of higher bond ids, first: the lowest bond is taken over all.
         op, plan = loaded_plan("nonlinear", n=n, dim=dim, fine_x=fine_x)
         nbrs, whole = op.nbrs, self.whole(op)
         pairs = []

@@ -153,6 +153,19 @@ class TestBuildGrid:
         with pytest.raises(GeometryError, match="tile"):
             build_grid(((0, 0), (1, 1)), 0.3, thickness=1.0)
 
+    @pytest.mark.parametrize("box, dx, message", [
+        (((0, 0), (1.25, 1.0)), 0.5,
+         "spacing 0.5 does not tile extents (1.25, 1.0) "
+         "(misfit (0.25, 0.0) exceeds 0.5%)"),
+        (((0, 0), (1, 1)), 2.0, "spacing 2.0 exceeds box extents (1.0, 1.0)"),
+        (((0, 0), (np.inf, 1)), 0.5,
+         "box extents must be positive and finite, got (inf, 1.0)"),
+    ], ids=["misfit", "too-coarse", "infinite"])
+    def test_spacing_messages_print_plain_numbers(self, box, dx, message):
+        with pytest.raises(GeometryError) as err:
+            build_grid(box, dx, thickness=1.0)
+        assert str(err.value) == message
+
     def test_2d_requires_thickness(self):
         with pytest.raises(GeometryError, match="thickness"):
             build_grid(((0, 0), (1, 1)), 0.5)

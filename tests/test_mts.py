@@ -346,10 +346,10 @@ class TestInPlaceContract:
     argument in place; each writes only its own side's rows."""
 
     @staticmethod
-    def stepped_plan(order, s0, fine_frac):
+    def stepped_plan(order, s0, fine_frac, K=3):
         op, labels, _ = smooth_plate(fine_frac=fine_frac)
         dt = 1e-3
-        plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=3, labels=labels),
+        plan = MtsPlan(op, MtsConfig(order=order, dt=dt, K=K, labels=labels),
                        s0=s0)
         hist = OperatorHistory(dt)
         t_n = 9 * dt
@@ -718,6 +718,27 @@ class TestCostModel:
         assert model == views_ratio(plan)
         assert sum(evaluated) == \
             pytest.approx(model * K * order * bonds, rel=1e-12)
+
+    @pytest.mark.parametrize("s0", [None, 0.05])
+    @pytest.mark.parametrize("order, K", [(3, 2), (4, 3)])
+    def test_counts_the_interpolant_evaluations_of_a_coarse_step(
+            self, order, K, s0, monkeypatch):
+        # the fine stages after the first read the CI layer through
+        # Interpolant.evaluate, and so does each substep's damage check;
+        # the coarse stages' FI ghost is an Interpolant called directly
+        plan, hist, t_n, y_n = TestInPlaceContract.stepped_plan(order, s0,
+                                                                0.4, K)
+        assert len(plan.idx_fi) and len(plan.idx_ci)
+        calls = []
+        evaluate = Interpolant.evaluate
+
+        def counting(self, t):
+            calls.append(t)
+            return evaluate(self, t)
+
+        monkeypatch.setattr(Interpolant, "evaluate", counting)
+        mts_step(plan, y_n, t_n, t_n + plan.config.dt, hist, TimingReport())
+        assert len(calls) == K * order - 1 + (K if s0 is not None else 0)
 
 
 def momentum_imbalance(op, final) -> float:
