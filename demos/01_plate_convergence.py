@@ -10,7 +10,7 @@ error drops as K grows until the coarse-region error floor is reached.
 Run:  python demos/01_plate_convergence.py [--full]
 
 --full sweeps four step sizes (a couple of minutes); the default two-level
-sweep finishes in ~20 s.
+sweep finishes in ~5 s.
 """
 
 import argparse

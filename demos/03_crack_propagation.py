@@ -13,7 +13,7 @@ prints a coarse ASCII picture of the final damage field.
 
 The command-line equivalent is `pd run --config crack2d --out out_crack`.
 
-Run:  python demos/03_crack_propagation.py [outdir]    (~25 s)
+Run:  python demos/03_crack_propagation.py [outdir]    (~7 s)
 """
 
 import sys

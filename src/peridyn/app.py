@@ -25,7 +25,7 @@ from . import io as pio
 from .analysis import ConvergenceRow, halving_violation, l2_error, \
     observed_order, reference_solution, scoped_errors
 from .forces import FieldState, Loading, Material, PDOperator, \
-    SimulationError, break_precrack_bonds, damage_index, poisson_violation
+    SimulationError, break_precrack_bonds, damage_index
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
     classify_subdomains, select_layer
 from .integrator import tableau, upd_run
@@ -62,9 +62,15 @@ class LoadSpec:
 
 @dataclass
 class FractureSpec:
-    enabled: bool
-    s0: float | None = None  # None: not given, as in the schema
+    """Bonds break at the critical stretch s0; with s0 None (not given)
+    fracture is off."""
+
+    s0: float | None = None
     precrack: tuple | None = None  # (endpoint_a, endpoint_b)
+
+    @property
+    def enabled(self) -> bool:
+        return self.s0 is not None
 
 
 @dataclass
@@ -90,7 +96,6 @@ class OutputSpec:
 
 @dataclass
 class SimulationConfig:
-    name: str
     geometry: GeometrySpec
     material: Material
     delta: float
@@ -131,7 +136,6 @@ _SCHEMA = (
     _Field("geometry", "dx", "geometry.dx", "float", check=("positive",)),
     _Field("geometry", "thickness", "geometry.thickness", "float", None),
     _Field("material", "E", "material.E", "float", check=("positive",)),
-    _Field("material", "nu", "material.nu", "float"),
     _Field("material", "rho", "material.rho", "float", check=("positive",)),
     _Field("horizon", "delta", "delta", "float", check=("positive",)),
     _Field("forces", "law", "law", "str",
@@ -140,8 +144,7 @@ _SCHEMA = (
            check=("one_of", "body_force", "velocity")),
     _Field("load.k", "box", "box", "box"),
     _Field("load.k", "value", "value", "vector"),
-    _Field("fracture", "enabled", "fracture.enabled", "bool", False),
-    _Field("fracture", "s0", "fracture.s0", "float", None),
+    _Field("fracture", "s0", "fracture.s0", "float", None, ("positive",)),
     _Field("fracture", "precrack", "fracture.precrack", "segment", None),
     _Field("time", "dt", "time.dt", "float", check=("positive",)),
     _Field("time", "n_steps", "time.n_steps", "int", check=("at_least", 0)),
@@ -260,8 +263,12 @@ def parse_config(source: str, paper_scale: bool = False) -> SimulationConfig:
             raise ConfigError(
                 f"config {source!r}: no such preset or file (presets: "
                 f"{', '.join(sorted(PRESETS))})")
-        with open(source) as fp:
-            text = fp.read()
+        try:
+            with open(source, encoding="utf-8") as fp:
+                text = fp.read()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config {source!r}: not UTF-8 text "
+                              f"({err.reason} at byte {err.start})") from None
     else:
         text = source
 
@@ -307,7 +314,7 @@ def parse_config(source: str, paper_scale: bool = False) -> SimulationConfig:
     if problems:
         raise ConfigError(problems)
 
-    values, loads = {"name": "custom"}, []
+    values, loads = {}, []
     for section in _SECTIONS:
         if section == "load.k":
             loads = [_read_section(sections.pop(s), section, problems, s)
@@ -407,11 +414,6 @@ def validate_config(cfg: SimulationConfig):
         p.append("geometry.thickness: required and positive in 2D")
     if dim == 3 and g.thickness is not None:
         p.append("geometry.thickness: applies only to 2D")
-    nu_problem = poisson_violation(cfg.material.nu, dim)
-    if nu_problem:
-        p.append(f"material.nu: {nu_problem}")
-    if cfg.fracture.enabled and (cfg.fracture.s0 is None or cfg.fracture.s0 <= 0):
-        p.append("fracture.s0: must be positive when fracture is enabled")
     if cfg.fracture.precrack is not None and dim != 2:
         p.append("fracture.precrack: pre-cracks are only supported in 2D")
     for k, (lo, hi) in enumerate(cfg.mts.fine_boxes, 1):
@@ -441,8 +443,8 @@ def _fmt_pair(pair) -> str:
 
 
 _WRITERS = {"str": str, "int": str, "float": lambda v: repr(float(v)),
-            "bool": lambda v: str(v).lower(), "box": _fmt_pair,
-            "segment": _fmt_pair, "vector": _fmt_vec, "names": ",".join}
+            "box": _fmt_pair, "segment": _fmt_pair, "vector": _fmt_vec,
+            "names": ",".join}
 
 
 def serialize_config(cfg: SimulationConfig) -> str:
@@ -461,8 +463,8 @@ def serialize_config(cfg: SimulationConfig) -> str:
 # ---------------------------------------------------------------------------
 # presets
 
-def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
-                 nu: float, thickness: float | None) -> SimulationConfig:
+def _loaded_body(box_max: tuple, dx: float, E: float,
+                 thickness: float | None) -> SimulationConfig:
     """The plate2d/block3d scenario: a linear body from the origin to
     ``box_max`` (x length 1.0) under a y body force b = 2e8 * 1.0 / 0.01 in
     a layer max(dx, 0.01) deep at x = 1, with the fine region the last two
@@ -475,15 +477,14 @@ def _loaded_body(name: str, box_max: tuple, dx: float, E: float,
     far = (1.0,) + tuple(box_max[1:])
     fine_lo = 1.0 - 2 * delta
     return SimulationConfig(
-        name=name,
         geometry=GeometrySpec(box_min=origin, box_max=box_max,
                               dx=dx, thickness=thickness),
-        material=Material(E=E, nu=nu, rho=8000.0),
+        material=Material(E=E, rho=8000.0),
         delta=delta, law="linear",
         loads=[LoadSpec(kind="body_force",
                         box=((1.0 - layer_w,) + origin[1:], far),
                         value=(0.0, b_p) + origin[2:])],
-        fracture=FractureSpec(enabled=False),
+        fracture=FractureSpec(),
         time=TimeSpec(dt=1.0e-5, n_steps=40),
         mts=MtsSpec(scheme="mts", order=4, K=2,
                     fine_boxes=[((fine_lo,) + origin[1:], far)]),
@@ -497,8 +498,7 @@ def _plate2d(paper_scale: bool) -> SimulationConfig:
     # the mandated dt sweep (1e-5 s down) stays inside the RK3 stability
     # region on the 40x20 mesh.
     dx, E = (0.01, 1.92e11) if paper_scale else (0.025, 1.92e9)
-    return _loaded_body("plate2d", (1.0, 0.5), dx, E, 1.0 / 3.0,
-                        thickness=0.01)
+    return _loaded_body((1.0, 0.5), dx, E, thickness=0.01)
 
 
 def _block3d(paper_scale: bool) -> SimulationConfig:
@@ -509,7 +509,7 @@ def _block3d(paper_scale: bool) -> SimulationConfig:
         box_max, dx, E = (1.0, 0.3, 0.3), 0.01, 2.0e11
     else:
         box_max, dx, E = (1.0, 0.5, 0.5), 0.05, 2.0e9
-    return _loaded_body("block3d", box_max, dx, E, 0.25, thickness=None)
+    return _loaded_body(box_max, dx, E, thickness=None)
 
 
 def _crack2d(paper_scale: bool) -> SimulationConfig:
@@ -525,10 +525,9 @@ def _crack2d(paper_scale: bool) -> SimulationConfig:
     E = 1.92e11 if paper_scale else 4.8e11
     side = 0.05
     return SimulationConfig(
-        name="crack2d",
         geometry=GeometrySpec(box_min=(0.0, 0.0), box_max=(side, side),
                               dx=dx, thickness=0.01),
-        material=Material(E=E, nu=1.0 / 3.0, rho=8000.0),
+        material=Material(E=E, rho=8000.0),
         delta=delta, law="linear",
         loads=[
             LoadSpec(kind="velocity",
@@ -538,7 +537,7 @@ def _crack2d(paper_scale: bool) -> SimulationConfig:
                      box=((0.0, 0.0), (side, delta)),
                      value=(0.0, -20.0)),
         ],
-        fracture=FractureSpec(enabled=True, s0=0.01,
+        fracture=FractureSpec(s0=0.01,
                               precrack=((0.02, 0.025), (0.03, 0.025))),
         time=TimeSpec(dt=dt, n_steps=n_steps),
         mts=MtsSpec(scheme="mts", order=4, K=2,
@@ -602,7 +601,7 @@ class Scenario:
 
     @property
     def s0(self) -> float | None:
-        return self.cfg.fracture.s0 if self.cfg.fracture.enabled else None
+        return self.cfg.fracture.s0
 
     @property
     def final_time(self) -> float:
@@ -782,8 +781,9 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     return rows
 
 
-def compare(cfg: SimulationConfig, K=None, out_dir=None):
-    """MTS at (dt, K) against UPD at dt/K over the same final time.
+def compare(cfg: SimulationConfig, out_dir=None):
+    """MTS at the config's (dt, K) against UPD at dt/K over the same final
+    time.
 
     Returns (mts_seconds, upd_seconds, ratio, l2_difference): the wall
     times of the two runs, phases "mts" and "upd" of one TimingReport.
@@ -792,18 +792,15 @@ def compare(cfg: SimulationConfig, K=None, out_dir=None):
     measured one.  Raises ConfigError when n_steps is 0: no run to time.
     """
     scenario = Scenario(cfg)
-    K = cfg.mts.K if K is None else K
-    dt = cfg.time.dt
-    n_steps = cfg.time.n_steps
-    model = cost_model(scenario.nbrs, scenario.mts_config(K=K))
+    dt, n_steps, K = cfg.time.dt, cfg.time.n_steps, cfg.mts.K
+    model = cost_model(scenario.nbrs, scenario.mts_config())
     if n_steps == 0:
         raise ConfigError(["time.n_steps: comparisons need n_steps > 0"])
 
     timing = TimingReport()
     op = scenario.fresh_operator()
     with timing.phase("mts"):
-        mts_traj, mts_timing = run_scheme(scenario, op, "mts", dt, n_steps,
-                                          K=K)
+        mts_traj, mts_timing = run_scheme(scenario, op, "mts", dt, n_steps)
     op = scenario.fresh_operator()
     with timing.phase("upd"):
         upd_traj, _ = run_scheme(scenario, op, "upd", dt / K, n_steps * K)

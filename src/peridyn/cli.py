@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "compare":
             t_mts, t_upd, ratio, diff = compare(
-                cfg, K=args.K, out_dir=cfg.output.directory)
+                cfg, out_dir=cfg.output.directory)
             print(f"MTS {t_mts:.3f}s vs UPD(dt/K) {t_upd:.3f}s "
                   f"(ratio {ratio:.3f}); final L2 difference {diff:.3e}")
             return EXIT_OK

@@ -25,11 +25,6 @@ from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
 
-# Bond-based peridynamics fixes Poisson's ratio by dimension.
-NU_2D = 1.0 / 3.0
-NU_3D = 1.0 / 4.0
-_NU_TOL = 1e-9
-
 
 class SimulationError(RuntimeError):
     """Raised for non-physical states encountered during a run."""
@@ -64,32 +59,20 @@ class InstabilityError(SimulationError):
 @dataclass
 class Material:
     """Elastic constants; the micro-modulus is derived from E and the
-    horizon by calibrate_alpha."""
+    horizon by calibrate_alpha.  Bond-based peridynamics fixes Poisson's
+    ratio by dimension, 1/3 in 2D (plane stress) and 1/4 in 3D, so it is
+    no constant of the material."""
 
     E: float
-    nu: float
     rho: float
 
-    def validate(self, dim: int):
+    def validate(self):
         if not (np.isfinite(self.E) and self.E > 0):
             raise ValueError("elastic modulus must be positive and finite, "
                              f"got {self.E}")
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("density must be positive and finite, "
                              f"got {self.rho}")
-        problem = poisson_violation(self.nu, dim)
-        if problem:
-            raise ValueError(problem)
-
-
-def poisson_violation(nu, dim: int) -> str | None:
-    """The bond-based Poisson rule: None when nu is 1/3 in 2D or 1/4 in 3D,
-    else the complaint."""
-    required, text = (NU_2D, "1/3") if dim == 2 else (NU_3D, "1/4")
-    if nu is None or abs(nu - required) > _NU_TOL:
-        return (f"bond-based peridynamics requires nu = {text} in {dim}D, "
-                f"got {nu}")
-    return None
 
 
 @dataclass
@@ -368,7 +351,7 @@ class PDOperator:
                  material: Material, loadings=(), law: str = "linear"):
         if law not in ("linear", "nonlinear"):
             raise ValueError(f"unknown force law {law!r}")
-        material.validate(cloud.dim)
+        material.validate()
         self.cloud = cloud
         self.nbrs = nbrs
         self.material = material

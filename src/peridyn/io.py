@@ -20,7 +20,7 @@ from .geometry import PointCloud
 # trajectory bits (a new summation order, say), so that references cached
 # by the old solver are recomputed instead of served stale, and whenever
 # the canonical text of a preset changes.
-REFERENCE_VERSION = 3
+REFERENCE_VERSION = 4
 
 
 def _rows(a: np.ndarray) -> str:

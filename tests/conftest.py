@@ -30,15 +30,14 @@ def mini_config():
     def make(n_steps=8, dt=1e-5, scheme="mts", order=4, K=2,
              fine=True, cadence=0):
         return SimulationConfig(
-            name="custom",
             geometry=GeometrySpec(box_min=(0.0, 0.0), box_max=(1.0, 0.5),
                                   dx=0.1, thickness=0.01),
-            material=Material(E=1.92e9, nu=1.0 / 3.0, rho=8000.0),
+            material=Material(E=1.92e9, rho=8000.0),
             delta=0.3, law="linear",
             loads=[LoadSpec(kind="body_force",
                             box=((0.9, 0.0), (1.0, 0.5)),
                             value=(0.0, 2e10))],
-            fracture=FractureSpec(enabled=False),
+            fracture=FractureSpec(),
             time=TimeSpec(dt=dt, n_steps=n_steps),
             mts=MtsSpec(scheme=scheme, order=order, K=K,
                         fine_boxes=[((0.6, 0.0), (1.0, 0.5))] if fine else []),

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -38,7 +41,6 @@ thickness = 0.01
 
 [material]
 E = 1.92e9
-nu = 0.3333333333333333
 rho = 8000
 
 [horizon]
@@ -53,7 +55,6 @@ box = 0.9, 0 ; 1, 0.5
 value = 0, 2e10
 
 [fracture]
-enabled = false
 
 [time]
 dt = 1e-5
@@ -74,10 +75,9 @@ formats = vtk
 error_component = y
 """
 
-# CUSTOM_TEXT as a 3D block: the points take three components and nu = 1/4
+# CUSTOM_TEXT as a 3D block: the points take three components
 CUSTOM_3D_TEXT = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
                                      "box = 0, 0, 0 ; 1, 0.5, 0.5") \
-    .replace("nu = 0.3333333333333333", "nu = 0.25") \
     .replace("thickness = 0.01\n", "") \
     .replace("box = 0.9, 0 ; 1, 0.5", "box = 0.9, 0, 0 ; 1, 0.5, 0.5") \
     .replace("value = 0, 2e10", "value = 0, 2e10, 0") \
@@ -102,7 +102,6 @@ class TestParseConfig:
     def test_preset_plate2d_full_scale_values(self):
         cfg = preset_config("plate2d", paper_scale=True)
         assert cfg.material.E == 1.92e11
-        assert cfg.material.nu == pytest.approx(1 / 3)
         assert cfg.material.rho == 8000
         assert cfg.delta == pytest.approx(0.03)
         cloud = build_grid((cfg.geometry.box_min, cfg.geometry.box_max),
@@ -114,7 +113,6 @@ class TestParseConfig:
     def test_preset_block3d_full_scale_values(self):
         cfg = preset_config("block3d", paper_scale=True)
         assert cfg.material.E == 2.0e11  # printed as 2.0e5 MPa
-        assert cfg.material.nu == 0.25
         cloud = build_grid((cfg.geometry.box_min, cfg.geometry.box_max),
                            cfg.geometry.dx)
         assert cloud.n_points == 100 * 30 * 30
@@ -128,10 +126,24 @@ class TestParseConfig:
         values = sorted(load.value[1] for load in cfg.loads)
         assert values == [-20.0, 20.0]
 
-    def test_wrong_poisson_rejected(self):
-        text = CUSTOM_TEXT.replace("nu = 0.3333333333333333", "nu = 0.3")
-        with pytest.raises(ConfigError, match="bond-based"):
-            parse_config(text)
+    def test_wrong_poisson_rejected(self, tmp_path, capsys):
+        # the bond-based model fixes nu by dimension, and s0 alone turns
+        # fracture on: a config that states either is refused by key
+        for old, new, key in [
+                ("E = 1.92e9", "E = 1.92e9\nnu = 0.3", "material.nu"),
+                ("E = 1.92e9", "E = 1.92e9\nnu = 0.3333333333333333",
+                 "material.nu"),
+                ("[fracture]", "[fracture]\nenabled = false",
+                 "fracture.enabled"),
+                ("[fracture]", "[fracture]\nenabled = true\ns0 = 0.01",
+                 "fracture.enabled")]:
+            text = CUSTOM_TEXT.replace(old, new)
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert err.value.problems == [f"{key}: unknown key"]
+            assert cli.main(["validate", "--config",
+                             write_config(tmp_path, text)]) == 2
+            assert f"{key}: unknown key" in capsys.readouterr().err
 
     def test_unknown_key_and_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -176,6 +188,7 @@ class TestParseConfig:
                 cfg = preset_config(name, paper_scale=paper_scale)
                 text = serialize_config(cfg)
                 assert serialize_config(parse_config(text)) == text
+                assert parse_config(text) == cfg
 
 
 # SHA-256 of serialize_config's text.  This text keys the reference-solution
@@ -183,19 +196,19 @@ class TestParseConfig:
 # every cached reference: change it only together with io.REFERENCE_VERSION.
 CANONICAL_SHA256 = {
     ("plate2d", False):
-        "5516ff9326fe4ffdb3a5639e32760a66920524fc10a500818e17e93d4e17413d",
+        "28f590ec3c9efcea0cca8da06865d68099ae0a4f9a3a596cf34c28728269c4e1",
     ("plate2d", True):
-        "dc0f674de924733ac14086331c0a3041b430535171feb327239df3052f8841ed",
+        "5e6a29d7d634d1283c0e562a7a752dce9cd7f3e4f00894a127033ad8adeddb93",
     ("block3d", False):
-        "2d6ca105c6ec72722f3acca5b8e42ea7a916e6a1dbe2909775fc61f21a53eb5e",
+        "41a3b95194142cbc9cfbbf1f16b7b971519ef07c2be0616b391b3547af344267",
     ("block3d", True):
-        "805b04a5d6a04ad1777c51cfad3b354e506d5c694b530da8ff43fc969dddfe22",
+        "c5f4c0c3aa48382e9ce74254307b5b31241fcf027a8b68cb7be201194952d3b6",
     ("crack2d", False):
-        "c18b47753122c7ef7501a262ca885510bfdb174c7bdde4a709f773aeb2cb9804",
+        "ada4f90c5501c24afce6abf71adea00a9d120aef178e91b6a7292f585ae208f0",
     ("crack2d", True):
-        "6c77b38c9cd4437bf8407904ea8ad190e278f23342b34b452826f1546236dfd2",
+        "458fb07555588565e6fea68a1b18d515bfc1574919b02f28bbeb5522ac275d4c",
     ("custom", False):
-        "e888f8b3c77337f45b988e8dc8222658166caa25f18b9b09db7b4633c26b98d1",
+        "c5ca811daccced4f2d3e585d0190c5355b14c620eb36e4c5109cabaff141c253",
 }
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -204,13 +217,22 @@ POSITIVE = st.floats(1e-9, 1e12)
 
 @st.composite
 def valid_configs(draw):
-    """Random configs that validate_config accepts."""
+    """Random configs that validate_config accepts; a library caller's
+    numbers may be numpy scalars, so each float and int is drawn as a
+    plain or a numpy one."""
+    def num(strategy):
+        x = draw(strategy)
+        return np.float64(x) if draw(st.booleans()) else x
+
+    def integer(n):
+        return np.int64(n) if draw(st.booleans()) else n
+
     dim = draw(st.sampled_from([2, 3]))
-    lo = tuple(draw(st.floats(-10, 10)) for _ in range(dim))
+    lo = tuple(num(st.floats(-10, 10)) for _ in range(dim))
     hi = tuple(a + draw(st.floats(1e-6, 10)) for a in lo)
 
     def point():
-        return tuple(draw(st.floats(a, b)) for a, b in zip(lo, hi))
+        return tuple(num(st.floats(a, b)) for a, b in zip(lo, hi))
 
     def box():
         p, q = point(), point()
@@ -219,33 +241,27 @@ def valid_configs(draw):
     cadence = draw(st.integers(0, 20))
     n_steps = cadence * draw(st.integers(0, 50)) if cadence \
         else draw(st.integers(0, 1000))
-    enabled = draw(st.booleans())
     return SimulationConfig(
-        name="custom",
-        geometry=GeometrySpec(box_min=lo, box_max=hi, dx=draw(POSITIVE),
-                              thickness=draw(POSITIVE if dim == 2
-                                             else st.none())),
-        material=Material(E=draw(POSITIVE),
-                          nu=1.0 / 3.0 if dim == 2 else 0.25,
-                          rho=draw(POSITIVE)),
-        delta=draw(POSITIVE), law=draw(st.sampled_from(["linear", "nonlinear"])),
+        geometry=GeometrySpec(box_min=lo, box_max=hi, dx=num(POSITIVE),
+                              thickness=num(POSITIVE) if dim == 2 else None),
+        material=Material(E=num(POSITIVE), rho=num(POSITIVE)),
+        delta=num(POSITIVE), law=draw(st.sampled_from(["linear", "nonlinear"])),
         loads=[LoadSpec(kind=draw(st.sampled_from(["body_force", "velocity"])),
                         box=box(),
-                        value=tuple(draw(FINITE) for _ in range(dim)))
+                        value=tuple(num(FINITE) for _ in range(dim)))
                for _ in range(draw(st.integers(0, 3)))],
         fracture=FractureSpec(
-            enabled=enabled,
-            s0=draw(POSITIVE if enabled else st.none() | POSITIVE),
+            s0=None if draw(st.booleans()) else num(POSITIVE),
             precrack=(point(), point()) if dim == 2 and draw(st.booleans())
             else None),
-        time=TimeSpec(dt=draw(POSITIVE), n_steps=n_steps),
+        time=TimeSpec(dt=num(POSITIVE), n_steps=integer(n_steps)),
         mts=MtsSpec(scheme=draw(st.sampled_from(["upd", "mts"])),
-                    order=draw(st.sampled_from([3, 4])),
-                    K=draw(st.integers(1, 16)),
+                    order=integer(draw(st.sampled_from([3, 4]))),
+                    K=integer(draw(st.integers(1, 16))),
                     fine_boxes=[box() for _ in range(draw(st.integers(0, 3)))]),
         output=OutputSpec(
             directory=draw(st.text("abcxyz019_-./", min_size=1, max_size=12)),
-            cadence=cadence,
+            cadence=integer(cadence),
             formats=tuple(draw(st.lists(st.just("vtk"), max_size=1)))),
         error_component=draw(st.sampled_from("xyz"[:dim])))
 
@@ -289,10 +305,8 @@ class TestSchema:
          "geometry.thickness: must be finite, got inf"),
         ("E = 1.92e9", "E = nan", "material.E: must be finite, got nan"),
         ("rho = 8000", "rho = inf", "material.rho: must be finite, got inf"),
-        ("nu = 0.3333333333333333", "nu = inf",
-         "material.nu: must be finite, got inf"),
         ("delta = 0.3", "delta = nan", "horizon.delta: must be finite, got nan"),
-        ("enabled = false", "enabled = true\ns0 = nan",
+        ("[fracture]\n", "[fracture]\ns0 = nan\n",
          "fracture.s0: must be finite, got nan"),
         ("box = 0, 0 ; 1, 0.5", "box = 0, 0 ; nan, 0.5",
          "geometry.box: must be finite, got nan"),
@@ -351,7 +365,7 @@ class TestSchema:
         [("time", "n_steps", np.int64(40))],
     ], ids=["rho", "dt", "rho-dt-dx", "n_steps"])
     def test_numpy_scalars_round_trip(self, changes):
-        plain = dataclasses.replace(preset_config("plate2d"), name="custom")
+        plain = preset_config("plate2d")
         cfg = plain
         for spec, key, value in changes:
             cfg = replaced(cfg, spec, key, value)
@@ -361,7 +375,7 @@ class TestSchema:
 
     @pytest.mark.parametrize("old, new, problem", [
         ("delta = 0.3", "delta = nan", "horizon.delta: must be finite"),
-        ("enabled = false", "enabled = true\ns0 = nan",
+        ("[fracture]\n", "[fracture]\ns0 = nan\n",
          "fracture.s0: must be finite"),
     ])
     def test_cli_run_non_finite_exit_2(self, tmp_path, capsys, old, new,
@@ -409,7 +423,6 @@ class TestSchema:
     def test_points_take_the_geometry_dimension(self):
         text = CUSTOM_TEXT.replace("box = 0, 0 ; 1, 0.5",
                                    "box = 0, 0, 0 ; 1, 0.5, 0.5") \
-            .replace("nu = 0.3333333333333333", "nu = 0.25") \
             .replace("thickness = 0.01\n", "")
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -454,11 +467,11 @@ class TestSchema:
          "geometry.box: extents must be positive"),
         ("validate", CUSTOM_TEXT.replace("thickness = 0.01\n", ""),
          "geometry.thickness: required and positive in 2D"),
-        ("validate", CUSTOM_TEXT.replace("enabled = false", "enabled = true"),
-         "fracture.s0: must be positive when fracture is enabled"),
+        ("validate", CUSTOM_TEXT.replace("[fracture]", "[fracture]\ns0 = 0"),
+         "fracture.s0: must be positive"),
         ("validate", CUSTOM_3D_TEXT.replace(
-            "enabled = false",
-            "enabled = false\nprecrack = 0.2, 0.2, 0.2 ; 0.4, 0.2, 0.2"),
+            "[fracture]",
+            "[fracture]\nprecrack = 0.2, 0.2, 0.2 ; 0.4, 0.2, 0.2"),
          "fracture.precrack: pre-cracks are only supported in 2D"),
         ("validate", CUSTOM_TEXT.replace("error_component = y",
                                          "error_component = z"),
@@ -803,6 +816,18 @@ class TestRunAndCli:
         assert cli.main(["validate", "--config", str(tmp_path)]) == 4
         assert "I/O failure" in capsys.readouterr().err
 
+    def test_cli_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[scenario]\nname = custom\n\xff\xfe")
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config {str(path)!r}: not UTF-8 text" in err
+        assert "Traceback" not in err
+        # UTF-8 text is read as such whatever the locale's encoding
+        path.write_bytes("# \u03bd is fixed by the dimension\n".encode()
+                         + CUSTOM_TEXT.encode())
+        assert cli.main(["validate", "--config", str(path)]) == 0
+
     @staticmethod
     def converge_and_cache(tmp_path, mini_config):
         """Run a small `pd converge`; its argv and the reference it cached."""
@@ -992,14 +1017,15 @@ class TestRunAndCli:
 
         for name in ("upd_run", "mts_run"):
             monkeypatch.setattr(app, name, no_run)
-        with pytest.raises(ValueError, match="K must be an integer >= 1"):
-            app.compare(mini_config(n_steps=8), K=0)
-        with pytest.raises(ValueError, match="K must be an integer >= 1"):
-            app.compare(mini_config(n_steps=0), K=0)
+        for n_steps in (8, 0):
+            with pytest.raises(ConfigError) as err:
+                app.compare(mini_config(n_steps=n_steps, K=0))
+            assert err.value.problems == ["mts.K: must be >= 1, got 0"]
 
     def test_compare_writes_the_cost_model(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)
-        _, _, ratio, _ = app.compare(cfg, K=4, out_dir=str(tmp_path))
+        _, _, ratio, _ = app.compare(apply_overrides(cfg, K=4),
+                                     out_dir=str(tmp_path))
         lines = (tmp_path / "compare.txt").read_text().splitlines()
         rows = dict(line.split(",") for line in lines)
         assert list(rows) == ["mts_seconds", "upd_seconds", "ratio",
@@ -1021,8 +1047,7 @@ class TestRunAndCli:
             return built[-1]
 
         monkeypatch.setattr(app, "PDOperator", counting)
-        mts_seconds, upd_seconds, ratio, _ = app.compare(mini_config(n_steps=4),
-                                                         K=2)
+        mts_seconds, upd_seconds, ratio, _ = app.compare(mini_config(n_steps=4))
         assert len(built) == 2
         assert ratio == mts_seconds / upd_seconds
 
@@ -1043,3 +1068,79 @@ class TestRunAndCli:
         zero_rows = [r for r in rows if r.K == 1 and r.dt == 0.5e-5]
         assert len(zero_rows) == 3
         assert all(r.error == 0.0 for r in zero_rows)
+
+
+@st.composite
+def small_configs(draw):
+    """Configs that validate_config accepts, on a lattice that the box
+    tiles: at most 12x12 or 5x5x5 points, and at most 6 steps.  Load and
+    fine boxes cover whole lattice cells, so most of them select points."""
+    dim = draw(st.sampled_from([2, 3]))
+    dx = draw(st.floats(1e-3, 1.0))
+    counts = [draw(st.integers(1, 12 if dim == 2 else 5)) for _ in range(dim)]
+    lo = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    hi = tuple(a + n * dx for a, n in zip(lo, counts))
+
+    def box():
+        cells = [sorted(draw(st.integers(0, n - 1)) for _ in range(2))
+                 for n in counts]
+        return (tuple(a + i * dx for a, (i, _) in zip(lo, cells)),
+                tuple(min(a + (j + 1) * dx, b)
+                      for a, b, (_, j) in zip(lo, hi, cells)))
+
+    def point():
+        return tuple(draw(st.floats(a, b)) for a, b in zip(lo, hi))
+
+    n_steps = draw(st.integers(0, 6))
+    return SimulationConfig(
+        geometry=GeometrySpec(box_min=lo, box_max=hi, dx=dx,
+                              thickness=draw(st.floats(1e-3, 1.0))
+                              if dim == 2 else None),
+        material=Material(E=draw(st.floats(1e3, 1e12)),
+                          rho=draw(st.floats(1.0, 1e4))),
+        delta=dx * draw(st.floats(0.5, 3.5)),
+        law=draw(st.sampled_from(["linear", "nonlinear"])),
+        loads=[LoadSpec(kind=draw(st.sampled_from(["body_force", "velocity"])),
+                        box=box(),
+                        value=tuple(draw(st.floats(-1e6, 1e6))
+                                    for _ in range(dim)))
+               for _ in range(draw(st.integers(0, 2)))],
+        fracture=FractureSpec(
+            s0=draw(st.none() | st.floats(1e-4, 0.1)),
+            precrack=(point(), point()) if dim == 2 and draw(st.booleans())
+            else None),
+        time=TimeSpec(dt=draw(st.floats(1e-9, 1e-3)), n_steps=n_steps),
+        mts=MtsSpec(scheme=draw(st.sampled_from(["upd", "mts"])),
+                    order=draw(st.sampled_from([3, 4])),
+                    K=draw(st.integers(1, 4)),
+                    fine_boxes=[box() for _ in range(draw(st.integers(0, 2)))]),
+        output=OutputSpec(
+            directory="out",
+            cadence=draw(st.sampled_from(
+                [c for c in range(7) if c == 0 or n_steps % c == 0])),
+            formats=tuple(draw(st.lists(st.just("vtk"), max_size=1)))),
+        error_component=draw(st.sampled_from("xyz"[:dim])))
+
+
+class TestCliProperty:
+    # every failure maps to a documented exit code: whatever the config,
+    # run, compare and converge return 0, 2 (configuration) or 3
+    # (numerical failure), and nothing raises past cli.main
+    @settings(max_examples=250, deadline=None)
+    @given(small_configs())
+    def test_commands_end_in_a_documented_exit_code(self, cfg):
+        dt = validate_config(cfg).time.dt
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.cfg")
+            with open(path, "w") as fp:
+                fp.write(serialize_config(cfg))
+            for command, *options in (
+                    ["run"], ["compare"],
+                    ["converge", "--dt-list", f"{dt!r},{dt / 2!r}",
+                     "--k-list", "1,2"]):
+                argv = [command, "--config", path,
+                        "--out", os.path.join(tmp, command), *options]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+                assert code in (0, 2, 3), argv

@@ -33,39 +33,29 @@ def make_cloud(positions, spacing=1.0, volume=1.0, thickness=None):
 def unit_alpha_material(delta, thickness=1.0, rho=1.0):
     """E chosen so the calibrated 2D micro-modulus is exactly 1."""
     E = np.pi * delta ** 3 * thickness / 9.0
-    return Material(E=E, nu=1.0 / 3.0, rho=rho)
+    return Material(E=E, rho=rho)
 
 
 class TestCalibrateAlpha:
     def test_full_scale_2d_value(self):
-        mat = Material(E=1.92e11, nu=1 / 3, rho=8000)
+        mat = Material(E=1.92e11, rho=8000)
         alpha = calibrate_alpha(mat, 0.03, 2, thickness=0.01)
         assert alpha == pytest.approx(9 * 1.92e11 / (np.pi * 0.03 ** 3 * 0.01))
         assert alpha == pytest.approx(2.0372e18, rel=1e-4)
 
     def test_cancelling_constants(self):
-        mat = Material(E=np.pi, nu=1 / 3, rho=1.0)
+        mat = Material(E=np.pi, rho=1.0)
         assert calibrate_alpha(mat, 1.0, 2, thickness=9.0) == pytest.approx(1.0)
 
     def test_full_scale_3d_value(self):
-        mat = Material(E=2.0e11, nu=0.25, rho=8000)
+        mat = Material(E=2.0e11, rho=8000)
         alpha = calibrate_alpha(mat, 0.03, 3)
         assert alpha == pytest.approx(12 * 2.0e11 / (np.pi * 8.1e-7))
 
     def test_2d_needs_thickness(self):
-        mat = Material(E=1.0, nu=1 / 3, rho=1.0)
+        mat = Material(E=1.0, rho=1.0)
         with pytest.raises(ValueError, match="thickness"):
             calibrate_alpha(mat, 1.0, 2)
-
-
-class TestMaterialValidation:
-    def test_poisson_constraint(self):
-        with pytest.raises(ValueError, match="nu = 1/3"):
-            Material(E=1.0, nu=0.3, rho=1.0).validate(2)
-        with pytest.raises(ValueError, match="nu = 1/4"):
-            Material(E=1.0, nu=1 / 3, rho=1.0).validate(3)
-        Material(E=1.0, nu=1 / 3, rho=1.0).validate(2)
-        Material(E=1.0, nu=0.25, rho=1.0).validate(3)
 
 
 def _grid(dx=0.1, thickness=0.01):
@@ -73,7 +63,7 @@ def _grid(dx=0.1, thickness=0.01):
 
 
 def _alpha(delta=1.0, dim=2, thickness=1.0):
-    mat = Material(E=1.0, nu=1 / 3 if dim == 2 else 0.25, rho=1.0)
+    mat = Material(E=1.0, rho=1.0)
     return calibrate_alpha(mat, delta, dim, thickness if dim == 2 else None)
 
 
@@ -84,9 +74,9 @@ def _pair_operator_parts(thickness=1.0):
 
 
 @pytest.mark.parametrize("check, error, value", [
-    (lambda: Material(E=np.nan, nu=1 / 3, rho=1.0).validate(2),
+    (lambda: Material(E=np.nan, rho=1.0).validate(),
      ValueError, "nan"),
-    (lambda: Material(E=1.0, nu=1 / 3, rho=np.inf).validate(2),
+    (lambda: Material(E=1.0, rho=np.inf).validate(),
      ValueError, "inf"),
     (lambda: _grid(dx=np.nan), GeometryError, "nan"),
     (lambda: _grid(thickness=np.nan), GeometryError, "nan"),
@@ -393,7 +383,7 @@ def loaded_plan(law="linear", s0=None, n=16, dim=2, fine_x=(0.5, 1.0),
         mat = unit_alpha_material(3 * h, thickness=0.01)
     else:
         cloud = build_grid(((0, 0, 0), extent), h)
-        mat = Material(E=1.0, nu=0.25, rho=1.0)
+        mat = Material(E=1.0, rho=1.0)
     if bondless:
         far = np.full((2, dim), 0.25)
         far[:, 0] = (-5.0, 5.0)
@@ -612,7 +602,7 @@ def bare_grid_op(law, dim, n=8):
     cloud = build_grid(((0.0,) * dim, extent), h,
                        thickness=0.01 if dim == 2 else None)
     mat = unit_alpha_material(3 * h, thickness=0.01) if dim == 2 \
-        else Material(E=1.0, nu=0.25, rho=1.0)
+        else Material(E=1.0, rho=1.0)
     return PDOperator(cloud, build_neighbor_list(cloud, 3 * h), mat, law=law)
 
 
@@ -1210,7 +1200,7 @@ class TestDamageSides:
         pos = rng.random((150, dim))
         cloud = make_cloud(pos, spacing=0.08, volume=1.0 / 150,
                            thickness=0.01 if dim == 2 else None)
-        mat = Material(E=1.0, nu=1 / 3 if dim == 2 else 0.25, rho=1.0)
+        mat = Material(E=1.0, rho=1.0)
         delta = 0.15 if dim == 2 else 0.25
         return PDOperator(cloud, build_neighbor_list(cloud, delta), mat), rng
 
@@ -1264,7 +1254,7 @@ class TestDamageSkin:
         cloud = make_cloud(pos, spacing=h, volume=h ** dim,
                            thickness=0.01 if dim == 2 else None)
         mat = unit_alpha_material(2 * h, thickness=0.01) if dim == 2 \
-            else Material(E=1.0, nu=0.25, rho=1.0)
+            else Material(E=1.0, rho=1.0)
         return PDOperator(cloud, build_neighbor_list(cloud, 2 * h), mat)
 
     @staticmethod
