@@ -96,6 +96,16 @@ def observed_order(errors, dts) -> list:
     return crs
 
 
+def step_count(final_time: float, dt: float, label: str = "dt") -> int:
+    """The steps of size dt to ``final_time``: ValueError, naming dt by
+    ``label``, unless they reach it to 1e-9 relative."""
+    n = round(final_time / dt)
+    if abs(n * dt - final_time) > 1e-9 * final_time:
+        raise ValueError(f"{label} {dt!r} does not divide the final time "
+                         f"{final_time!r}")
+    return n
+
+
 def reference_solution(scenario, tab: ButcherTableau, dt_ref: float,
                        cache_dir=None) -> FieldState:
     """UPD run at dt_ref to the scenario's final time; disk-cached.
@@ -104,12 +114,7 @@ def reference_solution(scenario, tab: ButcherTableau, dt_ref: float,
     combines the scenario's canonical serialization, the method order, and
     dt_ref, so cached and fresh references agree bit-for-bit.
     """
-    final_time = scenario.final_time
-    n_ref = round(final_time / dt_ref)
-    if abs(n_ref * dt_ref - final_time) > 1e-9 * final_time:
-        raise ValueError(
-            f"reference dt {dt_ref} does not divide final time {final_time}")
-
+    n_ref = step_count(scenario.final_time, dt_ref, "reference dt")
     path = None
     if cache_dir is not None:
         key = pio.reference_cache_key(scenario.canonical_text, tab.r, dt_ref)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io as pio
 from .analysis import ConvergenceRow, halving_violation, l2_error, \
-    observed_order, reference_solution, scoped_errors
+    observed_order, reference_solution, scoped_errors, step_count
 from .forces import FieldState, Loading, Material, PDOperator, \
     SimulationError, break_precrack_bonds, damage_index
 from .geometry import GeometryError, build_grid, build_neighbor_list, \
@@ -573,10 +573,10 @@ def apply_overrides(cfg: SimulationConfig, scheme=None, order=None,
 class Scenario:
     """A config resolved onto a concrete cloud, neighbor list, and operator.
 
-    Damage flags are per-run state: `fresh_operator()` hands out an operator
-    backed by a copy of the scenario's own (post-precrack) bond flags, so
-    repeated runs from one scenario are independent.  Those flags must not
-    change after assembly; `fresh_operator()` raises if they did.
+    Damage flags are per-run state: each operator holds its own copy of
+    the scenario's (post-precrack) flags, read through `op.nbrs`.  The
+    scenario's own flags must not change after assembly, as its text keys
+    cached references; `fresh_operator()` raises if they did.
     """
 
     def __init__(self, cfg: SimulationConfig):
@@ -616,8 +616,7 @@ class Scenario:
             raise SimulationError(
                 "the scenario's bond flags changed after assembly; an "
                 "operator must break bonds in its own copy")
-        nbrs = dataclasses.replace(self.nbrs, mu=self.nbrs.mu.copy())
-        return PDOperator(self.cloud, nbrs, self.cfg.material,
+        return PDOperator(self.cloud, self.nbrs, self.cfg.material,
                           self.loadings, self.cfg.law)
 
     def initial_state(self) -> FieldState:
@@ -731,16 +730,11 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     if reference_dt is None:
         reference_dt = min(dt_list) / 16.0
 
-    def step_count(dt, label):
-        n = round(final_time / dt)
-        if abs(n * dt - final_time) > 1e-9 * final_time:
-            raise ConfigError(
-                [f"{label} {dt!r} does not divide the final time "
-                 f"{final_time!r}"])
-        return n
-
-    steps = {dt: step_count(dt, "dt") for dt in dt_list}
-    step_count(reference_dt, "reference dt")
+    try:
+        steps = {dt: step_count(final_time, dt) for dt in dt_list}
+        step_count(final_time, reference_dt, "reference dt")
+    except ValueError as err:
+        raise ConfigError([str(err)]) from None
 
     tab = tableau(cfg.mts.order)
     reference = reference_solution(scenario, tab, reference_dt,

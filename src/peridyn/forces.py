@@ -15,7 +15,7 @@ data once: its full view is the union of the two sides' row blocks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -337,9 +337,11 @@ def _eta(blk: _Block, u: np.ndarray, rows) -> np.ndarray:
 class PDOperator:
     """The semi-discrete spatial operator for one cloud + material + loading.
 
-    Instances are shared, read-only state for the steppers; the only mutable
-    piece is the neighbor list's ``mu`` array, written between steps by the
-    damage update, and the blocks' flag caches that follow it.
+    The operator owns its neighbor list ``nbrs``: a copy of the given one
+    that shares its read-only topology but holds its own bond flags,
+    ``version``, split and damage table, so checks go through ``op.nbrs``.
+    Between steps only the flags change, written by the damage update,
+    and the blocks' flag caches follow them.
 
     The full view, over every point, is built on first use.  ``partition``
     replaces it with the union of the two sides' views, sharing their
@@ -353,7 +355,7 @@ class PDOperator:
             raise ValueError(f"unknown force law {law!r}")
         material.validate()
         self.cloud = cloud
-        self.nbrs = nbrs
+        self.nbrs = replace(nbrs, mu=nbrs.mu.copy())
         self.material = material
         self.law = law
         self.alpha = calibrate_alpha(material, nbrs.delta, cloud.dim,

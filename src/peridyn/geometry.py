@@ -77,9 +77,9 @@ class NeighborList:
     ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
     one writer, and it bumps ``version`` on every change, so caches derived
     from ``mu`` know when to refresh.  ``bond_sides`` holds the two
-    read-only bond masks of a ``forces.PDOperator.partition`` for one run,
-    and ``damage_table`` the half-bond table of ``forces.update_damage``,
-    one side per mask.
+    read-only bond masks of its operator's partition for one run (each
+    ``forces.PDOperator`` owns a copy), and ``damage_table`` the half-bond
+    table of ``forces.update_damage``, one side per mask.
     """
 
     delta: float

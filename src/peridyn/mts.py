@@ -17,7 +17,8 @@ One coarse step from t_n to t_{n+1} runs three phases:
    interpolant at the exact stage times.
 
 Phases 1 and 3 run one substep loop in place on one full-domain array,
-so a coarse step copies the state once.
+so a coarse step copies the state once.  With fracture on, each side
+damage-checks its own bonds after each of its own substeps.
 
 With K = 1 and a single (all-coarse) subdomain, every phase reduces to a
 plain whole-domain step and the trajectory is bit-identical to the UPD
@@ -262,8 +263,8 @@ class MtsPlan:
     The coarse and fine rows partition the points, and the operator's
     partition derives the bond masks from them: the fine side holds every
     bond with a fine end.  The full view (history pushes, startup) is the
-    union of the two views.  Without fracture (``s0`` None) the masks are
-    None, so the fine substeps check no damage.
+    union of the two views.  Each side's substeps check its mask when
+    fracture is on (``s0`` given); without it no substep checks damage.
     """
 
     def __init__(self, op, config: MtsConfig, s0: float | None = None):
@@ -277,10 +278,8 @@ class MtsPlan:
         self.rows_f = labels.omega_hat_f
         self.idx_fi = labels.indices(LABEL_FI)
         self.idx_ci = labels.indices(LABEL_CI)
-        self.coarse_view, self.fine_view, *masks = op.partition(
-            self.rows_c, self.rows_f)
-        self.coarse_bond_mask, self.fine_bond_mask = \
-            masks if s0 is not None else (None, None)
+        (self.coarse_view, self.fine_view, self.coarse_bond_mask,
+         self.fine_bond_mask) = op.partition(self.rows_c, self.rows_f)
 
 
 def cost_model(nbrs, config: MtsConfig) -> float:
@@ -335,13 +334,14 @@ def _put_rows(y: np.ndarray, rows, values: np.ndarray):
 
 def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
               t_n: float, dt: float, n_sub: int, history: OperatorHistory,
-              bond_mask=None):
+              bond_mask):
     """Advance ``y[rows]`` in place by n_sub RK substeps of size dt from t_n.
 
     Each stage first sets the other side's boundary rows ``layer`` to
     ``boundary(t_k, tau)``, their value at t_k + tau (t_k starts the
-    substep).  Each substep ends with a damage check of ``bond_mask``, when
-    given.  ``layer`` is restored on return, so only ``rows`` change.
+    substep).  With fracture on, each substep ends with a damage check of
+    the side's bonds, ``bond_mask``.  ``layer`` is restored on return, so
+    only ``rows`` and the side's flags change.
     """
     if len(rows) == 0:
         return
@@ -367,7 +367,7 @@ def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
 
         y_rows, _ = stages(tab, y_rows, dt, stage_rate,
                            rate0=rate0 if k == 0 else None)
-        if bond_mask is not None:
+        if plan.s0 is not None:
             _put_rows(y, rows, y_rows)
             set_layer(t_k, dt)
             update_damage(plan.op.nbrs, y[:, :plan.op.cloud.dim], plan.s0,
@@ -383,12 +383,14 @@ def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
     Returns a fresh full-domain array whose coarse rows hold t_{n+1} values
     and whose fine rows equal ``y_n``'s; the CI rows double as the predicted
     U^{n+1} the interpolant construction needs.  Stage evaluations at CI
-    points see FI neighbors through the Taylor ghost extrapolator.
+    points see FI neighbors through the Taylor ghost extrapolator.  With
+    fracture on, the bonds with both ends coarse are checked at the end.
     """
     y = y_n.copy()
     ghost = _fi_ghost(plan, y_n, history)
     _substeps(plan, y, plan.rows_c, plan.coarse_view, plan.idx_fi,
-              lambda _t_k, tau: ghost(tau), t_n, plan.config.dt, 1, history)
+              lambda _t_k, tau: ghost(tau), t_n, plan.config.dt, 1, history,
+              plan.coarse_bond_mask)
     return y
 
 
@@ -411,8 +413,8 @@ def fine_advance(plan: MtsPlan, y_half: np.ndarray, interp: Interpolant,
 
 def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
              history: OperatorHistory, timing: TimingReport) -> np.ndarray:
-    """Full coarse step: coarse advance, interpolant, fine advance, damage,
-    then push the rates at t_{n+1} into the history."""
+    """Full coarse step: coarse advance, interpolant, fine advance (each
+    advance checks its side's bonds), then push the rates at t_{n+1}."""
     with timing.phase("coarse"):
         y_half = coarse_advance(plan, y_n, t_n, history)
     with timing.phase("interpolant"):
@@ -420,11 +422,6 @@ def mts_step(plan: MtsPlan, y_n: np.ndarray, t_n: float, t_np1: float,
                                    plan.tab.r, plan.config.dt)
     with timing.phase("fine"):
         y_next = fine_advance(plan, y_half, interp, t_n, history)
-    if plan.s0 is not None:
-        with timing.phase("damage"):
-            dim = plan.op.cloud.dim
-            update_damage(plan.op.nbrs, y_next[:, :dim], plan.s0,
-                          bond_mask=plan.coarse_bond_mask)
     with timing.phase("history"):
         history.push(t_np1, plan.op.rates(y_next, t_np1))
     return y_next

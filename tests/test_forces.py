@@ -1128,9 +1128,12 @@ class TestDamage:
         assert 0 < np.count_nonzero(fine) < nbrs.n_bonds
         # both ends matter: some fine bonds start at a coarse point
         assert np.any(fine & ~fine_end[nbrs.bond_i])
-        # without fracture the plan keeps no masks
+        # without fracture the plan keeps the same masks: only the checks
+        # wait for s0
         _, plain = loaded_plan()
-        assert plain.coarse_bond_mask is None and plain.fine_bond_mask is None
+        assert plain.s0 is None
+        assert np.array_equal(plain.coarse_bond_mask, coarse)
+        assert np.array_equal(plain.fine_bond_mask, fine)
 
     @pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf, 0.0, -1.5])
     def test_refuses_a_critical_stretch_it_cannot_integrate(self, s0):
@@ -1231,6 +1234,31 @@ class TestDamageSides:
             empty = [side for side in table.sides if not len(side.ids)]
             assert all(len(side.points) == 0 for side in empty)
             assert len(empty) == (len(rows_a) == 0) + (len(rows_b) == 0)
+
+    def test_operators_on_one_list_own_their_flags_and_split(self):
+        # two operators built on one NeighborList, both split before either
+        # checks: each plan's masks are its own operator's sides, and bonds
+        # broken through one operator change neither the other's flags nor
+        # the shared list's
+        h = 1.0 / 16
+        cloud = build_grid(((0, 0), (1, 0.5)), h, thickness=0.01)
+        shared = build_neighbor_list(cloud, 3 * h)
+        labels = classify_subdomains(cloud, shared, [((0.5, 0.0), (1, 0.5))])
+        config = MtsConfig(order=4, dt=1e-3, K=2, labels=labels)
+        ops = [PDOperator(cloud, shared, unit_alpha_material(3 * h, 0.01))
+               for _ in range(2)]
+        plans = [MtsPlan(op, config, s0=0.05) for op in ops]
+        u = 0.1 * cloud.positions  # every bond stretched 10%
+        first, second = ops
+        fine, coarse = plans[0].fine_bond_mask, plans[1].coarse_bond_mask
+        assert update_damage(first.nbrs, u, 0.05, fine) == fine.sum() // 2
+        assert second.nbrs.mu.all() and shared.mu.all()
+        assert update_damage(second.nbrs, u, 0.05, coarse) \
+            == coarse.sum() // 2
+        assert np.array_equal(first.nbrs.mu, ~fine)
+        assert np.array_equal(second.nbrs.mu, ~coarse)
+        assert shared.mu.all() and shared.version == 0
+        assert shared.bond_sides is None and shared.damage_table is None
 
 
 class TestDamageSkin:
@@ -1355,9 +1383,9 @@ class TestDamageSkin:
         # |p_j - p_i| is exactly its breaking length, and keeps one at the
         # double below it
         cloud = build_grid(((0, 0), (1, 0.5)), 1.0 / 8, thickness=0.01)
-        nbrs = build_neighbor_list(cloud, 1.5 / 8)
-        x, s0 = cloud.positions, 0.25
-        op = PDOperator(cloud, nbrs, unit_alpha_material(1.5 / 8))
+        op = PDOperator(cloud, build_neighbor_list(cloud, 1.5 / 8),
+                        unit_alpha_material(1.5 / 8))
+        x, s0, nbrs = cloud.positions, 0.25, op.nbrs
         bonds = []
         for start in ((0.1875, 0.1875), (0.6875, 0.3125)):
             a = int(np.argmin(np.linalg.norm(x - start, axis=1)))

@@ -451,12 +451,16 @@ class TestStartupAndRun:
     def test_total_simulated_time(self):
         op, labels, y0 = smooth_plate()
         cfg = MtsConfig(order=3, dt=1e-3, K=2, labels=labels)
-        traj, timing = mts_run(op, FieldState.from_packed(y0, 0.0), cfg, 7)
+        traj, timing = mts_run(op, FieldState.from_packed(y0, 0.0), cfg, 7,
+                               s0=0.5)
         assert traj.final.t == pytest.approx(7e-3, rel=1e-12)
         # one startup step (r-2); one history push at t_0 and after every step
         assert timing.entries["startup"][0] == 1
         assert timing.entries["history"][0] == 8
         assert timing.entries["coarse"][0] == 6
+        # with fracture on, each side's checks run inside its own phase
+        assert set(timing.entries) == {"startup", "coarse", "interpolant",
+                                       "fine", "history"}
 
     def test_reduction_identity_small(self):
         op, labels_empty, y0 = smooth_plate(fine_frac=0.0)
@@ -561,6 +565,7 @@ def hand_coarse_advance(plan, y_n, t_n, history):
     rows = plan.rows_c
     tab = plan.tab
     dt = plan.config.dt
+    dim = plan.op.cloud.dim
     ghost = _fi_ghost(plan, y_n, history)
     scratch = y_n.copy()
     y_rows = y_n[rows]
@@ -575,6 +580,10 @@ def hand_coarse_advance(plan, y_n, t_n, history):
         rates.append(plan.op.rates(scratch, t_n + tab.c[j] * dt,
                                    view=plan.coarse_view))
     out[rows] = combine(y_rows, dt, tab.b, rates)
+    # the coarse side's bonds have both ends coarse: its FI rows, still at
+    # t_n, are not read
+    update_damage(plan.op.nbrs, out[:, :dim], plan.s0,
+                  bond_mask=plan.coarse_bond_mask)
     return out
 
 
