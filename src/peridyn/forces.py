@@ -218,12 +218,14 @@ def _slot_sums(scale: np.ndarray, direction: np.ndarray, out=None):
     return out
 
 
-# Padded bond slots per row block of a view.  A block's temporaries in
-# rates (a few arrays of this many doubles per component) then stay in the
-# L2 cache.  One component's array stays under 128 KiB, glibc's default
-# mmap threshold; the (dim, slot, row) displacements span dim of them, and
-# glibc raises its threshold past their size when it frees the first one,
-# so later calls reuse heap memory instead of mapping fresh pages.
+# The size unit of the bond work: the damage checks go in chunks of this
+# many half-bonds, and a view's row block holds at most 3 * _BLOCK_SLOTS
+# doubles in its (dim, slot, row) displacements, so 22,500 padded slots in
+# 2D and 15,000 in 3D (see make_view), and its temporaries in rates stay in
+# the L2 cache.  A 2D component array passes 128 KiB, glibc's default mmap
+# threshold, but glibc raises its threshold past an array's size when it
+# frees the first one, so later calls reuse heap memory instead of mapping
+# fresh pages.
 _BLOCK_SLOTS = 15_000
 
 
@@ -387,7 +389,9 @@ class PDOperator:
 
     def make_view(self, rows: np.ndarray) -> _View:
         """Precompute the bond slice for evaluating rates at ``rows`` only,
-        as row blocks of about _BLOCK_SLOTS padded bond slots."""
+        as the fewest row blocks of equal row counts (give or take one)
+        whose (dim, slot, row) arrays hold at most 3 * _BLOCK_SLOTS
+        doubles, at the view's widest row."""
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
         counts = off[rows + 1] - off[rows]
@@ -395,9 +399,10 @@ class PDOperator:
         steps = []
         if n_bonds:
             pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
-            step = max(1, _BLOCK_SLOTS // int(counts.max()))
-            for lo in range(0, len(rows), step):
-                hi = min(lo + step, len(rows))
+            row_doubles = len(pos) * int(counts.max())
+            n_blocks = -(-len(rows) // max(1, 3 * _BLOCK_SLOTS // row_doubles))
+            ends = (np.arange(n_blocks + 1) * len(rows) // n_blocks).tolist()
+            for lo, hi in zip(ends, ends[1:]):
                 blk = self._block(rows[lo:hi], int(counts[lo:hi].max()), pos)
                 steps.append((blk, _selector(blk.rows), slice(lo, hi)))
         return self._view(rows, n_bonds, steps)

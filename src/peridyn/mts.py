@@ -156,12 +156,17 @@ class Interpolant:
     d: np.ndarray
 
     def __call__(self, tau: float) -> np.ndarray:
-        """The polynomial at t0 + tau, unchecked."""
-        out = self.y0 + tau * self.L0
+        """The polynomial at t0 + tau, unchecked: y0 + tau L0, then each
+        term (tau^(j+2)/(j+2)!) d[j] in turn, accumulated in place in one
+        fresh array (IEEE addition and multiplication commute, so these
+        are the bits of the out-of-place sum)."""
+        out = tau * self.L0
+        out += self.y0
+        term = np.empty_like(out)
         power = tau
-        for j in range(len(self.d)):
+        for j, d_j in enumerate(self.d):
             power *= tau
-            out = out + (_INV_FACT[j] * power) * self.d[j]
+            out += np.multiply(_INV_FACT[j] * power, d_j, out=term)
         return out
 
     def evaluate(self, t: float) -> np.ndarray:
@@ -324,14 +329,6 @@ def _fi_ghost(plan: MtsPlan, y_n: np.ndarray, history: OperatorHistory):
                        y0=np.take(y_n, fi, axis=0), L0=L0, d=d)
 
 
-def _put_rows(y: np.ndarray, rows, values: np.ndarray):
-    """``y[rows] = values`` for C-contiguous arrays of equal rows, as one
-    np.put of whole rows viewed as fixed-size void records: a plain copy
-    per row, several times faster than fancy-index assignment."""
-    record = np.dtype((np.void, y.strides[0]))
-    np.put(y.view(record), rows, values.view(record))
-
-
 def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
               t_n: float, dt: float, n_sub: int, history: OperatorHistory,
               bond_mask):
@@ -341,18 +338,25 @@ def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
     ``boundary(t_k, tau)``, their value at t_k + tau (t_k starts the
     substep).  With fracture on, each substep ends with a damage check of
     the side's bonds, ``bond_mask``.  ``layer`` is restored on return, so
-    only ``rows`` and the side's flags change.
+    only ``rows`` and the side's flags change.  ``y`` must be C-contiguous
+    (``ValueError`` otherwise).
     """
+    if not y.flags.c_contiguous:
+        raise ValueError("the MTS state must be a C-contiguous array")
     if len(rows) == 0:
         return
     tab = plan.tab
-    # np.take and _put_rows move whole rows several times faster than
-    # fancy indexing
+    # Whole rows move as fixed-size void records: each row write is one put
+    # through ``records``, a plain copy per row, and each gather one
+    # np.take(..., axis=0); both are several times faster than fancy
+    # indexing.  The values written are fresh C-contiguous rows.
+    record = np.dtype((np.void, y.itemsize * y.shape[1]))
+    records = y.view(record)
     saved = np.take(y, layer, axis=0)
 
     def set_layer(t_k, tau):
         if len(layer):
-            _put_rows(y, layer, boundary(t_k, tau))
+            records.put(layer, boundary(t_k, tau).view(record))
 
     y_rows = np.take(y, rows, axis=0)
     rate0 = np.take(history.values(0), rows, axis=0)
@@ -361,19 +365,19 @@ def _substeps(plan: MtsPlan, y: np.ndarray, rows, view, layer, boundary,
 
         def stage_rate(j, y_j):
             tau = tab.c[j] * dt
-            _put_rows(y, rows, y_j)
+            records.put(rows, y_j.view(record))
             set_layer(t_k, tau)
             return plan.op.rates(y, t_k + tau, view=view)
 
         y_rows, _ = stages(tab, y_rows, dt, stage_rate,
                            rate0=rate0 if k == 0 else None)
         if plan.s0 is not None:
-            _put_rows(y, rows, y_rows)
+            records.put(rows, y_rows.view(record))
             set_layer(t_k, dt)
             update_damage(plan.op.nbrs, y[:, :plan.op.cloud.dim], plan.s0,
                           bond_mask=bond_mask)
-    _put_rows(y, rows, y_rows)
-    _put_rows(y, layer, saved)
+    records.put(rows, y_rows.view(record))
+    records.put(layer, saved.view(record))
 
 
 def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
@@ -386,7 +390,7 @@ def coarse_advance(plan: MtsPlan, y_n: np.ndarray, t_n: float,
     points see FI neighbors through the Taylor ghost extrapolator.  With
     fracture on, the bonds with both ends coarse are checked at the end.
     """
-    y = y_n.copy()
+    y = y_n.copy(order="K")  # _substeps refuses a state not C-contiguous
     ghost = _fi_ghost(plan, y_n, history)
     _substeps(plan, y, plan.rows_c, plan.coarse_view, plan.idx_fi,
               lambda _t_k, tau: ghost(tau), t_n, plan.config.dt, 1, history,

@@ -1828,29 +1828,55 @@ class TestBondStorage:
 
 
 class TestBlockSize:
-    def test_block_temporaries_under_mmap_threshold(self):
-        # glibc maps allocations of 128 KiB and more by default
-        assert forces._BLOCK_SLOTS * 8 < 128 * 1024
-
     @staticmethod
-    def assert_blocks_bounded(view, limit):
-        """Each row of the view lies in exactly one block, and a block holds
-        at most ``limit`` slots unless it holds a single row.  (A union
-        view's blocks do not tile its rows in order.)"""
+    def assert_blocks_balanced(view):
+        """The blocks of a view from make_view tile its rows in order, with
+        row counts that differ by at most one.  Each block's (dim, slot,
+        row) arrays hold at most 3 * _BLOCK_SLOTS doubles unless it holds
+        a single row, and one block fewer would not fit them."""
+        budget = 3 * forces._BLOCK_SLOTS
+        held = [blk.rows for blk in view.blocks]
+        assert np.array_equal(np.concatenate(held), view.rows)
+        sizes = [len(rows) for rows in held]
+        assert max(sizes) - min(sizes) <= 1
         for blk in view.blocks:
-            assert blk.nbr.size <= limit or len(blk.rows) == 1
-        held = np.concatenate([blk.rows for blk in view.blocks])
-        assert np.array_equal(np.sort(held), view.rows)
+            assert blk.vec.size <= budget or len(blk.rows) == 1
+        dim, width = view.blocks[0].vec.shape[0], \
+            max(len(blk.nbr) for blk in view.blocks)
+        fewer = len(sizes) - 1
+        assert fewer == 0 or \
+            -(-len(view.rows) // fewer) * dim * width > budget
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     def test_views_hold_at_most_block_slots(self, dim, n):
+        # the sides of a split and an unsplit full view; the union view's
+        # blocks are the sides' own
         op, plan = loaded_plan(n=n, dim=dim)
-        for view in (op.full_view, plan.coarse_view, plan.fine_view):
+        bare, _ = loaded_plan(n=n, dim=dim, split=False)
+        union, sides = op.full_view.blocks, \
+            plan.coarse_view.blocks + plan.fine_view.blocks
+        assert len(union) == len(sides)
+        assert all(a is b for a, b in zip(union, sides))
+        for view in (bare.full_view, plan.coarse_view, plan.fine_view):
             assert len(view.blocks) >= 2
-            self.assert_blocks_bounded(view, forces._BLOCK_SLOTS)
+            self.assert_blocks_balanced(view)
+
+    def test_desk_preset_blocks(self):
+        # 22,500 slots in 2D: the 800-point plate's full and coarse views
+        # are one block each; 3D blocks keep their 15,000-slot bound
+        plate = Scenario(preset_config("plate2d"))
+        op = plate.fresh_operator()
+        assert len(op.full_view.blocks) == 1
+        plan = MtsPlan(op, plate.mts_config())
+        assert len(plan.coarse_view.blocks) == 1
+        view = Scenario(preset_config("block3d")).fresh_operator().full_view
+        assert len(view.blocks) == 17
+        assert all(blk.nbr.size <= 15_000 for blk in view.blocks)
+        self.assert_blocks_balanced(view)
 
     def test_row_wider_than_a_block(self, monkeypatch):
-        # 28-bond rows against 10-slot blocks: one row per block, same bits
+        # 28-bond rows against 30-double blocks: one row per block, same
+        # bits
         op, plan = loaded_plan()
         y = random_state(op, 43)
         write_mu(op.nbrs, (0, 17, 400, 901))
@@ -1858,7 +1884,7 @@ class TestBlockSize:
         for rows in (op.full_view.rows, plan.fine_view.rows):
             view = op.make_view(rows)
             assert all(len(blk.rows) == 1 for blk in view.blocks)
-            self.assert_blocks_bounded(view, 10)
+            self.assert_blocks_balanced(view)
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, rows))
 

@@ -197,6 +197,26 @@ class TestInterpolant:
         slopes = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(slopes >= r + 0.8)
 
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_bits_of_the_out_of_place_sum(self, r):
+        # the in-place accumulation gives y0 + tau L0 + sum_j
+        # (tau^(j+2)/(j+2)!) d_j bit for bit, a -0.0 in y0 included
+        rng = np.random.default_rng(r)
+        dt = 0.37
+        y0, L0 = rng.normal(size=(2, 5, 4))
+        y0[1, 2] = -0.0
+        L0[1, 2] = -1.5
+        d = rng.normal(size=(r - 2, 5, 4))
+        interp = Interpolant(t0=0.0, dt=dt, y0=y0, L0=L0, d=d)
+        inv_fact = (0.5, 1.0 / 6.0)
+        for tau in (0.0, dt / 3, dt):
+            want = y0 + tau * L0
+            power = tau
+            for j in range(r - 2):
+                power *= tau
+                want = want + (inv_fact[j] * power) * d[j]
+            assert interp(tau).tobytes() == want.tobytes()
+
     def test_window_guard(self):
         u, du = self.poly_traj([[1.0, 0.0]])
         hist = manufactured_history(u, du, 0.0, 0.1)
@@ -384,6 +404,21 @@ class TestInPlaceContract:
         assert np.array_equal(out[plan.rows_c], before[plan.rows_c])
         if len(plan.rows_f):
             assert not np.array_equal(out[plan.rows_f], before[plan.rows_f])
+
+    def test_refuses_a_state_not_c_contiguous(self):
+        # rows move as void records of the state's rows: an F-ordered
+        # state would take single elements in place of rows
+        plan, hist, t_n, y_n = self.stepped_plan(4, 0.05, 0.4)
+        y_f = np.asfortranarray(y_n)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            coarse_advance(plan, y_f, t_n, hist)
+        y_half = coarse_advance(plan, y_n, t_n, hist)
+        interp = build_interpolant(plan.idx_ci, y_n, y_half, hist, 4,
+                                   plan.config.dt)
+        y_half_f = np.asfortranarray(y_half)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fine_advance(plan, y_half_f, interp, t_n, hist)
+        assert np.array_equal(y_half_f, y_half)
 
     @pytest.mark.parametrize("s0", [None, 0.05])
     @pytest.mark.parametrize("order", [3, 4])
