@@ -16,8 +16,12 @@ table and skin state.
 
 Each per-bond array is held once: the neighbor list keeps the topology
 (int32 neighbor and partner ids) and the bool bond flags, a block slot
-its neighbor id and the linear law's bond factor q (2 doubles), and a
-damage table entry its bond id and its length |xi| (12 B);
+the linear law's bond factor q (2 doubles) and either its neighbor id,
+when the block computes its dot product q . eta, or the position it
+copies that dot product from (a bond to a lower neighbor copies its
+partner's), and a damage table entry its bond id and its length |xi|
+(12 B); a `rates` call's buffer of the computed dot products, about 4 B
+per padded slot, lives for that call only;
 a refresh derives the bond's ends.  An MTS plan splits the operator into
 its coarse and fine views, and the full view is their union; likewise
 the neighbor list keeps one damage table with one side per bond mask,
@@ -100,11 +104,14 @@ def main() -> int:
               lambda: update_damage(nbrs, u, scenario.s0, mask))
 
     # The full view is the union of the two sides: their blocks, counted
-    # once.  A block's slot data are its neighbor ids and bond vectors; it
-    # also holds its row ids and, once a slot's bond broke, its flags.
+    # once.  A block's slot data are its computed slots' neighbor ids, its
+    # mirrored slots' copy positions and the slots' bond vectors; it also
+    # holds its row ids, its bonds that leave the view and, once a bond it
+    # computes broke, its flags.
     blocks = plan.coarse_view.blocks + plan.fine_view.blocks
-    slots = sum(blk.nbr.size for blk in blocks)
-    slot_data = sum(blk.nbr.nbytes + blk.vec.nbytes for blk in blocks)
+    slots = sum(blk.vec[0].size for blk in blocks)
+    slot_data = sum(blk.nbr.nbytes + blk.mirror.nbytes + blk.vec.nbytes
+                    for blk in blocks)
     # the table counts with its skin state: each side's points (the ends
     # of its half-bonds), their reference displacements and watch list
     table = nbrs.damage_table

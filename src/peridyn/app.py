@@ -717,8 +717,10 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     repeated = [K for n, K in enumerate(k_list) if K in k_list[:n]]
     if repeated:
         problems.append(f"K list: K {repeated[0]} is repeated")
-    if reference_dt is not None and not (math.isfinite(reference_dt)
-                                         and reference_dt > 0):
+    if isinstance(reference_dt, (bool, np.bool_)):
+        problems.append(f"reference dt: {_number_problem(reference_dt)}")
+    elif reference_dt is not None and not (math.isfinite(reference_dt)
+                                           and reference_dt > 0):
         problems.append("reference dt: must be positive and finite, "
                         f"got {reference_dt}")
     if problems:

@@ -228,51 +228,79 @@ def _slot_sums(scale: np.ndarray, direction: np.ndarray, out=None):
 # fresh pages.
 _BLOCK_SLOTS = 15_000
 
+# A block mirrors (see _Block) only if it copies this many dot products:
+# its copies and cross-bond pass cost a few numpy calls, about this many
+# computed slots (plate2d's fine view, one block copying 1,230, ran 32%
+# slower mirrored; 2-core VM, numpy 2.4).
+_MIRROR_MIN = 4_000
+
 
 @dataclass
 class _Block:
     """Some rows of a view, as padded (slot, row) bond arrays.
 
-    Slot s of row q holds that row's s-th bond in ascending neighbor order.
-    ``vec`` holds the bond factor q (``bond_factor``) under the linear law
-    and xi under the nonlinear one, whose ``length`` holds |xi|.  A row
-    with fewer bonds than the block's widest row is padded with force-free
-    bonds: the neighbor is the row itself (so eta = 0), xi is the unit
-    vector e0 and its length 1.  The slots' bond ids are not stored:
-    ``bonds`` recomputes them from each row's CSR start.
+    A row's slots hold its bonds in ascending neighbor order, in two groups
+    of M and C slots: its ``low`` bonds to lower neighbors, then the rest,
+    computed from the neighbors ``nbr``.  Under the linear law the first
+    group copies its dot products q . eta from a ``rates`` call's buffer
+    (see ``_View``) at ``mirror``: the partner bond's, which a lower
+    neighbor in the view evaluated, or, for a ``cross`` bond to a point
+    outside the view, the block's own.  The block writes its dot products
+    there from ``at`` on (None: the view copies none): the second
+    group's, then the cross bonds'.
+    ``vec`` holds q (``bond_factor``) under the linear law and xi under the
+    nonlinear one, whose ``length`` holds |xi|.  ``low`` is 0, and every
+    slot computed, under the nonlinear law and in a block that would copy
+    fewer than _MIRROR_MIN dot products.  A group pads its rows to its widest with force-free bonds: a copy of the
+    buffer's +0.0, or the row itself as neighbor (so eta = 0) and xi = e0,
+    of length 1.  ``bonds`` recomputes the slots' bond ids from each row's
+    CSR start.
 
-    ``flags`` caches the slots' bond flags as 0.0/1.0, as of the neighbor
-    list's ``version``: None while every slot is alive, so intact blocks
-    skip the multiplication.
+    ``flags`` caches the flags of the computed bonds as 0.0/1.0, in the
+    buffer's order, as of the list's ``version``: None while all are alive,
+    so intact blocks skip the multiplication.  A copy carries its partner's
+    flag: both directions of a bond break together.
     """
 
     rows: np.ndarray    # (R,) global point ids
-    nbr: np.ndarray     # (S, R) neighbor points, intp for the gathers
-    vec: np.ndarray     # (dim, S, R) q (linear law) or xi (nonlinear)
-    length: np.ndarray | None  # (S, R) |xi| (nonlinear law only)
+    low: np.ndarray     # (R,) bonds to lower neighbors per row
+    mirror: np.ndarray  # (M, R) dot buffer positions, intp
+    nbr: np.ndarray     # (C, R) neighbor points, intp for the gathers
+    cross: np.ndarray   # (3, K) bond id, neighbor and row, intp
+    cross_vec: np.ndarray  # (dim, K) the cross bonds' factors q
+    at: int | None      # buffer position of the computed dot products
+    vec: np.ndarray     # (dim, M + C, R) q (linear law) or xi (nonlinear)
+    length: np.ndarray | None  # (C, R) |xi| (nonlinear law only)
     flags: np.ndarray | None = None
     version: int = -1   # nbrs.version that flags was gathered at
 
     def bonds(self, nbrs: NeighborList) -> np.ndarray:
-        """(S, R) bond ids of the slots; pads hold bond 0."""
-        return _slot_bonds(nbrs, self.rows, len(self.nbr))[0]
+        """(M + C, R) bond ids of the slots; pads hold bond 0."""
+        return _slot_bonds(nbrs, self.rows, self.low, len(self.mirror),
+                           len(self.nbr))[0]
 
     def alive(self, nbrs: NeighborList) -> np.ndarray | None:
-        """The slots' flags (see ``flags``), refreshed when mu changed."""
+        """The computed bonds' flags (see ``flags``), refreshed when mu
+        changed."""
         if self.version != nbrs.version:
-            mu = np.take(nbrs.mu, self.bonds(nbrs))
+            own = _slot_bonds(nbrs, self.rows, self.low, 0, len(self.nbr))[0]
+            mu = np.take(nbrs.mu, np.concatenate([own.ravel(),
+                                                  self.cross[0]]))
             self.flags = None if mu.all() else mu.astype(float)
             self.version = nbrs.version
         return self.flags
 
 
-def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, n_slots: int):
-    """(S, R) bond ids of rows' slots 0..S-1 from their CSR starts, with
-    the pads (slots past a row's bonds) set to bond 0, and the pad mask."""
+def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, low, m: int, c: int):
+    """(m + c, R) bond ids of rows' slots from their CSR starts: m slots of
+    each row's ``low`` first bonds, then c of the rest, with the pads
+    (slots past a group's bonds) set to bond 0; and the pad mask."""
     start = nbrs.offsets[rows]
-    slot = np.arange(n_slots)[:, None]
-    pad = slot >= nbrs.offsets[rows + 1] - start
-    bond = start + slot
+    split = start + low
+    slot = np.arange(m + c)[:, None]
+    lower = slot < m
+    bond = np.where(lower, start + slot, split + (slot - m))
+    pad = bond >= np.where(lower, split, nbrs.offsets[rows + 1])
     bond[pad] = 0
     return bond, pad
 
@@ -292,11 +320,14 @@ class _View:
     rows, so its rates are the full view's, in global order.  ``sel``
     selects the view's rows of the state and the body force.  The steps
     hold no array of their own: their selectors are slices or the blocks'
-    row arrays.
+    row arrays.  Under the linear law a call's buffer holds +0.0 and the
+    dot products the blocks compute, ``n_dots`` in all (0: no buffer); the
+    union's sides use one buffer in turn.
     """
 
     rows: np.ndarray            # global point indices, ascending
     n_bonds: int                # bonds of the view's rows
+    n_dots: int                 # length of a call's dot buffer
     steps: list                 # (block, source, dest); none if no bonds
     sel: slice | np.ndarray
     constrained_local: np.ndarray
@@ -325,11 +356,12 @@ def _selector(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
-def _eta(blk: _Block, u: np.ndarray, rows) -> np.ndarray:
-    """Relative displacements u[nbr] - u[row] over a block's slots, (dim,
-    S, R), from the (dim, N) displacements ``u``; ``rows`` selects the
-    block's rows (a slice or their ids)."""
-    eta = np.take(u, blk.nbr, axis=1)
+def _eta(blk: _Block, u: np.ndarray, rows, out=None) -> np.ndarray:
+    """Relative displacements u[nbr] - u[row] over a block's computed
+    slots, (dim, C, R), from the (dim, N) displacements ``u``, into ``out``
+    if given; ``rows`` selects the block's rows (a slice or their ids)."""
+    # "clip" leaves ``out`` unbuffered and, all indices in range, each value
+    eta = np.take(u, blk.nbr, axis=1, out=out, mode="clip")
     # np.take gathers columns several times faster than fancy indexing
     eta -= u[:, None, rows] if isinstance(rows, slice) \
         else np.take(u, rows, axis=1)[:, None]
@@ -391,36 +423,84 @@ class PDOperator:
         """Precompute the bond slice for evaluating rates at ``rows`` only,
         as the fewest row blocks of equal row counts (give or take one)
         whose (dim, slot, row) arrays hold at most 3 * _BLOCK_SLOTS
-        doubles, at the view's widest row."""
+        doubles, at the view's widest slot groups.  The blocks tile the
+        rows in order, so a dot product a block copies (see _Block) is
+        evaluated in an earlier block or earlier in the same one: bond
+        i -> j and its partner j -> i have the same, bit for bit, as q and
+        eta both negate exactly."""
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
         counts = off[rows + 1] - off[rows]
         n_bonds = int(counts.sum())
-        steps = []
+        steps, n_dots = [], 1
         if n_bonds:
-            pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
-            row_doubles = len(pos) * int(counts.max())
-            n_blocks = -(-len(rows) // max(1, 3 * _BLOCK_SLOTS // row_doubles))
+            low = self._lower_counts(rows, counts)
+            width = int(low.max() + np.maximum(counts - low, 1).max())
+            per = max(1, 3 * _BLOCK_SLOTS // (self.cloud.dim * width))
+            n_blocks = -(-len(rows) // per)
             ends = (np.arange(n_blocks + 1) * len(rows) // n_blocks).tolist()
+            outside = np.ones(self.cloud.n_points, dtype=bool)
+            outside[rows] = False
+            # the dot product of a computed slot of bond b of view row j
+            # sits at b * stride[j] + base[j], set by j's block
+            stride = np.zeros(self.cloud.n_points, dtype=np.int64)
+            base = np.zeros_like(stride)
+            pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
             for lo, hi in zip(ends, ends[1:]):
-                blk = self._block(rows[lo:hi], int(counts[lo:hi].max()), pos)
+                blk = self._block(rows[lo:hi], low[lo:hi], n_dots, pos,
+                                  outside, stride, base)
+                n_dots += blk.nbr.size + blk.cross.shape[1]
                 steps.append((blk, _selector(blk.rows), slice(lo, hi)))
-        return self._view(rows, n_bonds, steps)
+        if not any(len(blk.mirror) for blk, *_ in steps):
+            n_dots = 0  # nothing copies, so no block keeps its dot products
+            for blk, *_ in steps:
+                blk.at = None
+        return self._view(rows, n_bonds, n_dots, steps)
 
-    def _view(self, rows, n_bonds, steps) -> _View:
+    def _lower_counts(self, rows, counts) -> np.ndarray:
+        """Each row's bonds to lower neighbors under the linear law (0 under
+        the nonlinear one), counted in chunks of _BLOCK_SLOTS slots."""
+        low = np.zeros(len(rows), dtype=np.int64)
+        per = max(1, _BLOCK_SLOTS // int(counts.max()))
+        for lo in range(0, len(rows) if self.law == "linear" else 0, per):
+            chunk = slice(lo, lo + per)
+            bond, pad = _slot_bonds(self.nbrs, rows[chunk], 0, 0,
+                                    int(counts[chunk].max()))
+            below = self.nbrs.neighbors[bond] < rows[chunk]
+            low[chunk] = (below & ~pad).sum(axis=0)
+        return low
+
+    def _view(self, rows, n_bonds, n_dots, steps) -> _View:
         """The view of ``rows`` that ``steps`` evaluate."""
         cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, n_bonds=n_bonds, steps=steps,
+        return _View(rows=rows, n_bonds=n_bonds, n_dots=n_dots, steps=steps,
                      sel=_selector(rows), constrained_local=cons,
                      v_prescribed=self.v_prescribed_full[rows[cons]],
                      offsets=self.nbrs.offsets)
 
-    def _block(self, rows, width, pos) -> _Block:
+    def _block(self, rows, low, at, pos, outside, stride, base) -> _Block:
+        nbrs, n_rows = self.nbrs, len(rows)
+        m = int(low.max())
+        c = max(int((nbrs.offsets[rows + 1] - nbrs.offsets[rows] - low)
+                    .max()), 1)
+        bond, pad = _slot_bonds(nbrs, rows, low, m, c)
+        nbr = nbrs.neighbors[bond].astype(np.intp)
+        np.copyto(nbr, rows, where=pad)
+        below = nbr[:m]
+        cross = outside[below]  # a pad's neighbor is its row, in the view
+        n_cross = int(np.count_nonzero(cross))
+        if m and np.count_nonzero(~pad[:m]) - n_cross < _MIRROR_MIN:
+            return self._block(rows, np.zeros_like(low), at, pos, outside,
+                               stride, base)
+        stride[rows] = n_rows
+        base[rows] = at + np.arange(n_rows) \
+            - (nbrs.offsets[rows] + low) * n_rows
+        mirror = np.take(nbrs.partner, bond[:m]) * stride[below]
+        mirror += base[below]
+        mirror[pad[:m]] = 0
+        mirror[cross] = np.arange(n_cross) + (at + c * n_rows)
         # xi = x_j - x_i from the position components ``pos``, and |xi| by
         # _norm, bit for bit the neighbor list's derived xi and xi_norm
-        bond, pad = _slot_bonds(self.nbrs, rows, max(width, 1))
-        nbr = self.nbrs.neighbors[bond].astype(np.intp)
-        np.copyto(nbr, rows, where=pad)
         xi = np.empty((len(pos),) + nbr.shape)
         for xi_k, pos_k in zip(xi, pos):
             np.take(pos_k, nbr, out=xi_k)
@@ -428,17 +508,49 @@ class PDOperator:
         xi[0][pad] = 1.0  # a pad's x_j - x_i is +0.0: make it e0
         length = _norm(xi)
         if self.law == "linear":
-            return _Block(rows=rows, nbr=nbr, length=None,
-                          vec=bond_factor(xi, length, self.alpha, out=xi))
-        return _Block(rows=rows, nbr=nbr, vec=xi, length=length)
+            bond_factor(xi, length, self.alpha, out=xi)
+            length = None
+        return _Block(
+            rows=rows, low=low, mirror=mirror.astype(np.intp),
+            nbr=nbr[m:].copy() if m else nbr,
+            cross=np.stack([bond[:m][cross], below[cross],
+                            np.broadcast_to(rows, below.shape)[cross]]),
+            cross_vec=xi[:, :m][:, cross], at=at, vec=xi, length=length)
 
-    def _pair_forces(self, blk: _Block, eta: np.ndarray, alive):
-        """The block's (scale, direction) under the operator's law; both
-        laws overwrite ``eta``."""
-        if self.law == "linear":
-            return pairwise_force_linear(blk.vec, eta, alive)
-        coef = self.alpha if alive is None else self.alpha * alive
-        return pairwise_force_nonlinear(blk.vec, eta, blk.length, coef)
+    def _pair_forces(self, blk: _Block, u: np.ndarray, rows, dots):
+        """The block's (scale, direction) under the operator's law, from
+        the (dim, N) displacements ``u``; under the linear law through the
+        call's buffer ``dots`` (see _Block)."""
+        alive = blk.alive(self.nbrs)
+        own = None if alive is None else \
+            alive[:blk.nbr.size].reshape(blk.nbr.shape)
+        if self.law == "nonlinear":
+            coef = self.alpha if own is None else self.alpha * own
+            return pairwise_force_nonlinear(blk.vec, _eta(blk, u, rows),
+                                            blk.length, coef)
+        m, (c, n_rows) = len(blk.mirror), blk.nbr.shape
+        held = eta = None
+        if m:  # the dot products share one array with eta: eta[0] is dot[m:]
+            held = np.empty((m + len(u) * c) * n_rows)
+            eta = held[m * n_rows:].reshape(len(u), c, n_rows)
+        dot, _ = pairwise_force_linear(blk.vec[:, m:], _eta(blk, u, rows, eta),
+                                       own)
+        if m:
+            dot = held[:(m + c) * n_rows].reshape(m + c, n_rows)
+        if blk.at is None:
+            return dot, blk.vec
+        stop = blk.at + blk.nbr.size
+        dots[blk.at:stop] = dot[m:].ravel()
+        if blk.cross.shape[1]:
+            _, j, i = blk.cross
+            eta = np.take(u, j, axis=1)
+            eta -= np.take(u, i, axis=1)
+            dots[stop:stop + len(j)] = pairwise_force_linear(
+                blk.cross_vec, eta,
+                None if alive is None else alive[blk.nbr.size:])[0]
+        if m:
+            np.take(dots, blk.mirror, out=dot[:m], mode="clip")
+        return dot, blk.vec
 
     @property
     def full_view(self) -> _View:
@@ -472,6 +584,7 @@ class PDOperator:
         self._full_view = self.nbrs.damage_table = None
         views = self.make_view(rows_a), self.make_view(rows_b)
         full = self._view(np.arange(n, dtype=np.int64), self.nbrs.n_bonds,
+                          max(view.n_dots for view in views),
                           [(blk, src, src) for view in views
                            for blk, src, _ in view.steps])
         full.bond_sel = range(full.n_bonds)
@@ -509,10 +622,11 @@ class PDOperator:
         on every call.
 
         A row's rates do not depend on the view or block that holds it.
-        Pad slots add +0.0 after a row's bonds, and the slot sum of a block
-        of several rows starts from +0.0; either can only turn a -0.0 force
-        sum into +0.0, and adding the body force (never -0.0) turns both
-        into +0.0.  With ``view`` None this is the full view.
+        Pad slots add +0.0 after a group of a row's bonds, and the slot sum
+        of a block of several rows starts from +0.0; either can only turn a
+        -0.0 partial sum into +0.0, and adding the body force (never -0.0)
+        turns a -0.0 force sum into +0.0 too.  With ``view`` None this is
+        the full view.
         """
         if view is None:
             view = self.full_view
@@ -522,14 +636,17 @@ class PDOperator:
         u = y[:, :dim].T.copy()
         # component-major, so a block's sums land in contiguous slices
         force = np.zeros((dim, len(view.rows)))
+        dots = None
+        if view.n_dots:
+            dots = np.empty(view.n_dots)
+            dots[0] = 0.0  # what mirrored pads copy
         # the lowest collapsed bond: a union view's blocks run out of order
         collapsed = self.nbrs.n_bonds
         # overflow/NaN propagate silently here; the trap below names them
         with np.errstate(over="ignore", invalid="ignore"):
             for blk, rows, dest in view.steps:
                 try:
-                    scale, direction = self._pair_forces(
-                        blk, _eta(blk, u, rows), blk.alive(self.nbrs))
+                    scale, direction = self._pair_forces(blk, u, rows, dots)
                 except BondCollapseError as err:
                     collapsed = min(collapsed, int(
                         blk.bonds(self.nbrs)[err.collapsed].min()))

@@ -65,7 +65,7 @@ class NeighborList:
     ascending neighbor index (this fixes the force summation order).
     ``partner[b]`` is the index of the reversed bond, so symmetric damage
     updates are O(1).  ``mu`` is True for alive bonds and False once broken;
-    bonds never heal.
+    both directions of a bond break together, and bonds never heal.
 
     Each per-bond array exists once, at the narrowest width: ``neighbors``
     and ``partner`` are int32 (``build_neighbor_list`` refuses counts that

@@ -98,8 +98,9 @@ def write_timing(timing, path):
 
 def reference_cache_key(canonical_text: str, order: int, dt_ref: float) -> str:
     """Hash of the scenario, the order, the reference step and
-    REFERENCE_VERSION."""
-    payload = (f"{canonical_text}\norder={order}\ndt_ref={dt_ref.hex()}"
+    REFERENCE_VERSION; a step keys as the Python float of its value."""
+    payload = (f"{canonical_text}\norder={order}\n"
+               f"dt_ref={float(dt_ref).hex()}"
                f"\nversion={REFERENCE_VERSION}")
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -704,6 +704,35 @@ class TestReferenceCache:
         assert got.v.tobytes() == want.v.tobytes()
         assert got.t == want.t
 
+    def test_key_of_a_step_is_its_float(self):
+        # a step keys as the Python float of its value: an int, a numpy
+        # float32 or float64 step keys the cache as the equal float does
+        text = "[scenario]\nname = custom\n"
+        assert pio.reference_cache_key(text, 4, 1e-6) == "c9c0900461aaa9ae"
+        assert pio.reference_cache_key(text, 4, 1.25e-6) == "44907f4f82022fd2"
+        step = np.float32(1.25e-6)
+        for value, same in ((1, 1.0), (step, float(step)),
+                            (np.float64(1e-6), 1e-6)):
+            assert pio.reference_cache_key(text, 4, value) == \
+                pio.reference_cache_key(text, 4, same)
+        assert pio.reference_cache_key(text, 4, step) != \
+            pio.reference_cache_key(text, 4, 1.25e-6)
+
+    def test_converge_caches_a_numpy_or_int_step(self, mini_config, tmp_path):
+        # a step that is not a Python float reaches the cache key, and the
+        # file is the one the equal float names
+        for cfg, dts, step in (
+                (mini_config(n_steps=4), [2e-5, 1e-5], np.float32(1.25e-6)),
+                (mini_config(n_steps=4, dt=2.0), [2.0, 1.0], 1)):
+            cache = str(tmp_path / type(step).__name__)
+            rows = app.converge(cfg, dts, [1, 2], reference_dt=step,
+                                cache_dir=cache)
+            assert len(rows) == 12
+            key = pio.reference_cache_key(Scenario(cfg).canonical_text,
+                                          cfg.mts.order, float(step))
+            assert os.listdir(cache) == [
+                os.path.basename(pio.reference_cache_path(cache, key))]
+
     def test_key_changes_with_reference_version(self, monkeypatch):
         args = ("[scenario]\nname = custom\n", 4, 1e-6)
         key = pio.reference_cache_key(*args)
@@ -918,6 +947,29 @@ class TestRunAndCli:
         err = capsys.readouterr().err
         assert "configuration error" in err and problem in err
         assert not (tmp_path / "out").exists()
+
+    def test_cli_converge_bool_reference_dt_exit_2(self, tmp_path,
+                                                   mini_config, capsys,
+                                                   monkeypatch):
+        # validate_config refuses bools, and so does converge for its step
+        def with_bool_step(*args, **kwargs):
+            return converge(*args, **{**kwargs, "reference_dt": True})
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the reference dt "
+                                 "was checked")
+
+        for name in ("reference_solution", "upd_run", "mts_run"):
+            monkeypatch.setattr(app, name, no_run)
+        monkeypatch.setattr(cli, "converge", with_bool_step)
+        path = tmp_path / "mini.cfg"
+        path.write_text(serialize_config(mini_config(n_steps=8)))
+        code = cli.main(["converge", "--config", str(path), "--dt-list",
+                         "1e-5,0.5e-5", "--k-list", "1,2",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "reference dt: must be a number, got True" in err
 
     @pytest.mark.parametrize("K", [2.0, math.inf, math.nan])
     def test_converge_non_integer_k_refused(self, mini_config, monkeypatch,

@@ -540,20 +540,26 @@ def row_by_row_rates(op, y, rows):
 class TestRatesPlan:
     """rates evaluates a view through its plan: one einsum per block of
     several rows, a cumsum per one-row block, sums written in place or,
-    in a union view, scattered.  Every view kind must give the per-row
-    formula's bits, and no returned array may share a workspace."""
+    in a union view, scattered; under the linear law each block copies the
+    dot products of its bonds to lower neighbors from their partners.
+    Every view kind must give the per-row formula's bits, and no returned
+    array may share a workspace."""
 
     @settings(max_examples=24, deadline=None)
     @given(law=st.sampled_from(["linear", "nonlinear"]),
            dim=st.sampled_from([2, 3]),
            slots=st.sampled_from([forces._BLOCK_SLOTS, 300, 40]),
+           mirror_min=st.sampled_from([0, forces._MIRROR_MIN]),
            seed=st.integers(0, 2 ** 16), n_broken=st.integers(1, 40))
-    def test_every_view_matches_row_by_row(self, law, dim, slots, seed,
-                                           n_broken):
-        # blocks of `slots` padded slots: 40 makes every block one row; the
-        # far bondless point at x = 5 is fine
+    def test_every_view_matches_row_by_row(self, law, dim, slots, mirror_min,
+                                           seed, n_broken):
+        # blocks of `slots` padded slots: 40 makes every block one row, and
+        # 300 puts a mirror's partner in an earlier block; `mirror_min` 0
+        # mirrors every block that can; the far bondless point at x = 5 is
+        # fine
         n = 8 if dim == 2 else 6
-        with mock.patch.object(forces, "_BLOCK_SLOTS", slots):
+        with mock.patch.object(forces, "_BLOCK_SLOTS", slots), \
+                mock.patch.object(forces, "_MIRROR_MIN", mirror_min):
             op, plan = loaded_plan(law, n=n, dim=dim, fine_x=(0.5, 6.0),
                                    bondless=True)
             bare, _ = loaded_plan(law, n=n, dim=dim, split=False,
@@ -562,10 +568,14 @@ class TestRatesPlan:
             bondless = np.array([n - 2, n - 1])
             rng = np.random.default_rng(seed)
             one = int(rng.integers(n - 2))
+            # a box inside the plate: its rows have lower neighbors outside
+            pos = op.cloud.positions
+            box = np.flatnonzero(np.all((pos >= 0.2) & (pos <= 0.4), axis=1))
             views = {
-                "full": (bare, None), "union": (op, None),
+                "full": (bare, bare.full_view), "union": (op, None),
                 "coarse": (op, plan.coarse_view),
                 "fine": (op, plan.fine_view),
+                "box": (op, op.make_view(box)),
                 "one row": (op, op.make_view(np.array([one]))),
                 "one bondless row": (op, op.make_view(bondless[1:])),
                 "bondless": (op, op.make_view(bondless)),
@@ -574,6 +584,11 @@ class TestRatesPlan:
             }
         assert bondless[0] in plan.rows_c and bondless[1] in plan.rows_f
         assert op.nbrs.counts()[bondless].sum() == 0
+        blocks = [blk for o, view in views.values()
+                  for blk in (view or o.full_view).blocks]
+        mirrored = any(len(blk.mirror) for blk in blocks)
+        assert mirrored == (law == "linear" and mirror_min == 0)
+        assert mirrored == any(blk.cross.shape[1] for blk in blocks)
         states = random_state(op, seed), random_state(op, seed + 1)
         # first with every bond alive (no flag caches), then with breaks
         for broken in ((), rng.choice(op.nbrs.n_bonds, n_broken)):
@@ -592,6 +607,36 @@ class TestRatesPlan:
                         row_by_row_rates(o, y, rows).tobytes(), name
         assert any(blk.flags is not None for blk in op.full_view.blocks)
         assert any(blk.flags is not None for blk in bare.full_view.blocks)
+
+    def test_desk_preset_mirrors(self):
+        # crack2d's full view copies the dot product of every bond to a
+        # lower neighbor, half of all bonds; each MTS side computes exactly
+        # its rows' bonds to lower neighbors off the side (its cross bonds)
+        crack = Scenario(preset_config("crack2d"))
+        op = crack.fresh_operator()
+        nbrs = op.nbrs
+        copied = sum(int(blk.low.sum()) - blk.cross.shape[1]
+                     for blk in op.full_view.blocks)
+        assert copied == nbrs.n_bonds // 2 == 136_418
+        plan = MtsPlan(op, crack.mts_config(), crack.s0)
+        bond_i = nbrs.bond_i
+        for view in (plan.coarse_view, plan.fine_view):
+            off_side = np.ones(nbrs.n_points, dtype=bool)
+            off_side[view.rows] = False
+            leaving = np.flatnonzero((nbrs.neighbors < bond_i)
+                                     & off_side[nbrs.neighbors]
+                                     & ~off_side[bond_i])
+            cross = np.concatenate([blk.cross for blk in view.blocks], axis=1)
+            assert np.array_equal(np.sort(cross[0]), leaving)
+            assert set(cross[2]) == set(bond_i[leaving])
+            assert all(len(blk.mirror) for blk in view.blocks)
+        # plate2d's fine view, one block copying fewer than _MIRROR_MIN dot
+        # products, computes every slot; its coarse view mirrors
+        plate = Scenario(preset_config("plate2d"))
+        plan = MtsPlan(plate.fresh_operator(), plate.mts_config())
+        (fine,) = plan.fine_view.blocks
+        assert len(fine.mirror) == 0 and plan.fine_view.n_dots == 0
+        assert all(len(blk.mirror) for blk in plan.coarse_view.blocks)
 
 
 def bare_grid_op(law, dim, n=8):
@@ -725,6 +770,26 @@ class TestUnionView:
             assert op.rates(y, 0.5, view).tobytes() == \
                 got[view.rows].tobytes()
 
+    def test_union_of_a_mirroring_and_a_computing_side(self):
+        # the union's sides share one buffer: a side that copies nothing
+        # keeps no dot products, however many it computes
+        op, _ = loaded_plan(n=16, split=False)
+        y = random_state(op, 71)
+        want = op.rates(y, 0.5, self.whole(op))
+        real, thresholds = op.make_view, iter([0, 10 ** 9])
+
+        def make_view(rows):
+            with mock.patch.object(forces, "_MIRROR_MIN", next(thresholds)):
+                return real(rows)
+
+        points = np.arange(op.cloud.n_points)
+        with mock.patch.object(op, "make_view", make_view):
+            small, big, *_ = op.partition(points[:60], points[60:])
+        assert all(len(blk.mirror) for blk in small.blocks)
+        assert big.n_dots == 0 and all(blk.at is None for blk in big.blocks)
+        assert sum(blk.nbr.size for blk in big.blocks) > small.n_dots
+        assert op.rates(y, 0.5).tobytes() == want.tobytes()
+
     def test_partition_must_cover_each_point_once(self):
         op, plan = loaded_plan()
         with pytest.raises(ValueError, match="partition"):
@@ -830,8 +895,9 @@ class TestCaches:
     @staticmethod
     def assert_views(op, plan, y):
         """rates equals the reference on every view, and exactly the blocks
-        holding a broken bond carry a cached flag array, equal to the
-        slots' flags."""
+        computing a broken bond carry a cached flag array, equal to the
+        flags of the bonds they compute: their second slot group's, then
+        their cross bonds'.  A mirrored slot copies its partner's flag."""
         broken = np.flatnonzero(op.nbrs.mu == 0.0)
         for name, view in (("full", op.full_view),
                            ("coarse", plan.coarse_view),
@@ -839,7 +905,9 @@ class TestCaches:
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, view.rows)), name
             for blk in view.blocks:
-                bonds = blk.bonds(op.nbrs)
+                bonds = np.concatenate([
+                    blk.bonds(op.nbrs)[len(blk.mirror):].ravel(),
+                    blk.cross[0]])
                 cached = blk.flags is not None
                 assert cached == np.isin(bonds, broken).any(), name
                 assert not cached or np.array_equal(
@@ -1748,18 +1816,40 @@ class TestBondStorage:
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_block_geometry_matches_the_list(self, law, dim, n):
         # the linear law holds q = sqrt(alpha / |xi|^3) xi and no length,
-        # the nonlinear law xi and |xi|; a pad's xi is e0, of length 1
+        # the nonlinear law xi and |xi|; a pad's xi is e0, of length 1.
+        # Blocks mirror whatever they can here, so both groups are checked.
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
-        xi, xi_norm = nbrs.xi, nbrs.xi_norm
-        for view in (plan.coarse_view, plan.fine_view, op.make_view(
-                np.arange(op.cloud.n_points))):
+        xi, xi_norm, bond_i = nbrs.xi, nbrs.xi_norm, nbrs.bond_i
+        with mock.patch.object(forces, "_MIRROR_MIN", 0):
+            views = [op.make_view(v.rows) for v in (
+                plan.coarse_view, plan.fine_view, op.full_view)]
+        for view in views:
+            outside = np.ones(op.cloud.n_points, dtype=bool)
+            outside[view.rows] = False
             for blk in view.blocks:
-                assert blk.nbr.dtype == np.intp
+                assert blk.nbr.dtype == blk.mirror.dtype == np.intp
+                assert blk.cross.dtype == np.intp
                 assert not hasattr(blk, "bond")
-                bond, pad = forces._slot_bonds(nbrs, blk.rows, len(blk.nbr))
+                m, c = len(blk.mirror), len(blk.nbr)
+                bond, pad = forces._slot_bonds(nbrs, blk.rows, blk.low, m, c)
                 assert np.array_equal(blk.bonds(nbrs), bond)
-                assert np.array_equal(blk.nbr[~pad], nbrs.neighbors[bond][~pad])
+                # the first group holds each row's bonds to lower neighbors
+                lower = nbrs.neighbors < bond_i
+                assert np.array_equal(blk.low, [
+                    lower[nbrs.offsets[r]:nbrs.offsets[r + 1]].sum()
+                    if law == "linear" else 0 for r in blk.rows])
+                assert (m > 0) == (law == "linear")
+                assert np.all(lower[bond[:m][~pad[:m]]])
+                assert law == "nonlinear" or \
+                    not np.any(lower[bond[m:][~pad[m:]]])
+                assert np.array_equal(blk.nbr[~pad[m:]],
+                                      nbrs.neighbors[bond[m:]][~pad[m:]])
+                # cross bonds: the first group's bonds leaving the view
+                leaves = outside[nbrs.neighbors[bond[:m]]] & ~pad[:m]
+                assert np.array_equal(blk.cross, [
+                    bond[:m][leaves], nbrs.neighbors[bond[:m][leaves]],
+                    bond_i[bond[:m][leaves]]])
                 want = np.moveaxis(xi[bond], -1, 0)
                 want[:, pad] = 0.0
                 want[0][pad] = 1.0
@@ -1771,6 +1861,8 @@ class TestBondStorage:
                 else:
                     assert blk.length.tobytes() == length.tobytes()
                 assert blk.vec.tobytes() == want.tobytes()
+                assert blk.cross_vec.tobytes() == \
+                    want[:, :m][:, leaves].tobytes()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
@@ -1829,11 +1921,13 @@ class TestBondStorage:
 
 class TestBlockSize:
     @staticmethod
-    def assert_blocks_balanced(view):
+    def assert_blocks_balanced(op, view):
         """The blocks of a view from make_view tile its rows in order, with
         row counts that differ by at most one.  Each block's (dim, slot,
         row) arrays hold at most 3 * _BLOCK_SLOTS doubles unless it holds
-        a single row, and one block fewer would not fit them."""
+        a single row, and one block fewer would not fit them at the view's
+        widest slot groups: its most bonds to lower neighbors plus its most
+        other bonds (under the linear law; its widest row otherwise)."""
         budget = 3 * forces._BLOCK_SLOTS
         held = [blk.rows for blk in view.blocks]
         assert np.array_equal(np.concatenate(held), view.rows)
@@ -1841,11 +1935,14 @@ class TestBlockSize:
         assert max(sizes) - min(sizes) <= 1
         for blk in view.blocks:
             assert blk.vec.size <= budget or len(blk.rows) == 1
-        dim, width = view.blocks[0].vec.shape[0], \
-            max(len(blk.nbr) for blk in view.blocks)
+        nbrs = op.nbrs
+        counts = nbrs.counts()[view.rows]
+        low = np.array([np.sum(nbrs.neighbors_of(r) < r)
+                        for r in view.rows]) if op.law == "linear" else 0
+        width = np.max(low) + np.maximum(counts - low, 1).max()
         fewer = len(sizes) - 1
         assert fewer == 0 or \
-            -(-len(view.rows) // fewer) * dim * width > budget
+            -(-len(view.rows) // fewer) * op.cloud.dim * width > budget
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     def test_views_hold_at_most_block_slots(self, dim, n):
@@ -1859,7 +1956,7 @@ class TestBlockSize:
         assert all(a is b for a, b in zip(union, sides))
         for view in (bare.full_view, plan.coarse_view, plan.fine_view):
             assert len(view.blocks) >= 2
-            self.assert_blocks_balanced(view)
+            self.assert_blocks_balanced(op, view)
 
     def test_desk_preset_blocks(self):
         # 22,500 slots in 2D: the 800-point plate's full and coarse views
@@ -1869,10 +1966,11 @@ class TestBlockSize:
         assert len(op.full_view.blocks) == 1
         plan = MtsPlan(op, plate.mts_config())
         assert len(plan.coarse_view.blocks) == 1
-        view = Scenario(preset_config("block3d")).fresh_operator().full_view
+        block = Scenario(preset_config("block3d")).fresh_operator()
+        view = block.full_view
         assert len(view.blocks) == 17
-        assert all(blk.nbr.size <= 15_000 for blk in view.blocks)
-        self.assert_blocks_balanced(view)
+        assert all(blk.vec[0].size <= 15_000 for blk in view.blocks)
+        self.assert_blocks_balanced(block, view)
 
     def test_row_wider_than_a_block(self, monkeypatch):
         # 28-bond rows against 30-double blocks: one row per block, same
@@ -1884,7 +1982,7 @@ class TestBlockSize:
         for rows in (op.full_view.rows, plan.fine_view.rows):
             view = op.make_view(rows)
             assert all(len(blk.rows) == 1 for blk in view.blocks)
-            self.assert_blocks_balanced(view)
+            self.assert_blocks_balanced(op, view)
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, rows))
 
