@@ -12,16 +12,13 @@ Run:  python demos/04_mts_speedup.py    (~15 s)
 """
 
 import peridyn as pd
-from peridyn.mts import cost_model
 
 
 def main():
     cfg = pd.preset_config("crack2d")
     print(f"crack plate: {cfg.time.n_steps} coarse steps at "
           f"dt = {cfg.time.dt:.2e} s, fine band refined K = {cfg.mts.K}")
-    scenario = pd.Scenario(cfg)
-    model = cost_model(scenario.nbrs, scenario.mts_config())
-    mts_s, upd_s, ratio, diff = pd.compare(cfg)
+    mts_s, upd_s, ratio, model, diff = pd.compare(cfg)
     print(f"\nMTS (coarse dt, K=2 band) : {mts_s:7.2f} s")
     print(f"UPD at dt/2 everywhere    : {upd_s:7.2f} s")
     print(f"speed ratio               : {ratio:.2f}  (< 1 means MTS wins)")

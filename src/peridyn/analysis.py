@@ -8,7 +8,6 @@ cached on disk (.npy) keyed by a hash of the scenario and the reference step.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +57,14 @@ def l2_error(field: np.ndarray, reference: np.ndarray,
 
 def halving_violation(dts) -> str | None:
     """None when ``dts`` has at least two positive finite entries, each
-    half the one before; else the complaint."""
+    half the one before; else the complaint.  A bool is no step."""
     dts = list(dts)
     if len(dts) < 2:
         return f"need at least two dt entries, got {len(dts)}"
-    bad = [dt for dt in dts if not (math.isfinite(dt) and dt > 0)]
+    bad = [dt for dt in dts if isinstance(dt, (bool, np.bool_))
+           or not (math.isfinite(dt) and dt > 0)]
     if bad:
-        return f"dt entries must be positive and finite, got {bad[0]}"
+        return f"dt entries must be positive and finite numbers, got {bad[0]}"
     for prev, cur in zip(dts, dts[1:]):
         if abs(prev / cur - 2.0) > _DT_RATIO_TOL:
             return f"dt sequence must halve: {prev} -> {cur}"
@@ -133,21 +133,18 @@ def reference_solution(scenario, tab: ButcherTableau, dt_ref: float,
 
 
 def scoped_errors(state: FieldState, reference: FieldState,
-                  labels: SubdomainLabels, component: int = 1):
-    """(e, e_c, e_f): whole-domain, coarse-region, fine-region L2 errors.
+                  labels: SubdomainLabels, component: int = 1) -> dict:
+    """{scope: L2 error} of one displacement component: "all" always, and
+    "coarse" and "fine" when the split has points on both sides.
 
     The regions follow the overlapping definitions: the coarse scope is
     C + CI + FI and the fine scope is F + FI + CI, so boundary-layer points
-    contribute to both.  An empty scope reports 0 with a warning.
+    contribute to both.
     """
     field = state.u[:, component]
     ref = reference.u[:, component]
-    e = l2_error(field, ref)
-    out = [e]
-    for name, idx in (("coarse", labels.bar_c), ("fine", labels.bar_f)):
-        if len(idx) == 0:
-            warnings.warn(f"{name} scope is empty; reporting 0", stacklevel=2)
-            out.append(0.0)
-        else:
-            out.append(l2_error(field, ref, idx))
-    return tuple(out)
+    errors = {"all": l2_error(field, ref)}
+    if len(labels.omega_hat_c) and len(labels.omega_hat_f):
+        errors["coarse"] = l2_error(field, ref, labels.bar_c)
+        errors["fine"] = l2_error(field, ref, labels.bar_f)
+    return errors

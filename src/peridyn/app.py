@@ -703,8 +703,10 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     attach observed orders.
 
     K = 1 rows run the UPD scheme (the undecomposed baseline); K > 1 rows
-    run MTS.  When the scenario has a fine region, each run also reports
-    coarse- and fine-scope errors.  Returns the ConvergenceRow list.
+    run MTS.  Each run reports the scopes ``analysis.scoped_errors``
+    returns: "all", then "coarse" and "fine" when the split has points on
+    both sides.  Returns the ConvergenceRow list, ordered by dt, then K,
+    then scope.
     """
     dt_list = sorted(dt_list, reverse=True)
     problems = []
@@ -741,36 +743,21 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
     tab = tableau(cfg.mts.order)
     reference = reference_solution(scenario, tab, reference_dt,
                                    cache_dir=cache_dir)
-    axis = scenario.error_axis
-    has_fine = len(scenario.labels.omega_hat_f) > 0
-    scopes = ("all", "coarse", "fine") if has_fine else ("all",)
-
     errors = {}  # (K, scope) -> list aligned with dt_list
     for dt in dt_list:
         for K in k_list:
             traj, _ = run_scheme(scenario, scenario.fresh_operator(),
                                  "upd" if K == 1 else "mts", dt, steps[dt], K=K)
-            final = traj.final
-            if has_fine:
-                e_all, e_c, e_f = scoped_errors(final, reference,
-                                                scenario.labels, axis)
-                vals = {"all": e_all, "coarse": e_c, "fine": e_f}
-            else:
-                vals = {"all": l2_error(final.u[:, axis],
-                                        reference.u[:, axis])}
-            for scope in scopes:
-                errors.setdefault((K, scope), []).append(vals[scope])
+            scoped = scoped_errors(traj.final, reference, scenario.labels,
+                                   scenario.error_axis)
+            for scope, error in scoped.items():
+                errors.setdefault((K, scope), []).append(error)
 
     crs = {key: observed_order(errs, dt_list) for key, errs in errors.items()}
-
-    rows = []
-    for i, dt in enumerate(dt_list):
-        for K in k_list:
-            for scope in scopes:
-                cr = crs[(K, scope)][i - 1] if i > 0 else None
-                rows.append(ConvergenceRow(dt=dt, K=K, scope=scope,
-                                           error=errors[(K, scope)][i],
-                                           cr=cr))
+    rows = [ConvergenceRow(dt=dt, K=K, scope=scope, error=errs[i],
+                           cr=crs[(K, scope)][i - 1] if i > 0 else None)
+            for i, dt in enumerate(dt_list)
+            for (K, scope), errs in errors.items()]
     if out_csv:
         os.makedirs(os.path.dirname(out_csv) or ".", exist_ok=True)
         pio.write_csv(rows, out_csv)
@@ -781,11 +768,12 @@ def compare(cfg: SimulationConfig, out_dir=None):
     """MTS at the config's (dt, K) against UPD at dt/K over the same final
     time.
 
-    Returns (mts_seconds, upd_seconds, ratio, l2_difference): the wall
-    times of the two runs, phases "mts" and "upd" of one TimingReport.
-    With out_dir, writes the MTS timing report and compare.txt, which
-    holds the cost model's ratio (``mts.cost_model``) next to the
-    measured one.  Raises ConfigError when n_steps is 0: no run to time.
+    Returns (mts_seconds, upd_seconds, ratio, model_ratio, l2_difference),
+    in compare.txt's row order: the wall times of the two runs (phases
+    "mts" and "upd" of one TimingReport), their ratio, the cost model's
+    ratio (``mts.cost_model``) and the final-time L2 difference.  With
+    out_dir, also writes the MTS timing report and compare.txt.  Raises
+    ConfigError when n_steps is 0: no run to time.
     """
     scenario = Scenario(cfg)
     dt, n_steps, K = cfg.time.dt, cfg.time.n_steps, cfg.mts.K
@@ -804,13 +792,14 @@ def compare(cfg: SimulationConfig, out_dir=None):
 
     axis = scenario.error_axis
     diff = l2_error(mts_traj.final.u[:, axis], upd_traj.final.u[:, axis])
+    ratio = mts_seconds / upd_seconds
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         pio.write_timing(mts_timing, os.path.join(out_dir, "timing_mts.txt"))
         with open(os.path.join(out_dir, "compare.txt"), "w") as fp:
             fp.write(f"mts_seconds,{mts_seconds:.6f}\n"
                      f"upd_seconds,{upd_seconds:.6f}\n"
-                     f"ratio,{mts_seconds / upd_seconds:.6f}\n"
+                     f"ratio,{ratio:.6f}\n"
                      f"model_ratio,{model:.6f}\n"
                      f"l2_difference,{diff:.6e}\n")
-    return mts_seconds, upd_seconds, mts_seconds / upd_seconds, diff
+    return mts_seconds, upd_seconds, ratio, model, diff

@@ -97,10 +97,11 @@ def main(argv=None) -> int:
             print(f"wrote {len(rows)} rows to {out_csv}")
             return EXIT_OK
         if args.command == "compare":
-            t_mts, t_upd, ratio, diff = compare(
+            t_mts, t_upd, ratio, model, diff = compare(
                 cfg, out_dir=cfg.output.directory)
             print(f"MTS {t_mts:.3f}s vs UPD(dt/K) {t_upd:.3f}s "
-                  f"(ratio {ratio:.3f}); final L2 difference {diff:.3e}")
+                  f"(ratio {ratio:.3f}, cost model {model:.3f}); "
+                  f"final L2 difference {diff:.3e}")
             return EXIT_OK
     except (ConfigError, GeometryError) as err:
         print(f"configuration error:\n{err}", file=sys.stderr)

@@ -31,29 +31,24 @@ class SimulationError(RuntimeError):
 
 
 class InstabilityError(SimulationError):
-    """Non-finite field detected; carries the offending point and time."""
+    """Non-finite field detected; carries the offending point and time, and
+    the stage and last good step that the stepper sets as it re-raises."""
 
     def __init__(self, point: int, t: float, stage: int | None = None,
                  last_good_step: int | None = None):
+        super().__init__(point, t)
         self.point = point
         self.t = t
         self.stage = stage
         self.last_good_step = last_good_step
-        super().__init__(self._message())
 
-    def _message(self) -> str:
+    def __str__(self) -> str:
         msg = f"non-finite rate at point {self.point}, t={self.t:.6e}"
         if self.stage is not None:
             msg += f", RK stage {self.stage + 1}"
         if self.last_good_step is not None:
             msg += f" (last good step: {self.last_good_step})"
         return msg
-
-    def with_context(self, stage=None, last_good_step=None) -> "InstabilityError":
-        return InstabilityError(self.point, self.t,
-                                stage if stage is not None else self.stage,
-                                last_good_step if last_good_step is not None
-                                else self.last_good_step)
 
 
 @dataclass

@@ -105,7 +105,8 @@ def stages(tab: ButcherTableau, y, dt: float, stage_rate, rate0=None):
         try:
             rates.append(stage_rate(j, yj))
         except InstabilityError as err:
-            raise err.with_context(stage=j) from None
+            err.stage = j
+            raise
     return combine(y, dt, tab.b, rates), rates
 
 
@@ -151,7 +152,8 @@ def run_steps(advance, state0: FieldState, dt: float, n_steps: int,
             if record_every and step % record_every == 0 and step != n_steps:
                 states.append(FieldState.from_packed(y, t))
     except InstabilityError as err:
-        raise err.with_context(last_good_step=step - 1) from None
+        err.last_good_step = step - 1
+        raise
     if n_steps > 0:
         states.append(FieldState.from_packed(y, t0 + n_steps * dt))
     return Trajectory(states=states)

@@ -65,9 +65,9 @@ class MtsConfig:
 
 def refinement_violation(K) -> str | None:
     """The rule on the refinement level: None when K is an integer >= 1,
-    else the complaint.  A float is refused even when it is whole: K counts
-    substeps."""
-    if isinstance(K, numbers.Integral) and K >= 1:
+    else the complaint.  A float is refused even when it is whole, and a
+    bool too: K counts substeps."""
+    if isinstance(K, numbers.Integral) and not isinstance(K, bool) and K >= 1:
         return None
     return f"K must be an integer >= 1, got {K}"
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,10 +133,12 @@ class TestReferenceSolution:
 
 
 class TestScopedErrors:
-    def grid_fixture(self, fine):
+    SPLIT = [((0.6, 0.0), (1.0, 0.5))]
+    WHOLE_PLATE = [((0.0, 0.0), (1.0, 0.5))]
+
+    def grid_fixture(self, boxes):
         cloud = build_grid(((0, 0), (1, 0.5)), 0.1, thickness=0.01)
         nbrs = build_neighbor_list(cloud, 0.3)
-        boxes = [((0.6, 0.0), (1.0, 0.5))] if fine else []
         return cloud, classify_subdomains(cloud, nbrs, boxes)
 
     def make_states(self, n, seed=0):
@@ -144,21 +147,28 @@ class TestScopedErrors:
         b = FieldState(u=rng.normal(size=(n, 2)), v=np.zeros((n, 2)), t=0.0)
         return a, b
 
-    def test_empty_fine_scope_flagged(self, recwarn):
-        cloud, labels = self.grid_fixture(fine=False)
+    @pytest.mark.parametrize("boxes", [[], WHOLE_PLATE])
+    def test_one_sided_split_reports_all_only(self, boxes):
+        # no fine box, or one that holds every point: a side is empty, so
+        # the split has no scopes to report, and no warning is raised
+        cloud, labels = self.grid_fixture(boxes)
         a, b = self.make_states(cloud.n_points)
-        e, e_c, e_f = scoped_errors(a, b, labels)
-        assert e_f == 0.0
-        assert any("fine scope is empty" in str(w.message) for w in recwarn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = scoped_errors(a, b, labels)
+        assert errors == {"all": l2_error(a.u[:, 1], b.u[:, 1])}
 
     def test_subadditivity(self):
-        cloud, labels = self.grid_fixture(fine=True)
+        cloud, labels = self.grid_fixture(self.SPLIT)
         a, b = self.make_states(cloud.n_points)
-        e, e_c, e_f = scoped_errors(a, b, labels)
+        errors = scoped_errors(a, b, labels)
+        assert list(errors) == ["all", "coarse", "fine"]
+        e, e_c, e_f = errors.values()
         assert e <= e_c + e_f + 1e-12
         assert e_c <= e and e_f <= e  # scopes are subsets of all points
 
     def test_self_comparison_is_zero(self):
-        cloud, labels = self.grid_fixture(fine=True)
+        cloud, labels = self.grid_fixture(self.SPLIT)
         a, _ = self.make_states(cloud.n_points)
-        assert scoped_errors(a, a, labels) == (0.0, 0.0, 0.0)
+        assert scoped_errors(a, a, labels) == \
+            {"all": 0.0, "coarse": 0.0, "fine": 0.0}

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -971,7 +972,7 @@ class TestRunAndCli:
         err = capsys.readouterr().err
         assert "reference dt: must be a number, got True" in err
 
-    @pytest.mark.parametrize("K", [2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("K", [2.0, math.inf, math.nan, True])
     def test_converge_non_integer_k_refused(self, mini_config, monkeypatch,
                                             K):
         def no_run(*args, **kwargs):
@@ -983,6 +984,13 @@ class TestRunAndCli:
         with pytest.raises(ConfigError, match=re.escape(
                 f"K list: K must be an integer >= 1, got {K}")):
             converge(mini_config(n_steps=8), [1e-5, 0.5e-5], [1, K])
+
+    def test_converge_bool_dt_refused(self, mini_config):
+        # True == 1.0 as a number, but a bool is no step
+        with pytest.raises(ConfigError, match=re.escape(
+                "dt list: dt entries must be positive and finite numbers, "
+                "got True")):
+            converge(mini_config(n_steps=4), [True, 0.5], [1, 2])
 
     @pytest.mark.parametrize("reference_dt, problem", [
         ("0.3e-5", "reference dt 3e-06 does not divide the final time"),
@@ -1040,7 +1048,7 @@ class TestRunAndCli:
             outputs.append((out / "convergence.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_cli_compare_smoke(self, tmp_path, mini_config):
+    def test_cli_compare_smoke(self, tmp_path, mini_config, capsys):
         path = tmp_path / "mini.cfg"
         path.write_text(serialize_config(mini_config(n_steps=6)))
         out = tmp_path / "cmp"
@@ -1049,6 +1057,9 @@ class TestRunAndCli:
         assert code == 0
         text = (out / "compare.txt").read_text()
         assert "ratio," in text
+        model = dict(line.split(",") for line in text.splitlines())[
+            "model_ratio"]
+        assert f"cost model {float(model):.3f}" in capsys.readouterr().out
 
     def test_mts_config_explicit_zero_is_rejected(self, mini_config):
         scenario = Scenario(mini_config(n_steps=8))
@@ -1056,7 +1067,7 @@ class TestRunAndCli:
         assert (default.order, default.dt, default.K) == (4, 1e-5, 2)
         assert scenario.mts_config(K=1).K == 1
         # a whole float too: K counts substeps
-        for K in (0, 2.0, math.inf, math.nan):
+        for K in (0, 2.0, math.inf, math.nan, True):
             with pytest.raises(ValueError, match=re.escape(
                     f"K must be an integer >= 1, got {K}")):
                 scenario.mts_config(K=K)
@@ -1076,8 +1087,8 @@ class TestRunAndCli:
 
     def test_compare_writes_the_cost_model(self, mini_config, tmp_path):
         cfg = mini_config(n_steps=8)
-        _, _, ratio, _ = app.compare(apply_overrides(cfg, K=4),
-                                     out_dir=str(tmp_path))
+        _, _, ratio, model_ratio, _ = app.compare(apply_overrides(cfg, K=4),
+                                                  out_dir=str(tmp_path))
         lines = (tmp_path / "compare.txt").read_text().splitlines()
         rows = dict(line.split(",") for line in lines)
         assert list(rows) == ["mts_seconds", "upd_seconds", "ratio",
@@ -1087,6 +1098,7 @@ class TestRunAndCli:
         config = scenario.mts_config(K=4)
         model = app.cost_model(scenario.nbrs, config)
         assert model == views_ratio(MtsPlan(scenario.fresh_operator(), config))
+        assert model_ratio == model
         assert float(rows["model_ratio"]) == pytest.approx(model, abs=1e-6)
         assert 0.0 < model < 1.0
 
@@ -1099,7 +1111,8 @@ class TestRunAndCli:
             return built[-1]
 
         monkeypatch.setattr(app, "PDOperator", counting)
-        mts_seconds, upd_seconds, ratio, _ = app.compare(mini_config(n_steps=4))
+        mts_seconds, upd_seconds, ratio, _, _ = app.compare(
+            mini_config(n_steps=4))
         assert len(built) == 2
         assert ratio == mts_seconds / upd_seconds
 
@@ -1113,6 +1126,20 @@ class TestRunAndCli:
         k1_rows = [r for r in rows if r.K == 1 and r.scope == "all"]
         assert k1_rows[0].cr is None and k1_rows[1].cr is not None
         assert out_csv.exists()
+
+    @pytest.mark.parametrize("fine_boxes", [[], [((0.0, 0.0), (1.0, 0.5))]])
+    def test_converge_one_sided_split_emits_all_rows_only(self, mini_config,
+                                                          fine_boxes):
+        # no fine box, or one that holds every point: no coarse or fine
+        # scope to report, and no warning
+        cfg = mini_config(n_steps=8)
+        cfg = dataclasses.replace(cfg, mts=dataclasses.replace(
+            cfg.mts, fine_boxes=fine_boxes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = converge(cfg, [1e-5, 0.5e-5], [1, 2])
+        assert [(r.dt, r.K, r.scope) for r in rows] == [
+            (dt, K, "all") for dt in (1e-5, 0.5e-5) for K in (1, 2)]
 
     def test_converge_k1_vs_reference_dt_is_zero(self, mini_config):
         cfg = mini_config(n_steps=8)

@@ -1,9 +1,12 @@
 import math
+import os
+import traceback
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from peridyn.app import Scenario, preset_config, run_scheme
 from peridyn.forces import FieldState, InstabilityError, PDOperator
 from peridyn.geometry import build_neighbor_list
 from peridyn.integrator import (
@@ -214,6 +217,19 @@ class TestUpdRun:
                            tableau_rk3(), record_every=10)
             runs.append(np.stack([s.packed() for s in traj.states]))
         assert np.array_equal(runs[0], runs[1])
+
+    def test_instability_traceback_ends_in_the_rates_that_found_it(self):
+        # plate2d at 500x its preset dt: the stepper adds the stage and the
+        # last good step to the operator's exception and re-raises it
+        scenario = Scenario(preset_config("plate2d"))
+        with pytest.raises(InstabilityError) as err:
+            run_scheme(scenario, scenario.fresh_operator(), "upd", 5e-3, 400)
+        assert str(err.value) == ("non-finite rate at point 447, "
+                                  "t=2.225000e-01, RK stage 3 "
+                                  "(last good step: 44)")
+        innermost = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert (os.path.basename(innermost.filename), innermost.name) == \
+            ("forces.py", "rates")
 
     # the blow-up overflows in combine on its way to the non-finite trap
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peridyn.app import Scenario, preset_config, run_scheme
 from peridyn.forces import FieldState, InstabilityError, Loading, \
-    PDOperator, SimulationError, update_damage
+    Material, PDOperator, SimulationError, update_damage
 from peridyn.geometry import build_grid, build_neighbor_list, \
     classify_subdomains
 from peridyn.integrator import combine, rk_step, tableau, upd_run
@@ -871,3 +873,53 @@ class TestEnergyBalance:
         # already under 1e-12 of the kinetic energy
         for (coarse, _), (fine, kinetic) in zip(drifts, drifts[1:]):
             assert fine <= 1e-12 * kinetic or coarse / fine >= 0.8 * 2 ** order
+
+
+class TestStiffnessSymmetry:
+    """Under the linear law, M a = (rates([a|0]) - rates(0))[:, dim:] on the
+    free points is a symmetric operator: pair forces are antisymmetric and
+    every point has the same volume and density.  A velocity layer drops
+    its points, and a broken bond drops both of its directions, so neither
+    breaks the symmetry.  The load-free stiffness is the same one the
+    stability limit of explicit stepping is read from."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), horizon=st.floats(2.0, 3.5),
+           velocity_layer=st.booleans(), broken=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_load_free_stiffness_is_symmetric(self, dim, horizon,
+                                              velocity_layer, broken, seed):
+        rng = np.random.default_rng(seed)
+        h = 1.0 / (12 if dim == 2 else 6)
+        cloud = build_grid(((0.0,) * dim, (1.0,) + (0.5,) * (dim - 1)), h,
+                           thickness=0.01 if dim == 2 else None)
+        nbrs = build_neighbor_list(cloud, horizon * h)
+        x = cloud.positions[:, 0]
+        loads = [Loading(kind="body_force_layer",
+                         indices=np.flatnonzero(x > 0.8),
+                         value=rng.normal(size=dim))]
+        free = np.ones(cloud.n_points, dtype=bool)
+        if velocity_layer:
+            free[x < 0.2] = False
+            loads.append(Loading(kind="velocity_constraint",
+                                 indices=np.flatnonzero(~free),
+                                 value=rng.normal(size=dim)))
+        op = PDOperator(cloud, nbrs, Material(E=1.0, rho=1.0),
+                        loadings=loads, law="linear")
+        pairs = np.flatnonzero(nbrs.bond_i < nbrs.neighbors)
+        write_mu(op.nbrs, rng.choice(pairs, round(broken * len(pairs)),
+                                     replace=False))
+        y = np.zeros((cloud.n_points, 2 * dim))
+        rate0 = op.rates(y, 0.0)
+
+        def stiffness(a):
+            y[free, :dim] = a
+            return (op.rates(y, 0.0) - rate0)[free, dim:]
+
+        # displacements of about 5% of the spacing, so no bond collapses
+        a, b = (0.05 * h * rng.normal(size=(int(free.sum()), dim))
+                for _ in range(2))
+        ma, mb = stiffness(a), stiffness(b)
+        assert np.linalg.norm(mb) > 0
+        assert abs(np.sum(a * mb) - np.sum(b * ma)) <= \
+            1e-13 * np.linalg.norm(a) * np.linalg.norm(mb)
