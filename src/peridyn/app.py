@@ -725,6 +725,10 @@ def converge(cfg: SimulationConfig, dt_list, k_list, reference_dt=None,
                                            and reference_dt > 0):
         problems.append("reference dt: must be positive and finite, "
                         f"got {reference_dt}")
+    elif not dt_problem and reference_dt is not None \
+            and reference_dt > dt_list[-1]:
+        problems.append(f"reference dt {reference_dt} is coarser than the "
+                        f"finest swept dt {dt_list[-1]}")
     if problems:
         raise ConfigError(problems)
     scenario = Scenario(cfg)

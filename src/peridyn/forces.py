@@ -241,15 +241,15 @@ class _Block:
     (see ``_View``) at ``mirror``: the partner bond's, which a lower
     neighbor in the view evaluated, or, for a ``cross`` bond to a point
     outside the view, the block's own.  The block writes its dot products
-    there from ``at`` on (None: the view copies none): the second
-    group's, then the cross bonds'.
-    ``vec`` holds q (``bond_factor``) under the linear law and xi under the
-    nonlinear one, whose ``length`` holds |xi|.  ``low`` is 0, and every
-    slot computed, under the nonlinear law and in a block that would copy
-    fewer than _MIRROR_MIN dot products.  A group pads its rows to its widest with force-free bonds: a copy of the
-    buffer's +0.0, or the row itself as neighbor (so eta = 0) and xi = e0,
-    of length 1.  ``bonds`` recomputes the slots' bond ids from each row's
-    CSR start.
+    there from ``at`` on, whether or not it copies any: the second
+    group's, then the cross bonds'.  ``vec`` holds q (``bond_factor``)
+    under the linear law and xi under the nonlinear one, whose ``length``
+    holds |xi|.  ``low`` is 0, and every slot computed, under the
+    nonlinear law and in a block that would copy fewer than _MIRROR_MIN
+    dot products.  A group pads its rows to its widest with force-free
+    bonds: a copy of the buffer's +0.0, or the row itself as neighbor (so
+    eta = 0) and xi = e0, of length 1.  ``bonds`` recomputes the slots'
+    bond ids from each row's CSR start.
 
     ``flags`` caches the flags of the computed bonds as 0.0/1.0, in the
     buffer's order, as of the list's ``version``: None while all are alive,
@@ -263,7 +263,7 @@ class _Block:
     nbr: np.ndarray     # (C, R) neighbor points, intp for the gathers
     cross: np.ndarray   # (3, K) bond id, neighbor and row, intp
     cross_vec: np.ndarray  # (dim, K) the cross bonds' factors q
-    at: int | None      # buffer position of the computed dot products
+    at: int             # buffer position of the computed dot products
     vec: np.ndarray     # (dim, M + C, R) q (linear law) or xi (nonlinear)
     length: np.ndarray | None  # (C, R) |xi| (nonlinear law only)
     flags: np.ndarray | None = None
@@ -315,9 +315,9 @@ class _View:
     rows, so its rates are the full view's, in global order.  ``sel``
     selects the view's rows of the state and the body force.  The steps
     hold no array of their own: their selectors are slices or the blocks'
-    row arrays.  Under the linear law a call's buffer holds +0.0 and the
-    dot products the blocks compute, ``n_dots`` in all (0: no buffer); the
-    union's sides use one buffer in turn.
+    row arrays.  A call's dot buffer, ``n_dots`` long, holds +0.0, then
+    each block's computed and cross dot products in block order (none
+    under the nonlinear law); the union's sides share the larger one.
     """
 
     rows: np.ndarray            # global point indices, ascending
@@ -419,10 +419,10 @@ class PDOperator:
         as the fewest row blocks of equal row counts (give or take one)
         whose (dim, slot, row) arrays hold at most 3 * _BLOCK_SLOTS
         doubles, at the view's widest slot groups.  The blocks tile the
-        rows in order, so a dot product a block copies (see _Block) is
-        evaluated in an earlier block or earlier in the same one: bond
-        i -> j and its partner j -> i have the same, bit for bit, as q and
-        eta both negate exactly."""
+        rows and fill the dot buffer (see _View) in order, so a dot product
+        a block copies (see _Block) is evaluated in an earlier block or
+        earlier in the same one: bond i -> j and its partner j -> i have
+        the same, bit for bit, as q and eta both negate exactly."""
         rows = np.asarray(rows, dtype=np.int64)
         off = self.nbrs.offsets
         counts = off[rows + 1] - off[rows]
@@ -446,10 +446,6 @@ class PDOperator:
                                   outside, stride, base)
                 n_dots += blk.nbr.size + blk.cross.shape[1]
                 steps.append((blk, _selector(blk.rows), slice(lo, hi)))
-        if not any(len(blk.mirror) for blk, *_ in steps):
-            n_dots = 0  # nothing copies, so no block keeps its dot products
-            for blk, *_ in steps:
-                blk.at = None
         return self._view(rows, n_bonds, n_dots, steps)
 
     def _lower_counts(self, rows, counts) -> np.ndarray:
@@ -524,16 +520,11 @@ class PDOperator:
             return pairwise_force_nonlinear(blk.vec, _eta(blk, u, rows),
                                             blk.length, coef)
         m, (c, n_rows) = len(blk.mirror), blk.nbr.shape
-        held = eta = None
-        if m:  # the dot products share one array with eta: eta[0] is dot[m:]
-            held = np.empty((m + len(u) * c) * n_rows)
-            eta = held[m * n_rows:].reshape(len(u), c, n_rows)
-        dot, _ = pairwise_force_linear(blk.vec[:, m:], _eta(blk, u, rows, eta),
-                                       own)
-        if m:
-            dot = held[:(m + c) * n_rows].reshape(m + c, n_rows)
-        if blk.at is None:
-            return dot, blk.vec
+        # the dot products share one array with eta: eta[0] is dot[m:]
+        held = np.empty((m + len(u) * c) * n_rows)
+        eta = held[m * n_rows:].reshape(len(u), c, n_rows)
+        pairwise_force_linear(blk.vec[:, m:], _eta(blk, u, rows, eta), own)
+        dot = held[:(m + c) * n_rows].reshape(m + c, n_rows)
         stop = blk.at + blk.nbr.size
         dots[blk.at:stop] = dot[m:].ravel()
         if blk.cross.shape[1]:
@@ -613,8 +604,9 @@ class PDOperator:
         so results are reproducible bit-for-bit.  The bonds are evaluated
         one row block at a time, so the temporaries stay in cache, by the
         view's steps: one slot sum per block for every component, written
-        in place or, in a union view, scattered.  The returned array is new
-        on every call.
+        in place or, in a union view, scattered; under the linear law the
+        dot products pass through the call's buffer (see _View).  The
+        returned array is new on every call.
 
         A row's rates do not depend on the view or block that holds it.
         Pad slots add +0.0 after a group of a row's bonds, and the slot sum
@@ -631,10 +623,8 @@ class PDOperator:
         u = y[:, :dim].T.copy()
         # component-major, so a block's sums land in contiguous slices
         force = np.zeros((dim, len(view.rows)))
-        dots = None
-        if view.n_dots:
-            dots = np.empty(view.n_dots)
-            dots[0] = 0.0  # what mirrored pads copy
+        dots = np.empty(view.n_dots)
+        dots[0] = 0.0  # what mirrored pads copy
         # the lowest collapsed bond: a union view's blocks run out of order
         collapsed = self.nbrs.n_bonds
         # overflow/NaN propagate silently here; the trap below names them

@@ -997,6 +997,8 @@ class TestRunAndCli:
         ("0", "reference dt: must be positive and finite, got 0.0"),
         ("nan", "reference dt: must be positive and finite, got nan"),
         ("-1e-6", "reference dt: must be positive and finite, got -1e-06"),
+        ("1e-5", "reference dt 1e-05 is coarser than the finest swept dt "
+                 "5e-06"),
     ])
     def test_cli_converge_bad_reference_dt_exit_2(self, tmp_path, mini_config,
                                                   capsys, monkeypatch,
@@ -1140,6 +1142,21 @@ class TestRunAndCli:
             rows = converge(cfg, [1e-5, 0.5e-5], [1, 2])
         assert [(r.dt, r.K, r.scope) for r in rows] == [
             (dt, K, "all") for dt in (1e-5, 0.5e-5) for K in (1, 2)]
+
+    def test_converge_reference_coarser_than_finest_dt_refused(
+            self, mini_config, monkeypatch):
+        # it would read error 0 at its own step and CR -inf at the finer one
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the reference dt "
+                                 "was checked")
+
+        for name in ("reference_solution", "run_scheme"):
+            monkeypatch.setattr(app, name, no_run)
+        with pytest.raises(ConfigError, match=re.escape(
+                "reference dt 1e-05 is coarser than the finest swept dt "
+                "5e-06")):
+            converge(mini_config(n_steps=4), [1e-5, 0.5e-5], [1],
+                     reference_dt=1e-5)
 
     def test_converge_k1_vs_reference_dt_is_zero(self, mini_config):
         cfg = mini_config(n_steps=8)

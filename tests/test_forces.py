@@ -631,12 +631,35 @@ class TestRatesPlan:
             assert set(cross[2]) == set(bond_i[leaving])
             assert all(len(blk.mirror) for blk in view.blocks)
         # plate2d's fine view, one block copying fewer than _MIRROR_MIN dot
-        # products, computes every slot; its coarse view mirrors
+        # products, computes every slot and stores them all the same; its
+        # coarse view mirrors
         plate = Scenario(preset_config("plate2d"))
         plan = MtsPlan(plate.fresh_operator(), plate.mts_config())
         (fine,) = plan.fine_view.blocks
-        assert len(fine.mirror) == 0 and plan.fine_view.n_dots == 0
+        assert len(fine.mirror) == 0 and fine.at == 1
+        assert plan.fine_view.n_dots == 1 + fine.nbr.size
         assert all(len(blk.mirror) for blk in plan.coarse_view.blocks)
+
+    @pytest.mark.parametrize("slots", [forces._BLOCK_SLOTS, 300])
+    def test_every_linear_view_keeps_its_dot_products(self, slots):
+        # whether or not any block copies, each block stores its computed
+        # and cross dot products where the one before ends, from position 1
+        # on (0 holds +0.0).  The views: the unsplit full view and the two
+        # MTS sides of plate2d and of a test plate, in blocks of `slots`
+        # padded slots
+        plate = Scenario(preset_config("plate2d"))
+        with mock.patch.object(forces, "_BLOCK_SLOTS", slots):
+            ops = (plate.fresh_operator(), loaded_plan(split=False)[0])
+            views = [op.full_view for op in ops]
+            for plan in (MtsPlan(ops[0], plate.mts_config()),
+                         loaded_plan()[1]):
+                views += [plan.coarse_view, plan.fine_view]
+        for view in views:
+            at = 1
+            for blk in view.blocks:
+                assert blk.at == at
+                at += blk.nbr.size + blk.cross.shape[1]
+            assert view.n_dots == at
 
 
 def bare_grid_op(law, dim, n=8):
@@ -771,8 +794,8 @@ class TestUnionView:
                 got[view.rows].tobytes()
 
     def test_union_of_a_mirroring_and_a_computing_side(self):
-        # the union's sides share one buffer: a side that copies nothing
-        # keeps no dot products, however many it computes
+        # the union's sides share one buffer, the larger side's: a side that
+        # copies nothing stores every dot product it computes all the same
         op, _ = loaded_plan(n=16, split=False)
         y = random_state(op, 71)
         want = op.rates(y, 0.5, self.whole(op))
@@ -786,8 +809,9 @@ class TestUnionView:
         with mock.patch.object(op, "make_view", make_view):
             small, big, *_ = op.partition(points[:60], points[60:])
         assert all(len(blk.mirror) for blk in small.blocks)
-        assert big.n_dots == 0 and all(blk.at is None for blk in big.blocks)
-        assert sum(blk.nbr.size for blk in big.blocks) > small.n_dots
+        assert not any(len(blk.mirror) for blk in big.blocks)
+        assert big.n_dots == 1 + sum(blk.nbr.size for blk in big.blocks)
+        assert op.full_view.n_dots == big.n_dots > small.n_dots
         assert op.rates(y, 0.5).tobytes() == want.tobytes()
 
     def test_partition_must_cover_each_point_once(self):
