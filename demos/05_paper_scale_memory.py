@@ -8,31 +8,27 @@ per bond mask and one unmasked, and prints the peak resident set size
 after each stage.  The unmasked check starts from a dropped table and
 split, as the next run's first check does, so it times the build of an
 unsplit table and a full pass over it.  It then prints
-the bytes held by the neighbor list, the views' row blocks and the damage
-table with its skin state, and exits 1 when the peak passes 512 MiB or a
-store passes its 2D byte budget: 9.5 B per bond in the list, 24 B of
-slot data per padded block slot and 14 B per half-bond in the damage
-table and skin state.
+the bytes held by the neighbor list, the bond table that `rates` reads,
+the views and the damage table with its skin state, and exits 1 when the
+peak passes 512 MiB or a store passes its 2D byte budget: 9.5 B per bond
+in the list, 8 * dim = 16 B per bond in the bond table and 14 B per
+half-bond in the damage table and skin state.
 
 Each per-bond array is held once: the neighbor list keeps the topology
-(int32 neighbor and partner ids) and the bool bond flags, a block slot
-the linear law's bond factor q (2 doubles) and either its neighbor id,
-when the block computes its dot product q . eta, or the position it
-copies that dot product from (a bond to a lower neighbor copies its
-partner's), and a damage table entry its bond id and its length |xi|
-(12 B); a `rates` call's buffer of the computed dot products, about 4 B
-per padded slot, lives for that call only;
-a refresh derives the bond's ends.  An MTS plan splits the operator into
-its coarse and fine views, and the full view is their union; likewise
-the neighbor list keeps one damage table with one side per bond mask,
-each holding its own half-bonds, and each check reads its side.  Each
-side keeps a Verlet skin: the ends of its half-bonds, their
-displacements at its latest refresh and the half-bonds it watches.
+(int32 neighbor and partner ids) and the bool bond flags, the bond table
+the linear law's bond factor q (dim doubles), and a damage table entry
+its bond id and its length |xi| (12 B); a refresh derives the bond's
+ends.  A view holds only its row ids, and every view of the operator
+reads its one bond table; likewise the neighbor list keeps one damage
+table with one side per bond mask, each holding its own half-bonds, and
+each check reads its side.  Each side keeps a Verlet skin: the ends of
+its half-bonds, their displacements at its latest refresh and the
+half-bonds it watches.
 
 It takes no time step: the paper-scale dt is far past the explicit
 stability limit of the paper-scale mesh, so a run would blow up.
 
-Run:  python demos/05_paper_scale_memory.py    (~10 s, about 0.4 GiB)
+Run:  python demos/05_paper_scale_memory.py    (~2 s, about 0.3 GiB)
 """
 
 import resource
@@ -46,9 +42,8 @@ from peridyn.forces import update_damage
 from peridyn.mts import MtsPlan
 
 PEAK_LIMIT_MIB = 512.0
-# Bytes per bond, per padded slot and per half-bond, for the 2D crack.
-BUDGETS = {"neighbor list": 9.5, "block slot data": 24.0,
-           "damage table": 14.0}
+# Bytes per bond and per half-bond, for the 2D crack.
+BUDGETS = {"neighbor list": 9.5, "bond table": 16.0, "damage table": 14.0}
 
 
 def peak_mib() -> float:
@@ -92,6 +87,11 @@ def main() -> int:
     for name, view in (("full", None), ("coarse", plan.coarse_view),
                        ("fine", plan.fine_view)):
         stage(f"rates, {name} view", lambda: op.rates(y, 0.0, view))
+    # what rates reads, before the unmasked check below drops it: the bond
+    # table, and the views, which hold their row ids only
+    table_bytes = op.bond_table.nbytes
+    view_bytes = sum(view.rows.nbytes for view in (
+        op.full_view, plan.coarse_view, plan.fine_view))
 
     u = np.ascontiguousarray(y[:, :scenario.cloud.dim])
     for name, mask in (("coarse", plan.coarse_bond_mask),
@@ -103,25 +103,15 @@ def main() -> int:
         stage(f"damage check, {name}",
               lambda: update_damage(nbrs, u, scenario.s0, mask))
 
-    # The full view is the union of the two sides: their blocks, counted
-    # once.  A block's slot data are its computed slots' neighbor ids, its
-    # mirrored slots' copy positions and the slots' bond vectors; it also
-    # holds its row ids, its bonds that leave the view and, once a bond it
-    # computes broke, its flags.
-    blocks = plan.coarse_view.blocks + plan.fine_view.blocks
-    slots = sum(blk.vec[0].size for blk in blocks)
-    slot_data = sum(blk.nbr.nbytes + blk.mirror.nbytes + blk.vec.nbytes
-                    for blk in blocks)
-    # the table counts with its skin state: each side's points (the ends
-    # of its half-bonds), their reference displacements and watch list
+    # the damage table counts with its skin state: each side's points (the
+    # ends of its half-bonds), their reference displacements and watch list
     table = nbrs.damage_table
     half_bonds = sum(len(side.ids) for side in table.sides)
     failed = []
     for name, held, per, unit in (
             ("neighbor list", nbrs.nbytes, nbrs.n_bonds, "bond"),
-            ("view blocks", sum(array_bytes(blk) for blk in blocks), slots,
-             "padded slot"),
-            ("block slot data", slot_data, slots, "padded slot"),
+            ("bond table", table_bytes, nbrs.n_bonds, "bond"),
+            ("views", view_bytes, scenario.cloud.n_points, "point"),
             ("damage table", array_bytes(table), half_bonds, "half-bond")):
         ratio = held / max(per, 1)
         budget = BUDGETS.get(name)

@@ -7,9 +7,9 @@ override du/dt with the prescribed velocity and zero the acceleration.
 
 Evaluation can be restricted to a subset of target points (a "view"): the
 multi-time-step scheme advances the coarse and fine subdomains separately
-and must not pay for force sums outside the active subdomain.  The two
-sides partition the domain, so an operator split into them holds the bond
-data once: its full view is the union of the two sides' row blocks.
+and must not pay for force sums outside the active subdomain.  A view is
+only its rows: every view reads one bond table per operator, and a compiled
+loop (``_bonds.c``) sums each row's bonds in CSR order.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _bonds
 from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
                        _concat_ranges, _in_boxes, _norm)
 
@@ -130,23 +131,6 @@ def bond_stretch(deformed_norm, xi_norm):
     return (deformed_norm - xi_norm) / xi_norm
 
 
-class BondCollapseError(SimulationError):
-    """Deformed bonds shrank to (numerically) zero length; ``collapsed``
-    flags them, in the shape of the component arrays passed to the force
-    kernel."""
-
-    def __init__(self, collapsed: np.ndarray):
-        self.collapsed = collapsed
-        super().__init__(f"{int(np.count_nonzero(collapsed))} deformed "
-                         "bond(s) collapsed to zero length")
-
-
-# The kernels below act on bonds held as component arrays: vec[k] and eta[k]
-# are the k-th components of the bond's static vector and its relative
-# displacement, all of one shape.  Each returns (scale, direction):
-# component k of a bond's pairwise force is scale * direction[k].
-
-
 def bond_factor(xi, xi_norm, alpha, out=None):
     """The linear law's rank-1 bond factor q = sqrt(alpha / |xi|^3) xi.
 
@@ -160,179 +144,25 @@ def bond_factor(xi, xi_norm, alpha, out=None):
     return np.multiply(xi, scale, out=out)
 
 
-def pairwise_force_linear(q, eta, alive=None):
-    """Linearized pairwise force mu (q . eta) q from the bond factor q.
-
-    The dot product is summed in component order, in place in ``eta[0]``
-    (the other components of ``eta`` are overwritten too).  ``alive``, the
-    bond flags as 0.0/1.0, is None when every bond is alive.
-    """
-    dot = eta[0]
-    dot *= q[0]
-    for q_k, e_k in zip(q[1:], eta[1:]):
-        e_k *= q_k
-        dot += e_k
-    if alive is not None:
-        dot *= alive
-    return dot, q
-
-
-def pairwise_force_nonlinear(xi, eta, xi_norm, coef):
-    """Nonlinear pairwise force coef * s * (xi + eta)/|xi + eta|, with coef
-    the per-bond factor alpha * mu.
-
-    The deformed vectors xi + eta are formed in place in the array ``eta``.
-    Raises BondCollapseError if a deformed bond collapses to (numerically)
-    zero length, which indicates a non-physical state.
-    """
-    deformed = np.add(xi, eta, out=eta)
-    ndef = _norm(deformed)
-    collapsed = ndef < COLLAPSE_TOL * xi_norm
-    if np.any(collapsed):
-        raise BondCollapseError(collapsed)
-    return coef * bond_stretch(ndef, xi_norm) / ndef, deformed
-
-
-def _slot_sums(scale: np.ndarray, direction: np.ndarray, out=None):
-    """out[k] = the sum of scale * direction[k] over the slots of (slot,
-    row) arrays, one slot after another, for every component k at once;
-    returns ``out``, a new (dim, row) array when it is None.
-
-    einsum adds the slots of each row in order when there are several
-    rows, rounding each product first (numpy builds for an x86-64 baseline
-    without FMA do not fuse them; the bitwise tests would show a build that
-    does).  For a single row it sums the contiguous slots in unrolled
-    partial sums; cumsum is sequential always.
-    """
-    if scale.shape[1] > 1:
-        return np.einsum("sr,ksr->kr", scale, direction, out=out)
-    sums = np.cumsum(scale * direction, axis=1)[:, -1]
-    if out is None:
-        return sums
-    out[...] = sums
-    return out
-
-
-# The size unit of the bond work: the damage checks go in chunks of this
-# many half-bonds, and a view's row block holds at most 3 * _BLOCK_SLOTS
-# doubles in its (dim, slot, row) displacements, so 22,500 padded slots in
-# 2D and 15,000 in 3D (see make_view), and its temporaries in rates stay in
-# the L2 cache.  A 2D component array passes 128 KiB, glibc's default mmap
-# threshold, but glibc raises its threshold past an array's size when it
-# frees the first one, so later calls reuse heap memory instead of mapping
-# fresh pages.
+# The size unit of the bond work done in numpy: the damage checks and the
+# build of the bond table go in chunks of this many bonds, so that their
+# temporaries stay small next to the list.
 _BLOCK_SLOTS = 15_000
 
-# A block mirrors (see _Block) only if it copies this many dot products:
-# its copies and cross-bond pass cost a few numpy calls, about this many
-# computed slots (plate2d's fine view, one block copying 1,230, ran 32%
-# slower mirrored; 2-core VM, numpy 2.4).
-_MIRROR_MIN = 4_000
-
-
-@dataclass
-class _Block:
-    """Some rows of a view, as padded (slot, row) bond arrays.
-
-    A row's slots hold its bonds in ascending neighbor order, in two groups
-    of M and C slots: its ``low`` bonds to lower neighbors, then the rest,
-    computed from the neighbors ``nbr``.  Under the linear law the first
-    group copies its dot products q . eta from a ``rates`` call's buffer
-    (see ``_View``) at ``mirror``: the partner bond's, which a lower
-    neighbor in the view evaluated, or, for a ``cross`` bond to a point
-    outside the view, the block's own.  The block writes its dot products
-    there from ``at`` on, whether or not it copies any: the second
-    group's, then the cross bonds'.  ``vec`` holds q (``bond_factor``)
-    under the linear law and xi under the nonlinear one, whose ``length``
-    holds |xi|.  ``low`` is 0, and every slot computed, under the
-    nonlinear law and in a block that would copy fewer than _MIRROR_MIN
-    dot products.  A group pads its rows to its widest with force-free
-    bonds: a copy of the buffer's +0.0, or the row itself as neighbor (so
-    eta = 0) and xi = e0, of length 1.  ``bonds`` recomputes the slots'
-    bond ids from each row's CSR start.
-
-    ``flags`` caches the flags of the computed bonds as 0.0/1.0, in the
-    buffer's order, as of the list's ``version``: None while all are alive,
-    so intact blocks skip the multiplication.  A copy carries its partner's
-    flag: both directions of a bond break together.
-    """
-
-    rows: np.ndarray    # (R,) global point ids
-    low: np.ndarray     # (R,) bonds to lower neighbors per row
-    mirror: np.ndarray  # (M, R) dot buffer positions, intp
-    nbr: np.ndarray     # (C, R) neighbor points, intp for the gathers
-    cross: np.ndarray   # (3, K) bond id, neighbor and row, intp
-    cross_vec: np.ndarray  # (dim, K) the cross bonds' factors q
-    at: int             # buffer position of the computed dot products
-    vec: np.ndarray     # (dim, M + C, R) q (linear law) or xi (nonlinear)
-    length: np.ndarray | None  # (C, R) |xi| (nonlinear law only)
-    flags: np.ndarray | None = None
-    version: int = -1   # nbrs.version that flags was gathered at
-
-    def bonds(self, nbrs: NeighborList) -> np.ndarray:
-        """(M + C, R) bond ids of the slots; pads hold bond 0."""
-        return _slot_bonds(nbrs, self.rows, self.low, len(self.mirror),
-                           len(self.nbr))[0]
-
-    def alive(self, nbrs: NeighborList) -> np.ndarray | None:
-        """The computed bonds' flags (see ``flags``), refreshed when mu
-        changed."""
-        if self.version != nbrs.version:
-            own = _slot_bonds(nbrs, self.rows, self.low, 0, len(self.nbr))[0]
-            mu = np.take(nbrs.mu, np.concatenate([own.ravel(),
-                                                  self.cross[0]]))
-            self.flags = None if mu.all() else mu.astype(float)
-            self.version = nbrs.version
-        return self.flags
-
-
-def _slot_bonds(nbrs: NeighborList, rows: np.ndarray, low, m: int, c: int):
-    """(m + c, R) bond ids of rows' slots from their CSR starts: m slots of
-    each row's ``low`` first bonds, then c of the rest, with the pads
-    (slots past a group's bonds) set to bond 0; and the pad mask."""
-    start = nbrs.offsets[rows]
-    split = start + low
-    slot = np.arange(m + c)[:, None]
-    lower = slot < m
-    bond = np.where(lower, start + slot, split + (slot - m))
-    pad = bond >= np.where(lower, split, nbrs.offsets[rows + 1])
-    bond[pad] = 0
-    return bond, pad
+# The compiled bond loop (``_bonds.c``); its law argument is the index of
+# the law here.
+_RATES = _bonds.load().peridyn_rates
+_LAWS = ("linear", "nonlinear")
 
 
 @dataclass
 class _View:
-    """Bond-level slice of the neighbor list restricted to target rows, and
-    how ``rates`` evaluates it, laid out when the view is made.
+    """The target rows at which ``rates`` evaluates, in their order, as
+    read-only int64 ids; ``n_bonds`` counts their bonds."""
 
-    ``steps`` holds per block the block, its rows' columns of the (dim, N)
-    displacements and the columns of the view's (dim, R) force array that
-    take its sums; each is a slice when contiguous.  A view from
-    ``make_view`` holds its rows ascending, and its blocks tile them in
-    order, so a block's sums go to its own positions among the view's rows.
-    The union view of a partition (``PDOperator.partition``) holds every
-    point and the two sides' blocks, each writing its sums at its global
-    rows, so its rates are the full view's, in global order.  ``sel``
-    selects the view's rows of the state and the body force.  The steps
-    hold no array of their own: their selectors are slices or the blocks'
-    row arrays.  A call's dot buffer, ``n_dots`` long, holds +0.0, then
-    each block's computed and cross dot products in block order (none
-    under the nonlinear law); the union's sides share the larger one.
-    """
-
-    rows: np.ndarray            # global point indices, ascending
+    rows: np.ndarray            # global point indices
     n_bonds: int                # bonds of the view's rows
-    n_dots: int                 # length of a call's dot buffer
-    steps: list                 # (block, source, dest); none if no bonds
-    sel: slice | np.ndarray
-    constrained_local: np.ndarray
-    v_prescribed: np.ndarray
     offsets: np.ndarray = field(repr=False)  # the neighbor list's, shared
-
-    @property
-    def blocks(self) -> list:
-        """The view's _Block row blocks, in evaluation order."""
-        return [blk for blk, *_ in self.steps]
 
     @functools.cached_property
     def bond_sel(self) -> np.ndarray | range:
@@ -343,44 +173,23 @@ class _View:
                               self.offsets[self.rows + 1])
 
 
-def _selector(rows: np.ndarray) -> slice | np.ndarray:
-    """``rows`` as a slice when they run contiguously upwards, else as
-    they are."""
-    if len(rows) and np.all(np.diff(rows) == 1):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
-def _eta(blk: _Block, u: np.ndarray, rows, out=None) -> np.ndarray:
-    """Relative displacements u[nbr] - u[row] over a block's computed
-    slots, (dim, C, R), from the (dim, N) displacements ``u``, into ``out``
-    if given; ``rows`` selects the block's rows (a slice or their ids)."""
-    # "clip" leaves ``out`` unbuffered and, all indices in range, each value
-    eta = np.take(u, blk.nbr, axis=1, out=out, mode="clip")
-    # np.take gathers columns several times faster than fancy indexing
-    eta -= u[:, None, rows] if isinstance(rows, slice) \
-        else np.take(u, rows, axis=1)[:, None]
-    return eta
-
-
 class PDOperator:
     """The semi-discrete spatial operator for one cloud + material + loading.
 
     The operator owns its neighbor list ``nbrs``: a copy of the given one
     that shares its read-only topology but holds its own bond flags,
     ``version``, split and damage table, so checks go through ``op.nbrs``.
-    Between steps only the flags change, written by the damage update,
-    and the blocks' flag caches follow them.
+    Between steps only the flags change, written by the damage update;
+    ``rates`` reads them on every call.
 
-    The full view, over every point, is built on first use.  ``partition``
-    replaces it with the union of the two sides' views, sharing their
-    blocks, so a split operator holds its bond data once.  The full view
-    and the split last one run: ``drop_run_caches`` drops them.
+    The full view, over every point, and the bond table that ``rates``
+    reads (``bond_table``) are built on first use and last one run, as the
+    split does: ``drop_run_caches`` drops them.
     """
 
     def __init__(self, cloud: PointCloud, nbrs: NeighborList,
                  material: Material, loadings=(), law: str = "linear"):
-        if law not in ("linear", "nonlinear"):
+        if law not in _LAWS:
             raise ValueError(f"unknown force law {law!r}")
         material.validate()
         self.cloud = cloud
@@ -413,168 +222,56 @@ class PDOperator:
         self.constrained_mask = constrained
         self.v_prescribed_full = v_presc
         self._full_view = None
+        # one run's kernel inputs: (arrays, leading arguments), see
+        # _kernel_args
+        self._kernel = None
 
     def make_view(self, rows: np.ndarray) -> _View:
-        """Precompute the bond slice for evaluating rates at ``rows`` only,
-        as the fewest row blocks of equal row counts (give or take one)
-        whose (dim, slot, row) arrays hold at most 3 * _BLOCK_SLOTS
-        doubles, at the view's widest slot groups.  The blocks tile the
-        rows and fill the dot buffer (see _View) in order, so a dot product
-        a block copies (see _Block) is evaluated in an earlier block or
-        earlier in the same one: bond i -> j and its partner j -> i have
-        the same, bit for bit, as q and eta both negate exactly."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """The view that evaluates rates at ``rows`` only, in their order;
+        it holds its own read-only copy of them."""
+        rows = np.array(rows, dtype=np.int64)
+        n = self.cloud.n_points
+        if rows.ndim != 1 or (len(rows) and not (
+                rows.min() >= 0 and rows.max() < n)):
+            raise ValueError(f"view rows must be point ids in [0, {n})")
+        rows.flags.writeable = False
         off = self.nbrs.offsets
-        counts = off[rows + 1] - off[rows]
-        n_bonds = int(counts.sum())
-        steps, n_dots = [], 1
-        if n_bonds:
-            low = self._lower_counts(rows, counts)
-            width = int(low.max() + np.maximum(counts - low, 1).max())
-            per = max(1, 3 * _BLOCK_SLOTS // (self.cloud.dim * width))
-            n_blocks = -(-len(rows) // per)
-            ends = (np.arange(n_blocks + 1) * len(rows) // n_blocks).tolist()
-            outside = np.ones(self.cloud.n_points, dtype=bool)
-            outside[rows] = False
-            # the dot product of a computed slot of bond b of view row j
-            # sits at b * stride[j] + base[j], set by j's block
-            stride = np.zeros(self.cloud.n_points, dtype=np.int64)
-            base = np.zeros_like(stride)
-            pos = [np.ascontiguousarray(p) for p in self.nbrs.positions.T]
-            for lo, hi in zip(ends, ends[1:]):
-                blk = self._block(rows[lo:hi], low[lo:hi], n_dots, pos,
-                                  outside, stride, base)
-                n_dots += blk.nbr.size + blk.cross.shape[1]
-                steps.append((blk, _selector(blk.rows), slice(lo, hi)))
-        return self._view(rows, n_bonds, n_dots, steps)
-
-    def _lower_counts(self, rows, counts) -> np.ndarray:
-        """Each row's bonds to lower neighbors under the linear law (0 under
-        the nonlinear one), counted in chunks of _BLOCK_SLOTS slots."""
-        low = np.zeros(len(rows), dtype=np.int64)
-        per = max(1, _BLOCK_SLOTS // int(counts.max()))
-        for lo in range(0, len(rows) if self.law == "linear" else 0, per):
-            chunk = slice(lo, lo + per)
-            bond, pad = _slot_bonds(self.nbrs, rows[chunk], 0, 0,
-                                    int(counts[chunk].max()))
-            below = self.nbrs.neighbors[bond] < rows[chunk]
-            low[chunk] = (below & ~pad).sum(axis=0)
-        return low
-
-    def _view(self, rows, n_bonds, n_dots, steps) -> _View:
-        """The view of ``rows`` that ``steps`` evaluate."""
-        cons = np.flatnonzero(self.constrained_mask[rows])
-        return _View(rows=rows, n_bonds=n_bonds, n_dots=n_dots, steps=steps,
-                     sel=_selector(rows), constrained_local=cons,
-                     v_prescribed=self.v_prescribed_full[rows[cons]],
-                     offsets=self.nbrs.offsets)
-
-    def _block(self, rows, low, at, pos, outside, stride, base) -> _Block:
-        nbrs, n_rows = self.nbrs, len(rows)
-        m = int(low.max())
-        c = max(int((nbrs.offsets[rows + 1] - nbrs.offsets[rows] - low)
-                    .max()), 1)
-        bond, pad = _slot_bonds(nbrs, rows, low, m, c)
-        nbr = nbrs.neighbors[bond].astype(np.intp)
-        np.copyto(nbr, rows, where=pad)
-        below = nbr[:m]
-        cross = outside[below]  # a pad's neighbor is its row, in the view
-        n_cross = int(np.count_nonzero(cross))
-        if m and np.count_nonzero(~pad[:m]) - n_cross < _MIRROR_MIN:
-            return self._block(rows, np.zeros_like(low), at, pos, outside,
-                               stride, base)
-        stride[rows] = n_rows
-        base[rows] = at + np.arange(n_rows) \
-            - (nbrs.offsets[rows] + low) * n_rows
-        mirror = np.take(nbrs.partner, bond[:m]) * stride[below]
-        mirror += base[below]
-        mirror[pad[:m]] = 0
-        mirror[cross] = np.arange(n_cross) + (at + c * n_rows)
-        # xi = x_j - x_i from the position components ``pos``, and |xi| by
-        # _norm, bit for bit the neighbor list's derived xi and xi_norm
-        xi = np.empty((len(pos),) + nbr.shape)
-        for xi_k, pos_k in zip(xi, pos):
-            np.take(pos_k, nbr, out=xi_k)
-            xi_k -= pos_k[rows]
-        xi[0][pad] = 1.0  # a pad's x_j - x_i is +0.0: make it e0
-        length = _norm(xi)
-        if self.law == "linear":
-            bond_factor(xi, length, self.alpha, out=xi)
-            length = None
-        return _Block(
-            rows=rows, low=low, mirror=mirror.astype(np.intp),
-            nbr=nbr[m:].copy() if m else nbr,
-            cross=np.stack([bond[:m][cross], below[cross],
-                            np.broadcast_to(rows, below.shape)[cross]]),
-            cross_vec=xi[:, :m][:, cross], at=at, vec=xi, length=length)
-
-    def _pair_forces(self, blk: _Block, u: np.ndarray, rows, dots):
-        """The block's (scale, direction) under the operator's law, from
-        the (dim, N) displacements ``u``; under the linear law through the
-        call's buffer ``dots`` (see _Block)."""
-        alive = blk.alive(self.nbrs)
-        own = None if alive is None else \
-            alive[:blk.nbr.size].reshape(blk.nbr.shape)
-        if self.law == "nonlinear":
-            coef = self.alpha if own is None else self.alpha * own
-            return pairwise_force_nonlinear(blk.vec, _eta(blk, u, rows),
-                                            blk.length, coef)
-        m, (c, n_rows) = len(blk.mirror), blk.nbr.shape
-        # the dot products share one array with eta: eta[0] is dot[m:]
-        held = np.empty((m + len(u) * c) * n_rows)
-        eta = held[m * n_rows:].reshape(len(u), c, n_rows)
-        pairwise_force_linear(blk.vec[:, m:], _eta(blk, u, rows, eta), own)
-        dot = held[:(m + c) * n_rows].reshape(m + c, n_rows)
-        stop = blk.at + blk.nbr.size
-        dots[blk.at:stop] = dot[m:].ravel()
-        if blk.cross.shape[1]:
-            _, j, i = blk.cross
-            eta = np.take(u, j, axis=1)
-            eta -= np.take(u, i, axis=1)
-            dots[stop:stop + len(j)] = pairwise_force_linear(
-                blk.cross_vec, eta,
-                None if alive is None else alive[blk.nbr.size:])[0]
-        if m:
-            np.take(dots, blk.mirror, out=dot[:m], mode="clip")
-        return dot, blk.vec
+        return _View(rows=rows, n_bonds=int((off[rows + 1] - off[rows]).sum()),
+                     offsets=off)
 
     @property
     def full_view(self) -> _View:
-        """The view over every point: built on first use, or the union of
-        the two sides of the latest ``partition``, until the end of the run
-        (``drop_run_caches``)."""
+        """The view over every point: built on first use, until the end of
+        the run (``drop_run_caches``)."""
         if self._full_view is None:
             view = self.make_view(np.arange(self.cloud.n_points))
             view.bond_sel = range(view.n_bonds)
             self._full_view = view
         return self._full_view
 
+    @property
+    def bond_table(self) -> np.ndarray | None:
+        """What ``rates`` reads per bond, in CSR order: the bond factor q
+        (``bond_factor``) as (dim, n_bonds) under the linear law, xi then
+        |xi| as (dim + 1, n_bonds) under the nonlinear one; built by the
+        first ``rates`` call of a run, None before it."""
+        return None if self._kernel is None else self._kernel[0][0]
+
     def partition(self, rows_a: np.ndarray, rows_b: np.ndarray) -> tuple:
         """The views of two row sets that partition the points, and the
         bond masks of the two sides: side b holds every bond with an end
         in ``rows_b``, side a the rest.
 
-        The full view becomes their union, replacing any earlier one: the
-        two views' own blocks, each writing at its global rows, so the bond
-        data is held once and ``rates(y, t)`` keeps returning every row in
-        global order, bit for bit.  The masks are read-only and kept as
-        ``nbrs.bond_sides``, which split the damage table (see
-        ``update_damage``); a new split drops the old table.  The split
-        lasts one run, as the full view does (``drop_run_caches``).
+        The masks are read-only and kept as ``nbrs.bond_sides``, which
+        split the damage table (see ``update_damage``); a new split drops
+        the old table.  The split lasts one run (``drop_run_caches``).
         """
         n = self.cloud.n_points
         rows = np.concatenate([rows_a, rows_b])
         if len(rows) != n or np.any(np.bincount(rows, minlength=n) != 1):
             raise ValueError("row sets do not partition the points")
-        # free the old split's blocks and damage table before the new exist
-        self._full_view = self.nbrs.damage_table = None
+        self.nbrs.damage_table = None
         views = self.make_view(rows_a), self.make_view(rows_b)
-        full = self._view(np.arange(n, dtype=np.int64), self.nbrs.n_bonds,
-                          max(view.n_dots for view in views),
-                          [(blk, src, src) for view in views
-                           for blk, src, _ in view.steps])
-        full.bond_sel = range(full.n_bonds)
-        self._full_view = full
         in_b = np.zeros(n, dtype=bool)
         in_b[rows_b] = True
         side_b = np.repeat(in_b, self.nbrs.counts())
@@ -586,91 +283,94 @@ class PDOperator:
 
     def drop_run_caches(self):
         """Drop what a run derives and an idle operator need not hold: the
-        full view and its blocks' flag caches, the split (``bond_sides``)
-        and the damage table with its skin state.  An idle operator then
-        holds its topology and bond flags only; the next check or ``rates``
-        call rebuilds what it needs."""
+        full view, the bond table, the split (``bond_sides``) and the
+        damage table with its skin state.  An idle operator then holds its
+        topology and bond flags only; the next check or ``rates`` call
+        rebuilds what it needs."""
         self.nbrs.damage_table = self.nbrs.bond_sides = None
-        if self._full_view is not None:
-            for blk in self._full_view.blocks:
-                blk.flags, blk.version = None, -1
-        self._full_view = None
+        self._full_view = self._kernel = None
+
+    def _bond_table(self) -> np.ndarray:
+        """The bond table (see ``bond_table``), from xi = x_j - x_i by
+        np.take of the position components and |xi| by _norm, bit for bit
+        the list's derived xi and xi_norm, in chunks of rows of at most
+        about _BLOCK_SLOTS bonds."""
+        nbrs, dim = self.nbrs, self.cloud.dim
+        table = np.empty((dim + (self.law == "nonlinear"), nbrs.n_bonds))
+        pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
+        off, counts = nbrs.offsets, nbrs.counts()
+        per = max(1, _BLOCK_SLOTS // max(int(counts.max(initial=0)), 1))
+        for lo in range(0, nbrs.n_points, per):
+            hi = min(lo + per, nbrs.n_points)
+            bonds = slice(off[lo], off[hi])
+            xi = table[:dim, bonds]
+            for xi_k, pos_k in zip(xi, pos):
+                np.take(pos_k, nbrs.neighbors[bonds], out=xi_k, mode="clip")
+                xi_k -= np.repeat(pos_k[lo:hi], counts[lo:hi])
+            length = _norm(xi)
+            if self.law == "linear":
+                bond_factor(xi, length, self.alpha, out=xi)
+            else:
+                table[dim, bonds] = length
+        return table
+
+    def _kernel_args(self) -> tuple:
+        """The arguments of the run's kernel calls that come before the
+        view's: built on a run's first call, with the bond table, and held
+        with the arrays they point into, so no address outlives its
+        array.  The flags and the state are read per call."""
+        if self._kernel is None:
+            nbrs, cloud = self.nbrs, self.cloud
+            # the lowest collapsed bond goes to ``collapsed``
+            held = (self._bond_table(), np.empty(1, dtype=np.int64),
+                    np.ascontiguousarray(nbrs.offsets, dtype=np.int64),
+                    np.ascontiguousarray(nbrs.neighbors, dtype=np.int32),
+                    np.ascontiguousarray(self.body.T), self.constrained_mask,
+                    self.v_prescribed_full)
+            table, collapsed, off, nbr, body, cons, v_presc = held
+            self._kernel = held, (
+                _LAWS.index(self.law), cloud.dim, cloud.n_points,
+                nbrs.n_bonds, off.ctypes.data, nbr.ctypes.data,
+                table.ctypes.data, body.ctypes.data, cons.ctypes.data,
+                v_presc.ctypes.data, cloud.volume_per_point,
+                self.material.rho, self.alpha, COLLAPSE_TOL,
+                collapsed.ctypes.data)
+        return self._kernel[1]
 
     def rates(self, y: np.ndarray, t: float, view: _View | None = None) -> np.ndarray:
         """d/dt of the packed state at the view's rows.
 
         Neighbor values are read from the full array ``y``; only the target
-        rows are written.  Per-point sums run in ascending neighbor order,
-        so results are reproducible bit-for-bit.  The bonds are evaluated
-        one row block at a time, so the temporaries stay in cache, by the
-        view's steps: one slot sum per block for every component, written
-        in place or, in a union view, scattered; under the linear law the
-        dot products pass through the call's buffer (see _View).  The
-        returned array is new on every call.
+        rows are written.  Each row sums its bonds in ascending neighbor
+        order in the compiled loop (``_bonds.c``), so a row's rates are the
+        same, bit for bit, in any view.  The returned array is new on every
+        call.  With ``view`` None this is the full view.
 
-        A row's rates do not depend on the view or block that holds it.
-        Pad slots add +0.0 after a group of a row's bonds, and the slot sum
-        of a block of several rows starts from +0.0; either can only turn a
-        -0.0 partial sum into +0.0, and adding the body force (never -0.0)
-        turns a -0.0 force sum into +0.0 too.  With ``view`` None this is
-        the full view.
+        Raises SimulationError naming the lowest bond of the view whose
+        deformed length collapsed (nonlinear law), else InstabilityError
+        naming the view's first row with a non-finite rate; ValueError for
+        a state that is not (N, 2 * dim).
         """
         if view is None:
             view = self.full_view
+        args = self._kernel_args()
         dim = self.cloud.dim
-        # one (dim, N) copy: np.take gathers from contiguous components far
-        # faster than from the strided y[:, :dim]; the values are the same
-        u = y[:, :dim].T.copy()
-        # component-major, so a block's sums land in contiguous slices
-        force = np.zeros((dim, len(view.rows)))
-        dots = np.empty(view.n_dots)
-        dots[0] = 0.0  # what mirrored pads copy
-        # the lowest collapsed bond: a union view's blocks run out of order
-        collapsed = self.nbrs.n_bonds
-        # overflow/NaN propagate silently here; the trap below names them
-        with np.errstate(over="ignore", invalid="ignore"):
-            for blk, rows, dest in view.steps:
-                try:
-                    scale, direction = self._pair_forces(blk, u, rows, dots)
-                except BondCollapseError as err:
-                    collapsed = min(collapsed, int(
-                        blk.bonds(self.nbrs)[err.collapsed].min()))
-                    continue
-                if isinstance(dest, slice):
-                    _slot_sums(scale, direction, force[:, dest])
-                else:
-                    # a scatter per component: a 2D one is several times
-                    # slower
-                    sums = _slot_sums(scale, direction)
-                    for force_k, sums_k in zip(force, sums):
-                        force_k[dest] = sums_k
-            if collapsed < self.nbrs.n_bonds:
-                raise SimulationError(
-                    f"bond {self.nbrs.bond_i[collapsed]} -> "
-                    f"{self.nbrs.neighbors[collapsed]} "
-                    f"collapsed to zero length at t={t:.6e}")
-            force *= self.cloud.volume_per_point
-            body = self.body.T
-            if isinstance(view.sel, slice):
-                force += body[:, view.sel]
-                velocity = y[view.sel, dim:]
-            else:
-                force += np.take(body, view.sel, axis=1)
-                # np.take(..., axis=0) gathers whole rows about ten times
-                # faster than fancy indexing does; the values are the same
-                velocity = np.take(y, view.sel, axis=0)[:, dim:]
-            force /= self.material.rho
-        # one column at a time: a transposing copy is about three times
-        # slower
+        y = np.ascontiguousarray(y, dtype=float)
+        if y.shape != (self.cloud.n_points, 2 * dim):
+            raise ValueError(f"state must be ({self.cloud.n_points}, "
+                             f"{2 * dim}), got {y.shape}")
+        mu = np.ascontiguousarray(self.nbrs.mu, dtype=bool)
         out = np.empty((len(view.rows), 2 * dim))
-        for k, accel in enumerate(force):
-            out[:, k] = velocity[:, k]
-            out[:, dim + k] = accel
-        if len(view.constrained_local):
-            out[view.constrained_local, :dim] = view.v_prescribed
-            out[view.constrained_local, dim:] = 0.0
-        if not np.isfinite(out).all():
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
+        bad = _RATES(*args, view.rows.ctypes.data, len(view.rows),
+                     mu.ctypes.data, y.ctypes.data, out.ctypes.data)
+        collapsed = int(self._kernel[0][1][0])
+        if collapsed >= 0:
+            nbrs = self.nbrs
+            i = np.searchsorted(nbrs.offsets, collapsed, side="right") - 1
+            raise SimulationError(
+                f"bond {i} -> {nbrs.neighbors[collapsed]} "
+                f"collapsed to zero length at t={t:.6e}")
+        if bad >= 0:
             raise InstabilityError(point=int(view.rows[bad]), t=t)
         return out
 

@@ -267,8 +267,8 @@ class MtsPlan:
 
     The coarse and fine rows partition the points, and the operator's
     partition derives the bond masks from them: the fine side holds every
-    bond with a fine end.  The full view (history pushes, startup) is the
-    union of the two views.  Each side's substeps check its mask when
+    bond with a fine end.  The operator's full view serves the history
+    pushes and the startup.  Each side's substeps check its mask when
     fracture is on (``s0`` given); without it no substep checks damage.
     """
 

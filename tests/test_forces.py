@@ -1,7 +1,5 @@
 import dataclasses
 import re
-import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +12,7 @@ from peridyn.forces import (
     FieldState, InstabilityError, Loading, Material, PDOperator,
     SimulationError,
     bond_factor, bond_stretch, break_precrack_bonds,
-    calibrate_alpha, damage_index, pairwise_force_linear,
-    pairwise_force_nonlinear, update_damage,
+    calibrate_alpha, damage_index, update_damage,
 )
 from peridyn.geometry import GeometryError, PointCloud, build_grid, \
     build_neighbor_list, classify_subdomains
@@ -139,24 +136,25 @@ def all_stretches(nbrs, u):
     return bond_stretch(np.linalg.norm(nbrs.xi + eta, axis=1), nbrs.xi_norm)
 
 
-def bond_forces(kernel, xi, eta, coef):
-    """(bonds, dim) pairwise forces of a force kernel with the per-bond
-    factor coef = alpha * mu, fed with the component arrays of (bonds, dim)
-    xi and eta: the linear law takes coef in its bond factor q."""
-    xi_norm = np.linalg.norm(xi, axis=1)
-    if kernel is pairwise_force_linear:
-        scale, direction = kernel(bond_factor(xi.T, xi_norm, coef),
-                                  eta.T.copy())
-    else:
-        scale, direction = kernel(xi.T, eta.T, xi_norm, coef)
-    return np.stack([scale * d for d in direction], axis=1)
+def pair_operator(law, xi, alpha):
+    """An operator on two 2D points, x_1 - x_0 = xi, of unit volume and
+    density, whose micro-modulus is alpha (to rounding)."""
+    xi = np.asarray(xi, dtype=float)
+    delta = 1.5 * np.linalg.norm(xi)
+    cloud = make_cloud([np.zeros(2), xi], thickness=1.0)
+    mat = Material(E=alpha * np.pi * delta ** 3 / 9.0, rho=1.0)
+    return PDOperator(cloud, build_neighbor_list(cloud, delta), mat, law=law)
 
 
-def force(kernel, xi, eta, alpha):
-    """Force on one intact bond through a force kernel."""
-    xi = np.array([xi], dtype=float)
-    eta = np.array([eta], dtype=float)
-    return bond_forces(kernel, xi, eta, alpha)[0]
+def force(law, xi, eta, alpha, alive=True):
+    """The pairwise force of the bond 0 -> 1 of a pair_operator, with
+    u_1 - u_0 = eta, as its rates give it: point 0's acceleration."""
+    op = pair_operator(law, xi, alpha)
+    if not alive:
+        write_mu(op.nbrs, [0])
+    y = np.zeros((2, 4))
+    y[1, :2] = eta
+    return op.rates(y, 0.0)[0, 2:]
 
 
 class TestBondStretch:
@@ -171,41 +169,43 @@ class TestBondStretch:
 
 
 class TestPairwiseForces:
+    """The force laws of one bond, through rates on two points."""
+
     def test_linear_annihilates_perpendicular(self):
         np.testing.assert_allclose(
-            force(pairwise_force_linear, (1, 0), (0, 1), 1.0), [0, 0])
+            force("linear", (1, 0), (0, 1), 1.0), [0, 0])
 
     def test_linear_unit_bond(self):
         np.testing.assert_allclose(
-            force(pairwise_force_linear, (1, 0), (0.25, 0), 1.0), [0.25, 0])
+            force("linear", (1, 0), (0.25, 0), 1.0), [0.25, 0])
 
     def test_linear_hand_value(self):
         # xi.eta = 7, |xi|^3 = 125: p = 2 * 7 * (3, 4)/125
         np.testing.assert_allclose(
-            force(pairwise_force_linear, (3, 4), (1, 1), 2.0), [0.336, 0.448])
+            force("linear", (3, 4), (1, 1), 2.0), [0.336, 0.448])
 
     def test_per_bond_coefficient(self):
         # coef = alpha * mu per bond: a broken bond (mu = 0) carries no force
-        xi = np.array([[1.0, 0], [0, 2.0]])
-        eta = np.array([[0.25, 0], [0, 0.5]])
-        for kernel in (pairwise_force_linear, pairwise_force_nonlinear):
-            p = bond_forces(kernel, xi, eta, np.array([2.0, 0.0]))
-            np.testing.assert_allclose(p, [[0.5, 0], [0, 0]])
+        for law in ("linear", "nonlinear"):
+            for xi, eta, alive, want in (((1.0, 0), (0.25, 0), True, [0.5, 0]),
+                                         ((0, 2.0), (0, 0.5), False, [0, 0])):
+                np.testing.assert_allclose(
+                    force(law, xi, eta, 2.0, alive), want, atol=1e-15)
 
     def test_nonlinear_zero_stretch(self):
         np.testing.assert_allclose(
-            force(pairwise_force_nonlinear, (1, 0), (0, 0), 1.0), [0, 0])
+            force("nonlinear", (1, 0), (0, 0), 1.0), [0, 0])
 
     def test_nonlinear_collinear(self):
         np.testing.assert_allclose(
-            force(pairwise_force_nonlinear, (1, 0), (0.01, 0), 1.0), [0.01, 0])
+            force("nonlinear", (1, 0), (0.01, 0), 1.0), [0.01, 0])
 
     def test_nonlinear_matches_linear_to_first_order(self):
         rng = np.random.default_rng(7)
 
         def gap(xi, eta):
-            return np.linalg.norm(force(pairwise_force_nonlinear, xi, eta, 1.0)
-                                  - force(pairwise_force_linear, xi, eta, 1.0))
+            return np.linalg.norm(force("nonlinear", xi, eta, 1.0)
+                                  - force("linear", xi, eta, 1.0))
 
         for _ in range(20):
             xi = rng.normal(size=2)
@@ -222,7 +222,7 @@ class TestPairwiseForces:
 
     def test_nonlinear_collapse_rejected(self):
         with pytest.raises(SimulationError, match="collapsed"):
-            force(pairwise_force_nonlinear, (1.0, 0.0), (-1.0, 0.0), 1.0)
+            force("nonlinear", (1.0, 0.0), (-1.0, 0.0), 1.0)
 
 
 def three_point_row_op(law="linear"):
@@ -433,21 +433,19 @@ class TestRatesBitIdentity:
 
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_views_spanning_row_blocks(self, law):
+        # 3,200 points, 88,000 bonds
         op, plan = loaded_plan(law, n=80)
         write_mu(op.nbrs, (5, 40_000, 77_777))
-        views = self.assert_views_match(op, plan, random_state(op, 29))
-        for name, view in views.items():
-            assert len(view.blocks) >= 2, name
+        self.assert_views_match(op, plan, random_state(op, 29))
 
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_3d_views_match_reference_formula(self, law):
         op, plan = loaded_plan(law, n=16, dim=3)
         write_mu(op.nbrs, (3, 5000, 44_444))
-        views = self.assert_views_match(op, plan, random_state(op, 31))
-        assert len(views["full"].blocks) >= 2
+        self.assert_views_match(op, plan, random_state(op, 31))
 
     def test_single_row_view(self):
-        # one row: the slot sum must still add the bonds one by one
+        # one row: its bonds must still be added one by one
         op, _ = loaded_plan()
         y = random_state(op, 37)
         for row in (0, 60, 127):
@@ -458,13 +456,12 @@ class TestRatesBitIdentity:
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_one_row_block_matches_wide_block(self, law, dim, n):
-        # the single-row slot sum gives a row the bits it gets among many
+        # a one-row view gives a row the bits it gets among all
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
         write_mu(nbrs, (0, 17, 400, 901))
         y = random_state(op, 61)
         wide = op.rates(y, 0.5)
-        assert all(len(blk.rows) > 1 for blk in op.full_view.blocks)
         broken = nbrs.bond_i[np.flatnonzero(~nbrs.mu)]
         for row in {0, int(broken[0]), int(broken[-1]),
                     int(plan.rows_f[0]), op.cloud.n_points - 1}:
@@ -474,14 +471,12 @@ class TestRatesBitIdentity:
     def test_collapse_names_lowest_bond_past_first_block(self):
         op, _ = loaded_plan("nonlinear", n=80)
         nbrs = op.nbrs
-        # the first block's rows are the first of the view's
-        first_block_end = len(op.full_view.blocks[0].rows)
         y = np.zeros((op.cloud.n_points, 4))
         # Move c onto a, so a -> c and c -> a collapse; a -> c is the last
-        # slot of row a and c -> a an early slot of the later row c, in the
-        # same block.  Another pair collapses further on.
+        # bond of row a and c -> a an early bond of the later row c.
+        # Another pair collapses further on; none in the first 1,000 rows.
         collapsed = []
-        for a in (first_block_end + 30, first_block_end + 900):
+        for a in (1030, 1900):
             c = nbrs.neighbors_of(a)[-1]
             y[c, :2] = op.cloud.positions[a] - op.cloud.positions[c]
             collapsed.append((a, c))
@@ -538,59 +533,43 @@ def row_by_row_rates(op, y, rows):
 
 
 class TestRatesPlan:
-    """rates evaluates a view through its plan: one einsum per block of
-    several rows, a cumsum per one-row block, sums written in place or,
-    in a union view, scattered; under the linear law each block copies the
-    dot products of its bonds to lower neighbors from their partners.
-    Every view kind must give the per-row formula's bits, and no returned
-    array may share a workspace."""
+    """rates evaluates every view by one loop over its rows, each summing
+    its bonds in CSR order.  Every view kind must give the per-row
+    formula's bits, and no returned array may share a workspace."""
 
     @settings(max_examples=24, deadline=None)
     @given(law=st.sampled_from(["linear", "nonlinear"]),
            dim=st.sampled_from([2, 3]),
-           slots=st.sampled_from([forces._BLOCK_SLOTS, 300, 40]),
-           mirror_min=st.sampled_from([0, forces._MIRROR_MIN]),
            seed=st.integers(0, 2 ** 16), n_broken=st.integers(1, 40))
-    def test_every_view_matches_row_by_row(self, law, dim, slots, mirror_min,
-                                           seed, n_broken):
-        # blocks of `slots` padded slots: 40 makes every block one row, and
-        # 300 puts a mirror's partner in an earlier block; `mirror_min` 0
-        # mirrors every block that can; the far bondless point at x = 5 is
-        # fine
+    def test_every_view_matches_row_by_row(self, law, dim, seed, n_broken):
+        # the far bondless point at x = 5 is fine
         n = 8 if dim == 2 else 6
-        with mock.patch.object(forces, "_BLOCK_SLOTS", slots), \
-                mock.patch.object(forces, "_MIRROR_MIN", mirror_min):
-            op, plan = loaded_plan(law, n=n, dim=dim, fine_x=(0.5, 6.0),
-                                   bondless=True)
-            bare, _ = loaded_plan(law, n=n, dim=dim, split=False,
-                                  bondless=True)
-            n = op.cloud.n_points
-            bondless = np.array([n - 2, n - 1])
-            rng = np.random.default_rng(seed)
-            one = int(rng.integers(n - 2))
-            # a box inside the plate: its rows have lower neighbors outside
-            pos = op.cloud.positions
-            box = np.flatnonzero(np.all((pos >= 0.2) & (pos <= 0.4), axis=1))
-            views = {
-                "full": (bare, bare.full_view), "union": (op, None),
-                "coarse": (op, plan.coarse_view),
-                "fine": (op, plan.fine_view),
-                "box": (op, op.make_view(box)),
-                "one row": (op, op.make_view(np.array([one]))),
-                "one bondless row": (op, op.make_view(bondless[1:])),
-                "bondless": (op, op.make_view(bondless)),
-                "scattered rows": (op, op.make_view(np.sort(
-                    rng.choice(n, n // 3, replace=False)))),
-            }
+        op, plan = loaded_plan(law, n=n, dim=dim, fine_x=(0.5, 6.0),
+                               bondless=True)
+        bare, _ = loaded_plan(law, n=n, dim=dim, split=False, bondless=True)
+        n = op.cloud.n_points
+        bondless = np.array([n - 2, n - 1])
+        rng = np.random.default_rng(seed)
+        one = int(rng.integers(n - 2))
+        # a box inside the plate: its rows have lower neighbors outside
+        pos = op.cloud.positions
+        box = np.flatnonzero(np.all((pos >= 0.2) & (pos <= 0.4), axis=1))
+        views = {
+            "full": (bare, bare.full_view), "split full": (op, None),
+            "coarse": (op, plan.coarse_view),
+            "fine": (op, plan.fine_view),
+            "box": (op, op.make_view(box)),
+            "one row": (op, op.make_view(np.array([one]))),
+            "one bondless row": (op, op.make_view(bondless[1:])),
+            "bondless": (op, op.make_view(bondless)),
+            "scattered rows": (op, op.make_view(np.sort(
+                rng.choice(n, n // 3, replace=False)))),
+            "unsorted rows": (op, op.make_view(rng.permutation(n))),
+        }
         assert bondless[0] in plan.rows_c and bondless[1] in plan.rows_f
         assert op.nbrs.counts()[bondless].sum() == 0
-        blocks = [blk for o, view in views.values()
-                  for blk in (view or o.full_view).blocks]
-        mirrored = any(len(blk.mirror) for blk in blocks)
-        assert mirrored == (law == "linear" and mirror_min == 0)
-        assert mirrored == any(blk.cross.shape[1] for blk in blocks)
         states = random_state(op, seed), random_state(op, seed + 1)
-        # first with every bond alive (no flag caches), then with breaks
+        # first with every bond alive, then with breaks
         for broken in ((), rng.choice(op.nbrs.n_bonds, n_broken)):
             write_mu(op.nbrs, broken)
             write_mu(bare.nbrs, broken)
@@ -605,61 +584,104 @@ class TestRatesPlan:
                 for y, got in zip(states, (first, second)):
                     assert got.tobytes() == \
                         row_by_row_rates(o, y, rows).tobytes(), name
-        assert any(blk.flags is not None for blk in op.full_view.blocks)
-        assert any(blk.flags is not None for blk in bare.full_view.blocks)
 
-    def test_desk_preset_mirrors(self):
-        # crack2d's full view copies the dot product of every bond to a
-        # lower neighbor, half of all bonds; each MTS side computes exactly
-        # its rows' bonds to lower neighbors off the side (its cross bonds)
-        crack = Scenario(preset_config("crack2d"))
-        op = crack.fresh_operator()
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_any_layout_of_the_state(self, law):
+        # a Fortran-ordered state and a column slice of a wider array give
+        # the bits of the C-ordered state
+        op, plan = loaded_plan(law)
+        y = random_state(op, 73)
+        wide = np.zeros((len(y), y.shape[1] + 3))
+        wide[:, 1:1 + y.shape[1]] = y
+        for view in (None, plan.coarse_view):
+            want = op.rates(y, 0.5, view).tobytes()
+            for layout in (np.asfortranarray(y), wide[:, 1:1 + y.shape[1]],
+                           np.repeat(y, 2, axis=0)[::2]):
+                assert op.rates(layout, 0.5, view).tobytes() == want
+
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_rates_follow_a_new_flag_array(self, law):
+        # write_mu(mu=...) copies a whole flag array in; rates reads the
+        # flags of the moment on every call
+        op, plan = loaded_plan(law)
         nbrs = op.nbrs
-        copied = sum(int(blk.low.sum()) - blk.cross.shape[1]
-                     for blk in op.full_view.blocks)
-        assert copied == nbrs.n_bonds // 2 == 136_418
-        plan = MtsPlan(op, crack.mts_config(), crack.s0)
-        bond_i = nbrs.bond_i
-        for view in (plan.coarse_view, plan.fine_view):
-            off_side = np.ones(nbrs.n_points, dtype=bool)
-            off_side[view.rows] = False
-            leaving = np.flatnonzero((nbrs.neighbors < bond_i)
-                                     & off_side[nbrs.neighbors]
-                                     & ~off_side[bond_i])
-            cross = np.concatenate([blk.cross for blk in view.blocks], axis=1)
-            assert np.array_equal(np.sort(cross[0]), leaving)
-            assert set(cross[2]) == set(bond_i[leaving])
-            assert all(len(blk.mirror) for blk in view.blocks)
-        # plate2d's fine view, one block copying fewer than _MIRROR_MIN dot
-        # products, computes every slot and stores them all the same; its
-        # coarse view mirrors
-        plate = Scenario(preset_config("plate2d"))
-        plan = MtsPlan(plate.fresh_operator(), plate.mts_config())
-        (fine,) = plan.fine_view.blocks
-        assert len(fine.mirror) == 0 and fine.at == 1
-        assert plan.fine_view.n_dots == 1 + fine.nbr.size
-        assert all(len(blk.mirror) for blk in plan.coarse_view.blocks)
+        y = random_state(op, 79)
+        intact = op.rates(y, 0.5)
+        mu = nbrs.mu.copy()
+        mu[np.random.default_rng(5).choice(nbrs.n_bonds, 200)] = False
+        mu &= mu[nbrs.partner]
+        write_mu(nbrs, mu=mu)
+        for view in (None, plan.fine_view):
+            rows = np.arange(op.cloud.n_points) if view is None else view.rows
+            got = op.rates(y, 0.5, view)
+            assert got.tobytes() == reference_rates(op, y, rows).tobytes()
+        assert not np.array_equal(op.rates(y, 0.5), intact)
+        write_mu(nbrs, mu=np.ones(nbrs.n_bonds, dtype=bool))
+        assert op.rates(y, 0.5).tobytes() == intact.tobytes()
 
-    @pytest.mark.parametrize("slots", [forces._BLOCK_SLOTS, 300])
-    def test_every_linear_view_keeps_its_dot_products(self, slots):
-        # whether or not any block copies, each block stores its computed
-        # and cross dot products where the one before ends, from position 1
-        # on (0 holds +0.0).  The views: the unsplit full view and the two
-        # MTS sides of plate2d and of a test plate, in blocks of `slots`
-        # padded slots
-        plate = Scenario(preset_config("plate2d"))
-        with mock.patch.object(forces, "_BLOCK_SLOTS", slots):
-            ops = (plate.fresh_operator(), loaded_plan(split=False)[0])
-            views = [op.full_view for op in ops]
-            for plan in (MtsPlan(ops[0], plate.mts_config()),
-                         loaded_plan()[1]):
-                views += [plan.coarse_view, plan.fine_view]
-        for view in views:
-            at = 1
-            for blk in view.blocks:
-                assert blk.at == at
-                at += blk.nbr.size + blk.cross.shape[1]
-            assert view.n_dots == at
+    @pytest.mark.parametrize("law", ["linear", "nonlinear"])
+    def test_non_finite_displacement_of_a_bondless_point(self, law):
+        # the unconstrained bondless point (x = 5) is reported in every
+        # view that holds it; the constrained one (x = -5) takes its
+        # prescribed velocity whatever its displacement
+        op, plan = loaded_plan(law, fine_x=(0.5, 6.0), bondless=True)
+        n, dim = op.cloud.n_points, op.cloud.dim
+        free, held = n - 1, n - 2
+        assert op.constrained_mask[held] and not op.constrained_mask[free]
+        for value in (np.inf, np.nan):
+            y = random_state(op, 83)
+            y[free, :dim] = value
+            for view in (None, plan.fine_view):
+                with pytest.raises(InstabilityError) as err:
+                    op.rates(y, 0.5, view)
+                assert err.value.point == free
+            y = random_state(op, 83)
+            y[held, :dim] = value
+            got = op.rates(y, 0.5)
+            assert np.array_equal(got[held], np.r_[op.v_prescribed_full[held],
+                                                   np.zeros(dim)])
+            rest = np.arange(n) != held
+            want = reference_rates(op, random_state(op, 83), np.arange(n))
+            assert got[rest].tobytes() == want[rest].tobytes()
+
+    def test_out_of_range_rows_and_misshapen_states_are_refused(self):
+        # the compiled loop reads what it is given: a row id outside the
+        # points or a state of another shape never reaches it
+        op, _ = loaded_plan()
+        n = op.cloud.n_points
+        for rows in ([-1], [0, n], [[0, 1]]):
+            with pytest.raises(ValueError, match="point ids"):
+                op.make_view(rows)
+        y = random_state(op, 7)
+        for bad in (y[:-1], y[:, :3], y.ravel()):
+            with pytest.raises(ValueError, match="state must be"):
+                op.rates(bad, 0.0)
+
+    def test_a_view_of_bondless_rows_reports_them_too(self):
+        # a view with no bond at all checks its rows as any other view does
+        op, plan = loaded_plan(bondless=True)
+        n, dim = op.cloud.n_points, op.cloud.dim
+        y = random_state(op, 83)
+        y[n - 1, :dim] = np.inf
+        for rows in ([n - 1], [n - 2, n - 1]):
+            with pytest.raises(InstabilityError) as err:
+                op.rates(y, 0.5, op.make_view(rows))
+            assert err.value.point == n - 1
+
+    def test_collapse_names_the_lowest_bond_of_the_view(self):
+        # two collapsing pairs in a view whose rows run downwards: the
+        # message names the lower bond, which the view reaches last
+        op, _ = loaded_plan("nonlinear", n=40)
+        nbrs = op.nbrs
+        y = np.zeros((op.cloud.n_points, 4))
+        for a in (300, 700):
+            c = nbrs.neighbors_of(a)[-1]
+            y[c, :2] = op.cloud.positions[a] - op.cloud.positions[c]
+        c = nbrs.neighbors_of(300)[-1]
+        view = op.make_view(np.arange(op.cloud.n_points)[::-1])
+        with pytest.raises(SimulationError, match=rf"bond 300 -> {c} "
+                                                  r"collapsed .* t=5\.0"):
+            op.rates(y, 5.0, view)
 
 
 def bare_grid_op(law, dim, n=8):
@@ -690,31 +712,34 @@ class TestForceSymmetry:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_pairwise_forces_are_antisymmetric(self, law, dim):
-        # bond j -> i carries exactly the negated force of i -> j; a zero
-        # component may keep its sign (x_i - x_j is +0.0 when equal)
+        # bond j -> i carries exactly the negated force of i -> j.  Each
+        # sampled bond is the one alive bond of its two ends, so their
+        # accelerations are its two directions' forces (a broken bond adds
+        # a signed zero, and the body force add makes a zero sum +0.0)
         op = bare_grid_op(law, dim)
         nbrs = op.nbrs
-        u = random_state(op, 59)[:, :dim]
-        xi, xi_norm = nbrs.xi.T, nbrs.xi_norm
-        eta = (u[nbrs.neighbors] - u[nbrs.bond_i]).T.copy()
-        if law == "linear":
-            scale, direction = pairwise_force_linear(
-                bond_factor(xi, xi_norm, op.alpha), eta)
-        else:
-            scale, direction = pairwise_force_nonlinear(
-                xi, eta, xi_norm, op.alpha)
-        f = np.stack([scale * d for d in direction], axis=1)
-        back = f[nbrs.partner]
-        assert np.array_equal(back, -f)
-        nonzero = f != 0.0
-        assert nonzero.mean() > 0.5
-        assert back[nonzero].tobytes() == (-f[nonzero]).tobytes()
+        y = random_state(op, 59)
+        bond_i = nbrs.bond_i
+        forces_seen = []
+        for b in np.random.default_rng(59).choice(nbrs.n_bonds, 40):
+            mu = np.zeros(nbrs.n_bonds, dtype=bool)
+            mu[[b, nbrs.partner[b]]] = True
+            write_mu(nbrs, mu=mu)
+            i, j = bond_i[b], nbrs.neighbors[b]
+            f, back = op.rates(y, 0.0, op.make_view([i, j]))[:, dim:]
+            assert np.array_equal(back, -f)
+            nonzero = f != 0.0
+            assert back[nonzero].tobytes() == (-f[nonzero]).tobytes()
+            forces_seen.extend(nonzero)
+        assert np.mean(forces_seen) > 0.5
 
 
 class TestUnionView:
-    """An MtsPlan splits its operator into coarse and fine views, and the
-    full view becomes their union.  It must equal a separately built view
-    over every point, bit for bit."""
+    """An MtsPlan splits its operator into coarse and fine views; the
+    operator's full view stays one view over every point.  Every view
+    reads the operator's one bond table, and the full view of a split
+    operator must equal a separately built view over every point, bit for
+    bit."""
 
     @staticmethod
     def whole(op):
@@ -723,96 +748,60 @@ class TestUnionView:
     @staticmethod
     def edge_row(op, x):
         """The point nearest (x, 0[, 0]): an edge row with fewer bonds than
-        an interior one, so its blocks pad it."""
+        an interior one."""
         target = np.array([x] + [0.0] * (op.cloud.dim - 1))
         return int(np.argmin(np.linalg.norm(op.cloud.positions - target,
                                             axis=1)))
 
-    @staticmethod
-    def assert_steps_write_own_rows(view):
-        """Each step reads its block's rows of the state and writes its
-        sums at the block's rows among the view's."""
-        n = len(view.offsets) - 1
-        for blk, src, dest in view.steps:
-            assert np.array_equal(np.arange(n)[src], blk.rows)
-            assert np.array_equal(view.rows[dest], blk.rows)
-
     def test_partition_replaces_the_full_view(self):
+        # a partition leaves the full view and its rates as they were
         op, plan = loaded_plan()
-        self.assert_steps_write_own_rows(op.full_view)
         bare = PDOperator(op.cloud, op.nbrs, op.material, law=op.law)
         assert bare._full_view is None
         view = bare.full_view
         assert bare.full_view is view
-        self.assert_steps_write_own_rows(view)
         assert view.bond_sel == range(op.nbrs.n_bonds)
+        assert np.array_equal(view.rows, np.arange(op.cloud.n_points))
         y = random_state(bare, 29)
         before = bare.rates(y, 0.5)
-        # a partition replaces the existing full view by the union of its
-        # sides, and the old blocks are freed
-        old = [weakref.ref(blk) for blk in view.blocks]
-        del view
-        coarse, fine, *_ = bare.partition(plan.rows_c, plan.rows_f)
-        full = bare.full_view
-        self.assert_steps_write_own_rows(full)
-        sides = coarse.blocks + fine.blocks
-        assert len(full.blocks) == len(sides)
-        assert all(a is b for a, b in zip(full.blocks, sides))
-        assert all(ref() is None for ref in old)
+        bare.partition(plan.rows_c, plan.rows_f)
+        assert bare.full_view is view
         assert bare.rates(y, 0.5).tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (2, 80), (3, 16)])
     def test_union_shares_the_side_blocks(self, dim, n):
+        # the full view and the sides read one bond table, which holds
+        # each bond once; a view holds only its rows
         op, plan = loaded_plan(n=n, dim=dim)
         full = op.full_view
-        sides = plan.coarse_view.blocks + plan.fine_view.blocks
-        assert len(full.blocks) == len(sides)
-        assert all(a is b for a, b in zip(full.blocks, sides))
         assert full.bond_sel == range(op.nbrs.n_bonds)
         assert len(full.bond_sel) == len(plan.coarse_view.bond_sel) \
             + len(plan.fine_view.bond_sel)
         assert np.array_equal(full.rows, np.arange(op.cloud.n_points))
+        assert op.bond_table is None
+        y = random_state(op, 89)
+        op.rates(y, 0.5)
+        table = op.bond_table
+        assert table.shape == (dim, op.nbrs.n_bonds)
+        for view in (plan.coarse_view, plan.fine_view, full):
+            op.rates(y, 0.5, view)
+            assert op.bond_table is table
+            assert not view.rows.flags.writeable
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_union_of_interleaved_sides(self, law, dim, n):
-        # sides of every other point: each side's blocks hold scattered
-        # rows, so the union scatters every block's sums
+        # sides of every other point: each side's rows are scattered
         op, _ = loaded_plan(law, n=n, dim=dim, split=False)
         write_mu(op.nbrs, (0, 17, 400, 901))
         y = random_state(op, 67)
         points = np.arange(op.cloud.n_points)
         views = op.partition(points[::2], points[1::2])[:2]
-        full = op.full_view
-        self.assert_steps_write_own_rows(full)
-        assert all(not isinstance(dest, slice) for *_, dest in full.steps)
         got = op.rates(y, 0.5)
         assert got.tobytes() == op.rates(y, 0.5, self.whole(op)).tobytes()
         for view in views:
-            self.assert_steps_write_own_rows(view)
             assert op.rates(y, 0.5, view).tobytes() == \
                 got[view.rows].tobytes()
-
-    def test_union_of_a_mirroring_and_a_computing_side(self):
-        # the union's sides share one buffer, the larger side's: a side that
-        # copies nothing stores every dot product it computes all the same
-        op, _ = loaded_plan(n=16, split=False)
-        y = random_state(op, 71)
-        want = op.rates(y, 0.5, self.whole(op))
-        real, thresholds = op.make_view, iter([0, 10 ** 9])
-
-        def make_view(rows):
-            with mock.patch.object(forces, "_MIRROR_MIN", next(thresholds)):
-                return real(rows)
-
-        points = np.arange(op.cloud.n_points)
-        with mock.patch.object(op, "make_view", make_view):
-            small, big, *_ = op.partition(points[:60], points[60:])
-        assert all(len(blk.mirror) for blk in small.blocks)
-        assert not any(len(blk.mirror) for blk in big.blocks)
-        assert big.n_dots == 1 + sum(blk.nbr.size for blk in big.blocks)
-        assert op.full_view.n_dots == big.n_dots > small.n_dots
-        assert op.rates(y, 0.5).tobytes() == want.tobytes()
 
     def test_partition_must_cover_each_point_once(self):
         op, plan = loaded_plan()
@@ -827,10 +816,11 @@ class TestUnionView:
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
         y = random_state(op, 47)
-        # One edge row per side whose force sum is -0.0: all its bonds are
-        # broken (coef 0), and each neighbor moves by -/+1% of the bond so
-        # the signed zero of every bond's x-force is negative.  Padded in
-        # the full views, the sum there is +0.0; in a one-row view, -0.0.
+        # One edge row per side whose bond forces are all -0.0: all its
+        # bonds are broken (coef 0), and each neighbor moves by -/+1% of
+        # the bond so the signed zero of every bond's x-force is negative.
+        # The sums start from +0.0, and the body force add makes any zero
+        # sum +0.0.
         rows = [self.edge_row(op, 0.3), self.edge_row(op, 0.7)]
         for q in rows:
             bonds = np.arange(nbrs.offsets[q], nbrs.offsets[q + 1])
@@ -844,15 +834,15 @@ class TestUnionView:
         for q in rows:
             bonds = np.arange(nbrs.offsets[q], nbrs.offsets[q + 1])
             eta = y[nbrs.neighbors[bonds], :dim] - y[q, :dim]
-            xi, xi_norm = nbrs.xi[bonds].T, nbrs.xi_norm[bonds]
+            xi, xi_norm = nbrs.xi[bonds], nbrs.xi_norm[bonds]
             if law == "linear":
-                scale, direction = pairwise_force_linear(
-                    bond_factor(xi, xi_norm, op.alpha), eta.T.copy(),
-                    np.zeros(len(bonds)))
+                q_k = bond_factor(xi.T, xi_norm, op.alpha)
+                terms = (q_k * eta.T).sum(axis=0) * 0.0 * q_k[0]
             else:
-                scale, direction = pairwise_force_nonlinear(
-                    xi, eta.T, xi_norm, 0.0)
-            terms = scale * direction[0]
+                deformed = xi + eta
+                ndef = np.linalg.norm(deformed, axis=1)
+                terms = op.alpha * 0.0 * bond_stretch(ndef, xi_norm) \
+                    / ndef * deformed[:, 0]
             assert np.all(terms == 0.0) and np.all(np.signbit(terms))
             assert nbrs.counts()[q] < nbrs.counts().max()
             one = op.rates(y, 0.5, op.make_view(np.array([q])))
@@ -883,8 +873,8 @@ class TestUnionView:
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     @pytest.mark.parametrize("fine_x", [(0.5, 1.0), (0.0, 0.5)])
     def test_collapse_names_the_same_bond(self, dim, n, fine_x):
-        # With the fine side on the left, the union runs the coarse blocks,
-        # of higher bond ids, first: the lowest bond is taken over all.
+        # in a split operator's full view and in a separately built one,
+        # the lowest bond is taken over all
         op, plan = loaded_plan("nonlinear", n=n, dim=dim, fine_x=fine_x)
         nbrs, whole = op.nbrs, self.whole(op)
         pairs = []
@@ -907,8 +897,9 @@ class TestUnionView:
 
 
 class TestCaches:
-    """rates caches the bond flags per row block and update_damage one bond
-    table per partition; both must follow every change to the flags."""
+    """rates reads the bond flags on every call and update_damage caches
+    one bond table per partition; both must follow every change to the
+    flags."""
 
     @staticmethod
     def row_near(op, x):
@@ -918,24 +909,12 @@ class TestCaches:
 
     @staticmethod
     def assert_views(op, plan, y):
-        """rates equals the reference on every view, and exactly the blocks
-        computing a broken bond carry a cached flag array, equal to the
-        flags of the bonds they compute: their second slot group's, then
-        their cross bonds'.  A mirrored slot copies its partner's flag."""
-        broken = np.flatnonzero(op.nbrs.mu == 0.0)
+        """rates equals the reference on every view."""
         for name, view in (("full", op.full_view),
                            ("coarse", plan.coarse_view),
                            ("fine", plan.fine_view)):
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, view.rows)), name
-            for blk in view.blocks:
-                bonds = np.concatenate([
-                    blk.bonds(op.nbrs)[len(blk.mirror):].ravel(),
-                    blk.cross[0]])
-                cached = blk.flags is not None
-                assert cached == np.isin(bonds, broken).any(), name
-                assert not cached or np.array_equal(
-                    blk.flags, op.nbrs.mu[bonds].astype(float)), name
 
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
@@ -943,14 +922,14 @@ class TestCaches:
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
         y = random_state(op, 41)
-        self.assert_views(op, plan, y)  # all blocks intact
+        self.assert_views(op, plan, y)  # all bonds intact
         # one row on the coarse side and one on the fine side
         rows = [self.row_near(op, 0.25), self.row_near(op, 0.75)]
         write_mu(nbrs, [nbrs.offsets[r] + 2 for r in rows])
-        self.assert_views(op, plan, y)  # their blocks flip to cached
+        self.assert_views(op, plan, y)
         before = op.rates(y, 0.5)
         write_mu(nbrs, [nbrs.offsets[r] + 5 for r in rows])
-        self.assert_views(op, plan, y)  # a second break in cached blocks
+        self.assert_views(op, plan, y)  # a second break in the same rows
         assert not np.array_equal(op.rates(y, 0.5), before)
 
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
@@ -963,10 +942,9 @@ class TestCaches:
         write_mu(nbrs, [nbrs.offsets[self.row_near(op, x)] + 3
                         for x in (0.25, 0.75)])
         self.assert_views(op, plan, y)
-        assert any(blk.flags is not None for blk in op.full_view.blocks)
+        assert op.rates(y, 0.5).tobytes() != intact.tobytes()
         write_mu(nbrs, mu=mu0)  # every bond alive again
         self.assert_views(op, plan, y)
-        assert all(blk.flags is None for blk in op.full_view.blocks)
         assert op.rates(y, 0.5).tobytes() == intact.tobytes()
 
     def test_mu_is_read_only(self, mini_config):
@@ -1689,7 +1667,7 @@ class TestDamageSkin:
     @pytest.mark.parametrize("scheme", ["upd", "mts"])
     def test_runs_end_holding_only_bond_data(self, scheme):
         # after a run, also one that raised, the operator holds no damage
-        # table, no full view, no split and no flag caches; its bond data
+        # table, no full view, no split and no bond table; its topology
         # and flags stay
         op, plan = loaded_plan(s0=0.5)
         state0 = FieldState(u=np.zeros((op.cloud.n_points, 2)),
@@ -1705,6 +1683,7 @@ class TestDamageSkin:
 
         def stop(step, t, y):
             assert op.nbrs.damage_table is not None
+            assert op.bond_table is not None
             raise RuntimeError("stop")
 
         for on_step in (None, stop):
@@ -1714,10 +1693,7 @@ class TestDamageSkin:
                 pass
             assert op.nbrs.damage_table is None
             assert op._full_view is None and op.nbrs.bond_sides is None
-            # the blocks a upd run evaluated: the union of the plan's sides
-            assert all(blk.flags is None and blk.version == -1
-                       for blk in plan.coarse_view.blocks
-                       + plan.fine_view.blocks)
+            assert op.bond_table is None
             assert op.nbrs.mu.sum() == op.nbrs.n_bonds - 4
             y = random_state(op, 5)
             assert np.array_equal(op.rates(y, 0.0),
@@ -1831,62 +1807,27 @@ class TestNearCrackCut:
 
 
 class TestBondStorage:
-    """Blocks and damage tables derive the bond geometry from the
-    positions, bit for bit from the neighbor list's derived xi and
-    xi_norm; their gather indices stay intp and no per-slot bond ids are
-    kept."""
+    """The bond table and the damage tables derive the bond geometry from
+    the positions, bit for bit from the neighbor list's derived xi and
+    xi_norm, and no per-bond ids are kept beside the list's."""
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 16)])
     @pytest.mark.parametrize("law", ["linear", "nonlinear"])
     def test_block_geometry_matches_the_list(self, law, dim, n):
         # the linear law holds q = sqrt(alpha / |xi|^3) xi and no length,
-        # the nonlinear law xi and |xi|; a pad's xi is e0, of length 1.
-        # Blocks mirror whatever they can here, so both groups are checked.
+        # the nonlinear law xi and |xi|, each as one row per component
         op, plan = loaded_plan(law, n=n, dim=dim)
         nbrs = op.nbrs
-        xi, xi_norm, bond_i = nbrs.xi, nbrs.xi_norm, nbrs.bond_i
-        with mock.patch.object(forces, "_MIRROR_MIN", 0):
-            views = [op.make_view(v.rows) for v in (
-                plan.coarse_view, plan.fine_view, op.full_view)]
-        for view in views:
-            outside = np.ones(op.cloud.n_points, dtype=bool)
-            outside[view.rows] = False
-            for blk in view.blocks:
-                assert blk.nbr.dtype == blk.mirror.dtype == np.intp
-                assert blk.cross.dtype == np.intp
-                assert not hasattr(blk, "bond")
-                m, c = len(blk.mirror), len(blk.nbr)
-                bond, pad = forces._slot_bonds(nbrs, blk.rows, blk.low, m, c)
-                assert np.array_equal(blk.bonds(nbrs), bond)
-                # the first group holds each row's bonds to lower neighbors
-                lower = nbrs.neighbors < bond_i
-                assert np.array_equal(blk.low, [
-                    lower[nbrs.offsets[r]:nbrs.offsets[r + 1]].sum()
-                    if law == "linear" else 0 for r in blk.rows])
-                assert (m > 0) == (law == "linear")
-                assert np.all(lower[bond[:m][~pad[:m]]])
-                assert law == "nonlinear" or \
-                    not np.any(lower[bond[m:][~pad[m:]]])
-                assert np.array_equal(blk.nbr[~pad[m:]],
-                                      nbrs.neighbors[bond[m:]][~pad[m:]])
-                # cross bonds: the first group's bonds leaving the view
-                leaves = outside[nbrs.neighbors[bond[:m]]] & ~pad[:m]
-                assert np.array_equal(blk.cross, [
-                    bond[:m][leaves], nbrs.neighbors[bond[:m][leaves]],
-                    bond_i[bond[:m][leaves]]])
-                want = np.moveaxis(xi[bond], -1, 0)
-                want[:, pad] = 0.0
-                want[0][pad] = 1.0
-                length = xi_norm[bond]
-                length[pad] = 1.0
-                if law == "linear":
-                    want *= np.sqrt(op.alpha / length ** 3)
-                    assert blk.length is None
-                else:
-                    assert blk.length.tobytes() == length.tobytes()
-                assert blk.vec.tobytes() == want.tobytes()
-                assert blk.cross_vec.tobytes() == \
-                    want[:, :m][:, leaves].tobytes()
+        xi, xi_norm = nbrs.xi, nbrs.xi_norm
+        op.rates(random_state(op, 97), 0.0, plan.fine_view)
+        table = op.bond_table
+        assert table.flags.c_contiguous and table.dtype == np.float64
+        if law == "linear":
+            want = xi.T * np.sqrt(op.alpha / xi_norm ** 3)
+            assert table.tobytes() == want.tobytes()
+        else:
+            assert table[:dim].tobytes() == xi.T.copy().tobytes()
+            assert table[dim].tobytes() == xi_norm.tobytes()
 
     @pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
     def test_damage_table_matches_the_list(self, dim, n):
@@ -1944,71 +1885,36 @@ class TestBondStorage:
 
 
 class TestBlockSize:
-    @staticmethod
-    def assert_blocks_balanced(op, view):
-        """The blocks of a view from make_view tile its rows in order, with
-        row counts that differ by at most one.  Each block's (dim, slot,
-        row) arrays hold at most 3 * _BLOCK_SLOTS doubles unless it holds
-        a single row, and one block fewer would not fit them at the view's
-        widest slot groups: its most bonds to lower neighbors plus its most
-        other bonds (under the linear law; its widest row otherwise)."""
-        budget = 3 * forces._BLOCK_SLOTS
-        held = [blk.rows for blk in view.blocks]
-        assert np.array_equal(np.concatenate(held), view.rows)
-        sizes = [len(rows) for rows in held]
-        assert max(sizes) - min(sizes) <= 1
-        for blk in view.blocks:
-            assert blk.vec.size <= budget or len(blk.rows) == 1
-        nbrs = op.nbrs
-        counts = nbrs.counts()[view.rows]
-        low = np.array([np.sum(nbrs.neighbors_of(r) < r)
-                        for r in view.rows]) if op.law == "linear" else 0
-        width = np.max(low) + np.maximum(counts - low, 1).max()
-        fewer = len(sizes) - 1
-        assert fewer == 0 or \
-            -(-len(view.rows) // fewer) * op.cloud.dim * width > budget
-
     @pytest.mark.parametrize("dim, n", [(2, 80), (3, 16)])
     def test_views_hold_at_most_block_slots(self, dim, n):
-        # the sides of a split and an unsplit full view; the union view's
-        # blocks are the sides' own
+        # a view holds its row ids only, 8 B per row; the operator's bond
+        # table 8 * dim B per bond under the linear law, whatever the views
         op, plan = loaded_plan(n=n, dim=dim)
-        bare, _ = loaded_plan(n=n, dim=dim, split=False)
-        union, sides = op.full_view.blocks, \
-            plan.coarse_view.blocks + plan.fine_view.blocks
-        assert len(union) == len(sides)
-        assert all(a is b for a, b in zip(union, sides))
-        for view in (bare.full_view, plan.coarse_view, plan.fine_view):
-            assert len(view.blocks) >= 2
-            self.assert_blocks_balanced(op, view)
-
-    def test_desk_preset_blocks(self):
-        # 22,500 slots in 2D: the 800-point plate's full and coarse views
-        # are one block each; 3D blocks keep their 15,000-slot bound
-        plate = Scenario(preset_config("plate2d"))
-        op = plate.fresh_operator()
-        assert len(op.full_view.blocks) == 1
-        plan = MtsPlan(op, plate.mts_config())
-        assert len(plan.coarse_view.blocks) == 1
-        block = Scenario(preset_config("block3d")).fresh_operator()
-        view = block.full_view
-        assert len(view.blocks) == 17
-        assert all(blk.vec[0].size <= 15_000 for blk in view.blocks)
-        self.assert_blocks_balanced(block, view)
+        y = random_state(op, 101)
+        for view in (op.full_view, plan.coarse_view, plan.fine_view):
+            op.rates(y, 0.5, view)
+            held = [v for v in vars(view).values()
+                    if isinstance(v, np.ndarray) and v is not view.offsets]
+            assert sum(a.nbytes for a in held) == 8 * len(view.rows)
+        assert op.bond_table.nbytes == 8 * dim * op.nbrs.n_bonds
 
     def test_row_wider_than_a_block(self, monkeypatch):
-        # 28-bond rows against 30-double blocks: one row per block, same
-        # bits
+        # rows of 10 to 28 bonds against 5-bond chunks: the bond table is
+        # built one row at a time, to the same bits
         op, plan = loaded_plan()
         y = random_state(op, 43)
         write_mu(op.nbrs, (0, 17, 400, 901))
-        monkeypatch.setattr(forces, "_BLOCK_SLOTS", 10)
+        want = op.rates(y, 0.5)
+        table = op.bond_table
+        assert op.nbrs.counts().min() > 5
+        op.drop_run_caches()
+        monkeypatch.setattr(forces, "_BLOCK_SLOTS", 5)
         for rows in (op.full_view.rows, plan.fine_view.rows):
             view = op.make_view(rows)
-            assert all(len(blk.rows) == 1 for blk in view.blocks)
-            self.assert_blocks_balanced(op, view)
             got = op.rates(y, 0.5, view)
             assert np.array_equal(got, reference_rates(op, y, rows))
+            assert got.tobytes() == want[rows].tobytes()
+        assert op.bond_table.tobytes() == table.tobytes()
 
 
 class TestDamageIndex:
