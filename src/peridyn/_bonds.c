@@ -1,5 +1,6 @@
-/* The bond loop of forces.PDOperator.rates: each row of a view sums the
- * pairwise forces of its bonds in CSR order, then forms its rates.
+/* The bond loops of peridyn: forces.PDOperator.rates, where each row of a
+ * view sums the pairwise forces of its bonds in CSR order, then forms its
+ * rates, and the damage check of forces.update_damage (at the end).
  *
  * Every product is rounded before it is added (the loader compiles with
  * -ffp-contract=off) and every sum runs in a fixed order, so the result is
@@ -134,4 +135,117 @@ int64_t peridyn_rates(int law, int dim, int64_t n_points, int64_t n_bonds,
                 bad = r;
     }
     return bad;
+}
+
+/* The damage check of forces.update_damage, one side of its half-bond
+ * table at a time.  x is (n_points, dim) and u is read with a row stride
+ * of stride doubles; p = x + u, and a half-bond i -> j of length |xi|
+ * breaks when (|p_j - p_i| - |xi|) / |xi| >= s0, with |.| summed as
+ * geometry._norm sums it.  It is watched, by a refresh, when the same
+ * test passes for |p_j - p_i| + skin.  The test rises with the length
+ * under rounding too, so every hit is watched: the hit test runs on
+ * watched half-bonds only.  Broken bonds are tested and watched too;
+ * forces._break_bonds skips them. */
+
+static inline double deformed_length(int dim, const double *x,
+                                     const double *u, int64_t stride,
+                                     int64_t i, int64_t j)
+{
+    double d, sq = 0.0;
+    for (int k = 0; k < dim; k++) {
+        d = (x[j * dim + k] + u[j * stride + k])
+            - (x[i * dim + k] + u[i * stride + k]);
+        sq = k ? sq + d * d : d * d;
+    }
+    return sqrt(sq);
+}
+
+/* The watched half-bonds ids[0 .. n - 1], with ends i and j and lengths
+ * length, whose stretch reaches s0, into hits; returns their number. */
+int64_t peridyn_watched(int dim, const double *x, const double *u,
+                        int64_t stride, double s0, int64_t n,
+                        const int32_t *ids, const int32_t *i,
+                        const int32_t *j, const double *length,
+                        int32_t *hits)
+{
+    int64_t n_hits = 0;
+    for (int64_t w = 0; w < n; w++) {
+        double g = dim == 2 ? deformed_length(2, x, u, stride, i[w], j[w])
+                            : deformed_length(3, x, u, stride, i[w], j[w]);
+        if ((g - length[w]) / length[w] >= s0)
+            hits[n_hits++] = ids[w];
+    }
+    return n_hits;
+}
+
+/* A refresh: tests every half-bond ids[0 .. n - 1] (ascending) of the
+ * side, each bond's source found by walking offsets along the ids and its
+ * far end as neighbors[id].  Writes the watched half-bonds (id, ends,
+ * length) to the watch arrays and the hits among them to hits, each of
+ * room for n.  Returns the number watched and writes the number of hits
+ * to *n_hits. */
+int64_t peridyn_refresh(int dim, const double *x, const double *u,
+                        int64_t stride, double s0, double skin,
+                        const int64_t *offsets, const int32_t *neighbors,
+                        int64_t n, const int32_t *ids, const double *length,
+                        int32_t *watch_ids, int32_t *watch_i,
+                        int32_t *watch_j, double *watch_length,
+                        int32_t *hits, int64_t *n_hits)
+{
+    int64_t i = 0, n_watch = 0;
+    *n_hits = 0;
+    for (int64_t b = 0; b < n; b++) {
+        int64_t id = ids[b], j = neighbors[id];
+        double len = length[b], g;
+        while (offsets[i + 1] <= id)
+            i++;
+        g = dim == 2 ? deformed_length(2, x, u, stride, i, j)
+                     : deformed_length(3, x, u, stride, i, j);
+        if (((g + skin) - len) / len >= s0) {
+            watch_ids[n_watch] = (int32_t)id;
+            watch_i[n_watch] = (int32_t)i;
+            watch_j[n_watch] = (int32_t)j;
+            watch_length[n_watch++] = len;
+            if ((g - len) / len >= s0)
+                hits[(*n_hits)++] = (int32_t)id;
+        }
+    }
+    return n_watch;
+}
+
+/* The skin's drift bound over the side's n points: with lo_k and hi_k the
+ * least and greatest component k of u - u_ref (u_ref is (dim, n)),
+ * |hi - lo| + rounding * ((reach + 2 u_ref_max) + max(-min lo, max hi)).
+ * NaN when any u - u_ref is NaN; 0 for a side with no points. */
+double peridyn_drift(int dim, const double *u, int64_t stride, int64_t n,
+                     const int64_t *points, const double *u_ref,
+                     double u_ref_max, double reach, double rounding)
+{
+    double lo[3] = {INFINITY, INFINITY, INFINITY};
+    double hi[3] = {-INFINITY, -INFINITY, -INFINITY};
+    double d, sq = 0.0, far;
+    if (n == 0)
+        return 0.0;
+    for (int64_t p = 0; p < n; p++)
+        for (int k = 0; k < dim; k++) {
+            d = u[points[p] * stride + k] - u_ref[k * n + p];
+            if (isnan(d))
+                return NAN;
+            if (d < lo[k])
+                lo[k] = d;
+            if (d > hi[k])
+                hi[k] = d;
+        }
+    far = -lo[0];
+    for (int k = 1; k < dim; k++)
+        if (-lo[k] > far)
+            far = -lo[k];
+    for (int k = 0; k < dim; k++)
+        if (hi[k] > far)
+            far = hi[k];
+    for (int k = 0; k < dim; k++) {
+        d = hi[k] - lo[k];
+        sq = k ? sq + d * d : d * d;
+    }
+    return sqrt(sq) + rounding * ((reach + 2.0 * u_ref_max) + far);
 }

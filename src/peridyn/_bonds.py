@@ -1,4 +1,4 @@
-"""Builds and loads the compiled bond loop of ``PDOperator.rates``.
+"""Builds and loads the compiled bond loops of ``forces`` (``_bonds.c``).
 
 ``_bonds.c`` is compiled once with fixed flags into the package's
 ``__pycache__``, under a name keyed by the SHA-256 of the source, the
@@ -26,12 +26,17 @@ CACHE = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 _SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
-_P, _I64, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# peridyn_rates(law, dim, n_points, n_bonds, offsets, neighbors, table,
-# body, constrained, v_prescribed, vol, rho, alpha, tol, collapsed, rows,
-# n_rows, mu, y, out)
-_ARGTYPES = (ctypes.c_int, ctypes.c_int, _I64, _I64, _P, _P, _P, _P, _P, _P,
-             _F, _F, _F, _F, _P, _P, _I64, _P, _P, _P)
+_P, _I64, _F, _INT = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+                      ctypes.c_int)
+# The result and argument types of each entry point, as _bonds.c declares.
+_SIGNATURES = {
+    "peridyn_rates": (_I64, (_INT, _INT, _I64, _I64, *[_P] * 6, *[_F] * 4,
+                             _P, _P, _I64, _P, _P, _P)),
+    "peridyn_watched": (_I64, (_INT, _P, _P, _I64, _F, _I64, *[_P] * 5)),
+    "peridyn_refresh": (_I64, (_INT, _P, _P, _I64, _F, _F, _P, _P, _I64,
+                               *[_P] * 8)),
+    "peridyn_drift": (_F, (_INT, _P, _I64, _I64, _P, _P, _F, _F, _F)),
+}
 
 
 def compiler() -> list[str]:
@@ -82,6 +87,7 @@ def load(source: Path = SOURCE, cache: Path = CACHE,
     if not path.exists():
         _build(source, path, compiler() if cc is None else list(cc))
     lib = ctypes.CDLL(str(path))
-    lib.peridyn_rates.argtypes = _ARGTYPES
-    lib.peridyn_rates.restype = _I64
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        getattr(lib, name).restype = restype
+        getattr(lib, name).argtypes = argtypes
     return lib

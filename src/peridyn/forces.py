@@ -144,14 +144,14 @@ def bond_factor(xi, xi_norm, alpha, out=None):
     return np.multiply(xi, scale, out=out)
 
 
-# The size unit of the bond work done in numpy: the damage checks and the
-# build of the bond table go in chunks of this many bonds, so that their
+# The size unit of the bond work done in numpy: the build of the bond table
+# and of the damage table go in chunks of this many bonds, so that their
 # temporaries stay small next to the list.
 _BLOCK_SLOTS = 15_000
 
-# The compiled bond loop (``_bonds.c``); its law argument is the index of
-# the law here.
-_RATES = _bonds.load().peridyn_rates
+# The compiled bond loops (``_bonds.c``) of rates, whose law argument is
+# the index of the law here, and of the damage check.
+_LIB = _bonds.load()
 _LAWS = ("linear", "nonlinear")
 
 
@@ -361,8 +361,9 @@ class PDOperator:
                              f"{2 * dim}), got {y.shape}")
         mu = np.ascontiguousarray(self.nbrs.mu, dtype=bool)
         out = np.empty((len(view.rows), 2 * dim))
-        bad = _RATES(*args, view.rows.ctypes.data, len(view.rows),
-                     mu.ctypes.data, y.ctypes.data, out.ctypes.data)
+        bad = _LIB.peridyn_rates(*args, view.rows.ctypes.data, len(view.rows),
+                                 mu.ctypes.data, y.ctypes.data,
+                                 out.ctypes.data)
         collapsed = int(self._kernel[0][1][0])
         if collapsed >= 0:
             nbrs = self.nbrs
@@ -399,7 +400,7 @@ class _Side:
     their lengths |xi| (bit for bit the list's ``xi_norm``) and ``points``,
     the ends of its half-bonds (ascending); and the state of its latest
     refresh: the displacements then at ``points``, their largest
-    component, and the watched half-bonds (ids, intp ends i and j,
+    component, and the watched half-bonds (int32 ids and ends i and j,
     lengths |xi|)."""
 
     ids: np.ndarray     # int32 bond ids
@@ -416,8 +417,8 @@ class _Side:
 class _HalfBonds:
     """Every bond once, towards its higher point index, as one ``_Side``
     per side of the list's ``bond_sides`` (one side when it has none):
-    12 B per half-bond.  A refresh derives the ends of a chunk of them
-    (``_chunk_lengths``).
+    12 B per half-bond.  A refresh derives their ends from ``offsets`` and
+    ``neighbors``.
 
     The skin state, over every side: ``skin`` (_SKIN_FRACTION * s0 *
     min|xi|) and ``reach`` (max|x| + (1 + s0) max|xi|, the static part of
@@ -432,9 +433,8 @@ class _HalfBonds:
 def _chunk_lengths(nbrs: NeighborList, ids: np.ndarray, coords: list):
     """The two ends (intp) of the bonds ``ids`` and their lengths |c_j -
     c_i| in ``coords``, one contiguous array per component: the positions
-    give |xi|, bit for bit the list's ``xi_norm``, and p = x + u the
-    deformed lengths.  A bond's far end is its neighbor, and its source
-    the neighbor of its reversed bond."""
+    give |xi|, bit for bit the list's ``xi_norm``.  A bond's far end is its
+    neighbor, and its source the neighbor of its reversed bond."""
     ids = ids.astype(np.intp)
     back = np.take(nbrs.partner, ids).astype(np.intp)
     i = np.take(nbrs.neighbors, back).astype(np.intp)
@@ -496,7 +496,7 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     the number of newly broken (undirected) bonds.  ``bond_mask`` limits the
     check to one side of the split that ``PDOperator.partition`` made: it
     must be one of ``nbrs.bond_sides``, by identity, and any other mask
-    raises ValueError.
+    raises ValueError, as does a ``u`` that is not (N, dim).
 
     The list keeps one half-bond table, ``nbrs.damage_table``, with one
     side per mask of ``nbrs.bond_sides``, rebuilt when s0 changes (a new
@@ -510,17 +510,16 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
     p = x + u, on the lengths the table holds.
 
     Each side keeps a Verlet skin (``_check_side``): most checks test only
-    the half-bonds that were near breaking at the side's latest refresh,
-    with the same test, and so make the same decisions as a test of every
-    half-bond.  The stretch rises with the deformed length under rounding
-    too, so a half-bond that the skin's growth of its length at the
-    refresh would not break cannot break while the drift bound, rounding
-    margin included, stays under the skin.
+    the half-bonds that a growth of their length by the skin would have
+    broken at the side's latest refresh.  The stretch rises with the
+    length under rounding too, so no other half-bond can break while the
+    drift bound, rounding margin included, stays under the skin.
     """
     sides = nbrs.bond_sides or ()
     if bond_mask is not None and not any(bond_mask is m for m in sides):
         raise ValueError("bond_mask must be one of the bond masks of the "
                          "operator's partition (nbrs.bond_sides)")
+    u = _displacements(nbrs, u)
     table = nbrs.damage_table
     if table is None or table.s0 != s0:
         table = nbrs.damage_table = _half_bonds(nbrs, s0)
@@ -531,65 +530,60 @@ def update_damage(nbrs: NeighborList, u: np.ndarray, s0: float,
         [_check_side(nbrs, table, side, u) for side in checked]))
 
 
+def _displacements(nbrs: NeighborList, u) -> np.ndarray:
+    """``u``, (N, dim) or a ValueError, as float64 rows of unit inner stride:
+    the solver's ``y[:, :dim]`` is read in place, anything else converted."""
+    u = np.asarray(u)
+    if u.shape != nbrs.positions.shape:
+        raise ValueError(f"displacement must be {nbrs.positions.shape}, "
+                         f"got {u.shape}")
+    if u.dtype == np.float64 and u.flags.aligned and u.strides[1] == 8 \
+            and u.strides[0] % 8 == 0:
+        return u
+    return np.ascontiguousarray(u, dtype=np.float64)
+
+
 def _check_side(nbrs: NeighborList, table: _HalfBonds, side: _Side,
                 u: np.ndarray) -> np.ndarray:
-    """The ids of the side's half-bonds whose stretch reaches s0.
-
-    While ``_drift`` stays under the skin, no half-bond that was more than
-    the skin from breaking at the latest refresh can have reached it, so
-    only the watched ones are tested.  Otherwise (and at the first check)
-    the side refreshes: every half-bond is tested and the watch list and
-    the reference displacements are rebuilt.
-    """
+    """The ids of the side's half-bonds whose stretch reaches s0, found in
+    ``_bonds.c``: of the watched ones while ``_drift`` stays under the skin,
+    else (and at the first check) of all, by a refresh, which rebuilds the
+    watch list and the reference displacements."""
     side.checks += 1
+    x = np.ascontiguousarray(nbrs.positions, dtype=np.float64)
+    head = (u.shape[1], x.ctypes.data, u.ctypes.data, u.strides[0] // 8,
+            table.s0)
     if side.u_ref is not None and _drift(table, side, u) < table.skin:
-        ids, i, j, length = side.watch
-        # p_j - p_i as the refresh computes it, at the watched ends only;
-        # fancy indexing reads the strided columns without copying them
-        deformed = [(x_k[j] + u_k[j]) - (x_k[i] + u_k[i])
-                    for x_k, u_k in zip(nbrs.positions.T, u.T)]
-        return ids[bond_stretch(_norm(deformed), length) >= table.s0]
+        hits = np.empty(len(side.watch[0]), dtype=np.int32)
+        return hits[:_LIB.peridyn_watched(*head, len(hits), *(
+            a.ctypes.data for a in (*side.watch, hits)))]
     side.refreshes += 1
-    p = [nbrs.positions[:, k] + u[:, k] for k in range(u.shape[1])]
-    empty = np.empty(0, dtype=np.intp)
-    hits = [np.empty(0, dtype=np.int32)]
-    watch = [(hits[0], empty, empty, np.empty(0))]
-    for lo in range(0, len(side.ids), _BLOCK_SLOTS):
-        chunk = slice(lo, lo + _BLOCK_SLOTS)
-        ids, length = side.ids[chunk], side.length[chunk]
-        # Broken bonds are evaluated and watched too; _break_bonds skips
-        # them.
-        i, j, grown = _chunk_lengths(nbrs, ids, p)
-        hits.append(ids[bond_stretch(grown, length) >= table.s0])
-        # watched: the half-bonds that a growth of their length by the skin
-        # breaks
-        grown += table.skin
-        near = np.flatnonzero(bond_stretch(grown, length) >= table.s0)
-        watch.append((ids[near], i[near], j[near], length[near]))
-    side.watch = tuple(map(np.concatenate, zip(*watch)))
+    # room for every half-bond: pages that are never written cost no memory
+    n = len(side.ids)
+    watch = (*(np.empty(n, dtype=np.int32) for _ in range(3)), np.empty(n))
+    hits, n_hits = np.empty(n, dtype=np.int32), np.empty(1, dtype=np.int64)
+    off = np.ascontiguousarray(nbrs.offsets, dtype=np.int64)
+    nbr = np.ascontiguousarray(nbrs.neighbors, dtype=np.int32)
+    n_watch = _LIB.peridyn_refresh(
+        *head, table.skin, off.ctypes.data, nbr.ctypes.data, n,
+        *(a.ctypes.data for a in (side.ids, side.length, *watch, hits,
+                                  n_hits)))
+    side.watch = tuple(a[:n_watch].copy() for a in watch)
     side.u_ref = np.stack([u_k[side.points] for u_k in u.T])
     side.u_ref_max = float(np.abs(side.u_ref).max(initial=0.0))
-    return np.concatenate(hits)
+    return hits[:n_hits[0]]
 
 
 def _drift(table: _HalfBonds, side: _Side, u: np.ndarray) -> float:
-    """An upper bound on how far any of the side's deformed bond vectors
-    moved since its latest refresh, rounding margin included.
-
-    Over the side's points, component k of u - u_ref lies in [lo_k, hi_k].
-    Both ends of a half-bond are side points, so component k of its change
-    (u_j - u_j,ref) - (u_i - u_i,ref) lies within hi_k - lo_k, and the box's
-    diagonal |hi - lo| bounds it: a rigid motion of the side costs nothing.
-    NaN (a non-finite u) reads as no bound, and the side refreshes.  A side
-    with no half-bonds has no points and reads 0.
-    """
-    if not len(side.points):
-        return 0.0
-    du = np.stack([u_k[side.points] for u_k in u.T])
-    du -= side.u_ref
-    lo, hi = du.min(axis=1), du.max(axis=1)
-    scale = table.reach + 2.0 * side.u_ref_max + max(-lo.min(), hi.max())
-    return _norm(hi - lo) + _SKIN_ROUNDING * scale
+    """A bound on how far any of the side's deformed bond vectors moved
+    since its latest refresh, rounding margin included: the diagonal of the
+    box of u - u_ref over the side's points, the ends of its half-bonds, so
+    a rigid motion costs nothing.  NaN (a non-finite u) reads as no bound;
+    a side with no points reads 0."""
+    return _LIB.peridyn_drift(
+        u.shape[1], u.ctypes.data, u.strides[0] // 8, len(side.points),
+        side.points.ctypes.data, side.u_ref.ctypes.data, side.u_ref_max,
+        table.reach, _SKIN_ROUNDING)
 
 
 def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:
@@ -598,8 +592,8 @@ def _break_bonds(nbrs: NeighborList, ids: np.ndarray) -> int:
     read-only ``nbrs.mu``: it bumps ``nbrs.version`` when a flag changes."""
     if len(ids) == 0:
         return 0
-    both = np.union1d(ids, nbrs.partner[ids])
-    newly = both[nbrs.mu[both]]
+    both = np.concatenate([ids, nbrs.partner[ids]])
+    newly = np.unique(both[nbrs.mu[both]])  # most hits are broken already
     if len(newly):
         nbrs.mu.flags.writeable = True
         try:

@@ -131,9 +131,12 @@ def stretch(xi, eta):
 
 
 def all_stretches(nbrs, u):
-    """Stretch of every bond of the list, broken ones included."""
-    eta = u[nbrs.neighbors] - u[nbrs.bond_i]
-    return bond_stretch(np.linalg.norm(nbrs.xi + eta, axis=1), nbrs.xi_norm)
+    """Stretch of every bond of the list, broken ones included, by numpy:
+    the damage test's formula, |p_j - p_i| with p = x + u, against the
+    list's |xi|."""
+    p = nbrs.positions + u
+    deformed = np.linalg.norm(p[nbrs.neighbors] - p[nbrs.bond_i], axis=1)
+    return bond_stretch(deformed, nbrs.xi_norm)
 
 
 def pair_operator(law, xi, alpha):
@@ -1079,7 +1082,7 @@ class TestDamage:
         The plan's partition splits the damage table by its bond masks;
         with ``partitioned`` False no plan splits the operator, and only the
         unmasked check runs.  ``slots`` sets the chunk length of the
-        check."""
+        table's build."""
         s0 = 0.5
         op, plan = loaded_plan(s0=s0, n=n, dim=dim, split=partitioned)
         nbrs = op.nbrs
@@ -1124,8 +1127,9 @@ class TestDamage:
     @staticmethod
     def variants(check, monkeypatch, masked):
         """Run ``check`` over a partition and, for the unmasked check
-        (``masked`` False), on an operator that no plan split, in one
-        chunk and in chunks of 29 bonds, each on a fresh operator."""
+        (``masked`` False), on an operator that no plan split, with the
+        table built in one chunk and in chunks of 29 bonds, each on a fresh
+        operator."""
         for partitioned in (True,) if masked else (True, False):
             for slots in (None, 29):
                 with monkeypatch.context() as patch:
@@ -1232,6 +1236,76 @@ class TestDamage:
         assert np.all(nbrs.mu == 0.0)
 
 
+class TestDamageInputs:
+    """The compiled check reads ``u`` as float64 rows in place: any other
+    dtype or layout is converted first, and a misshapen ``u`` is refused
+    before any read."""
+
+    S0 = 0.25
+
+    @staticmethod
+    def grid(dim):
+        """A lattice of unit spacing and horizon 1.5, 6 x 5 (x 4) points."""
+        box = ((0,) * dim, (6, 5, 4)[:dim])
+        cloud = build_grid(box, 1.0, thickness=1.0 if dim == 2 else None)
+        return cloud, build_neighbor_list(cloud, 1.5)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_misshapen_displacements_are_refused(self, dim):
+        cloud, nbrs = self.grid(dim)
+        n = cloud.n_points
+        for shape in ((n - 1, dim), (n + 5, dim), (n, dim + 1), (n * dim,)):
+            want = re.escape(f"({n}, {dim}), got {shape}")
+            with pytest.raises(ValueError, match=want):
+                update_damage(nbrs, np.full(shape, 10.0), self.S0)
+            assert nbrs.mu.all() and nbrs.version == 0
+            assert nbrs.damage_table is None
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_any_dtype_and_layout_gives_the_float64_result(self, dim):
+        # float32, int and F-ordered displacements break what their
+        # C-ordered float64 copy breaks, at a refresh and at a check that
+        # tests the watched half-bonds only; integer moves of a unit
+        # lattice break bonds
+        cloud, _ = self.grid(dim)
+        rng = np.random.default_rng(5)
+        moves = rng.integers(0, 2, size=(cloud.n_points, dim))
+        moves[rng.random(cloud.n_points) < 0.8] = 0
+        for u in (0.3 * moves.astype(np.float32), moves,
+                  np.asfortranarray(0.3 * moves)):
+            counts = []
+            for disp in (u, np.ascontiguousarray(u, dtype=np.float64)):
+                _, nbrs = self.grid(dim)
+                first = update_damage(nbrs, disp, self.S0)
+                second = update_damage(nbrs, disp, self.S0)
+                side = nbrs.damage_table.sides[0]
+                assert (side.checks, side.refreshes) == (2, 1)
+                counts.append((first, second, nbrs.mu.copy()))
+            (got1, got2, got_mu), (want1, want2, want_mu) = counts
+            assert (got1, got2) == (want1, want2) and want1 > 0
+            assert np.array_equal(got_mu, want_mu)
+            s = all_stretches(nbrs, np.asarray(u, dtype=np.float64))
+            assert np.array_equal(~want_mu, s >= self.S0)
+
+    def test_the_solver_view_is_read_in_place(self):
+        # the solver passes y[:, :dim] of its (N, 2 dim) state: the check
+        # reads it without a copy and breaks what a contiguous copy breaks
+        cloud, _ = self.grid(2)
+        y = np.zeros((cloud.n_points, 4))
+        y[:, :2] = 0.3 * np.random.default_rng(8).integers(
+            0, 2, size=(cloud.n_points, 2))
+        view = y[:, :2]
+        _, nbrs = self.grid(2)
+        assert forces._displacements(nbrs, view) is view
+        got = update_damage(nbrs, view, self.S0)
+        _, twin = self.grid(2)
+        assert got == update_damage(twin, view.copy(), self.S0) > 0
+        assert np.array_equal(nbrs.mu, twin.mu)
+        for other in (view.astype(np.float32), np.asfortranarray(view)):
+            rows = forces._displacements(nbrs, other)
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+
+
 def breaking_length(xi_norm, s0):
     """The least double l with bond_stretch(l, |xi|) >= s0, by nextafter
     steps from (1 + s0) |xi|: the stretch rises with l under rounding."""
@@ -1305,6 +1379,26 @@ class TestDamageSides:
             assert all(len(side.points) == 0 for side in empty)
             assert len(empty) == (len(rows_a) == 0) + (len(rows_b) == 0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_checks_match_the_numpy_oracle(self, dim, seed):
+        # a random cloud holds points past the first whose every neighbor
+        # has a higher index, so a half-bond can open its point's row: a
+        # refresh finds each source by walking the offsets along the ids.
+        # Growing random displacements, checked over a random split, break
+        # what the numpy stretch of every bond breaks.
+        op, rng = self.random_op(dim, seed)
+        nbrs, n = op.nbrs, op.cloud.n_points
+        rows = np.flatnonzero(nbrs.counts()[1:] > 0) + 1
+        assert np.any(nbrs.neighbors[nbrs.offsets[rows]] > rows)
+        in_b = rng.random(n) < 0.4
+        *_, side_a, side_b = op.partition(np.flatnonzero(~in_b),
+                                          np.flatnonzero(in_b))
+        field = rng.normal(size=(n, dim))
+        states = [2e-4 * k * field for k in range(12)]
+        assert TestDamageSkin.replay(op, states, 0.05,
+                                     (side_b, None, side_a)) > 0
+
     def test_operators_on_one_list_own_their_flags_and_split(self):
         # two operators built on one NeighborList, both split before either
         # checks: each plan's masks are its own operator's sides, and bonds
@@ -1333,9 +1427,10 @@ class TestDamageSides:
 
 class TestDamageSkin:
     """Each side of the damage table keeps a Verlet skin: every check
-    returns the count and leaves the flags and version that a stateless
-    full pass would, while most checks test only the half-bonds that were
-    near breaking at the side's latest refresh."""
+    returns the count and leaves the flags and version that the numpy
+    stretch of every bond (``all_stretches``) gives, while most checks test
+    only the half-bonds that were near breaking at the side's latest
+    refresh."""
 
     S0 = 0.05
 
@@ -1366,20 +1461,26 @@ class TestDamageSkin:
 
     @staticmethod
     def replay(op, states, s0, masks=(None,)):
-        """Check each state under each mask in turn, each check against a
-        stateless full pass on a twin of the list (whose table is dropped
-        before every check); returns the bonds broken."""
+        """Check each state under each mask in turn, each check against the
+        numpy oracle: every alive bond of the mask whose ``all_stretches``
+        reaches s0 breaks, with its reversed bond, and the version moves
+        when a flag does; returns the bonds broken."""
         nbrs = op.nbrs
-        twin = dataclasses.replace(nbrs, mu=nbrs.mu.copy())
-        twin.bond_sides, twin.version = nbrs.bond_sides, nbrs.version
         total = 0
         for u in states:
+            s = all_stretches(nbrs, u)
             for mask in masks:
-                twin.damage_table = None
-                want = update_damage(twin, u, s0, mask)
+                hit = nbrs.mu & (s >= s0)
+                if mask is not None:
+                    hit &= mask
+                want_mu = nbrs.mu.copy()
+                want_mu[hit] = False
+                want_mu[nbrs.partner[hit]] = False
+                want = int(np.count_nonzero(want_mu != nbrs.mu)) // 2
+                version = nbrs.version + (want > 0)
                 assert update_damage(nbrs, u, s0, mask) == want
-                assert np.array_equal(nbrs.mu, twin.mu)
-                assert nbrs.version == twin.version
+                assert np.array_equal(nbrs.mu, want_mu)
+                assert nbrs.version == version
                 total += want
         return total
 
@@ -1414,9 +1515,10 @@ class TestDamageSkin:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("motion", ["rotation", "halves"])
     def test_matches_a_full_pass(self, motion, dim, monkeypatch):
-        # over a partition (no mask, then each side) and without one, in
-        # one chunk and in chunks of 29 half-bonds: the same breaks as a
-        # full pass, with some checks refreshing and some not
+        # over a partition (no mask, then each side) and without one, with
+        # the table built in one chunk and in chunks of 29 half-bonds: the
+        # breaks of the numpy oracle, with some checks refreshing and some
+        # not
         for partitioned in (True, False):
             for slots in (None, 29):
                 with monkeypatch.context() as patch:
@@ -1428,6 +1530,144 @@ class TestDamageSkin:
                                        masks) > 0
                     checks, refreshes = self.counts(op.nbrs)
                     assert 1 < refreshes < checks
+
+    @staticmethod
+    def numpy_drift(table, side, u):
+        """The skin's drift bound by numpy: over the side's points,
+        component k of u - u_ref lies in [lo_k, hi_k]; the bound is |hi -
+        lo| plus _SKIN_ROUNDING times (reach + 2 max|u_ref|) + max(-min lo,
+        max hi), NaN for a NaN in u - u_ref, and 0 for a side with no
+        points."""
+        if not len(side.points):
+            return 0.0
+        du = u[side.points].T - side.u_ref
+        lo, hi = du.min(axis=1), du.max(axis=1)
+        scale = table.reach + 2.0 * side.u_ref_max + max(-lo.min(), hi.max())
+        return np.sqrt(sum(d * d for d in hi - lo)) \
+            + forces._SKIN_ROUNDING * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_the_bound_is_the_numpy_bound(self, dim):
+        # bit for bit, over random references and displacements whose
+        # boxes reach further below zero than above it or the other way,
+        # with a side's points offset from the lattice; NaN for a NaN in u
+        # or in the reference, and 0 for a side with no points
+        op = self.jittered_op(dim)
+        nbrs = op.nbrs
+        x = op.cloud.positions
+        self.split(op)
+        update_damage(nbrs, np.zeros_like(x), self.S0)
+        table = nbrs.damage_table
+        rng = np.random.default_rng(13)
+        for trial in range(40):
+            for side in table.sides:
+                scale = 10.0 ** rng.uniform(-9, 2)
+                side.u_ref = scale * rng.normal(size=(dim, len(side.points)))
+                side.u_ref_max = float(np.abs(side.u_ref).max())
+                u = scale * rng.normal(size=x.shape) \
+                    + rng.choice([-1.0, 1.0]) * 3.0 * scale
+                if trial % 10 == 9:
+                    u[side.points[trial % len(side.points)], 1] = np.nan
+                want = self.numpy_drift(table, side, u)
+                got = forces._drift(table, side,
+                                    forces._displacements(nbrs, u))
+                assert np.isnan(got) == np.isnan(want)
+                assert np.isnan(want) or got == want
+                side.u_ref[0, 0] = np.nan
+                assert np.isnan(forces._drift(table, side, np.zeros_like(x)))
+        empty = dataclasses.replace(table.sides[0], points=np.empty(
+            0, dtype=np.int64), u_ref=np.empty((dim, 0)))
+        assert forces._drift(table, empty, np.full_like(x, np.nan)) == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_refreshes_exactly_when_the_numpy_bound_says(self, partitioned,
+                                                          dim):
+        # on every check, each checked side refreshes exactly when the
+        # numpy bound is not under the skin, and a refresh holds u at the
+        # side's points as its reference and watches every half-bond it
+        # breaks.  A NaN displacement breaks none of its bonds and makes
+        # its sides refresh on that check and the next.
+        op = self.jittered_op(dim)
+        nbrs = op.nbrs
+        masks = self.split(op) if partitioned else (None,)
+        states = self.motion(op, "halves")
+        states[21] = states[21].copy()
+        states[21][7, 0] = np.nan
+        seen, nan_checks = set(), set()
+        for u in states:
+            for mask in masks:
+                table = nbrs.damage_table
+                if table is None:  # the first check builds the table
+                    self.replay(op, [u], self.S0, (mask,))
+                    continue
+                sides = nbrs.bond_sides or (None,)
+                checked = [side for side, m in zip(table.sides, sides)
+                           if mask is None or m is mask]
+                # NaN now at a side point, or in the reference
+                before = [(side.refreshes, self.numpy_drift(table, side, u),
+                           np.isnan(u[side.points]).any(),
+                           np.isnan(side.u_ref).any()) for side in checked]
+                mu = nbrs.mu.copy()
+                self.replay(op, [u], self.S0, (mask,))
+                for side, (refreshes, bound, *nan) in zip(checked, before):
+                    refreshed = not bound < table.skin
+                    assert side.refreshes == refreshes + refreshed
+                    seen.add(refreshed)
+                    if any(nan):
+                        assert np.isnan(bound) and refreshed
+                        nan_checks.add(tuple(nan))
+                    if refreshed:
+                        assert side.u_ref.tobytes() == \
+                            u[side.points].T.copy().tobytes()
+                        broken = np.intersect1d(np.flatnonzero(mu & ~nbrs.mu),
+                                                side.ids)
+                        assert np.isin(broken, side.watch[0]).all()
+        assert seen == {False, True}
+        # the NaN state, and a later finite one against its reference
+        assert {(True, False), (False, True)} <= nan_checks
+        assert nbrs.mu[nbrs.offsets[7]:nbrs.offsets[8]].all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_half_bonds_at_the_critical_stretch(self, dim):
+        # three x-bonds a -> c of |xi| = h = 1/8 at s0 = 0.5: |p_c - p_a| is
+        # 3h/2 exactly (s == s0), the double above it or the double below.
+        # A refresh and a check of the watched half-bonds each break the
+        # first two and keep the third, and every hit is watched.
+        h, s0 = 1.0 / 8, 0.5
+        box = ((0, 0), (1, 1)) if dim == 2 else ((0, 0, 0), (1, 1, 0.5))
+        cloud = build_grid(box, h, thickness=0.01)
+        x = cloud.positions
+        targets = (1.5 * h, np.nextafter(1.5 * h, 1.0),
+                   np.nextafter(1.5 * h, 0.0))
+        pairs = []
+        for start in ((0.1875, 0.1875), (0.6875, 0.1875), (0.4375, 0.6875)):
+            start += (0.0625,) * (dim - 2)
+            a = int(np.argmin(np.linalg.norm(x - start, axis=1)))
+            c = int(np.argmin(np.linalg.norm(x - x[a] - h * np.eye(dim)[0],
+                                             axis=1)))
+            pairs.append((a, c))
+        for watched in (False, True):
+            nbrs = build_neighbor_list(cloud, 1.5 * h)
+            bonds = [nbrs.offsets[a] + np.searchsorted(nbrs.neighbors_of(a), c)
+                     for a, c in pairs]
+            u = np.zeros_like(x)
+            if watched:  # a refresh with every bond within the skin
+                skin = forces._SKIN_FRACTION * s0 * nbrs.xi_norm.min()
+                for a, c in pairs:
+                    u[c, 0] = 0.5 * h - 0.5 * skin
+                assert update_damage(nbrs, u, s0) == 0
+                assert set(bonds) <= set(nbrs.damage_table.sides[0].watch[0])
+            for (a, c), target in zip(pairs, targets):
+                place_length(x, u, a, c, target)
+            s = all_stretches(nbrs, u)
+            assert [s[b] >= s0 for b in bonds] == [True, True, False]
+            assert s[bonds[0]] == s0
+            assert update_damage(nbrs, u, s0) == 2
+            assert [nbrs.mu[b] for b in bonds] == [False, False, True]
+            side = nbrs.damage_table.sides[0]
+            assert (side.checks, side.refreshes) == (1 + watched, 1)
+            assert set(bonds[:2]) <= set(side.watch[0])  # hits are watched
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rigid_translation(self, dim):
