@@ -5,7 +5,7 @@ the rest of the block advances with the coarse step.  The point of the
 exercise: multirate coupling does not degrade the Runge-Kutta order in 3D
 either.
 
-Run:  python demos/02_block3d_convergence.py        (~50 s)
+Run:  python demos/02_block3d_convergence.py        (~10 s)
 """
 
 import math

@@ -5,9 +5,11 @@ memory, not time, is the first ceiling there.  This script assembles
 everything an MTS run holds (the Scenario, its operator and the MtsPlan),
 makes one `rates` call per view (full, coarse, fine) and one damage check
 per bond mask and one unmasked, and prints the peak resident set size
-after each stage.  The unmasked check starts from a dropped table and
-split, as the next run's first check does, so it times the build of an
-unsplit table and a full pass over it.  It then prints
+after each stage.  The first full-view call builds the bond table, and
+the first check the damage table, each in the compiled loop from the
+positions.  The unmasked check starts from a dropped table and split,
+as the next run's first check does, so it times the compiled build of
+an unsplit table and a full pass over it.  It then prints
 the bytes held by the neighbor list, the bond table that `rates` reads,
 the views and the damage table with its skin state, and exits 1 when the
 peak passes 512 MiB or a store passes its 2D byte budget: 9.5 B per bond

@@ -1,11 +1,16 @@
-/* The bond loops of peridyn: forces.PDOperator.rates, where each row of a
- * view sums the pairwise forces of its bonds in CSR order, then forms its
- * rates, and the damage check of forces.update_damage (at the end).
+/* The bond loops of peridyn: the build of the bond table that
+ * forces.PDOperator.rates reads, rates itself, where each row of a view
+ * sums the pairwise forces of its bonds in CSR order, then forms its
+ * rates, and the damage check of forces.update_damage with the build of
+ * its half-bond table (at the end).
  *
  * Every product is rounded before it is added (the loader compiles with
- * -ffp-contract=off) and every sum runs in a fixed order, so the result is
- * bit for bit the numpy formula's:
- *   linear law, with the bond factor q = sqrt(alpha / |xi|^3) xi:
+ * -ffp-contract=off), every sum runs in a fixed order, and the only
+ * operations are + - * / and sqrt, which IEEE 754 rounds correctly, so
+ * the bits depend on no CPU dispatch and no math library:
+ *   the bond geometry, from the positions x: xi = x_j - x_i and
+ *     |xi| = sqrt(xi0 xi0 + xi1 xi1 [+ xi2 xi2]), summed in that order;
+ *   linear law, with the bond factor q = sqrt(alpha / ((|xi| |xi|) |xi|)) xi:
  *     d = (u_j0 - u_i0) q0 + (u_j1 - u_i1) q1 [+ (u_j2 - u_i2) q2],
  *     d = d * 0.0 for a broken bond, and the force is d q;
  *   nonlinear law, with p = xi + eta and s = (|p| - |xi|) / |xi|:
@@ -14,6 +19,10 @@
  * A row's sums start from +0.0 and add its bonds in ascending order; the
  * rates are then ((sum * vol) + body) / rho and the velocity, or the
  * prescribed velocity and 0.0 at a constrained point.
+ *
+ * Every loop over the dim components is unrolled (#pragma GCC unroll 3),
+ * so the 3D path keeps its components in registers as the 2D path does;
+ * unrolling changes no operation and no order.
  */
 
 #include <math.h>
@@ -21,6 +30,49 @@
 
 #define LINEAR 0
 #define NONLINEAR 1
+
+/* xi = x_j - x_i of the positions x, (n_points, dim), into xi; returns
+ * |xi|, with the squares summed in component order as geometry._norm sums
+ * them. */
+static inline double bond_vector(int dim, const double *x, int64_t i,
+                                 int64_t j, double *xi)
+{
+    double sq = 0.0;
+    #pragma GCC unroll 3
+    for (int k = 0; k < dim; k++) {
+        xi[k] = x[j * dim + k] - x[i * dim + k];
+        sq = k ? sq + xi[k] * xi[k] : xi[k] * xi[k];
+    }
+    return sqrt(sq);
+}
+
+/* The bond table that rates reads, in CSR order, into table: q = s xi
+ * with s = sqrt(alpha / ((|xi| |xi|) |xi|)) as (dim, n_bonds) under the
+ * linear law, xi as (dim, n_bonds) followed by |xi| under the nonlinear
+ * law. */
+void peridyn_bond_table(int law, int dim, int64_t n_points, int64_t n_bonds,
+                        const int64_t *offsets, const int32_t *neighbors,
+                        const double *x, double alpha, double *table)
+{
+    for (int64_t i = 0; i < n_points; i++)
+        for (int64_t b = offsets[i]; b < offsets[i + 1]; b++) {
+            double xi[3], length, s;
+            length = dim == 2 ? bond_vector(2, x, i, neighbors[b], xi)
+                              : bond_vector(3, x, i, neighbors[b], xi);
+            if (law == LINEAR) {
+                s = length * length;
+                s = sqrt(alpha / (s * length));
+                #pragma GCC unroll 3
+                for (int k = 0; k < dim; k++)
+                    table[k * n_bonds + b] = xi[k] * s;
+            } else {
+                #pragma GCC unroll 3
+                for (int k = 0; k < dim; k++)
+                    table[k * n_bonds + b] = xi[k];
+                table[dim * n_bonds + b] = length;
+            }
+        }
+}
 
 /* The force sums of point i over its bonds start .. stop - 1 into acc.
  * The table holds q as (dim, n_bonds) under the linear law, and xi as
@@ -37,15 +89,18 @@ static inline int64_t row_sums(int law, int dim, int64_t i, int64_t start,
     for (int64_t b = start; b < stop; b++) {
         const double *u_j = y + (int64_t)neighbors[b] * 2 * dim;
         double eta[3], term;
+        #pragma GCC unroll 3
         for (int k = 0; k < dim; k++)
             eta[k] = u_j[k] - u_i[k];
         if (law == LINEAR) {
             const double *q = table + b;
             double d = eta[0] * q[0];
+            #pragma GCC unroll 3
             for (int k = 1; k < dim; k++)
                 d = d + eta[k] * q[k * n_bonds];
             if (!mu[b])
                 d = d * 0.0;
+            #pragma GCC unroll 3
             for (int k = 0; k < dim; k++) {
                 term = d * q[k * n_bonds];
                 acc[k] = acc[k] + term;
@@ -56,8 +111,10 @@ static inline int64_t row_sums(int law, int dim, int64_t i, int64_t start,
             double p[3], sq, ndef, coef, scale;
             p[0] = xi[0] + eta[0];
             sq = p[0] * p[0];
+            #pragma GCC unroll 3
             for (int k = 1; k < dim; k++)
                 p[k] = xi[k * n_bonds] + eta[k];
+            #pragma GCC unroll 3
             for (int k = 1; k < dim; k++)
                 sq = sq + p[k] * p[k];
             ndef = sqrt(sq);
@@ -65,6 +122,7 @@ static inline int64_t row_sums(int law, int dim, int64_t i, int64_t start,
                 collapsed = b;
             coef = mu[b] ? alpha : alpha * 0.0;
             scale = (coef * ((ndef - length) / length)) / ndef;
+            #pragma GCC unroll 3
             for (int k = 0; k < dim; k++) {
                 term = scale * p[k];
                 acc[k] = acc[k] + term;
@@ -75,8 +133,10 @@ static inline int64_t row_sums(int law, int dim, int64_t i, int64_t start,
         /* a point with no bonds: a non-finite displacement makes its
          * sums NaN, as a bond of the point to itself would */
         double pad = 0.0;
+        #pragma GCC unroll 3
         for (int k = 0; k < dim; k++)
             pad = pad + (u_i[k] - u_i[k]);
+        #pragma GCC unroll 3
         for (int k = 0; k < dim; k++)
             acc[k] = pad;
     }
@@ -120,18 +180,21 @@ int64_t peridyn_rates(int law, int dim, int64_t n_points, int64_t n_bonds,
                                       table, y, alpha, tol, acc);
         if (hit >= 0 && (*collapsed < 0 || hit < *collapsed))
             *collapsed = hit;
+        #pragma GCC unroll 3
         for (int k = 0; k < dim; k++) {
             o[k] = y[i * 2 * dim + dim + k];
             o[dim + k] = ((acc[k] * vol) + body[k * n_points + i]) / rho;
         }
         if (constrained[i]) {
+            #pragma GCC unroll 3
             for (int k = 0; k < dim; k++) {
                 o[k] = v_prescribed[i * dim + k];
                 o[dim + k] = 0.0;
             }
         }
-        for (int k = 0; k < 2 * dim && bad < 0; k++)
-            if (!isfinite(o[k]))
+        #pragma GCC unroll 3
+        for (int k = 0; k < 2 * dim; k++)
+            if (bad < 0 && !isfinite(o[k]))
                 bad = r;
     }
     return bad;
@@ -147,11 +210,47 @@ int64_t peridyn_rates(int law, int dim, int64_t n_points, int64_t n_bonds,
  * watched half-bonds only.  Broken bonds are tested and watched too;
  * forces._break_bonds skips them. */
 
+/* One side of the half-bond table: the bonds b of each row i whose far
+ * end j = neighbors[b] is above i and, unless mask is NULL, with mask[b]
+ * set, in ascending order.  With ids NULL this only counts them.  Else it
+ * writes their ids to ids and their lengths |xi| (bond_vector's) to
+ * length, sets ends[i] and ends[j] of each, and writes the least and the
+ * greatest length to range[0] and range[1] (untouched for a side of no
+ * half-bonds).  Returns the number of half-bonds. */
+int64_t peridyn_half_bonds(int dim, int64_t n_points, const int64_t *offsets,
+                           const int32_t *neighbors, const double *x,
+                           const uint8_t *mask, int32_t *ids, double *length,
+                           uint8_t *ends, double *range)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < n_points; i++)
+        for (int64_t b = offsets[i]; b < offsets[i + 1]; b++) {
+            int64_t j = neighbors[b];
+            double xi[3], len;
+            if (j <= i || (mask && !mask[b]))
+                continue;
+            if (ids) {
+                len = dim == 2 ? bond_vector(2, x, i, j, xi)
+                               : bond_vector(3, x, i, j, xi);
+                ids[n] = (int32_t)b;
+                length[n] = len;
+                ends[i] = ends[j] = 1;
+                if (n == 0 || len < range[0])
+                    range[0] = len;
+                if (n == 0 || len > range[1])
+                    range[1] = len;
+            }
+            n++;
+        }
+    return n;
+}
+
 static inline double deformed_length(int dim, const double *x,
                                      const double *u, int64_t stride,
                                      int64_t i, int64_t j)
 {
     double d, sq = 0.0;
+    #pragma GCC unroll 3
     for (int k = 0; k < dim; k++) {
         d = (x[j * dim + k] + u[j * stride + k])
             - (x[i * dim + k] + u[i * stride + k]);
@@ -227,6 +326,7 @@ double peridyn_drift(int dim, const double *u, int64_t stride, int64_t n,
     if (n == 0)
         return 0.0;
     for (int64_t p = 0; p < n; p++)
+        #pragma GCC unroll 3
         for (int k = 0; k < dim; k++) {
             d = u[points[p] * stride + k] - u_ref[k * n + p];
             if (isnan(d))
@@ -237,12 +337,15 @@ double peridyn_drift(int dim, const double *u, int64_t stride, int64_t n,
                 hi[k] = d;
         }
     far = -lo[0];
+    #pragma GCC unroll 3
     for (int k = 1; k < dim; k++)
         if (-lo[k] > far)
             far = -lo[k];
+    #pragma GCC unroll 3
     for (int k = 0; k < dim; k++)
         if (hi[k] > far)
             far = hi[k];
+    #pragma GCC unroll 3
     for (int k = 0; k < dim; k++) {
         d = hi[k] - lo[k];
         sq = k ? sq + d * d : d * d;

@@ -30,8 +30,11 @@ _P, _I64, _F, _INT = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                       ctypes.c_int)
 # The result and argument types of each entry point, as _bonds.c declares.
 _SIGNATURES = {
+    "peridyn_bond_table": (None, (_INT, _INT, _I64, _I64, _P, _P, _P, _F,
+                                  _P)),
     "peridyn_rates": (_I64, (_INT, _INT, _I64, _I64, *[_P] * 6, *[_F] * 4,
                              _P, _P, _I64, _P, _P, _P)),
+    "peridyn_half_bonds": (_I64, (_INT, _I64, *[_P] * 8)),
     "peridyn_watched": (_I64, (_INT, _P, _P, _I64, _F, _I64, *[_P] * 5)),
     "peridyn_refresh": (_I64, (_INT, _P, _P, _I64, _F, _F, _P, _P, _I64,
                                *[_P] * 8)),

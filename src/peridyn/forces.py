@@ -9,7 +9,8 @@ Evaluation can be restricted to a subset of target points (a "view"): the
 multi-time-step scheme advances the coarse and fine subdomains separately
 and must not pay for force sums outside the active subdomain.  A view is
 only its rows: every view reads one bond table per operator, and a compiled
-loop (``_bonds.c``) sums each row's bonds in CSR order.
+loop (``_bonds.c``) sums each row's bonds in CSR order.  It also builds that
+table and the damage check's from the positions, by + - * / and sqrt only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import _bonds
 from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
-                       _concat_ranges, _in_boxes, _norm)
+                       _concat_ranges, _in_boxes)
 
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
@@ -111,17 +112,19 @@ class Loading:
 def calibrate_alpha(material: Material, delta: float, dim: int,
                     thickness: float | None = None) -> float:
     """Micro-modulus from energy equivalence with classical elasticity:
-    9E/(pi delta^3 d) in 2D, 12E/(pi delta^4) in 3D.
+    9E/(pi delta^3 d) in 2D, 12E/(pi delta^4) in 3D, the powers as
+    products.
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"horizon must be positive and finite, got {delta}")
+    cube = delta * delta * delta
     if dim == 2:
         if thickness is None or not (np.isfinite(thickness) and thickness > 0):
             raise ValueError("2D calibration requires a positive and finite "
                              f"thickness, got {thickness}")
-        return 9.0 * material.E / (np.pi * delta ** 3 * thickness)
+        return 9.0 * material.E / (np.pi * cube * thickness)
     if dim == 3:
-        return 12.0 * material.E / (np.pi * delta ** 4)
+        return 12.0 * material.E / (np.pi * (cube * delta))
     raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
@@ -130,24 +133,6 @@ def bond_stretch(deformed_norm, xi_norm):
     deformed length |xi + eta| and the cached |xi|."""
     return (deformed_norm - xi_norm) / xi_norm
 
-
-def bond_factor(xi, xi_norm, alpha, out=None):
-    """The linear law's rank-1 bond factor q = sqrt(alpha / |xi|^3) xi.
-
-    ``xi`` is (dim, ...) and ``xi_norm`` its length; ``out`` may be
-    ``xi``.  The linearized force alpha (xi (x) xi / |xi|^3) eta of an
-    alive bond is then (q . eta) q.
-    """
-    scale = xi_norm ** 3
-    np.divide(alpha, scale, out=scale)
-    np.sqrt(scale, out=scale)
-    return np.multiply(xi, scale, out=out)
-
-
-# The size unit of the bond work done in numpy: the build of the bond table
-# and of the damage table go in chunks of this many bonds, so that their
-# temporaries stay small next to the list.
-_BLOCK_SLOTS = 15_000
 
 # The compiled bond loops (``_bonds.c``) of rates, whose law argument is
 # the index of the law here, and of the damage check.
@@ -251,10 +236,11 @@ class PDOperator:
 
     @property
     def bond_table(self) -> np.ndarray | None:
-        """What ``rates`` reads per bond, in CSR order: the bond factor q
-        (``bond_factor``) as (dim, n_bonds) under the linear law, xi then
-        |xi| as (dim + 1, n_bonds) under the nonlinear one; built by the
-        first ``rates`` call of a run, None before it."""
+        """What ``rates`` reads per bond, in CSR order: the linear law's
+        bond factor q = sqrt(alpha / |xi|^3) xi as (dim, n_bonds), or xi
+        then |xi| as (dim + 1, n_bonds) under the nonlinear one; built by
+        a run's first ``rates`` call (``peridyn_bond_table``), None before
+        it."""
         return None if self._kernel is None else self._kernel[0][0]
 
     def partition(self, rows_a: np.ndarray, rows_b: np.ndarray) -> tuple:
@@ -290,30 +276,6 @@ class PDOperator:
         self.nbrs.damage_table = self.nbrs.bond_sides = None
         self._full_view = self._kernel = None
 
-    def _bond_table(self) -> np.ndarray:
-        """The bond table (see ``bond_table``), from xi = x_j - x_i by
-        np.take of the position components and |xi| by _norm, bit for bit
-        the list's derived xi and xi_norm, in chunks of rows of at most
-        about _BLOCK_SLOTS bonds."""
-        nbrs, dim = self.nbrs, self.cloud.dim
-        table = np.empty((dim + (self.law == "nonlinear"), nbrs.n_bonds))
-        pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
-        off, counts = nbrs.offsets, nbrs.counts()
-        per = max(1, _BLOCK_SLOTS // max(int(counts.max(initial=0)), 1))
-        for lo in range(0, nbrs.n_points, per):
-            hi = min(lo + per, nbrs.n_points)
-            bonds = slice(off[lo], off[hi])
-            xi = table[:dim, bonds]
-            for xi_k, pos_k in zip(xi, pos):
-                np.take(pos_k, nbrs.neighbors[bonds], out=xi_k, mode="clip")
-                xi_k -= np.repeat(pos_k[lo:hi], counts[lo:hi])
-            length = _norm(xi)
-            if self.law == "linear":
-                bond_factor(xi, length, self.alpha, out=xi)
-            else:
-                table[dim, bonds] = length
-        return table
-
     def _kernel_args(self) -> tuple:
         """The arguments of the run's kernel calls that come before the
         view's: built on a run's first call, with the bond table, and held
@@ -322,16 +284,21 @@ class PDOperator:
         if self._kernel is None:
             nbrs, cloud = self.nbrs, self.cloud
             # the lowest collapsed bond goes to ``collapsed``
-            held = (self._bond_table(), np.empty(1, dtype=np.int64),
+            held = (np.empty((cloud.dim + (self.law == "nonlinear"),
+                              nbrs.n_bonds)),
+                    np.empty(1, dtype=np.int64),
                     np.ascontiguousarray(nbrs.offsets, dtype=np.int64),
                     np.ascontiguousarray(nbrs.neighbors, dtype=np.int32),
                     np.ascontiguousarray(self.body.T), self.constrained_mask,
                     self.v_prescribed_full)
             table, collapsed, off, nbr, body, cons, v_presc = held
+            head = (_LAWS.index(self.law), cloud.dim, cloud.n_points,
+                    nbrs.n_bonds, off.ctypes.data, nbr.ctypes.data)
+            x = np.ascontiguousarray(nbrs.positions, dtype=np.float64)
+            _LIB.peridyn_bond_table(*head, x.ctypes.data, self.alpha,
+                                    table.ctypes.data)
             self._kernel = held, (
-                _LAWS.index(self.law), cloud.dim, cloud.n_points,
-                nbrs.n_bonds, off.ctypes.data, nbr.ctypes.data,
-                table.ctypes.data, body.ctypes.data, cons.ctypes.data,
+                *head, table.ctypes.data, body.ctypes.data, cons.ctypes.data,
                 v_presc.ctypes.data, cloud.volume_per_point,
                 self.material.rho, self.alpha, COLLAPSE_TOL,
                 collapsed.ctypes.data)
@@ -430,59 +397,36 @@ class _HalfBonds:
     sides: list
 
 
-def _chunk_lengths(nbrs: NeighborList, ids: np.ndarray, coords: list):
-    """The two ends (intp) of the bonds ``ids`` and their lengths |c_j -
-    c_i| in ``coords``, one contiguous array per component: the positions
-    give |xi|, bit for bit the list's ``xi_norm``.  A bond's far end is its
-    neighbor, and its source the neighbor of its reversed bond."""
-    ids = ids.astype(np.intp)
-    back = np.take(nbrs.partner, ids).astype(np.intp)
-    i = np.take(nbrs.neighbors, back).astype(np.intp)
-    j = np.take(nbrs.neighbors, ids).astype(np.intp)
-    return i, j, _norm([np.take(c, j) - np.take(c, i) for c in coords])
-
-
-def _nonzero32(mask: np.ndarray) -> np.ndarray:
-    """np.flatnonzero(mask) as int32, found in chunks of _BLOCK_SLOTS, so
-    that no int64 array spans the result."""
-    ids = np.empty(np.count_nonzero(mask), dtype=np.int32)
-    at = 0
-    for lo in range(0, len(mask), _BLOCK_SLOTS):
-        part = np.flatnonzero(mask[lo:lo + _BLOCK_SLOTS])
-        ids[at:at + len(part)] = part + lo
-        at += len(part)
-    return ids
-
-
 def _half_bonds(nbrs: NeighborList, s0: float) -> _HalfBonds:
     """The list's half-bond table at s0, one side per mask of
-    ``nbrs.bond_sides``, each with no refresh.  Every side's ids are found
-    before the bool masks are freed, then each side's lengths and ends in
-    chunks of _BLOCK_SLOTS bonds: no temporary mask outlives the ids.
+    ``nbrs.bond_sides``, each with no refresh, built in ``_bonds.c`` by
+    two passes over the list: one counts the side's half-bonds, so that
+    its arrays have their size, the other fills them.
 
     Raises ValueError unless s0 is positive and finite: a NaN or infinite
     s0 breaks no bond, and at s0 <= 0 every bond breaks at rest."""
     if not (np.isfinite(s0) and s0 > 0):
         raise ValueError(f"critical stretch s0 must be positive and finite, "
                          f"got {s0}")
-    half = nbrs.neighbors > nbrs.bond_i
-    ids = [_nonzero32(half & mask) for mask in nbrs.bond_sides or [True]]
-    del half
-    # np.take copies a strided source whole on every call
-    pos = [np.ascontiguousarray(p) for p in nbrs.positions.T]
-    sides = []
-    for side_ids in ids:
-        length = np.empty(len(side_ids))
-        ends = np.zeros(nbrs.n_points, dtype=bool)
-        for lo in range(0, len(side_ids), _BLOCK_SLOTS):
-            chunk = slice(lo, lo + _BLOCK_SLOTS)
-            i, j, length[chunk] = _chunk_lengths(nbrs, side_ids[chunk], pos)
-            ends[i] = ends[j] = True
-        sides.append(_Side(ids=side_ids, length=length,
+    off = np.ascontiguousarray(nbrs.offsets, dtype=np.int64)
+    nbr = np.ascontiguousarray(nbrs.neighbors, dtype=np.int32)
+    x = np.ascontiguousarray(nbrs.positions, dtype=np.float64)
+    sides, spans = [], []
+    for mask in nbrs.bond_sides or [None]:
+        head = (x.shape[1], nbrs.n_points, off.ctypes.data, nbr.ctypes.data,
+                x.ctypes.data, None if mask is None else mask.ctypes.data)
+        ids = np.empty(_LIB.peridyn_half_bonds(*head, *[None] * 4),
+                       dtype=np.int32)
+        length, span = np.empty(len(ids)), np.empty(2)
+        ends = np.zeros(nbrs.n_points, dtype=np.uint8)
+        _LIB.peridyn_half_bonds(*head, *(a.ctypes.data for a in (
+            ids, length, ends, span)))
+        sides.append(_Side(ids=ids, length=length,
                            points=np.flatnonzero(ends)))
-    held = [side.length for side in sides if len(side.ids)]
-    longest = max((length.max() for length in held), default=0.0)
-    shortest = min((length.min() for length in held), default=0.0)
+        if len(ids):
+            spans.append(span)
+    longest = max((span[1] for span in spans), default=0.0)
+    shortest = min((span[0] for span in spans), default=0.0)
     reach = np.abs(nbrs.positions).max(initial=0.0) + (1.0 + s0) * longest
     return _HalfBonds(s0=s0, skin=_SKIN_FRACTION * s0 * shortest,
                       reach=float(reach), sides=sides)

@@ -220,7 +220,7 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
         volume = dx * dx * thickness
     else:
         thickness = None
-        volume = dx ** 3
+        volume = dx * dx * dx
     return PointCloud(dim=dim, positions=positions, spacing=dx,
                       volume_per_point=volume, thickness=thickness)
 

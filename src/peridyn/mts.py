@@ -135,8 +135,16 @@ def assemble_f(r: int, dt: float, y_n, y_np1, L_n, L_nm1, L_nm2=None):
 
 
 def estimate_derivatives(corr: CorrectionMatrices, f: np.ndarray) -> np.ndarray:
-    """d = Gamma f: estimates of (L', L'', ...) stacked along axis 0."""
-    return np.tensordot(corr.gamma, f, axes=(1, 0))
+    """d = Gamma f: estimates of (L', L'', ...) stacked along axis 0.  Each
+    d_j is Gamma_j0 f_0, then Gamma_jk f_k added in k order, every product
+    rounded before it is added: no BLAS kernel, whose choice by CPU would
+    choose the bits."""
+    out = np.empty((len(corr.gamma),) + f.shape[1:])
+    for d_j, row in zip(out, corr.gamma):
+        np.multiply(row[0], f[0], out=d_j)
+        for g_jk, f_k in zip(row[1:], f[1:]):
+            d_j += g_jk * f_k
+    return out
 
 
 @dataclass

@@ -11,10 +11,10 @@ from peridyn.app import Scenario, preset_config
 from peridyn.forces import (
     FieldState, InstabilityError, Loading, Material, PDOperator,
     SimulationError,
-    bond_factor, bond_stretch, break_precrack_bonds,
+    bond_stretch, break_precrack_bonds,
     calibrate_alpha, damage_index, update_damage,
 )
-from peridyn.geometry import GeometryError, PointCloud, build_grid, \
+from peridyn.geometry import GeometryError, PointCloud, _norm, build_grid, \
     build_neighbor_list, classify_subdomains
 from peridyn.integrator import rk_step, tableau, upd_run
 from peridyn.mts import MtsConfig, MtsPlan, matrix_A, mts_run
@@ -335,7 +335,7 @@ def reference_rates(op, y, rows):
     (bonds, dim) arrays from the list's xi and np.linalg.norm, one bincount
     per component over the local row positions, constraint overrides last.
     The linear law is mu (q . eta) q with q = sqrt(alpha / |xi|^3) xi, the
-    dot summed in component order."""
+    cube a product and the dot summed in component order."""
     nbrs, dim = op.nbrs, op.cloud.dim
     u = y[:, :dim]
     bonds = [np.arange(nbrs.offsets[r], nbrs.offsets[r + 1]) for r in rows]
@@ -345,7 +345,7 @@ def reference_rates(op, y, rows):
     eta = u[nbrs.neighbors[bond_sel]] - u[rows[i_local]]
     mu = nbrs.mu[bond_sel].astype(float)
     if op.law == "linear":
-        q = np.sqrt(op.alpha / xi_norm ** 3)[:, None] * xi
+        q = np.sqrt(op.alpha / (xi_norm * xi_norm * xi_norm))[:, None] * xi
         dot = q[:, 0] * eta[:, 0]
         for k in range(1, dim):
             dot += q[:, k] * eta[:, k]
@@ -499,8 +499,9 @@ def row_by_row_rates(op, y, rows):
     forces from the list's xi and |xi|, added bond by bond into a Python
     float from +0.0, then (sum * V + body) / rho; the constraint overrides
     last.  The linear law is mu (q . eta) q with q = sqrt(alpha / |xi|^3)
-    xi, the nonlinear one alpha mu s (xi + eta) / |xi + eta|; dot products
-    and squared lengths are summed in component order."""
+    xi, the nonlinear one alpha mu s (xi + eta) / |xi + eta|; the cube is a
+    product, and dot products and squared lengths are summed in component
+    order."""
     nbrs, dim = op.nbrs, op.cloud.dim
     out = np.empty((len(rows), 2 * dim))
     for q, i in enumerate(rows):
@@ -509,7 +510,8 @@ def row_by_row_rates(op, y, rows):
         eta = y[nbrs.neighbors[bonds], :dim] - y[i, :dim]
         mu = nbrs.mu[bonds].astype(float)
         if op.law == "linear":
-            factor = np.sqrt(op.alpha / xi_norm ** 3)[:, None] * xi
+            cube = xi_norm * xi_norm * xi_norm
+            factor = np.sqrt(op.alpha / cube)[:, None] * xi
             dot = factor[:, 0] * eta[:, 0]
             for k in range(1, dim):
                 dot += factor[:, k] * eta[:, k]
@@ -839,7 +841,8 @@ class TestUnionView:
             eta = y[nbrs.neighbors[bonds], :dim] - y[q, :dim]
             xi, xi_norm = nbrs.xi[bonds], nbrs.xi_norm[bonds]
             if law == "linear":
-                q_k = bond_factor(xi.T, xi_norm, op.alpha)
+                q_k = xi.T * np.sqrt(op.alpha
+                                     / (xi_norm * xi_norm * xi_norm))
                 terms = (q_k * eta.T).sum(axis=0) * 0.0 * q_k[0]
             else:
                 deformed = xi + eta
@@ -1072,8 +1075,7 @@ class TestDamage:
             assert (x[i] - 5.0) * (x[j] - 5.0) < 0
 
     def check_half_bond_against_oracle(self, mask, n, dim, pairs, noise,
-                                       partitioned=True, slots=None,
-                                       monkeypatch=None):
+                                       partitioned=True):
         """update_damage against the all-bond oracle on loaded_plan(n, dim)
         with random displacements, plus one x-bond (a, c) per pair at
         exactly s == s0 (binary-exact: xi = 1/n and eta = 1/(2n)); in it
@@ -1081,16 +1083,10 @@ class TestDamage:
 
         The plan's partition splits the damage table by its bond masks;
         with ``partitioned`` False no plan splits the operator, and only the
-        unmasked check runs.  ``slots`` sets the chunk length of the
-        table's build."""
+        unmasked check runs."""
         s0 = 0.5
         op, plan = loaded_plan(s0=s0, n=n, dim=dim, split=partitioned)
         nbrs = op.nbrs
-        if slots is not None:
-            sides = (plan.coarse_bond_mask, plan.fine_bond_mask) \
-                if partitioned else (np.ones(nbrs.n_bonds, dtype=bool),)
-            assert min(m.sum() for m in sides) // 2 > 2 * slots
-            monkeypatch.setattr(forces, "_BLOCK_SLOTS", slots)
         bond_mask = None if mask is None else getattr(plan, f"{mask}_bond_mask")
         write_mu(nbrs, (3, 250, 777))  # must stay uncounted
         rng = np.random.default_rng(23)
@@ -1125,37 +1121,32 @@ class TestDamage:
             assert nbrs.bond_sides[0] is plan.coarse_bond_mask
 
     @staticmethod
-    def variants(check, monkeypatch, masked):
+    def variants(check, masked):
         """Run ``check`` over a partition and, for the unmasked check
-        (``masked`` False), on an operator that no plan split, with the
-        table built in one chunk and in chunks of 29 bonds, each on a fresh
-        operator."""
+        (``masked`` False), on an operator that no plan split, each on a
+        fresh operator."""
         for partitioned in (True,) if masked else (True, False):
-            for slots in (None, 29):
-                with monkeypatch.context() as patch:
-                    check(partitioned=partitioned, slots=slots,
-                          monkeypatch=patch)
+            check(partitioned=partitioned)
 
     @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
-    def test_half_bond_check_matches_all_bond_oracle(self, mask, monkeypatch):
+    def test_half_bond_check_matches_all_bond_oracle(self, mask):
         # Point (ix, iy) of the 16x8 plate is ix*8 + iy.  One exact bond in
         # the coarse half and one in the fine half; in the first the
         # higher-index end moves, in the second the lower.
         self.variants(lambda **kw: self.check_half_bond_against_oracle(
             mask, n=16, dim=2, noise=0.02,
             pairs=((2 * 8 + 3, 3 * 8 + 3, "high"),
-                   (12 * 8 + 4, 13 * 8 + 4, "low")), **kw), monkeypatch,
+                   (12 * 8 + 4, 13 * 8 + 4, "low")), **kw),
             masked=mask is not None)
 
     @pytest.mark.parametrize("mask", [None, "fine", "coarse"])
-    def test_half_bond_check_matches_all_bond_oracle_3d(self, mask,
-                                                        monkeypatch):
+    def test_half_bond_check_matches_all_bond_oracle_3d(self, mask):
         # Point (ix, iy, iz) of the 8x4x4 block is (ix*4 + iy)*4 + iz.
         self.variants(lambda **kw: self.check_half_bond_against_oracle(
             mask, n=8, dim=3, noise=0.04,
             pairs=(((1 * 4 + 1) * 4 + 2, (2 * 4 + 1) * 4 + 2, "high"),
                    ((6 * 4 + 2) * 4 + 1, (7 * 4 + 2) * 4 + 1, "low")),
-            **kw), monkeypatch, masked=mask is not None)
+            **kw), masked=mask is not None)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("s0", [0.5, 0.25, 0.01])
@@ -1330,7 +1321,7 @@ def place_length(x, u, a, c, target):
         u[c, 0] = p_a[0] + target * (1.0 - shrink) - x[c, 0]
         d0 = (x[c, 0] + u[c, 0]) - p_a[0]
         u[c, 1] = p_a[1] + np.sqrt(target * target - d0 * d0) - x[c, 1]
-        if forces._norm((x[c] + u[c]) - p_a) == target:
+        if _norm((x[c] + u[c]) - p_a) == target:
             return
     raise AssertionError("could not place the bond at the target length")
 
@@ -1514,22 +1505,17 @@ class TestDamageSkin:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("motion", ["rotation", "halves"])
-    def test_matches_a_full_pass(self, motion, dim, monkeypatch):
-        # over a partition (no mask, then each side) and without one, with
-        # the table built in one chunk and in chunks of 29 half-bonds: the
+    def test_matches_a_full_pass(self, motion, dim):
+        # over a partition (no mask, then each side) and without one: the
         # breaks of the numpy oracle, with some checks refreshing and some
         # not
         for partitioned in (True, False):
-            for slots in (None, 29):
-                with monkeypatch.context() as patch:
-                    if slots is not None:
-                        patch.setattr(forces, "_BLOCK_SLOTS", slots)
-                    op = self.jittered_op(dim)
-                    masks = self.split(op) if partitioned else (None,)
-                    assert self.replay(op, self.motion(op, motion), self.S0,
-                                       masks) > 0
-                    checks, refreshes = self.counts(op.nbrs)
-                    assert 1 < refreshes < checks
+            op = self.jittered_op(dim)
+            masks = self.split(op) if partitioned else (None,)
+            assert self.replay(op, self.motion(op, motion), self.S0,
+                               masks) > 0
+            checks, refreshes = self.counts(op.nbrs)
+            assert 1 < refreshes < checks
 
     @staticmethod
     def numpy_drift(table, side, u):
@@ -2063,7 +2049,7 @@ class TestBondStorage:
         table = op.bond_table
         assert table.flags.c_contiguous and table.dtype == np.float64
         if law == "linear":
-            want = xi.T * np.sqrt(op.alpha / xi_norm ** 3)
+            want = xi.T * np.sqrt(op.alpha / (xi_norm * xi_norm * xi_norm))
             assert table.tobytes() == want.tobytes()
         else:
             assert table[:dim].tobytes() == xi.T.copy().tobytes()
@@ -2088,18 +2074,24 @@ class TestBondStorage:
             assert all(a is b for a, b in zip(nbrs.bond_sides, (
                 plan.coarse_bond_mask, plan.fine_bond_mask)))
             assert_sides_partition(nbrs)
-            for side in table.sides:
+            half = nbrs.neighbors > nbrs.bond_i
+            for side, mask in zip(table.sides, nbrs.bond_sides):
                 assert set(vars(side)) == {
                     "ids", "length", "points", "u_ref", "u_ref_max",
                     "watch", "checks", "refreshes"}
-                for lo in range(0, len(side.ids), 37):  # what a chunk derives
-                    chunk = side.ids[lo:lo + 37]
-                    i, j, length = forces._chunk_lengths(
-                        nbrs, chunk, list(nbrs.positions.T.copy()))
-                    assert i.dtype == j.dtype == np.intp
-                    assert np.array_equal(i, nbrs.bond_i[chunk])
-                    assert np.array_equal(j, nbrs.neighbors[chunk])
-                    assert length.tobytes() == nbrs.xi_norm[chunk].tobytes()
+                # the side's half-bonds, ascending, with the list's lengths
+                # to the bit, and the ends of its half-bonds as its points
+                assert side.ids.dtype == np.int32
+                assert np.array_equal(side.ids, np.flatnonzero(half & mask))
+                assert side.length.tobytes() == \
+                    nbrs.xi_norm[side.ids].tobytes()
+                assert np.array_equal(side.points, np.union1d(
+                    nbrs.bond_i[side.ids], nbrs.neighbors[side.ids]))
+                assert len(side.ids) > 0
+            lengths = np.concatenate([side.length for side in table.sides])
+            assert table.skin == forces._SKIN_FRACTION * s0 * lengths.min()
+            assert table.reach == np.abs(nbrs.positions).max() \
+                + (1.0 + s0) * lengths.max()
             assert set(vars(table)) == {"s0", "skin", "reach", "sides"}
         update_damage(nbrs, u, 0.25)
         assert nbrs.damage_table is table  # the unmasked check shares it
@@ -2110,6 +2102,12 @@ class TestBondStorage:
             update_damage(nbrs, u, 0.25, plan.fine_bond_mask)
         update_damage(nbrs, u, 0.25, nbrs.bond_sides[1])
         assert_sides_partition(nbrs)
+        # with no split, one side holds every half-bond
+        op.drop_run_caches()
+        update_damage(nbrs, u, 0.25)
+        (side,) = nbrs.damage_table.sides
+        assert np.array_equal(side.ids, np.flatnonzero(half))
+        assert side.length.tobytes() == nbrs.xi_norm[side.ids].tobytes()
 
     def test_bond_sel_is_built_on_first_access(self):
         op, plan = loaded_plan()
@@ -2137,24 +2135,6 @@ class TestBlockSize:
                     if isinstance(v, np.ndarray) and v is not view.offsets]
             assert sum(a.nbytes for a in held) == 8 * len(view.rows)
         assert op.bond_table.nbytes == 8 * dim * op.nbrs.n_bonds
-
-    def test_row_wider_than_a_block(self, monkeypatch):
-        # rows of 10 to 28 bonds against 5-bond chunks: the bond table is
-        # built one row at a time, to the same bits
-        op, plan = loaded_plan()
-        y = random_state(op, 43)
-        write_mu(op.nbrs, (0, 17, 400, 901))
-        want = op.rates(y, 0.5)
-        table = op.bond_table
-        assert op.nbrs.counts().min() > 5
-        op.drop_run_caches()
-        monkeypatch.setattr(forces, "_BLOCK_SLOTS", 5)
-        for rows in (op.full_view.rows, plan.fine_view.rows):
-            view = op.make_view(rows)
-            got = op.rates(y, 0.5, view)
-            assert np.array_equal(got, reference_rates(op, y, rows))
-            assert got.tobytes() == want[rows].tobytes()
-        assert op.bond_table.tobytes() == table.tobytes()
 
 
 class TestDamageIndex:

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peridyn
 from peridyn.app import Scenario, preset_config, run_scheme
 from peridyn.forces import FieldState, InstabilityError, Loading, \
     Material, PDOperator, SimulationError, update_damage
@@ -923,3 +928,44 @@ class TestStiffnessSymmetry:
         assert np.linalg.norm(mb) > 0
         assert abs(np.sum(a * mb) - np.sum(b * ma)) <= \
             1e-13 * np.linalg.norm(a) * np.linalg.norm(mb)
+
+
+# crack2d by MTS to coarse step 8; prints the SHA-256 of the final u, v and
+# bond flags, one a line
+CRACK_DIGESTS = """
+import hashlib
+from peridyn.app import Scenario, preset_config, run_scheme
+scenario = Scenario(preset_config("crack2d"))
+op = scenario.fresh_operator()
+traj, _ = run_scheme(scenario, op, "mts", scenario.cfg.time.dt, 8)
+for a in (traj.final.u, traj.final.v, op.nbrs.mu):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def numpy_dispatch() -> list:
+    """The CPU features that numpy's build dispatches its loops to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return list(__cpu_dispatch__)
+
+
+class TestDispatchIndependence:
+    def test_trajectory_bits_do_not_depend_on_cpu_dispatch(self, capsys):
+        # a run in a process whose numpy may dispatch to none of its SIMD
+        # loops and whose OpenBLAS takes its oldest x86-64 kernels (no FMA)
+        # ends with the bits of a run in this process: every operation on
+        # the trajectory path is one that IEEE 754 rounds correctly
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                   NPY_DISABLE_CPU_FEATURES=" ".join(numpy_dispatch()),
+                   PYTHONPATH=str(Path(peridyn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", CRACK_DIGESTS],
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert done.returncode == 0, done.stderr
+        exec(CRACK_DIGESTS, {})
+        here = capsys.readouterr().out
+        assert len(here.split()) == 3
+        assert done.stdout == here
