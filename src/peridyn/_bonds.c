@@ -1,4 +1,6 @@
-/* The bond loops of peridyn: the build of the bond table that
+/* The bond loops of peridyn: the neighbor list of
+ * geometry.build_neighbor_list, which decides the bonds from the same
+ * lengths as every table below, the build of the bond table that
  * forces.PDOperator.rates reads, rates itself, where each row of a view
  * sums the pairwise forces of its bonds in CSR order, then forms its
  * rates, and the damage check of forces.update_damage with the build of
@@ -26,6 +28,7 @@
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define LINEAR 0
@@ -44,6 +47,78 @@ static inline double bond_vector(int dim, const double *x, int64_t i,
         sq = k ? sq + xi[k] * xi[k] : xi[k] * xi[k];
     }
     return sqrt(sq);
+}
+
+/* The horizon neighbor list of the points x, (n_points, dim): point i
+ * bonds to each j != i with |xi| (bond_vector's) <= reach among those
+ * listed in the cells at the offsets o = 0 .. 3^dim - 1 (row-major over
+ * {-1, 0, 1}^dim) from its cell cells[i], in a grid of dims cells whose
+ * outer layer is empty.  Cell ids[c] (row-major, ascending) lists
+ * order[start[c] .. start[c + 1] - 1].  With neighbors NULL, this writes
+ * offsets[1 ..] and returns 1 with the first zero |xi| (by o, then i,
+ * then j) in pair, else 0.  Else it fills each row, inserting each j in
+ * ascending order, pairs each bond i -> j, j < i, with j -> i by
+ * bisection into row j, and returns 2 when a bond has no reverse, else 0.
+ */
+int64_t peridyn_neighbors(int dim, int64_t n_points, int64_t n_cells,
+                          double reach, const double *x,
+                          const int64_t *cells, const int64_t *dims,
+                          const int64_t *ids, const int64_t *start,
+                          const int64_t *order, int64_t *offsets,
+                          int32_t *neighbors, int32_t *partner, int64_t *pair)
+{
+    int first = -1;
+    int64_t paired = 0, lo, hi, t;
+    for (int64_t i = 0, b = 0; i < n_points; i++) {
+        for (int o = 0; o < (dim == 2 ? 9 : 27); o++) {
+            int64_t id = 0;
+            #pragma GCC unroll 3
+            for (int k = 0, scale = dim == 2 ? 3 : 9; k < dim; k++, scale /= 3)
+                id = id * dims[k] + cells[i * dim + k] + (o / scale) % 3 - 1;
+            for (lo = 0, hi = n_cells; lo < hi;)
+                if (ids[t = lo + (hi - lo) / 2] < id)
+                    lo = t + 1;
+                else
+                    hi = t;
+            if (lo == n_cells || ids[lo] != id)
+                continue;
+            for (int64_t p = start[lo]; p < start[lo + 1]; p++) {
+                int64_t j = order[p];
+                double xi[3], length;
+                if (j == i)
+                    continue;
+                length = dim == 2 ? bond_vector(2, x, i, j, xi)
+                                  : bond_vector(3, x, i, j, xi);
+                if (length == 0.0 && (first < 0 || o < first)) {
+                    first = o;
+                    pair[0] = i;
+                    pair[1] = j;
+                }
+                if (length <= reach && neighbors) {
+                    for (t = b; t > offsets[i] && neighbors[t - 1] > j; t--)
+                        neighbors[t] = neighbors[t - 1];
+                    neighbors[t] = (int32_t)j;
+                }
+                b += length <= reach;
+            }
+        }
+        offsets[i + 1] = b; /* the same count in both passes */
+        for (int64_t c = offsets[i]; neighbors && c < b && neighbors[c] < i;
+             c++) {
+            int64_t end = offsets[neighbors[c] + 1];
+            for (lo = offsets[neighbors[c]], hi = end; lo < hi;)
+                if (neighbors[t = lo + (hi - lo) / 2] < i)
+                    lo = t + 1;
+                else
+                    hi = t;
+            if (lo < end && neighbors[lo] == i) {
+                partner[c] = (int32_t)lo;
+                partner[lo] = (int32_t)c;
+                paired++;
+            }
+        }
+    }
+    return neighbors ? 2 * (2 * paired != offsets[n_points]) : first >= 0;
 }
 
 /* The bond table that rates reads, in CSR order, into table: q = s xi

@@ -1,4 +1,4 @@
-"""Builds and loads the compiled bond loops of ``forces`` (``_bonds.c``).
+"""Builds and loads ``_bonds.c``, the compiled loops of geometry and forces.
 
 ``_bonds.c`` is compiled once with fixed flags into the package's
 ``__pycache__``, under a name keyed by the SHA-256 of the source, the
@@ -30,6 +30,7 @@ _P, _I64, _F, _INT = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
                       ctypes.c_int)
 # The result and argument types of each entry point, as _bonds.c declares.
 _SIGNATURES = {
+    "peridyn_neighbors": (_I64, (_INT, _I64, _I64, _F, *[_P] * 10)),
     "peridyn_bond_table": (None, (_INT, _INT, _I64, _I64, _P, _P, _P, _F,
                                   _P)),
     "peridyn_rates": (_I64, (_INT, _INT, _I64, _I64, *[_P] * 6, *[_F] * 4,

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _bonds
-from .geometry import (HORIZON_TOL, GeometryError, NeighborList, PointCloud,
-                       _concat_ranges, _in_boxes)
+from .geometry import (_LIB, HORIZON_TOL, GeometryError, NeighborList,
+                       PointCloud, _concat_ranges, _in_boxes)
 
 # Relative collapse guard for the nonlinear law's division by |xi + eta|.
 COLLAPSE_TOL = 1e-12
@@ -134,9 +133,7 @@ def bond_stretch(deformed_norm, xi_norm):
     return (deformed_norm - xi_norm) / xi_norm
 
 
-# The compiled bond loops (``_bonds.c``) of rates, whose law argument is
-# the index of the law here, and of the damage check.
-_LIB = _bonds.load()
+# The compiled rates (``_bonds.c``) take the index of the law here.
 _LAWS = ("linear", "nonlinear")
 
 

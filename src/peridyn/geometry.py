@@ -5,7 +5,8 @@ volume per point (dx^2 * thickness in 2D, dx^3 in 3D).  Each point interacts
 with every other point within the horizon radius ``delta``; the neighbor
 list holds the bond topology and the per-bond alive flags ``mu`` that the
 damage model mutates.  A bond's reference vector is ``x_j - x_i`` of the
-cloud's positions, so consumers derive the geometry where they need it.
+cloud's positions, and its length is computed by ``_bonds.c`` alone, which
+builds the list and the bond and damage tables from it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _bonds
+
 # Fractional slack on the horizon test so lattice points lying exactly on the
 # horizon sphere (delta = m*dx configurations) are not lost to rounding.
 HORIZON_TOL = 1e-12
 
 # Extent/dx mismatch tolerated by build_grid, as a fraction of the extent.
 GRID_FIT_TOL = 5e-3
+
+# Largest point or bond count the int32 neighbor list can index.
+INDEX_MAX = int(np.iinfo(np.int32).max)
 
 # Subdomain labels: fine interior, fine boundary layer, coarse boundary
 # layer, coarse interior.
@@ -71,8 +77,9 @@ class NeighborList:
     and ``partner`` are int32 (``build_neighbor_list`` refuses counts that
     do not fit), ``mu`` is bool, and ``positions`` is a reference to the
     cloud's array, not a copy.  ``bond_i``, ``xi`` and ``xi_norm`` are
-    derived on every access, bit for bit as the build would compute them;
-    they are for setup and checks, never for a per-step path.
+    derived on every access, bit for bit the vectors and lengths of
+    ``_bonds.c``, which decide the bonds; they are for setup and checks,
+    never for a per-step path.
 
     ``mu`` is read-only: the damage model (``forces._break_bonds``) is its
     one writer, and it bumps ``version`` on every change, so caches derived
@@ -199,9 +206,15 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
                             f"got {shown}")
     if not (np.isfinite(dx) and dx > 0):
         raise GeometryError(f"spacing must be positive and finite, got {dx}")
-    counts = np.rint(extents / dx).astype(int)
+    with np.errstate(over="ignore"):  # a count past any float is inf
+        counts = np.rint(extents / dx)
+        n_points = float(np.prod(counts))
     if np.any(counts < 1):
         raise GeometryError(f"spacing {dx} exceeds box extents {shown}")
+    if n_points > INDEX_MAX:
+        raise GeometryError(
+            f"spacing {dx} lays out {n_points:.3g} points over extents "
+            f"{shown}, more than the int32 neighbor list indexes, {INDEX_MAX}")
     misfit = np.abs(counts * dx - extents)
     if np.any(misfit > GRID_FIT_TOL * extents):
         raise GeometryError(
@@ -226,9 +239,9 @@ def build_grid(box, dx: float, thickness: float | None = None) -> PointCloud:
 
 
 def _norm(d):
-    """Euclidean length from components, bit for bit np.linalg.norm: the
-    square root of the squares summed in component order, as
-    np.linalg.norm(..., axis=1) adds them."""
+    """Euclidean length from components, bit for bit np.linalg.norm and
+    ``bond_vector`` of ``_bonds.c``: the square root of the squares summed
+    in component order, as np.linalg.norm(..., axis=1) adds them."""
     sq = d[0] * d[0]
     for c in d[1:]:
         sq += c * c
@@ -246,17 +259,8 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return first + (np.arange(total, dtype=np.int64) - reset)
 
 
-# Candidate pairs generated at a time by build_neighbor_list, about 100 B
-# of temporaries each.  A desk preset's cell offset fits in one chunk (at
-# most 92k candidates, on crack2d); the paper-scale crack's splits in nine.
-_BUILD_CANDIDATES = 1 << 18
-
-# Bonds whose neighbor and partner ids build_neighbor_list derives at a
-# time from its sorted keys: int64 temporaries of 512 KiB each.
-_DERIVE_BONDS = 1 << 16
-
-# Largest point or bond count the int32 neighbor list can index.
-INDEX_MAX = int(np.iinfo(np.int32).max)
+# The compiled loops of _bonds.c, of this module and of forces.
+_LIB = _bonds.load()
 
 
 def check_index_range(n_points: int, n_bonds: int) -> None:
@@ -267,18 +271,18 @@ def check_index_range(n_points: int, n_bonds: int) -> None:
             f"indexes both with int32, at most {INDEX_MAX} each")
 
 
-def _chunks(sizes: np.ndarray, limit: int) -> list:
-    """Slices that split consecutive items into runs of about ``limit``
-    total size: a run ends at the last item whose running total stays
-    within the next multiple of ``limit``, so it exceeds ``limit`` by less
-    than one item's size."""
-    total = np.cumsum(sizes)
-    if total[-1] <= limit:
-        return [slice(None)]
-    cuts = np.searchsorted(total, np.arange(limit, total[-1], limit),
-                           side="right")
-    bounds = np.unique(np.concatenate(([0], cuts, [len(sizes)]))).tolist()
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+def _bin(pos: np.ndarray, reach: float) -> tuple:
+    """The binning that ``_bonds.c`` reads: each point's coordinates in a
+    grid of cells of edge >= reach with an empty outer layer, the grid's
+    shape, the occupied cells' ascending row-major ids, and ``start`` and
+    ``order``, which list cell c's points in order[start[c]:start[c+1]]."""
+    cells = 1 + np.floor((pos - pos.min(axis=0))
+                         / (reach * (1.0 + 1e-9))).astype(np.int64)
+    dims = cells.max(axis=0) + 2
+    cell_id = np.ravel_multi_index(cells.T, dims)
+    order = np.argsort(cell_id, kind="stable")
+    ids, starts = np.unique(cell_id[order], return_index=True)
+    return cells, dims, ids, np.append(starts, len(pos)), order
 
 
 def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
@@ -286,17 +290,10 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
 
     Cost is O(N * neighbors): points are binned into cells of edge >= delta
     and pairs are generated only between adjacent cells.  Points exactly on
-    the horizon sphere are kept (relative slack HORIZON_TOL).
-
-    Memory scales with the bonds kept: each cell offset's candidate pairs
-    are generated over chunks of source points, about _BUILD_CANDIDATES at
-    a time, and checked against the horizon as they are generated; only
-    the accepted ones are collected, each as one int64 key i*n + j, and a
-    chunk's temporaries are freed before the next chunk's exist.  A sort of
-    the keys orders the bonds, ``offsets`` and ``neighbors`` are read off
-    the sorted keys, and a second sort, by neighbor, finds ``partner``.  A
-    cloud whose point or bond count does not fit int32 raises
-    GeometryError.
+    the horizon sphere are kept (relative slack HORIZON_TOL).  numpy bins
+    the points; ``_bonds.c`` counts the bonds, so that the list is allocated
+    at its size, then fills it.  Coincident points, and a point or bond
+    count past int32, raise GeometryError.
     """
     if not np.isfinite(delta):
         raise GeometryError(f"horizon must be finite, got {delta}")
@@ -304,100 +301,29 @@ def build_neighbor_list(cloud: PointCloud, delta: float) -> NeighborList:
         raise GeometryError(
             f"horizon {delta} is degenerate: smaller than spacing {cloud.spacing}")
     pos = cloud.positions
+    if pos.ndim != 2 or pos.shape[1] not in (2, 3):
+        raise GeometryError(f"positions must be (N, 2) or (N, 3): {pos.shape}")
     n = cloud.n_points
-    dim = cloud.dim
-    check_index_range(n, 0)
     reach = delta * (1.0 + HORIZON_TOL)
-
-    cell_size = reach * (1.0 + 1e-9)
-    cells = np.floor((pos - pos.min(axis=0)) / cell_size).astype(np.int64)
-    dims = cells.max(axis=0) + 1
-    cell_id = np.ravel_multi_index(cells.T, dims)
-    order = np.argsort(cell_id, kind="stable")
-    sorted_ids = cell_id[order]
-    uniq_ids, uniq_starts = np.unique(sorted_ids, return_index=True)
-    uniq_stops = np.append(uniq_starts[1:], n)
-    comps = [np.ascontiguousarray(p) for p in pos.T]
-
-    parts = []
-    n_bonds = 0
-    offsets_nd = np.stack(np.meshgrid(*([np.arange(-1, 2)] * dim),
-                                      indexing="ij"), axis=-1).reshape(-1, dim)
-    for off in offsets_nd:
-        target = cells + off
-        valid = np.all((target >= 0) & (target < dims), axis=1)
-        src = np.flatnonzero(valid)
-        tgt_id = np.ravel_multi_index(target[src].T, dims)
-        del target, valid
-        loc = np.searchsorted(uniq_ids, tgt_id)
-        found = (loc < len(uniq_ids))
-        found[found] &= uniq_ids[loc[found]] == tgt_id[found]
-        src = src[found]
-        if not len(src):
-            continue
-        loc = loc[found]
-        starts, stops = uniq_starts[loc], uniq_stops[loc]
-        for chunk in _chunks(stops - starts, _BUILD_CANDIDATES):
-            bi = np.repeat(src[chunk], stops[chunk] - starts[chunk])
-            bj = order[_concat_ranges(starts[chunk], stops[chunk])]
-            # offsets and chunks run in a fixed order, so the first
-            # coincident pair found is the first among all candidates;
-            # _norm of the components is np.linalg.norm(pos[bj] - pos[bi],
-            # axis=1) bit for bit
-            dist = _norm([np.take(p, bj) - np.take(p, bi) for p in comps])
-            other = bi != bj
-            coincident = (dist == 0.0) & other
-            if np.any(coincident):
-                k = np.flatnonzero(coincident)[0]
-                raise GeometryError(
-                    f"points {bi[k]} and {bj[k]} coincide; zero-length bonds are not allowed")
-            keep = dist <= reach
-            keep &= other
-            del dist, other
-            n_bonds += int(np.count_nonzero(keep))
-            check_index_range(n, n_bonds)
-            key = bi[keep]
-            key *= n
-            key += bj[keep]
-            parts.append(key)
-            del bi, bj, keep
-
-    # the keys i*n + j are unique, so sorting them gives the (i, j) order;
-    # each offset's keys come as one ascending run, and the stable sort
-    # merges runs
-    keys = np.concatenate(parts) if parts else np.empty(0, np.int64)
-    del parts
-    keys.sort(kind="stable")
-    offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    spans = [slice(lo, min(lo + _DERIVE_BONDS, n_bonds))
-             for lo in range(0, n_bonds, _DERIVE_BONDS)]
-    neighbors = np.empty(n_bonds, dtype=np.int32)
-    for span in spans:
-        neighbors[span] = keys[span] % n
-    del keys
-
-    # sorted by (j, bond id), and so by (j, i), the bonds list each bond's
-    # reverse in bond order when the relation is symmetric: that is the
-    # partner.  The key j * n_bonds + b fits int64, as both fit int32.
-    by_j = neighbors.astype(np.int64)
-    by_j *= n_bonds
-    for span in spans:
-        by_j[span] += np.arange(span.start, span.stop)
-    by_j.sort()
-    partner = np.empty(n_bonds, dtype=np.int32)
-    for span in spans:
-        partner[span] = by_j[span] % n_bonds
-    del by_j
-    nbrs = NeighborList(delta=delta, offsets=offsets, neighbors=neighbors,
+    binning = [np.ascontiguousarray(a, dtype=np.int64)
+               for a in _bin(pos, reach)]
+    x = np.ascontiguousarray(pos, dtype=np.float64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    pair = np.empty(2, dtype=np.int64)
+    head = (pos.shape[1], n, len(binning[2]), reach,
+            *(a.ctypes.data for a in (x, *binning, offsets)))
+    if _LIB.peridyn_neighbors(*head, None, None, pair.ctypes.data):
+        raise GeometryError(f"points {pair[0]} and {pair[1]} coincide; "
+                            "zero-length bonds are not allowed")
+    check_index_range(n, int(offsets[-1]))
+    neighbors = np.empty(offsets[-1], dtype=np.int32)
+    partner = np.empty(offsets[-1], dtype=np.int32)
+    if _LIB.peridyn_neighbors(*head, neighbors.ctypes.data,
+                              partner.ctypes.data, None):
+        raise GeometryError(
+            "neighbor relation is not symmetric (internal error)")
+    return NeighborList(delta=delta, offsets=offsets, neighbors=neighbors,
                         partner=partner, positions=pos)
-    bond_i = nbrs.bond_i
-    for span in spans:
-        found = partner[span]
-        if not (np.array_equal(np.take(neighbors, found), bond_i[span])
-                and np.array_equal(np.take(bond_i, found), neighbors[span])):
-            raise GeometryError(
-                "neighbor relation is not symmetric (internal error)")
-    return nbrs
 
 
 def _in_boxes(positions: np.ndarray, boxes) -> np.ndarray:

@@ -73,7 +73,8 @@ def block_sweeps(cache_dir):
 @pytest.fixture(scope="session")
 def crack_runs():
     """UPD and MTS(K=2) crack runs plus the fine-step UPD baseline, with
-    each run's final state and bond flags."""
+    each run's final state and bond flags, and criterion 9's wall-clock
+    MTS(K=2) / UPD(dt/2) pairs."""
     cfg = pd.preset_config("crack2d")
     scenario = pd.Scenario(cfg)
     dt, n_steps = cfg.time.dt, cfg.time.n_steps
@@ -100,23 +101,36 @@ def crack_runs():
     upd_seconds = time.perf_counter() - t0
     phi_upd = damage_index(op_u.nbrs)
 
-    op_m = scenario.fresh_operator()
-    t0 = time.perf_counter()
-    mts_traj, _ = mts_run(op_m, scenario.initial_state(),
-                          scenario.mts_config(K=2), n_steps, s0=scenario.s0)
-    mts_seconds = time.perf_counter() - t0
-    phi_mts = damage_index(op_m.nbrs)
+    def timed(name):
+        """A fresh operator, and the wall time of its MTS(K=2) or
+        UPD(dt/2) run with the run's trajectory."""
+        op = scenario.fresh_operator()
+        t0 = time.perf_counter()
+        if name == "mts":
+            traj, _ = mts_run(op, scenario.initial_state(),
+                              scenario.mts_config(K=2), n_steps,
+                              s0=scenario.s0)
+        else:
+            traj = upd_run(op, scenario.initial_state(), dt / 2,
+                           n_steps * 2, tableau(cfg.mts.order),
+                           s0=scenario.s0)
+        return op, traj, time.perf_counter() - t0
 
-    op_f = scenario.fresh_operator()
-    t0 = time.perf_counter()
-    fine_traj = upd_run(op_f, scenario.initial_state(), dt / 2, n_steps * 2,
-                        tableau(cfg.mts.order), s0=scenario.s0)
-    upd_fine_seconds = time.perf_counter() - t0
+    op_m, mts_traj, mts_seconds = timed("mts")
+    phi_mts = damage_index(op_m.nbrs)
+    op_f, fine_traj, upd_fine_seconds = timed("upd_fine")
+    # Criterion 9's wall-clock pairs: this one, then two more, the first
+    # with UPD(dt/2) first.  A single pair's ratio drifts by 10-30% on a
+    # shared machine, more than the margin below 1, so criterion 9 reads
+    # the median.
+    pairs = [(mts_seconds, upd_fine_seconds)]
+    for order in (("upd_fine", "mts"), ("mts", "upd_fine")):
+        seconds = {name: timed(name)[2] for name in order}
+        pairs.append((seconds["mts"], seconds["upd_fine"]))
 
     return dict(cfg=cfg, scenario=scenario, dx=raw_dx, extents=extents,
                 phi_upd=phi_upd, phi_mts=phi_mts, nbrs_upd=op_u.nbrs,
-                midpoints=midpoints, pre_broken=pre_broken,
-                mts_seconds=mts_seconds, upd_fine_seconds=upd_fine_seconds,
+                midpoints=midpoints, pre_broken=pre_broken, pairs=pairs,
                 upd_seconds=upd_seconds,
                 finals={"upd": upd_traj.final, "mts": mts_traj.final,
                         "upd_fine": fine_traj.final},
@@ -338,13 +352,16 @@ def test_criterion_8_crack_qualitative(crack_runs):
 
 
 def test_criterion_9_speedup(crack_runs):
-    ratio = crack_runs["mts_seconds"] / crack_runs["upd_fine_seconds"]
+    ratios = [mts / upd for mts, upd in crack_runs["pairs"]]
+    ratio = float(np.median(ratios))
     fine_frac = len(crack_runs["scenario"].labels.omega_hat_f) \
         / crack_runs["scenario"].cloud.n_points
+    shown = ", ".join(f"{mts:.1f}s/{upd:.1f}s = {mts / upd:.2f}"
+                      for mts, upd in crack_runs["pairs"])
     report(9, fine_frac <= 0.25 and ratio < 1.0,
-           f"MTS(K=2) {crack_runs['mts_seconds']:.1f}s vs UPD(dt/2) "
-           f"{crack_runs['upd_fine_seconds']:.1f}s: ratio {ratio:.2f} < 1 "
-           f"(fine region {100 * fine_frac:.0f}% of points)")
+           f"MTS(K=2) vs UPD(dt/2), median of {len(ratios)} alternated "
+           f"pairs' ratios {ratio:.2f} < 1 ({shown}; fine region "
+           f"{100 * fine_frac:.0f}% of points)")
 
 
 def test_criterion_12_mts_fine_step_accuracy(crack_runs):

@@ -26,7 +26,7 @@ from peridyn.app import (
     validate_config,
 )
 from peridyn.forces import FieldState, Material, PDOperator
-from peridyn.geometry import build_grid
+from peridyn.geometry import INDEX_MAX, build_grid
 from peridyn.integrator import tableau
 from peridyn.mts import MtsPlan
 from tests.test_mts import views_ratio
@@ -385,6 +385,21 @@ class TestSchema:
         assert cli.main(["run", "--config", path,
                          "--out", str(tmp_path / "out")]) == 2
         assert problem in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dx, count", [("1e-12", "5e+23"),
+                                           ("1e-320", "inf")])
+    def test_cli_run_lattice_past_int32_exit_2(self, tmp_path, capsys, dx,
+                                               count):
+        # refused before the lattice is allocated, and without warnings
+        text = serialize_config(preset_config("plate2d"))
+        path = write_config(tmp_path, text.replace("dx = 0.025\n",
+                                                   f"dx = {dx}\n"))
+        assert cli.main(["run", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"lays out {count} points" in err
+        assert f"int32 neighbor list indexes, {INDEX_MAX}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("dt", ["nan", "inf"])

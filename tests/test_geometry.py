@@ -160,11 +160,30 @@ class TestBuildGrid:
         (((0, 0), (1, 1)), 2.0, "spacing 2.0 exceeds box extents (1.0, 1.0)"),
         (((0, 0), (np.inf, 1)), 0.5,
          "box extents must be positive and finite, got (inf, 1.0)"),
-    ], ids=["misfit", "too-coarse", "infinite"])
+        # past int32, and past the largest float (extents / dx is inf):
+        # refused without a RuntimeWarning, which pytest turns into an error
+        (((0, 0), (1, 0.5)), 1e-12,
+         "spacing 1e-12 lays out 5e+23 points over extents (1.0, 0.5), more "
+         f"than the int32 neighbor list indexes, {INDEX_MAX}"),
+        (((0, 0), (1, 0.5)), 1e-320,
+         "spacing 1e-320 lays out inf points over extents (1.0, 0.5), more "
+         f"than the int32 neighbor list indexes, {INDEX_MAX}"),
+    ], ids=["misfit", "too-coarse", "infinite", "past-int32", "past-float"])
     def test_spacing_messages_print_plain_numbers(self, box, dx, message):
         with pytest.raises(GeometryError) as err:
             build_grid(box, dx, thickness=1.0)
         assert str(err.value) == message
+
+    def test_lattice_past_int32_refused_before_allocating(self):
+        # unchecked, the lattice's axes alone take 7.28 TiB at dx = 1e-12
+        tracemalloc.start()
+        try:
+            with pytest.raises(GeometryError, match="int32"):
+                build_grid(((0, 0), (1, 0.5)), 1e-12, thickness=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_2d_requires_thickness(self):
         with pytest.raises(GeometryError, match="thickness"):
@@ -242,6 +261,15 @@ class TestNeighborList:
         with pytest.raises(GeometryError, match="degenerate"):
             build_neighbor_list(row_cloud(), 0.5)
 
+    def test_positions_of_other_dimensions_rejected(self):
+        # the compiled build reads 2 or 3 components per point
+        for shape in ((4, 1), (4, 4), (4,)):
+            cloud = PointCloud(dim=2, positions=np.arange(
+                float(np.prod(shape))).reshape(shape), spacing=0.5,
+                volume_per_point=1.0)
+            with pytest.raises(GeometryError, match="must be"):
+                build_neighbor_list(cloud, 1.5)
+
     def test_coincident_points_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         cloud = PointCloud(dim=2, positions=pos, spacing=0.5,
@@ -251,8 +279,8 @@ class TestNeighborList:
 
 
 class TestNorm:
-    """The solver's one length helper: the build's horizon test and the
-    row blocks' |xi| both rest on it matching np.linalg.norm exactly."""
+    """The helper of the derived ``xi_norm``, which checks compare with
+    the lengths of ``_bonds.c``: it matches np.linalg.norm exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3]), st.data())
@@ -273,9 +301,9 @@ class TestNorm:
 
 
 class TestStreamedBuild:
-    """The neighbor list is built offset by offset, over chunks of source
-    points, keeping only accepted pairs; every array must equal the
-    all-candidates builder's."""
+    """The neighbor list is built point by point in ``_bonds.c``, keeping
+    only accepted pairs; every array must equal the all-candidates
+    builder's."""
 
     @pytest.mark.parametrize("box, dx, ratio", [
         (((0, 0), (1.3, 0.7)), 0.05, 3.0),
@@ -322,68 +350,33 @@ class TestStreamedBuild:
         assert "coincide" in str(got.value)
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("chunk", [1, 37, 1000])
-    def test_chunked_candidates_match_all_candidates_builder(
-            self, chunk, monkeypatch):
-        # chunks of one point, of fewer candidates than one point has, and
-        # of many points; the first coincident pair is still the one named.
-        # The sorted keys are turned into neighbors and partners over as
-        # many bonds at a time, so that runs over many chunks too.
-        monkeypatch.setattr(geometry, "_BUILD_CANDIDATES", chunk)
-        monkeypatch.setattr(geometry, "_DERIVE_BONDS", chunk)
-        for box, dx, ratio in ((((0, 0), (1.3, 0.7)), 0.05, 3.3),
-                               (((0, 0, 0), (0.6, 0.4, 0.3)), 0.1, 2.7)):
-            cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
-                               else None)
-            assert assert_same_bytes(cloud, ratio * dx).n_bonds > 0
-        pos = np.array([[0.0, 0.0], [3.0, 0.0], [1.0, 2.0], [3.0, 0.0],
-                        [0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
-        cloud = make_cloud(pos, spacing=0.01)
-        with pytest.raises(GeometryError) as want:
-            all_candidates_builder(cloud, 1.2)
-        with pytest.raises(GeometryError) as got:
-            build_neighbor_list(cloud, 1.2)
-        assert str(got.value) == str(want.value)
+    @pytest.mark.parametrize("box, dx", [(((0, 0), (1.3, 0.7)), 0.05),
+                                         (((0, 0, 0), (0.9, 0.6, 0.6)), 0.1)],
+                             ids=["2d", "3d"])
+    def test_asymmetric_relation_refused(self, box, dx, monkeypatch):
+        # point 0 recorded in the far corner cell while its own cell lists
+        # it: its neighbors keep their bonds to it and it keeps none back,
+        # so the compiled pairing must refuse the relation
+        bin_points = geometry._bin
 
-    @pytest.mark.parametrize("chunk", [1, 37, 1 << 16])
-    def test_asymmetric_relation_refused(self, chunk, monkeypatch):
-        # a length that depends on the bond's direction keeps the pairs on
-        # the horizon shell one way only: the partner check must refuse it
-        monkeypatch.setattr(geometry, "_DERIVE_BONDS", chunk)
-        norm = geometry._norm
-        monkeypatch.setattr(geometry, "_norm",
-                            lambda d: norm(d) * np.where(d[0] > 0, 2.0, 1.0))
-        cloud = build_grid(((0, 0), (1.3, 0.7)), 0.05, thickness=0.01)
+        def moved(pos, reach):
+            cells, *rest = bin_points(pos, reach)
+            cells[0] = cells.max(axis=0)
+            return cells, *rest
+
+        monkeypatch.setattr(geometry, "_bin", moved)
+        cloud = build_grid(box, dx, thickness=0.01 if len(box[0]) == 2
+                           else None)
         with pytest.raises(GeometryError, match="not symmetric"):
-            build_neighbor_list(cloud, 3.0 * 0.05)
-
-    @pytest.mark.parametrize("name", ["plate2d", "block3d", "crack2d"])
-    def test_desk_presets_build_in_one_chunk(self, name, monkeypatch):
-        # one candidate gather per cell offset: chunking costs the desk
-        # presets nothing
-        gathers = []
-        concat = geometry._concat_ranges
-
-        def counted(starts, stops):
-            gathers.append(len(starts))
-            return concat(starts, stops)
-
-        monkeypatch.setattr(geometry, "_concat_ranges", counted)
-        cfg = preset_config(name)
-        g = cfg.geometry
-        cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
-        build_neighbor_list(cloud, cfg.delta)
-        assert len(gathers) == 3 ** cloud.dim
+            build_neighbor_list(cloud, 3.0 * dx)
 
     def test_desk_crack2d_peak_memory(self):
-        # The kept list is 2.4 MiB and the build peaks at 6.9 MiB (the
-        # int64 keys kept so far and the temporaries of a cell offset's 92k
-        # candidates); the sorts and the derivation after them stay under
-        # 6 MiB.  Kept as int32 pairs with two lexsorts, the build peaked
-        # at 9.1 MiB; an earlier searchsorted partner search over int64
-        # keys at 10.6; with int64 indices and stored bond geometry the
-        # list was 14.7 MiB and the peak 20.7; the all-candidates build
-        # peaked at 61.
+        # The kept list is 2.4 MiB and the build peaks at 2.7 MiB: the
+        # list and the binning, as the compiled passes allocate nothing.
+        # The streamed numpy build, with int64 keys and two sorts, peaked
+        # at 6.9 MiB; kept as int32 pairs with two lexsorts, at 9.1 MiB;
+        # with int64 indices and stored bond geometry the list was 14.7 MiB
+        # and the peak 20.7; the all-candidates build peaked at 61.
         cfg = preset_config("crack2d")
         g = cfg.geometry
         cloud = build_grid((g.box_min, g.box_max), g.dx, g.thickness)
